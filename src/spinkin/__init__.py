@@ -7,8 +7,8 @@ no-go results, including the direction dependence of the Elko G operator at
 the origin.
 """
 
-from .config import DEFAULT, ToleranceConfig
 from .decomposition import (
+    Decomposition,
     NonHermitianBasisError,
     canonical_rest_basis,
     decomposition_residual,
@@ -60,7 +60,7 @@ from .kinematics import (
     sample_momenta,
     scaled_swap_family,
 )
-from .linalg import AntiLinearMap, antilinear_compose, expm, kron, matrix_from_json, matrix_to_json, nullspace
+from .linalg import AntiLinearMap, antilinear_compose, kron, matrix_from_json, matrix_to_json, nullspace
 from .reps import (
     HalfInt,
     LorentzTransform,

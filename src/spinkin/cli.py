@@ -22,17 +22,9 @@ import numpy as np
 from . import checks
 from . import decomposition as dec
 from . import elko
-from .config import ENV_TOL
 from .dirac import boosted_spinors
 from .higherspin import extract_gamma_tensor, field_equation_residual, parity_spectrum
-from .kinematics import (
-    FourMomentum,
-    boost_matrix,
-    is_fully_kinematic,
-    parity_family,
-    parity_operator,
-    rapidity_from_momentum,
-)
+from .kinematics import FourMomentum, is_fully_kinematic, parity_family, parity_operator
 from .linalg import matrix_to_json, vector_to_json
 from .reps import HalfInt, rep_generators
 
@@ -100,14 +92,6 @@ def _emit_or_print(args, payload: dict, render):
         render()
 
 
-def _spectrum_payload(op: np.ndarray, spectrum: dict) -> dict:
-    return {
-        "matrix": matrix_to_json(op),
-        "eigenvalues": [[float(z.real), float(z.imag)] for z in spectrum["eigenvalues"]],
-        "det": [float(spectrum["det"].real), float(spectrum["det"].imag)],
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -135,47 +119,33 @@ def cmd_generators(args) -> int:
     return 0
 
 
+# per command: JSON key of the operator, and the title line of the text output
+_PARITY_VIEWS = {
+    "parity": ("matrix", "P_j(q)"),
+    "fieldeq": ("operator", "field-equation operator (1/m^2j) gamma...p..."),
+}
+
+
 def cmd_parity(args) -> int:
+    """`parity` and `fieldeq`: the spin-j field-equation operator is P_j(q)."""
     j = _spin(args)
     q = _momentum(args)
     P = parity_operator(rep_generators(j), q)
     spectrum = parity_spectrum(j, q)
+    key, title = _PARITY_VIEWS[args.command]
     payload = {
-        "command": "parity",
+        "command": args.command,
         "spin": str(j),
         "spin_twice": j.twice,
         "mass": q.m,
         "p": list(q.p),
-        **_spectrum_payload(P, spectrum),
+        key: matrix_to_json(P),
+        "eigenvalues": [[float(z.real), float(z.imag)] for z in spectrum["eigenvalues"]],
+        "det": [float(spectrum["det"].real), float(spectrum["det"].imag)],
     }
 
     def render():
-        print(f"P_j(q) for spin {j}, m={q.m}, p={q.p}:")
-        print(np.array_str(P, precision=10, suppress_small=True))
-        print("eigenvalues:", np.array_str(spectrum["eigenvalues"], precision=6))
-        print("det:", spectrum["det"])
-
-    _emit_or_print(args, payload, render)
-    return 0
-
-
-def cmd_fieldeq(args) -> int:
-    j = _spin(args)
-    q = _momentum(args)
-    P = parity_operator(rep_generators(j), q)
-    spectrum = parity_spectrum(j, q)
-    payload = {
-        "command": "fieldeq",
-        "spin": str(j),
-        "spin_twice": j.twice,
-        "mass": q.m,
-        "p": list(q.p),
-        **_spectrum_payload(P, spectrum),
-    }
-    payload["operator"] = payload.pop("matrix")
-
-    def render():
-        print(f"field-equation operator (1/m^2j) gamma...p... for spin {j}, m={q.m}, p={q.p}:")
+        print(f"{title} for spin {j}, m={q.m}, p={q.p}:")
         print(np.array_str(P, precision=10, suppress_small=True))
         print("eigenvalues:", np.array_str(spectrum["eigenvalues"], precision=6))
         print("det:", spectrum["det"])
@@ -285,40 +255,33 @@ def cmd_elko_origin(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    q = FourMomentum(args.mass, args.p)
+    q = _momentum(args)
     if args.basis == "canonical":
         basis = dec.canonical_rest_basis(HalfInt(1), q.m)
     else:
         basis = dec.elko_rest_basis(q.m)
-    xi0 = dec.xi_tilde_at_rest(basis).conj().T
-    B = boost_matrix(rep_generators(HalfInt(1)), rapidity_from_momentum(q))
-    Xi_q = B @ xi0 @ np.linalg.inv(B)
-    K_q = dec.k_operator(basis, q)
-    residual = dec.decomposition_residual(basis, q)
+    result = dec.decomposition_residual(basis, q)
     payload = {
         "command": "decompose",
         "basis": args.basis,
         "mass": q.m,
         "p": list(q.p),
-        "K": matrix_to_json(K_q),
-        "Xi": matrix_to_json(Xi_q),
-        "residual": residual,
+        "K": matrix_to_json(result.K),
+        "Xi": matrix_to_json(result.Xi),
+        "residual": result.residual,
     }
 
     def render():
-        print("K(q) =\n" + np.array_str(K_q, precision=10, suppress_small=True))
-        print("Xi(q) =\n" + np.array_str(Xi_q, precision=10, suppress_small=True))
-        print(f"||gamma.p - m K Xi|| / ||gamma.p|| = {residual:.3e}")
+        print("K(q) =\n" + np.array_str(result.K, precision=10, suppress_small=True))
+        print("Xi(q) =\n" + np.array_str(result.Xi, precision=10, suppress_small=True))
+        print(f"||gamma.p - m K Xi|| / ||gamma.p|| = {result.residual:.3e}")
 
     _emit_or_print(args, payload, render)
     return 0
 
 
 def cmd_check_kinematic(args) -> int:
-    tol = args.tol
-    if tol is None:
-        raw = os.environ.get(ENV_TOL)
-        tol = float(raw) if raw is not None else 1e-7
+    tol = args.tol if args.tol is not None else float(os.environ.get("SPINKIN_TOL", 1e-7))
     rep = rep_generators(HalfInt(args.spin))
     report = is_fully_kinematic(parity_family(rep), samples=args.samples, tol=tol, seed=args.seed)
     payload = {
@@ -381,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_spin(p)
     add_momentum(p)
     add_json(p)
-    p.set_defaults(fn=cmd_fieldeq)
+    p.set_defaults(fn=cmd_parity)
 
     p = sub.add_parser("gammatensor", help="least-squares symmetric gamma tensor")
     add_spin(p)

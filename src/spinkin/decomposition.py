@@ -7,11 +7,13 @@ operator); the gamma^mu p_mu identity itself is the j = 1/2 case.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .dirac import SpinorBasis, dirac_operator, rest_spinors
 from .elko import Cx2Basis, elko_basis, helicity_spinors
-from .kinematics import FourMomentum, boost_matrix, parity_operator, rapidity_from_momentum
+from .kinematics import FourMomentum, KinematicOperatorFamily, boost_matrix, parity_operator, rapidity_from_momentum
 from .reps import HalfInt, rep_generators
 
 __all__ = [
@@ -23,6 +25,7 @@ __all__ = [
     "k_operator",
     "hermiticity_condition",
     "completeness_residual",
+    "Decomposition",
     "decomposition_residual",
 ]
 
@@ -138,9 +141,19 @@ def completeness_residual(basis: SpinorBasis) -> float:
     return float(np.linalg.norm(acc - 2.0 * basis.mass * np.eye(d)))
 
 
-def decomposition_residual(basis: SpinorBasis, q: FourMomentum) -> float:
-    """Relative residual of gamma^mu p_mu = m K(q) Xi(q) for a Hermitian rest
-    basis, with Xi(q) = B tilde-Xi(0)^dagger B^-1.
+@dataclass(frozen=True)
+class Decomposition:
+    """The factors K(q), Xi(q) of m K(q) Xi(q) and its relative residual
+    against gamma^mu p_mu (m P_j(q) for j > 1/2)."""
+
+    K: np.ndarray
+    Xi: np.ndarray
+    residual: float
+
+
+def decomposition_residual(basis: SpinorBasis, q: FourMomentum) -> Decomposition:
+    """Factors and relative residual of gamma^mu p_mu = m K(q) Xi(q) for a
+    Hermitian rest basis, with Xi(q) = B tilde-Xi(0)^dagger B^-1.
 
     Raises NonHermitianBasisError outside the Hermitian case. For j > 1/2 the
     left side is m P_j(q) instead of gamma^mu p_mu.
@@ -151,11 +164,11 @@ def decomposition_residual(basis: SpinorBasis, q: FourMomentum) -> float:
         )
     rep = rep_generators(basis.j)
     xi0 = xi_tilde_at_rest(basis).conj().T  # Xi(0) = tilde-Xi(0)^dagger
-    B = boost_matrix(rep, rapidity_from_momentum(q))
-    Xi_q = B @ xi0 @ np.linalg.inv(B)
+    Xi_q = KinematicOperatorFamily(rep, xi0).matrix_at(q)
     K_q = k_operator(basis, q)
     if basis.j == HalfInt(1):
         target = dirac_operator(q)
     else:
         target = q.m * parity_operator(rep, q)
-    return float(np.linalg.norm(target - q.m * K_q @ Xi_q) / np.linalg.norm(target))
+    residual = float(np.linalg.norm(target - q.m * K_q @ Xi_q) / np.linalg.norm(target))
+    return Decomposition(K=K_q, Xi=Xi_q, residual=residual)

@@ -16,7 +16,6 @@ from .reps import HalfInt, RepGenerators, pauli_matrices, rep_generators
 
 __all__ = [
     "THETA",
-    "wigner_theta",
     "charge_conjugation",
     "Cx2Basis",
     "ElkoBasis",
@@ -40,10 +39,6 @@ __all__ = [
 # Wigner time-reversal matrix: Theta^2 = -I and Theta J Theta^-1 = -conj(J)
 # for the spin-1/2 generators.
 THETA = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-
-
-def wigner_theta() -> np.ndarray:
-    return THETA.copy()
 
 
 def charge_conjugation() -> AntiLinearMap:
@@ -202,6 +197,8 @@ def nogo_monte_carlo(
     The threshold is empirical (from the observed distribution at this seed),
     not a theorem constant; it is recorded in the report alongside the seed.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     floor = np.inf
     count = 0

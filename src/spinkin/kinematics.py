@@ -70,9 +70,6 @@ class FourMomentum:
         """p_mu = (E, -p1, -p2, -p3) in the (+,-,-,-) metric."""
         return np.concatenate([[self.E], -self.p_vec])
 
-    def at_rest(self) -> "FourMomentum":
-        return FourMomentum(self.m, (0.0, 0.0, 0.0))
-
     def transform(self, L: LorentzTransform, rel_tol: float = 1e-9) -> "FourMomentum":
         """Apply a Lorentz transform; raises if the image is off-shell."""
         v = L.apply(self.four_vector)
@@ -129,11 +126,12 @@ class KinematicOperatorFamily:
     rest_matrix: np.ndarray
     antilinear: bool = False
 
+    def conjugated(self, D: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """D M D^-1, or D M conj(D)^-1 for an anti-linear family."""
+        return D @ M @ np.linalg.inv(np.conj(D) if self.antilinear else D)
+
     def matrix_at(self, q: FourMomentum) -> np.ndarray:
-        B = boost_matrix(self.rep, rapidity_from_momentum(q))
-        if self.antilinear:
-            return B @ self.rest_matrix @ np.linalg.inv(np.conj(B))
-        return B @ self.rest_matrix @ np.linalg.inv(B)
+        return self.conjugated(boost_matrix(self.rep, rapidity_from_momentum(q)), self.rest_matrix)
 
     def at(self, q: FourMomentum):
         M = self.matrix_at(q)
@@ -192,12 +190,7 @@ def covariance_residual(
     q2 = q.transform(L)
     A1 = fam.matrix_at(q)
     A2 = fam.matrix_at(q2)
-    Dinv = np.linalg.inv(D)
-    if fam.antilinear:
-        moved = D @ A1 @ np.linalg.inv(np.conj(D))
-    else:
-        moved = D @ A1 @ Dinv
-    return float(np.linalg.norm(A2 - moved) / np.linalg.norm(A1))
+    return float(np.linalg.norm(A2 - fam.conjugated(D, A1)) / np.linalg.norm(A1))
 
 
 def sample_momenta(
@@ -281,6 +274,8 @@ def is_fully_kinematic(
     random pure boosts/rotations; reports the max residual of each condition."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     rng = np.random.default_rng(seed)
     dim = fam.rep.dim
     I = np.eye(dim, dtype=complex)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "expm",
     "expm_hermitian",
     "expm_i_hermitian",
     "nullspace",
@@ -21,33 +20,10 @@ __all__ = [
     "antilinear_compose",
     "commutator",
     "anticommutator",
-    "frob",
     "matrix_to_json",
     "matrix_from_json",
     "vector_to_json",
-    "vector_from_json",
 ]
-
-# Padé order used by expm (scaling-and-squaring, fixed order 13, Higham 2005
-# coefficients). theta13 is the 1-norm bound below which no scaling is needed.
-EXPM_PADE_ORDER = 13
-_THETA13 = 5.371920351148152
-_PADE13 = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
 
 
 def _as_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -57,31 +33,6 @@ def _as_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(M.view(float))):
         raise ValueError(f"{name} has non-finite entries")
     return M
-
-
-def expm(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a fixed order-13 Padé core."""
-    M = _as_square(M)
-    n = M.shape[0]
-    norm1 = np.linalg.norm(M, 1)
-    s = 0
-    if norm1 > _THETA13:
-        s = int(np.ceil(np.log2(norm1 / _THETA13)))
-    A = M / (2.0**s)
-    b = _PADE13
-    I = np.eye(n, dtype=complex)
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
-    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I
-    F = np.linalg.solve(V - U, V + U)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            F = F @ F
-    if not np.all(np.isfinite(F.view(float))):
-        raise ValueError("matrix exponential overflowed after scaling")
-    return F
 
 
 def expm_hermitian(H: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -154,11 +105,6 @@ class AntiLinearMap:
         """The linear map A o A, with matrix M conj(M)."""
         return antilinear_compose(self, self)
 
-    def conjugated_by(self, B: np.ndarray) -> "AntiLinearMap":
-        """B o A o B^-1 as an anti-linear map: matrix B M conj(B)^-1."""
-        B = _as_square(B)
-        return AntiLinearMap(B @ self.matrix @ np.linalg.inv(np.conj(B)))
-
 
 def antilinear_compose(A: AntiLinearMap, B: AntiLinearMap) -> np.ndarray:
     """Linear part of the composition A o B, i.e. M_A conj(M_B)."""
@@ -173,10 +119,6 @@ def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def anticommutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B + B @ A
-
-
-def frob(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M, "fro"))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +145,3 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 def vector_to_json(v: np.ndarray) -> list:
     v = np.asarray(v, dtype=complex).reshape(-1)
     return [[float(z.real), float(z.imag)] for z in v]
-
-
-def vector_from_json(obj: list) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in obj], dtype=complex)

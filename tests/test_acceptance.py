@@ -232,7 +232,7 @@ def test_criterion_09_decomposition():
     for q in sample_momenta(rng, 100):
         for basis in (canonical_rest_basis(HalfInt(1), q.m), elko_rest_basis(q.m)):
             xi_tilde_at_rest(basis)  # raises unless the system has full rank
-            worst = max(worst, decomposition_residual(basis, q))
+            worst = max(worst, decomposition_residual(basis, q).residual)
     ok = worst <= 1e-9
     report(9, ok, f"||gamma.p - mK Xi||/||gamma.p|| max {worst:.3e} <= 1e-9, canonical+helicity, unique Xi")
 

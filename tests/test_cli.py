@@ -51,11 +51,18 @@ class TestBasicCommands:
         assert obj["residuals"]["v_max"] < 1e-10
 
     def test_fieldeq(self, capsys):
-        code, obj = run_json(capsys, "fieldeq", "--spin", "3", "--mass", "2", "--p", "1,0,0", "--json")
+        args = ("--spin", "3", "--mass", "2", "--p", "1,0,0", "--json")
+        code, obj = run_json(capsys, "fieldeq", *args)
         assert code == 0
         op = matrix_from_json(obj["operator"])
         assert op.shape == (8, 8)
         assert np.linalg.norm(op @ op - np.eye(8)) < 1e-8
+        # parity prints the same operator; only the command and its key differ
+        code, parity = run_json(capsys, "parity", *args)
+        assert code == 0
+        assert (obj.pop("command"), parity.pop("command")) == ("fieldeq", "parity")
+        obj["matrix"] = obj.pop("operator")
+        assert obj == parity
 
     def test_gammatensor(self, capsys):
         code, obj = run_json(
@@ -78,6 +85,11 @@ class TestBasicCommands:
         )
         assert np.max(np.abs(G - expected)) <= 1e-14
         assert obj["r1"] == 1.0
+
+    def test_elko_nogo_rejects_empty_sweep(self, capsys):
+        code, out, err = run_cli(capsys, "elko", "nogo", "--samples", "0")
+        assert code == 2
+        assert out == "" and "samples" in err
 
     def test_elko_nogo_passes(self, capsys):
         code, obj = run_json(capsys, "elko", "nogo", "--samples", "500", "--seed", "7")
@@ -124,13 +136,31 @@ class TestCheckCommands:
         assert obj["pass"] is False
 
     def test_tol_env_override_flag_wins(self, capsys, monkeypatch):
+        monkeypatch.delenv("SPINKIN_TOL", raising=False)
+        code, obj = run_json(capsys, "check", "kinematic", "--spin", "1", "--samples", "5")
+        assert code == 0 and obj["tol"] == 1e-7  # the default
         monkeypatch.setenv("SPINKIN_TOL", "1e-30")
         code, obj = run_json(capsys, "check", "kinematic", "--spin", "1", "--samples", "5")
-        assert code == 1  # env tightened the tolerance
+        assert code == 1 and obj["tol"] == 1e-30  # env tightened the tolerance
         code, obj = run_json(
             capsys, "check", "kinematic", "--spin", "1", "--samples", "5", "--tol", "1e-7"
         )
         assert code == 0  # flag wins over the environment
+
+    @pytest.mark.parametrize(
+        "flag, env",
+        [("nan", None), ("inf", None), ("-1", None), ("0", None), (None, "0"), (None, "-1e-9"), (None, "nan")],
+    )
+    def test_invalid_tol_exits_2(self, capsys, monkeypatch, flag, env):
+        monkeypatch.delenv("SPINKIN_TOL", raising=False)
+        if env is not None:
+            monkeypatch.setenv("SPINKIN_TOL", env)
+        argv = ["check", "kinematic", "--spin", "1", "--samples", "5"]
+        if flag is not None:
+            argv += ["--tol", flag]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and "tol" in err
 
 
 class TestUsageErrors:

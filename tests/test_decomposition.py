@@ -131,13 +131,13 @@ class TestDecomposition:
         basis = canonical_rest_basis(HalfInt(1), mass=1.0)
         for q in momenta(227, 30):
             q = FourMomentum(1.0, q.p)
-            assert decomposition_residual(basis, q) <= 1e-10
+            assert decomposition_residual(basis, q).residual <= 1e-10
 
     def test_helicity_basis_full_pipeline(self):
         basis = elko_rest_basis(mass=1.0)
         for q in momenta(229, 30):
             q = FourMomentum(1.0, q.p)
-            assert decomposition_residual(basis, q) <= 1e-9
+            assert decomposition_residual(basis, q).residual <= 1e-9
 
     def test_rest_frame_exact(self):
         basis = canonical_rest_basis(HalfInt(1), mass=2.0)
@@ -152,7 +152,7 @@ class TestDecomposition:
         basis = canonical_rest_basis(HalfInt(2), mass=1.0)
         for q in momenta(233, 10):
             q = FourMomentum(1.0, q.p)
-            assert decomposition_residual(basis, q) <= 1e-9
+            assert decomposition_residual(basis, q).residual <= 1e-9
 
     def test_non_hermitian_rejected_with_typed_error(self):
         good = canonical_rest_basis(HalfInt(1), mass=1.0)
@@ -192,6 +192,9 @@ class TestDecomposition:
                 assert np.linalg.norm(dirac_operator(q) - m * K @ Xi_q) < 1e-9 * np.linalg.norm(
                     dirac_operator(q)
                 )
+                result = decomposition_residual(basis, q)
+                assert np.array_equal(result.K, K)
+                assert np.linalg.norm(result.Xi - Xi_q) < 1e-12
 
     def test_mass_mismatch_rejected(self):
         basis = canonical_rest_basis(HalfInt(1), mass=1.0)
