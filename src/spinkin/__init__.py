@@ -10,7 +10,6 @@ the origin.
 from .decomposition import (
     Decomposition,
     NonHermitianBasisError,
-    canonical_rest_basis,
     decomposition_residual,
     elko_rest_basis,
     hermiticity_condition,
@@ -36,7 +35,6 @@ from .elko import (
     g_operator,
     helicity_g,
     helicity_origin_discontinuity,
-    nogo_witness,
     schur_conditions,
 )
 from .higherspin import (
@@ -45,7 +43,6 @@ from .higherspin import (
     extract_gamma_tensor,
     field_equation_residual,
     parity_spectrum,
-    tensor_swap_operator,
 )
 from .kinematics import (
     FourMomentum,
@@ -60,7 +57,7 @@ from .kinematics import (
     sample_momenta,
     scaled_swap_family,
 )
-from .linalg import AntiLinearMap, antilinear_compose, kron, matrix_from_json, matrix_to_json, nullspace
+from .linalg import AntiLinearMap, antilinear_compose, matrix_from_json, matrix_to_json, nullspace
 from .reps import (
     HalfInt,
     LorentzTransform,

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import decomposition as dec
 from . import elko
-from .dirac import boosted_spinors, dirac_operator
-from .higherspin import field_equation_residual, swap_operator_at, tensor_swap_operator
+from .dirac import boosted_spinors, dirac_operator, rest_spinors
+from .higherspin import field_equation_residual, swap_operator_at
 from .kinematics import (
     FourMomentum,
     covariance_residual,
@@ -277,7 +277,7 @@ def decomposition_suite(seed: int, samples: int = 100, tol: float = 1e-9) -> dic
     worst = {"canonical": 0.0, "helicity": 0.0}
     for q in sample_momenta(rng, samples):
         for name, basis in (
-            ("canonical", dec.canonical_rest_basis(HalfInt(1), q.m)),
+            ("canonical", rest_spinors(HalfInt(1), mass=q.m)),
             ("helicity", dec.elko_rest_basis(q.m)),
         ):
             worst[name] = max(worst[name], dec.decomposition_residual(basis, q).residual)
@@ -299,10 +299,10 @@ def tensor_swap_suite(seed: int, per_spin: int = 50, tol: float = 1e-9) -> dict:
     exact_sq = 0.0
     for twice in (1, 2):
         j = HalfInt(twice)
-        S = tensor_swap_operator(j)
-        exact_sq = max(exact_sq, float(np.max(np.abs(S @ S - np.eye(S.shape[0])))))
-        _, Kt = tensor_rep_generators(j)
-        for Ka in Kt:
+        rep = tensor_rep_generators(j)
+        S = rep.eta
+        exact_sq = max(exact_sq, float(np.max(np.abs(S @ S - np.eye(rep.dim)))))
+        for Ka in rep.K:
             worst_alg = max(worst_alg, float(np.linalg.norm(anticommutator(S, Ka))))
         d = j.block_dim
         for q in sample_momenta(rng, per_spin):

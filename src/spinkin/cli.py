@@ -4,7 +4,9 @@ tensor, Elko tools, the decomposition, and the regression check harness.
 All JSON output carries "schema_version": 1, complex numbers as [re, im]
 pairs, matrices in the repo-wide {"rows", "cols", "data"} schema, and is
 byte-identical for identical seeds and flags (floats use shortest round-trip
-formatting; timing goes to stderr).
+formatting; timing goes to stderr). Handlers put library values (arrays,
+complex numbers, reports) straight into the payload; `_jsonable` is the one
+converter.
 
 Exit codes: 0 success/pass, 1 check failure, 2 usage error.
 """
@@ -12,6 +14,7 @@ Exit codes: 0 success/pass, 1 check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,7 +25,7 @@ import numpy as np
 from . import checks
 from . import decomposition as dec
 from . import elko
-from .dirac import boosted_spinors
+from .dirac import boosted_spinors, rest_spinors
 from .higherspin import extract_gamma_tensor, field_equation_residual, parity_spectrum
 from .kinematics import FourMomentum, is_fully_kinematic, parity_family, parity_operator
 from .linalg import matrix_to_json, vector_to_json
@@ -103,9 +106,9 @@ def cmd_generators(args) -> int:
         "spin": str(rep.j),
         "spin_twice": rep.j.twice,
         "dim": rep.dim,
-        "J": [matrix_to_json(M) for M in rep.J],
-        "K": [matrix_to_json(M) for M in rep.K],
-        "eta": matrix_to_json(rep.eta),
+        "J": rep.J,
+        "K": rep.K,
+        "eta": rep.eta,
     }
 
     def render():
@@ -138,10 +141,9 @@ def cmd_parity(args) -> int:
         "spin": str(j),
         "spin_twice": j.twice,
         "mass": q.m,
-        "p": list(q.p),
-        key: matrix_to_json(P),
-        "eigenvalues": [[float(z.real), float(z.imag)] for z in spectrum["eigenvalues"]],
-        "det": [float(spectrum["det"].real), float(spectrum["det"].imag)],
+        "p": q.p,
+        key: P,
+        **spectrum,
     }
 
     def render():
@@ -165,9 +167,9 @@ def cmd_spinors(args) -> int:
         "spin": str(j),
         "spin_twice": j.twice,
         "mass": q.m,
-        "p": list(q.p),
-        "u": [vector_to_json(w) for w in basis.u],
-        "v": [vector_to_json(w) for w in basis.v],
+        "p": q.p,
+        "u": basis.u,
+        "v": basis.v,
         "residuals": {"u_max": res_u, "v_max": res_v},
     }
 
@@ -191,10 +193,7 @@ def cmd_gammatensor(args) -> int:
         "samples": args.samples,
         "seed": args.seed,
         "max_residual": tensor.fit_residual,
-        "components": {
-            ",".join(str(i) for i in idx): matrix_to_json(mat)
-            for idx, mat in tensor.components.items()
-        },
+        "components": {",".join(str(i) for i in idx): mat for idx, mat in tensor.components.items()},
     }
 
     def render():
@@ -213,9 +212,9 @@ def cmd_elko_g(args) -> int:
     r1, r2 = elko.schur_conditions(basis)
     payload = {
         "command": "elko g",
-        "u": vector_to_json(basis.u),
-        "v": vector_to_json(basis.v),
-        "G": matrix_to_json(G),
+        "u": basis.u,
+        "v": basis.v,
+        "G": G,
         "r1": r1,
         "r2": r2,
         "det_abs": abs(basis.det),
@@ -237,14 +236,7 @@ def cmd_elko_nogo(args) -> int:
 
 def cmd_elko_origin(args) -> int:
     report = elko.helicity_origin_discontinuity(args.mass)
-    payload = {
-        "command": "elko origin",
-        "mass": report["mass"],
-        "epsilons": report["epsilons"],
-        "ray_cauchy": report["ray_cauchy"],
-        "pairwise_distance": report["pairwise_distance"],
-        "limits": {k: matrix_to_json(v) for k, v in report["limits"].items()},
-    }
+    payload = {"command": "elko origin", **report}
 
     def render():
         print(f"ray Cauchy deltas: {report['ray_cauchy']}")
@@ -257,7 +249,7 @@ def cmd_elko_origin(args) -> int:
 def cmd_decompose(args) -> int:
     q = _momentum(args)
     if args.basis == "canonical":
-        basis = dec.canonical_rest_basis(HalfInt(1), q.m)
+        basis = rest_spinors(HalfInt(1), mass=q.m)
     else:
         basis = dec.elko_rest_basis(q.m)
     result = dec.decomposition_residual(basis, q)
@@ -265,9 +257,9 @@ def cmd_decompose(args) -> int:
         "command": "decompose",
         "basis": args.basis,
         "mass": q.m,
-        "p": list(q.p),
-        "K": matrix_to_json(result.K),
-        "Xi": matrix_to_json(result.Xi),
+        "p": q.p,
+        "K": result.K,
+        "Xi": result.Xi,
         "residual": result.residual,
     }
 
@@ -287,7 +279,7 @@ def cmd_check_kinematic(args) -> int:
     payload = {
         "command": "check kinematic",
         "spin_twice": args.spin,
-        **report.to_json_dict(),
+        **dataclasses.asdict(report),
         "pass": report.fully_kinematic,
     }
     _emit(payload)

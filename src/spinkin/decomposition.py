@@ -11,16 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import SpinorBasis, dirac_operator, rest_spinors
+from .dirac import SpinorBasis, boost_basis, dirac_operator
 from .elko import Cx2Basis, elko_basis, helicity_spinors
-from .kinematics import FourMomentum, KinematicOperatorFamily, boost_matrix, parity_operator, rapidity_from_momentum
+from .kinematics import FourMomentum, KinematicOperatorFamily, check_mass, parity_operator
 from .reps import HalfInt, rep_generators
 
 __all__ = [
     "NonHermitianBasisError",
-    "canonical_rest_basis",
     "elko_rest_basis",
-    "boost_basis",
     "xi_tilde_at_rest",
     "k_operator",
     "hermiticity_condition",
@@ -36,18 +34,12 @@ class NonHermitianBasisError(ValueError):
     definition and is out of scope."""
 
 
-def canonical_rest_basis(j, mass: float) -> SpinorBasis:
-    """The parity eigenbasis with norm sqrt(2m) spinors."""
-    return rest_spinors(j, mass=mass)
-
-
 def elko_rest_basis(mass: float, direction=(0.0, 0.0, 1.0)) -> SpinorBasis:
     """Spin-1/2 rest basis from charge-conjugation eigenspinors built on the
     helicity eigenvectors of sigma.n-hat: the u-set is the +1 eigenspace
     (u_plus, v_plus), the v-set the -1 eigenspace, all scaled to norm sqrt(2m).
     """
-    if not mass > 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
+    check_mass(mass)
     u2, v2 = helicity_spinors(np.asarray(direction, dtype=float))
     eb = elko_basis(Cx2Basis(u=u2, v=v2))
     c = np.sqrt(mass)  # each Elko spinor has norm sqrt(2) for unit u
@@ -59,29 +51,15 @@ def elko_rest_basis(mass: float, direction=(0.0, 0.0, 1.0)) -> SpinorBasis:
     )
 
 
-def boost_basis(basis: SpinorBasis, q: FourMomentum) -> SpinorBasis:
-    """Boost every spinor of a rest basis to momentum q."""
-    if basis.mass is None:
-        raise ValueError("basis must carry a mass")
-    if abs(basis.mass - q.m) > 1e-12 * max(1.0, q.m):
-        raise ValueError(f"basis mass {basis.mass} does not match momentum mass {q.m}")
-    B = boost_matrix(rep_generators(basis.j), rapidity_from_momentum(q))
-    return SpinorBasis(
-        j=basis.j,
-        mass=basis.mass,
-        u=tuple(B @ w for w in basis.u),
-        v=tuple(B @ w for w in basis.v),
-    )
-
-
-def xi_tilde_at_rest(basis: SpinorBasis, rank_tol: float = 1e-10) -> np.ndarray:
+def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:
     """Solve the orthogonality relations for tilde-Xi(0).
 
     The unknown X = tilde-Xi(0)^dagger satisfies, over all basis labels,
         u^dag X eta u' = 2m delta,   u^dag X eta v' = 0,
         v^dag X eta u' = 0,          v^dag X eta v' = -2m delta,
     a dense linear system with 4(2j+1)^2 rows in the d^2 unknowns. Full column
-    rank is asserted (the operator is unique); returns tilde-Xi(0) = X^dagger.
+    rank, with the smallest singular value above 1e-10 of the largest, is
+    asserted (the operator is unique); returns tilde-Xi(0) = X^dagger.
     """
     if basis.mass is None:
         raise ValueError("basis must carry a mass (norms sqrt(2m))")
@@ -103,7 +81,7 @@ def xi_tilde_at_rest(basis: SpinorBasis, rank_tol: float = 1e-10) -> np.ndarray:
     rhs = np.array(targets, dtype=complex)
     solution, _, rank, sv = np.linalg.lstsq(system, rhs, rcond=None)
     d = basis.j.dim
-    if rank < d * d or sv[-1] <= rank_tol * sv[0]:
+    if rank < d * d or sv[-1] <= 1e-10 * sv[0]:
         raise ValueError("degenerate spinor basis: constraint system is singular")
     residual = np.linalg.norm(system @ solution - rhs)
     if residual > 1e-8 * max(1.0, np.linalg.norm(rhs)):
@@ -121,13 +99,13 @@ def k_operator(basis: SpinorBasis, q: FourMomentum) -> np.ndarray:
     return (W * signs) @ np.linalg.inv(W)
 
 
-def hermiticity_condition(basis: SpinorBasis, abs_tol: float = 1e-10) -> bool:
+def hermiticity_condition(basis: SpinorBasis) -> bool:
     """True iff the u-span and v-span are Hermitian-orthogonal at rest
-    (equivalently K(0) is Hermitian): max |u^dag v| <= abs_tol * 2m."""
+    (equivalently K(0) is Hermitian): max |u^dag v| <= 1e-10 * 2m."""
     if basis.mass is None:
         raise ValueError("basis must carry a mass")
     worst = max(abs(np.vdot(a, b)) for a in basis.u for b in basis.v)
-    return bool(worst <= abs_tol * 2.0 * basis.mass)
+    return bool(worst <= 1e-10 * 2.0 * basis.mass)
 
 
 def completeness_residual(basis: SpinorBasis) -> float:

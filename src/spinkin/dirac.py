@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import FourMomentum, boost_matrix, rapidity_from_momentum
+from .kinematics import FourMomentum, boost_matrix, check_mass, rapidity_from_momentum
 from .reps import HalfInt, pauli_matrices, rep_generators
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "dirac_operator",
     "SpinorBasis",
     "rest_spinors",
+    "boost_basis",
     "boosted_spinors",
     "dirac_residual",
 ]
@@ -86,8 +87,8 @@ def rest_spinors(j, mass: float | None = None) -> SpinorBasis:
     the half-sum of a u and a v spinor.
     """
     j = HalfInt.coerce(j)
-    if mass is not None and not mass > 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
+    if mass is not None:
+        check_mass(mass)
     c = 1.0 if mass is None else float(np.sqrt(mass))
     d = j.block_dim
     us, vs = [], []
@@ -99,18 +100,25 @@ def rest_spinors(j, mass: float | None = None) -> SpinorBasis:
     return SpinorBasis(j=j, mass=mass, u=tuple(us), v=tuple(vs))
 
 
+def boost_basis(basis: SpinorBasis, q: FourMomentum) -> SpinorBasis:
+    """Boost every spinor of a rest basis to momentum q: w(q) = B(phi) w(0)."""
+    if basis.mass is None:
+        raise ValueError("basis must carry a mass")
+    if abs(basis.mass - q.m) > 1e-12 * max(1.0, q.m):
+        raise ValueError(f"basis mass {basis.mass} does not match momentum mass {q.m}")
+    B = boost_matrix(rep_generators(basis.j), rapidity_from_momentum(q))
+    return SpinorBasis(
+        j=basis.j,
+        mass=basis.mass,
+        u=tuple(B @ w for w in basis.u),
+        v=tuple(B @ w for w in basis.v),
+    )
+
+
 def boosted_spinors(j, q: FourMomentum) -> SpinorBasis:
     """u_s(q) = B(phi) u_s(0), v_s(q) = B(phi) v_s(0); each is a +-1 eigenvector
     of the parity operator at q."""
-    j = HalfInt.coerce(j)
-    rest = rest_spinors(j, mass=q.m)
-    B = boost_matrix(rep_generators(j), rapidity_from_momentum(q))
-    return SpinorBasis(
-        j=j,
-        mass=q.m,
-        u=tuple(B @ w for w in rest.u),
-        v=tuple(B @ w for w in rest.v),
-    )
+    return boost_basis(rest_spinors(j, mass=q.m), q)
 
 
 def dirac_residual(psi: np.ndarray, q: FourMomentum, sign: int) -> float:

@@ -1,5 +1,5 @@
 """Spin-j field equation, the on-shell involution identity, parity spectra,
-least-squares gamma-tensor extraction, and the tensor-swap operator on
+least-squares gamma-tensor extraction, and the boosted tensor swap on
 (j,0)x(0,j).
 
 Field-equation evaluation always goes through the exponential form
@@ -15,7 +15,6 @@ from math import factorial
 import numpy as np
 
 from .kinematics import FourMomentum, boost_matrix, parity_operator, rapidity_from_momentum, sample_momenta
-from .linalg import expm_hermitian
 from .reps import HalfInt, rep_generators, tensor_rep_generators
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "symmetric_multi_indices",
     "index_multiplicity",
     "extract_gamma_tensor",
-    "tensor_swap_operator",
     "tensor_boost_matrix",
     "swap_operator_at",
 ]
@@ -119,18 +117,13 @@ class GammaTensor:
         return worst
 
 
-def extract_gamma_tensor(
-    j,
-    sample_count: int,
-    seed: int = 0,
-    mass_range: tuple[float, float] = (0.5, 2.0),
-    momentum_factor: float = 2.0,
-) -> GammaTensor:
+def extract_gamma_tensor(j, sample_count: int, seed: int = 0) -> GammaTensor:
     """Least-squares fit of the degree-2j symmetric tensor to m^{2j} P_j(q).
 
-    On-shell samples at several random masses pin the tensor up to numerical
-    rank; the minimum-Frobenius-norm solution is taken (lstsq). Raises if the
-    sampled design matrix is rank-deficient (resample with a new seed).
+    On-shell samples at random masses in [0.5, 2] with |p| <= 2m pin the
+    tensor up to numerical rank; the minimum-Frobenius-norm solution is taken
+    (lstsq). Raises if the sampled design matrix is rank-deficient (resample
+    with a new seed).
     """
     j = HalfInt.coerce(j)
     idxs = symmetric_multi_indices(j.twice)
@@ -138,7 +131,7 @@ def extract_gamma_tensor(
         raise ValueError(f"sample_count must be >= {3 * len(idxs)} for 2j = {j.twice}")
     rep = rep_generators(j)
     rng = np.random.default_rng(seed)
-    momenta = sample_momenta(rng, sample_count, mass_range, momentum_factor)
+    momenta = sample_momenta(rng, sample_count, mass_range=(0.5, 2.0), momentum_factor=2.0)
 
     design = np.zeros((sample_count, len(idxs)))
     targets = np.zeros((sample_count, j.dim * j.dim), dtype=complex)
@@ -160,24 +153,9 @@ def extract_gamma_tensor(
     return GammaTensor(j=j, components=components, fit_residual=residual)
 
 
-def tensor_swap_operator(j) -> np.ndarray:
-    """The swap S(x tensor y) = y tensor x on the (2j+1)^2 space; S^2 = I and S
-    anti-commutes with every boost generator of (j,0)x(0,j)."""
-    j = HalfInt.coerce(j)
-    d = j.block_dim
-    S = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for k in range(d):
-            S[k * d + i, i * d + k] = 1.0
-    return S
-
-
 def tensor_boost_matrix(j, phi) -> np.ndarray:
     """exp(i K.phi) on (j,0)x(0,j) (Hermitian positive definite)."""
-    j = HalfInt.coerce(j)
-    _, Kt = tensor_rep_generators(j)
-    phi = np.asarray(phi, dtype=float)
-    return expm_hermitian(1j * sum(Kt[a] * phi[a] for a in range(3)))
+    return boost_matrix(tensor_rep_generators(j), phi)
 
 
 def swap_operator_at(j, q: FourMomentum) -> np.ndarray:
@@ -185,6 +163,5 @@ def swap_operator_at(j, q: FourMomentum) -> np.ndarray:
 
     For psi = (psi_R, psi_L) a parity eigenspinor at q, psi_R tensor psi_L is a
     +1 eigenvector of A(q)."""
-    j = HalfInt.coerce(j)
     B = tensor_boost_matrix(j, rapidity_from_momentum(q))
-    return B @ tensor_swap_operator(j) @ np.linalg.inv(B)
+    return B @ tensor_rep_generators(j).eta @ np.linalg.inv(B)

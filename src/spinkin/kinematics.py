@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import AntiLinearMap, anticommutator, expm_hermitian, expm_i_hermitian
+from .linalg import anticommutator, expm_hermitian, expm_i_hermitian
 from .reps import RAPIDITY_MAX, LorentzTransform, RepGenerators, vector_boost, vector_rotation
 
 __all__ = [
+    "check_mass",
     "FourMomentum",
     "rapidity_from_momentum",
     "boost_matrix",
@@ -33,6 +34,12 @@ __all__ = [
 ]
 
 
+def check_mass(m) -> None:
+    """The library's one mass rule: positive and finite (a rest frame exists)."""
+    if not (np.isfinite(m) and m > 0.0):
+        raise ValueError(f"mass must be positive and finite, got {m}")
+
+
 @dataclass(frozen=True)
 class FourMomentum:
     """On-shell momentum of a massive particle: mass m > 0 plus 3-momentum p.
@@ -45,8 +52,7 @@ class FourMomentum:
     p: tuple[float, float, float]
 
     def __post_init__(self):
-        if not (np.isfinite(self.m) and self.m > 0.0):
-            raise ValueError(f"mass must be positive and finite, got {self.m}")
+        check_mass(self.m)
         p = tuple(float(x) for x in np.asarray(self.p, dtype=float).reshape(3))
         if not all(np.isfinite(x) for x in p):
             raise ValueError("momentum components must be finite")
@@ -70,11 +76,12 @@ class FourMomentum:
         """p_mu = (E, -p1, -p2, -p3) in the (+,-,-,-) metric."""
         return np.concatenate([[self.E], -self.p_vec])
 
-    def transform(self, L: LorentzTransform, rel_tol: float = 1e-9) -> "FourMomentum":
-        """Apply a Lorentz transform; raises if the image is off-shell."""
+    def transform(self, L: LorentzTransform) -> "FourMomentum":
+        """Apply a Lorentz transform; raises if the image is off-shell by more
+        than 1e-9 relative to its energy."""
         v = L.apply(self.four_vector)
         out = FourMomentum(self.m, tuple(v[1:]))
-        if abs(out.E - v[0]) > rel_tol * max(1.0, abs(v[0])):
+        if abs(out.E - v[0]) > 1e-9 * max(1.0, abs(v[0])):
             raise ValueError("transformed momentum is off-shell; inconsistent inputs")
         return out
 
@@ -132,10 +139,6 @@ class KinematicOperatorFamily:
 
     def matrix_at(self, q: FourMomentum) -> np.ndarray:
         return self.conjugated(boost_matrix(self.rep, rapidity_from_momentum(q)), self.rest_matrix)
-
-    def at(self, q: FourMomentum):
-        M = self.matrix_at(q)
-        return AntiLinearMap(M) if self.antilinear else M
 
     def squared_at(self, q: FourMomentum) -> np.ndarray:
         M = self.matrix_at(q)
@@ -251,17 +254,6 @@ class KinematicCheckReport:
     @property
     def fully_kinematic(self) -> bool:
         return self.squares_to_identity and self.anticommutes and self.covariant
-
-    def to_json_dict(self) -> dict:
-        return {
-            "squares_to_identity": self.squares_to_identity,
-            "anticommutes": self.anticommutes,
-            "covariant": self.covariant,
-            "max_residuals": {k: float(v) for k, v in self.max_residuals.items()},
-            "seed": self.seed,
-            "samples": self.samples,
-            "tol": self.tol,
-        }
 
 
 def is_fully_kinematic(

@@ -1,5 +1,5 @@
-"""Dense complex linear-algebra kernel: matrix exponentials, nullspaces, Kronecker
-products, anti-linear maps, and the repo-wide matrix JSON schema.
+"""Dense complex linear-algebra kernel: matrix exponentials, nullspaces,
+anti-linear maps, and the repo-wide matrix JSON schema.
 
 All operations are pure functions on immutable values (inputs are never mutated,
 outputs are fresh arrays), so everything here is safe to call concurrently.
@@ -15,7 +15,6 @@ __all__ = [
     "expm_hermitian",
     "expm_i_hermitian",
     "nullspace",
-    "kron",
     "AntiLinearMap",
     "antilinear_compose",
     "commutator",
@@ -35,23 +34,24 @@ def _as_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def expm_hermitian(H: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """exp(H) for Hermitian H via eigendecomposition (exactly positive definite)."""
+def _as_hermitian(H: np.ndarray) -> np.ndarray:
     H = _as_square(H)
-    if np.linalg.norm(H - H.conj().T) > tol * max(1.0, np.linalg.norm(H)):
+    if np.linalg.norm(H - H.conj().T) > 1e-10 * max(1.0, np.linalg.norm(H)):
         raise ValueError("matrix is not Hermitian")
-    w, U = np.linalg.eigh(H)
+    return H
+
+
+def expm_hermitian(H: np.ndarray) -> np.ndarray:
+    """exp(H) for Hermitian H via eigendecomposition (exactly positive definite)."""
+    w, U = np.linalg.eigh(_as_hermitian(H))
     if w.max(initial=0.0) > 700.0:
         raise ValueError("matrix exponential overflows double precision")
     return (U * np.exp(w)) @ U.conj().T
 
 
-def expm_i_hermitian(H: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def expm_i_hermitian(H: np.ndarray) -> np.ndarray:
     """exp(iH) for Hermitian H via eigendecomposition (exactly unitary spectrum)."""
-    H = _as_square(H)
-    if np.linalg.norm(H - H.conj().T) > tol * max(1.0, np.linalg.norm(H)):
-        raise ValueError("matrix is not Hermitian")
-    w, U = np.linalg.eigh(H)
+    w, U = np.linalg.eigh(_as_hermitian(H))
     return (U * np.exp(1j * w)) @ U.conj().T
 
 
@@ -75,11 +75,6 @@ def nullspace(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         return np.eye(n, dtype=complex)
     rank = int(np.sum(s > tol * smax))
     return Vh[rank:].conj().T
-
-
-def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Generators of the (j,0)+(0,j) and (j,0)x(0,j) representations and the 4-vector
-representation.
+"""Generators of the (j,0)+(0,j) and (j,0)x(0,j) representations, one
+RepGenerators type for both, and the 4-vector representation.
 
 Conventions: the top block is the right-handed (j,0) component, boosted by
 exp(+J.phi); inside each block the basis is the J_z eigenbasis descending from
@@ -95,10 +95,13 @@ def spin_matrices(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class RepGenerators:
-    """Rotation/boost generators and the chiral block swap eta on (j,0)+(0,j).
+    """Rotation/boost generators J, K and an involution eta of one representation.
 
-    J_a = diag(J_a, J_a), K_a = diag(-i J_a, +i J_a), eta = offdiag(I, I);
-    eta commutes with rotations and anti-commutes with boosts.
+    On (j,0)+(0,j) (rep_generators): J_a = diag(J_a, J_a), K_a = diag(-i J_a,
+    +i J_a) and eta = offdiag(I, I), the chiral block swap. On (j,0)x(0,j)
+    (tensor_rep_generators): Kronecker sums and eta = S, the tensor swap.
+    On either, eta^2 = I exactly, eta commutes with rotations and
+    anti-commutes with boosts.
     """
 
     j: HalfInt
@@ -193,14 +196,22 @@ def vector_rotation(theta) -> LorentzTransform:
     return LorentzTransform(L)
 
 
-def tensor_rep_generators(j) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Generators (J, K) of (j,0)x(0,j) on the (2j+1)^2-dimensional space.
+def tensor_rep_generators(j) -> RepGenerators:
+    """Generators of (j,0)x(0,j) on the (2j+1)^2-dimensional space.
 
-    K = (-iJ) x I + I x (+iJ) and J = J x I + I x J as Kronecker sums.
+    J = J x I + I x J and K = (-iJ) x I + I x (+iJ) as Kronecker sums; eta is
+    the swap S(x tensor y) = y tensor x.
     """
     j = HalfInt.coerce(j)
-    Jx, Jy, Jz = spin_matrices(j)
-    I = np.eye(j.block_dim, dtype=complex)
-    Jt = tuple(np.kron(a, I) + np.kron(I, a) for a in (Jx, Jy, Jz))
-    Kt = tuple(np.kron(-1j * a, I) + np.kron(I, 1j * a) for a in (Jx, Jy, Jz))
-    return Jt, Kt
+    d = j.block_dim
+    n = d * d
+    A = np.array(spin_matrices(j))
+    I = np.eye(d, dtype=complex)
+    # J_a x I and I x J_a for all three axes in two einsum calls (np.kron per
+    # axis costs several times more); in "aijkl", (i, j) is the row and
+    # (k, l) the column of the product space, as in np.kron
+    left = np.einsum("aik,jl->aijkl", A, I).reshape(3, n, n)
+    right = np.einsum("ik,ajl->aijkl", I, A).reshape(3, n, n)
+    # row k*d+i of S is the unit row i*d+k
+    S = np.eye(n, dtype=complex)[np.arange(n).reshape(d, d).T.reshape(-1)]
+    return RepGenerators(j=j, dim=n, J=tuple(left + right), K=tuple(-1j * left + 1j * right), eta=S)

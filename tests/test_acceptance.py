@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from spinkin.cli import main
-from spinkin.decomposition import canonical_rest_basis, decomposition_residual, elko_rest_basis, xi_tilde_at_rest
-from spinkin.dirac import boosted_spinors, dirac_operator
+from spinkin.decomposition import decomposition_residual, elko_rest_basis, xi_tilde_at_rest
+from spinkin.dirac import boosted_spinors, dirac_operator, rest_spinors
 from spinkin.elko import (
     Cx2Basis,
     antilinear_family,
@@ -25,7 +25,7 @@ from spinkin.elko import (
     schur_condition_family,
     schur_conditions,
 )
-from spinkin.higherspin import field_equation_residual, swap_operator_at, tensor_swap_operator
+from spinkin.higherspin import field_equation_residual, swap_operator_at
 from spinkin.kinematics import (
     FourMomentum,
     covariance_residual,
@@ -163,8 +163,8 @@ def test_criterion_06_antilinear_solution_space():
 
 
 def test_criterion_07_elko_nogo():
-    mc = nogo_monte_carlo(samples=10_000, seed=20240811, det_min=0.1)
-    every_sample = mc["min_max_r"] > 0.01
+    mc = nogo_monte_carlo(samples=10_000, seed=20240811)
+    every_sample = mc["min_max_r"] > 0.01 and mc["det_min"] == 0.1
 
     rng = np.random.default_rng(7)
     worst_det = 0.0
@@ -230,7 +230,7 @@ def test_criterion_09_decomposition():
     rng = np.random.default_rng(9)
     worst = 0.0
     for q in sample_momenta(rng, 100):
-        for basis in (canonical_rest_basis(HalfInt(1), q.m), elko_rest_basis(q.m)):
+        for basis in (rest_spinors(HalfInt(1), mass=q.m), elko_rest_basis(q.m)):
             xi_tilde_at_rest(basis)  # raises unless the system has full rank
             worst = max(worst, decomposition_residual(basis, q).residual)
     ok = worst <= 1e-9
@@ -244,10 +244,10 @@ def test_criterion_10_tensor_swap():
     inter = 0.0
     for twice in (1, 2):
         j = HalfInt(twice)
-        S = tensor_swap_operator(j)
-        exact = max(exact, float(np.max(np.abs(S @ S - np.eye(S.shape[0])))))
-        _, Kt = tensor_rep_generators(j)
-        for Ka in Kt:
+        rep = tensor_rep_generators(j)
+        S = rep.eta
+        exact = max(exact, float(np.max(np.abs(S @ S - np.eye(rep.dim)))))
+        for Ka in rep.K:
             anti = max(anti, float(np.linalg.norm(anticommutator(S, Ka))))
         d = j.block_dim
         for q in sample_momenta(rng, 50):

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinkin
 from spinkin.cli import main
 from spinkin.linalg import matrix_from_json
 
@@ -180,6 +183,19 @@ class TestUsageErrors:
             main(["parity", "--spin", "1", "--mass", "1", "--p", "1,2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("elko", "g", "--u", "nan,0", "--v", "0,1", "--json"),
+            ("elko", "origin", "--mass", "inf", "--json"),
+            ("elko", "nogo", "--samples", "10", "--threshold", "nan"),
+        ],
+    )
+    def test_non_finite_input_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and "finite" in err
+
     def test_domain_error_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "parity", "--spin", "1", "--mass", "-1", "--p", "0,0,0")
         assert code == 2
@@ -188,10 +204,14 @@ class TestUsageErrors:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the same spinkin as this test, installed or not
+        src = str(Path(spinkin.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         out = subprocess.run(
             [sys.executable, "-m", "spinkin", "parity", "--spin", "1", "--mass", "1", "--json"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert out.returncode == 0
         obj = json.loads(out.stdout)

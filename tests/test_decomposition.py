@@ -4,8 +4,6 @@ import pytest
 from conftest import momenta
 from spinkin.decomposition import (
     NonHermitianBasisError,
-    boost_basis,
-    canonical_rest_basis,
     completeness_residual,
     decomposition_residual,
     elko_rest_basis,
@@ -13,7 +11,7 @@ from spinkin.decomposition import (
     k_operator,
     xi_tilde_at_rest,
 )
-from spinkin.dirac import SpinorBasis, dirac_operator
+from spinkin.dirac import SpinorBasis, boost_basis, dirac_operator, rest_spinors
 from spinkin.kinematics import FourMomentum, boost_matrix, parity_operator, rapidity_from_momentum
 from spinkin.reps import HalfInt, rep_generators
 
@@ -31,7 +29,7 @@ def xi_closed_form(basis: SpinorBasis) -> np.ndarray:
 
 class TestXiTilde:
     def test_canonical_basis_gives_identity(self):
-        basis = canonical_rest_basis(HalfInt(1), mass=1.7)
+        basis = rest_spinors(HalfInt(1), mass=1.7)
         xt = xi_tilde_at_rest(basis)
         assert np.allclose(xt, np.eye(4), atol=1e-11)
 
@@ -55,16 +53,16 @@ class TestXiTilde:
 
     def test_two_solver_routes_agree(self):
         for mass in (0.3, 1.0, 4.2):
-            for make in (lambda m: canonical_rest_basis(HalfInt(1), m), elko_rest_basis):
+            for make in (lambda m: rest_spinors(HalfInt(1), mass=m), elko_rest_basis):
                 basis = make(mass)
                 assert np.allclose(xi_tilde_at_rest(basis), xi_closed_form(basis), atol=1e-10)
 
     def test_general_spin_canonical(self):
-        basis = canonical_rest_basis(HalfInt(2), mass=2.0)
+        basis = rest_spinors(HalfInt(2), mass=2.0)
         assert np.allclose(xi_tilde_at_rest(basis), np.eye(6), atol=1e-11)
 
     def test_degenerate_basis_rejected(self):
-        good = canonical_rest_basis(HalfInt(1), mass=1.0)
+        good = rest_spinors(HalfInt(1), mass=1.0)
         bad = SpinorBasis(j=good.j, mass=good.mass, u=(good.u[0], good.u[0]), v=good.v)
         with pytest.raises(ValueError):
             xi_tilde_at_rest(bad)
@@ -72,7 +70,7 @@ class TestXiTilde:
 
 class TestKOperator:
     def test_equals_parity_for_canonical_basis(self):
-        basis = canonical_rest_basis(HalfInt(1), mass=1.3)
+        basis = rest_spinors(HalfInt(1), mass=1.3)
         rep = rep_generators(HalfInt(1))
         for q in momenta(211, 20):
             q = FourMomentum(1.3, q.p)
@@ -109,26 +107,26 @@ class TestKOperator:
 
 class TestHermiticity:
     def test_canonical_true(self):
-        assert hermiticity_condition(canonical_rest_basis(HalfInt(1), mass=1.0))
+        assert hermiticity_condition(rest_spinors(HalfInt(1), mass=1.0))
 
     def test_elko_true(self):
         assert hermiticity_condition(elko_rest_basis(mass=1.0))
 
     def test_corrupted_basis_false(self):
-        good = canonical_rest_basis(HalfInt(1), mass=1.0)
+        good = rest_spinors(HalfInt(1), mass=1.0)
         bad = SpinorBasis(
             j=good.j, mass=good.mass, u=good.u, v=(good.v[0] + 0.5 * good.u[0], good.v[1])
         )
         assert not hermiticity_condition(bad)
 
     def test_completeness_sum(self):
-        for make in (lambda: canonical_rest_basis(HalfInt(1), 1.6), lambda: elko_rest_basis(1.6)):
+        for make in (lambda: rest_spinors(HalfInt(1), mass=1.6), lambda: elko_rest_basis(1.6)):
             assert completeness_residual(make()) < 1e-10 * 2 * 1.6
 
 
 class TestDecomposition:
     def test_canonical_reduces_to_dirac_identity(self):
-        basis = canonical_rest_basis(HalfInt(1), mass=1.0)
+        basis = rest_spinors(HalfInt(1), mass=1.0)
         for q in momenta(227, 30):
             q = FourMomentum(1.0, q.p)
             assert decomposition_residual(basis, q).residual <= 1e-10
@@ -140,7 +138,7 @@ class TestDecomposition:
             assert decomposition_residual(basis, q).residual <= 1e-9
 
     def test_rest_frame_exact(self):
-        basis = canonical_rest_basis(HalfInt(1), mass=2.0)
+        basis = rest_spinors(HalfInt(1), mass=2.0)
         q = FourMomentum(2.0, (0, 0, 0))
         K = k_operator(basis, q)
         xi0 = xi_tilde_at_rest(basis).conj().T
@@ -149,13 +147,13 @@ class TestDecomposition:
         assert np.allclose(dirac_operator(q), 2.0 * eta, atol=1e-15)
 
     def test_general_spin_against_parity(self):
-        basis = canonical_rest_basis(HalfInt(2), mass=1.0)
+        basis = rest_spinors(HalfInt(2), mass=1.0)
         for q in momenta(233, 10):
             q = FourMomentum(1.0, q.p)
             assert decomposition_residual(basis, q).residual <= 1e-9
 
     def test_non_hermitian_rejected_with_typed_error(self):
-        good = canonical_rest_basis(HalfInt(1), mass=1.0)
+        good = rest_spinors(HalfInt(1), mass=1.0)
         bad = SpinorBasis(
             j=good.j, mass=good.mass, u=good.u, v=(good.v[0] + 0.5 * good.u[0], good.v[1])
         )
@@ -166,7 +164,7 @@ class TestDecomposition:
         # the four displayed lines of the K(p) = Xi(p) P(p) derivation agree
         # pairwise, and K^2 = I closes the decomposition
         for name, basis in (
-            ("canonical", canonical_rest_basis(HalfInt(1), mass=1.4)),
+            ("canonical", rest_spinors(HalfInt(1), mass=1.4)),
             ("elko", elko_rest_basis(mass=1.4)),
         ):
             m = 1.4
@@ -197,6 +195,6 @@ class TestDecomposition:
                 assert np.linalg.norm(result.Xi - Xi_q) < 1e-12
 
     def test_mass_mismatch_rejected(self):
-        basis = canonical_rest_basis(HalfInt(1), mass=1.0)
+        basis = rest_spinors(HalfInt(1), mass=1.0)
         with pytest.raises(ValueError):
             boost_basis(basis, FourMomentum(2.0, (0.1, 0, 0)))

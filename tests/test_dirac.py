@@ -93,8 +93,9 @@ class TestRestSpinors:
                 assert abs(np.vdot(a, b)) < 1e-14
 
     def test_rejects_bad_mass(self):
-        with pytest.raises(ValueError):
-            rest_spinors(HalfInt(1), mass=-1.0)
+        for mass in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                rest_spinors(HalfInt(1), mass=mass)
 
 
 class TestBoostedSpinors:

@@ -15,7 +15,6 @@ from spinkin.elko import (
     helicity_origin_discontinuity,
     helicity_spinors,
     nogo_monte_carlo,
-    nogo_witness,
     rotation_commutant_residual,
     schur_condition_family,
     schur_conditions,
@@ -203,11 +202,6 @@ class TestSchurConditions:
 
 
 class TestNogo:
-    def test_witness_on_random_basis(self, rng):
-        report = nogo_witness(random_basis(rng))
-        assert max(report["r1"], report["r2"]) > 0.0
-        assert report["conclusion"] == "not rotation-invariant"
-
     def test_both_conditions_force_degeneracy(self, rng):
         # lam real-ish family with Im(b conj(d)) = 0: det vanishes identically
         for _ in range(100):
@@ -217,8 +211,6 @@ class TestNogo:
             r1, r2 = schur_conditions(basis)
             assert max(r1, r2) < 1e-12
             assert abs(basis.det) < 1e-10
-            report = nogo_witness(basis)
-            assert "no-go" in report["conclusion"]
 
     def test_monte_carlo_floor(self):
         report = nogo_monte_carlo(samples=10_000, seed=20240811)

@@ -12,7 +12,6 @@ from spinkin.higherspin import (
     swap_operator_at,
     symmetric_multi_indices,
     tensor_boost_matrix,
-    tensor_swap_operator,
 )
 from spinkin.kinematics import FourMomentum, parity_operator, sample_momenta
 from spinkin.linalg import anticommutator
@@ -123,23 +122,22 @@ class TestGammaTensorExtraction:
 class TestTensorSwap:
     @pytest.mark.parametrize("twice", [1, 2, 3])
     def test_involution_exact(self, twice):
-        S = tensor_swap_operator(HalfInt(twice))
+        S = tensor_rep_generators(HalfInt(twice)).eta
         n = S.shape[0]
         assert np.array_equal(S @ S, np.eye(n, dtype=complex))
 
     def test_swaps_product_vectors(self, rng):
         d = 3
-        S = tensor_swap_operator(HalfInt(2))
+        S = tensor_rep_generators(HalfInt(2)).eta
         x = rng.normal(size=d) + 1j * rng.normal(size=d)
         y = rng.normal(size=d) + 1j * rng.normal(size=d)
         assert np.allclose(S @ np.kron(x, y), np.kron(y, x), atol=1e-14)
 
     @pytest.mark.parametrize("twice", [1, 2])
     def test_anticommutes_with_tensor_boosts(self, twice):
-        S = tensor_swap_operator(HalfInt(twice))
-        _, Kt = tensor_rep_generators(HalfInt(twice))
-        for Ka in Kt:
-            assert np.linalg.norm(anticommutator(S, Ka)) < 1e-12
+        rep = tensor_rep_generators(HalfInt(twice))
+        for Ka in rep.K:
+            assert np.linalg.norm(anticommutator(rep.eta, Ka)) < 1e-12
 
     @pytest.mark.parametrize("twice", [1, 2])
     def test_intertwines_parity_eigenspinors(self, twice):
@@ -164,3 +162,9 @@ class TestTensorSwap:
         d = j.block_dim
         Bt = tensor_boost_matrix(j, phi)
         assert np.allclose(Bt, np.kron(B[:d, :d], B[d:, d:]), atol=1e-12)
+
+    @pytest.mark.parametrize("phi", [(31.0, 0.0, 0.0), (0.0, np.nan, 0.0), (np.inf, 0.0, 0.0)])
+    def test_tensor_boost_obeys_rapidity_cap(self, phi):
+        # the same finiteness and cap checks as boost_matrix on (j,0)+(0,j)
+        with pytest.raises(ValueError):
+            tensor_boost_matrix(HalfInt(2), phi)

@@ -9,13 +9,11 @@ from spinkin.linalg import (
     antilinear_compose,
     expm_hermitian,
     expm_i_hermitian,
-    kron,
     matrix_from_json,
     matrix_to_json,
     nullspace,
 )
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
 THETA = np.array([[0, -1], [1, 0]], dtype=complex)
 
 
@@ -67,20 +65,6 @@ class TestNullspace:
             assert ns.shape[1] == n - r
             for k in range(ns.shape[1]):
                 assert np.linalg.norm(A @ ns[:, k]) <= 10 * 1e-10 * np.linalg.norm(A)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diag(self):
-        assert np.allclose(kron(np.diag([1.0, 2.0]), np.eye(2)), np.diag([1.0, 1.0, 2.0, 2.0]))
-
-    def test_swaps_basis_vectors(self):
-        e1 = np.array([1, 0], dtype=complex)
-        e2 = np.array([0, 1], dtype=complex)
-        out = kron(SX, SX) @ np.kron(e1, e2)
-        assert np.allclose(out, np.kron(e2, e1))
 
 
 class TestAntiLinearMap:

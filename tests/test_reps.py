@@ -5,6 +5,7 @@ from spinkin.linalg import anticommutator, commutator
 from spinkin.reps import (
     HalfInt,
     LorentzTransform,
+    RepGenerators,
     pauli_matrices,
     rep_generators,
     spin_matrices,
@@ -146,13 +147,25 @@ class TestVectorTransforms:
 class TestTensorRep:
     def test_kz_spectrum(self):
         # j = 1/2: eigenvalues of (-i sz/2) x I + I x (i sz/2) are {0, 0, -i, +i}
-        _, Kt = tensor_rep_generators(HalfInt(1))
-        ev = np.sort_complex(np.linalg.eigvals(Kt[2]))
+        Kz = tensor_rep_generators(HalfInt(1)).K[2]
+        ev = np.sort_complex(np.linalg.eigvals(Kz))
         assert np.allclose(ev, np.sort_complex(np.array([0, 0, -1j, 1j])), atol=1e-13)
 
     @pytest.mark.parametrize("twice", [1, 2])
     def test_kronecker_sum_commutators(self, twice):
-        Jt, Kt = tensor_rep_generators(HalfInt(twice))
+        rep = tensor_rep_generators(HalfInt(twice))
+        Jt, Kt = rep.J, rep.K
         assert np.linalg.norm(commutator(Jt[0], Jt[1]) - 1j * Jt[2]) < ABS_TOL
         assert np.linalg.norm(commutator(Kt[0], Kt[1]) + 1j * Jt[2]) < ABS_TOL
         assert np.linalg.norm(commutator(Jt[0], Kt[1]) - 1j * Kt[2]) < ABS_TOL
+
+    @pytest.mark.parametrize("twice", [1, 2, 3, 4])
+    def test_rep_generators_contract(self, twice):
+        # the tensor representation is a RepGenerators whose eta is the swap
+        rep = tensor_rep_generators(HalfInt(twice))
+        n = (twice + 1) ** 2
+        assert isinstance(rep, RepGenerators) and rep.dim == n and rep.eta.shape == (n, n)
+        assert np.array_equal(rep.eta @ rep.eta, np.eye(n, dtype=complex))
+        for a in range(3):
+            assert np.linalg.norm(anticommutator(rep.eta, rep.K[a])) < ABS_TOL
+            assert np.linalg.norm(commutator(rep.eta, rep.J[a])) < ABS_TOL
