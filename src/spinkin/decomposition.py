@@ -65,22 +65,15 @@ def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:
         raise ValueError("basis must carry a mass (norms sqrt(2m))")
     m = basis.mass
     eta = rep_generators(basis.j).eta
-    spinors = basis.spinors
-    n_u = len(basis.u)
-    rows = []
-    targets = []
-    for ia, wa in enumerate(spinors):
-        for ib, wb in enumerate(spinors):
-            # w_a^dag X (eta w_b) is linear in X: row = conj(w_a) kron (eta w_b)
-            rows.append(np.kron(np.conj(wa), eta @ wb))
-            if ia == ib:
-                targets.append(2.0 * m if ia < n_u else -2.0 * m)
-            else:
-                targets.append(0.0)
-    system = np.array(rows)
-    rhs = np.array(targets, dtype=complex)
+    W = np.array(basis.spinors)
+    eta_W = np.array([eta @ w for w in basis.spinors])
+    n_w, d = W.shape
+    # w_a^dag X (eta w_b) is linear in X: row (a, b) = conj(w_a) kron (eta w_b),
+    # formed for all pairs by the broadcast multiply np.kron does for one
+    system = np.multiply(np.conj(W)[:, None, :, None], eta_W[None, :, None, :]).reshape(n_w * n_w, d * d)
+    signs = np.array([1.0] * len(basis.u) + [-1.0] * len(basis.v))
+    rhs = np.diag(2.0 * m * signs).astype(complex).reshape(-1)
     solution, _, rank, sv = np.linalg.lstsq(system, rhs, rcond=None)
-    d = basis.j.dim
     if rank < d * d or sv[-1] <= 1e-10 * sv[0]:
         raise ValueError("degenerate spinor basis: constraint system is singular")
     residual = np.linalg.norm(system @ solution - rhs)

@@ -9,6 +9,7 @@ gamma^mu p_mu equal m times the parity operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -43,11 +44,20 @@ class GammaSet:
 
 
 def gamma_matrices() -> GammaSet:
+    """The chiral-basis gamma matrices; built once, every call returns the same
+    GammaSet with read-only arrays."""
+    return _gamma_set()
+
+
+@cache
+def _gamma_set() -> GammaSet:
     sx, sy, sz = pauli_matrices()
     Z = np.zeros((2, 2), dtype=complex)
     I = np.eye(2, dtype=complex)
     g0 = np.block([[Z, I], [I, Z]])
     gi = tuple(np.block([[Z, -s], [s, Z]]) for s in (sx, sy, sz))
+    for g in (g0, *gi):
+        g.flags.writeable = False
     return GammaSet(gamma=(g0, *gi))
 
 

@@ -8,6 +8,7 @@ conjugation passes through B^-1's argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,9 @@ __all__ = [
 
 def check_mass(m) -> None:
     """The library's one mass rule: positive and finite (a rest frame exists)."""
-    if not (np.isfinite(m) and m > 0.0):
+    # math.isfinite gives np.isfinite's answer on a float at a fraction of the
+    # cost; other types (ints, 0-d arrays, ...) keep numpy's rule
+    if not ((math.isfinite(m) if isinstance(m, float) else np.isfinite(m)) and m > 0.0):
         raise ValueError(f"mass must be positive and finite, got {m}")
 
 
@@ -53,8 +56,8 @@ class FourMomentum:
 
     def __post_init__(self):
         check_mass(self.m)
-        p = tuple(float(x) for x in np.asarray(self.p, dtype=float).reshape(3))
-        if not all(np.isfinite(x) for x in p):
+        p = tuple(np.asarray(self.p, dtype=float).reshape(3).tolist())
+        if not all(map(math.isfinite, p)):
             raise ValueError("momentum components must be finite")
         object.__setattr__(self, "p", p)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,9 +79,14 @@ def spin_matrices(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hermitian angular-momentum matrices (J_x, J_y, J_z) of dimension 2j+1.
 
     J_z = diag(j, j-1, ..., -j); ladder coefficients sqrt(j(j+1) - m(m+1)).
-    For j = 1/2 this returns the Pauli matrices over 2.
+    For j = 1/2 this returns the Pauli matrices over 2. Built once per spin:
+    every call for the same j returns the same read-only arrays.
     """
-    j = HalfInt.coerce(j)
+    return _spin_matrices(HalfInt.coerce(j))
+
+
+@lru_cache(maxsize=16)
+def _spin_matrices(j: HalfInt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = j.block_dim
     m = j.j - np.arange(d)
     Jz = np.diag(m).astype(complex)
@@ -90,6 +96,8 @@ def spin_matrices(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Jm = Jp.conj().T
     Jx = (Jp + Jm) / 2.0
     Jy = (Jp - Jm) / 2.0j
+    for M in (Jx, Jy, Jz):
+        M.flags.writeable = False
     return Jx, Jy, Jz
 
 
@@ -120,16 +128,23 @@ class RepGenerators:
 
 
 def rep_generators(j) -> RepGenerators:
-    """Build the (j,0)+(0,j) generators with the block conventions above."""
+    """Build the (j,0)+(0,j) generators with the block conventions above.
+
+    The arrays are assembled afresh from the cached spin matrices on every
+    call, so a caller may modify the ones it gets.
+    """
     j = HalfInt.coerce(j)
-    Jx, Jy, Jz = spin_matrices(j)
     d = j.block_dim
-    Z = np.zeros((d, d), dtype=complex)
-    I = np.eye(d, dtype=complex)
-    J = tuple(np.block([[a, Z], [Z, a]]) for a in (Jx, Jy, Jz))
-    K = tuple(np.block([[-1j * a, Z], [Z, 1j * a]]) for a in (Jx, Jy, Jz))
-    eta = np.block([[Z, I], [I, Z]])
-    return RepGenerators(j=j, dim=j.dim, J=J, K=K, eta=eta)
+    n = 2 * d
+    J = np.zeros((3, n, n), dtype=complex)
+    K = np.zeros((3, n, n), dtype=complex)
+    for a, Ja in enumerate(spin_matrices(j)):
+        J[a, :d, :d] = J[a, d:, d:] = Ja
+        K[a, :d, :d] = -1j * Ja
+        K[a, d:, d:] = 1j * Ja
+    eta = np.zeros((n, n), dtype=complex)
+    eta[:d, d:] = eta[d:, :d] = np.eye(d)
+    return RepGenerators(j=j, dim=n, J=tuple(J), K=tuple(K), eta=eta)
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,7 @@ class TestUsageErrors:
         "argv",
         [
             ("elko", "g", "--u", "nan,0", "--v", "0,1", "--json"),
+            ("elko", "g", "--u", "1e200,1e200", "--v", "1e200,-1e200", "--json"),
             ("elko", "origin", "--mass", "inf", "--json"),
             ("elko", "nogo", "--samples", "10", "--threshold", "nan"),
         ],

@@ -27,7 +27,31 @@ def xi_closed_form(basis: SpinorBasis) -> np.ndarray:
     return X.conj().T  # xi_tilde_at_rest returns tilde-Xi(0) = X^dagger
 
 
+def xi_kron_rows(basis: SpinorBasis) -> np.ndarray:
+    """Reference for xi_tilde_at_rest: the constraint rows one np.kron at a
+    time, solved the same way."""
+    m = basis.mass
+    eta = rep_generators(basis.j).eta
+    rows, targets = [], []
+    for ia, wa in enumerate(basis.spinors):
+        for ib, wb in enumerate(basis.spinors):
+            rows.append(np.kron(np.conj(wa), eta @ wb))
+            targets.append((2.0 * m if ia < len(basis.u) else -2.0 * m) if ia == ib else 0.0)
+    solution = np.linalg.lstsq(np.array(rows), np.array(targets, dtype=complex), rcond=None)[0]
+    d = basis.j.dim
+    return solution.reshape(d, d).conj().T
+
+
 class TestXiTilde:
+    @pytest.mark.parametrize(
+        "basis",
+        [rest_spinors(HalfInt(t), mass=1.7) for t in (1, 2, 3)]
+        + [elko_rest_basis(0.3, n) for n in ((0, 0, 1), (1.0, 2.0, 3.0), (0.3, -1.0, 0.2))],
+    )
+    def test_broadcast_rows_match_kron_loop(self, basis):
+        got = xi_tilde_at_rest(basis)
+        assert got.tobytes() == xi_kron_rows(basis).tobytes()
+
     def test_canonical_basis_gives_identity(self):
         basis = rest_spinors(HalfInt(1), mass=1.7)
         xt = xi_tilde_at_rest(basis)

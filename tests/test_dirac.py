@@ -33,6 +33,15 @@ class TestGammaMatrices:
         assert np.allclose(g[1] @ g[2] + g[2] @ g[1], np.zeros((4, 4)), atol=1e-15)
         assert np.allclose(g[0] @ g[1] + g[1] @ g[0], np.zeros((4, 4)), atol=1e-15)
 
+    def test_built_once_and_read_only(self):
+        assert gamma_matrices() is gamma_matrices()
+        for g in gamma_matrices().gamma:
+            with pytest.raises(ValueError):
+                g[0, 0] = 1.0
+        # operators built from the shared set are fresh, writable arrays
+        slash = dirac_operator(FourMomentum(1.0, (0.1, 0.2, 0.3)))
+        slash[0, 0] = 1.0
+
 
 class TestDiracOperator:
     def test_rest_frame(self):

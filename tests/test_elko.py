@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,41 @@ def random_basis(rng, det_min=0.1) -> Cx2Basis:
         basis = Cx2Basis(u=z[:2] / np.linalg.norm(z[:2]), v=z[2:] / np.linalg.norm(z[2:]))
         if abs(basis.det) >= det_min:
             return basis
+
+
+def nogo_floor_scalar(samples: int, seed: int) -> float:
+    """Reference for nogo_monte_carlo: one candidate at a time, in numpy
+    complex scalars, drawn as normal(4) + 1j * normal(4)."""
+    rng = np.random.default_rng(seed)
+    floor = np.inf
+    count = 0
+    while count < samples:
+        z = rng.normal(size=4) + 1j * rng.normal(size=4)
+        u = z[:2] / np.linalg.norm(z[:2])
+        v = z[2:] / np.linalg.norm(z[2:])
+        if abs(complex(u[0] * v[1] - u[1] * v[0])) < 0.1:
+            continue
+        count += 1
+        a, b = u
+        c, d = v
+        r1 = abs(a * np.conj(d) - c * np.conj(b))
+        r2 = abs(np.imag(a * np.conj(c)) - np.imag(b * np.conj(d)))
+        floor = min(floor, float(max(r1, r2)))
+    return float(floor)
+
+
+def commutant_residual_scalar(G, samples: int, seed: int) -> float:
+    """Reference for rotation_commutant_residual: rotations drawn afresh."""
+    rep = rep_generators(HalfInt(1))
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    scale = float(np.linalg.norm(G))
+    for _ in range(samples):
+        d = rng.normal(size=3)
+        d /= np.linalg.norm(d)
+        D = rotation_matrix(rep, rng.uniform(0.0, np.pi) * d)
+        worst = max(worst, float(np.linalg.norm(G @ D - D @ G)) / scale)
+    return worst
 
 
 class TestWignerTheta:
@@ -95,6 +132,21 @@ class TestElkoBasis:
         with pytest.raises(ValueError):
             elko_basis(Cx2Basis(u=np.array([1.0, 0.0]), v=np.array([2.0, 0.0])))
 
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            ([1e200, 1e200], [1e200, -1e200]),  # det overflows to -inf
+            ([1.5e308, 0.0], [0.0, 1.0 + 1.0j]),  # finite det, |det| beyond the float range
+            ([1e154, 1e154], [1e154, 1e154j]),  # finite det, the entries of G overflow
+        ],
+    )
+    def test_non_finite_result_rejected(self, u, v):
+        basis = Cx2Basis(u=np.array(u), v=np.array(v))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                g_operator(basis)
+
 
 class TestGOperator:
     def test_e1_e2_frozen_matrix(self):
@@ -143,6 +195,15 @@ class TestSchurConditions:
             r1, r2 = schur_conditions(basis)
             comm = rotation_commutant_residual(g_operator(basis), samples=20, seed=7)
             assert (comm <= 1e-9) == (max(r1, r2) <= 1e-10)
+
+    def test_cached_rotations_match_fresh_draws(self, rng):
+        # calls for two seeds interleaved: each seed's rotation set is drawn
+        # once and reused, and reads as a fresh draw would
+        for k in range(8):
+            seed, samples = ((3, 20), (11, 5))[k % 2]
+            G = g_operator(random_basis(rng))
+            got = rotation_commutant_residual(G, samples=samples, seed=seed)
+            assert got == commutant_residual_scalar(G, samples, seed)
 
     def test_commutant_detects_each_condition_alone(self):
         # r1 = 0, r2 > 0 is still not rotation invariant
@@ -217,6 +278,12 @@ class TestNogo:
         assert report["pass"]
         # observed floor at this seed; well above the 0.01 detection threshold
         assert report["min_max_r"] > 0.1
+
+    @pytest.mark.parametrize("seed", [0, 7, 20240811])
+    @pytest.mark.parametrize("samples", [1, 1023, 1024, 1025, 10_000])
+    def test_array_sweep_matches_scalar_loop(self, samples, seed):
+        # chunk edges (1024 candidates per pass) and the default sweep
+        assert nogo_monte_carlo(samples=samples, seed=seed)["min_max_r"] == nogo_floor_scalar(samples, seed)
 
 
 class TestAntilinearSolutions:

@@ -6,6 +6,7 @@ from spinkin.elko import antilinear_family
 from spinkin.kinematics import (
     FourMomentum,
     boost_matrix,
+    check_mass,
     covariance_residual,
     is_fully_kinematic,
     parity_family,
@@ -31,6 +32,25 @@ class TestFourMomentum:
             FourMomentum(0.0, (0, 0, 0))
         with pytest.raises(ValueError):
             FourMomentum(-1.0, (0, 0, 0))
+
+    @pytest.mark.parametrize("m", [1.0, 2, np.float64(1.5), np.float32(2.0), np.int64(3), np.array(0.5), True])
+    def test_mass_rule_accepts(self, m):
+        check_mass(m)
+        FourMomentum(m, (0.1, 0.2, 0.3))
+
+    @pytest.mark.parametrize(
+        "m", [0.0, 0, -1.0, np.nan, np.inf, -np.inf, np.float64(np.nan), np.float32(np.inf), np.array(-1.0), False]
+    )
+    def test_mass_rule_rejects(self, m):
+        with pytest.raises(ValueError):
+            check_mass(m)
+        with pytest.raises(ValueError):
+            FourMomentum(m, (0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("p", [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, -np.inf)])
+    def test_rejects_non_finite_momentum(self, p):
+        with pytest.raises(ValueError):
+            FourMomentum(1.0, p)
 
     def test_transform_preserves_shell(self, rng):
         q = FourMomentum(2.0, (0.4, -0.3, 1.0))

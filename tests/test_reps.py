@@ -169,3 +169,68 @@ class TestTensorRep:
         for a in range(3):
             assert np.linalg.norm(anticommutator(rep.eta, rep.K[a])) < ABS_TOL
             assert np.linalg.norm(commutator(rep.eta, rep.J[a])) < ABS_TOL
+
+
+def block_rep(twice):
+    """(j,0)+(0,j) generators built with np.block, one axis at a time."""
+    d = twice + 1
+    Z = np.zeros((d, d), dtype=complex)
+    I = np.eye(d, dtype=complex)
+    S = spin_matrices(HalfInt(twice))
+    J = tuple(np.block([[a, Z], [Z, a]]) for a in S)
+    K = tuple(np.block([[-1j * a, Z], [Z, 1j * a]]) for a in S)
+    return J, K, np.block([[Z, I], [I, Z]])
+
+
+def kron_tensor_rep(twice):
+    """(j,0)x(0,j) generators built with np.kron, one axis at a time."""
+    d = twice + 1
+    I = np.eye(d, dtype=complex)
+    S = spin_matrices(HalfInt(twice))
+    J = tuple(np.kron(a, I) + np.kron(I, a) for a in S)
+    K = tuple(-1j * np.kron(a, I) + 1j * np.kron(I, a) for a in S)
+    swap = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for k in range(d):
+            swap[k * d + i, i * d + k] = 1.0
+    return J, K, swap
+
+
+def same_bits(got, want):
+    return all(g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+
+
+class TestCacheContract:
+    """Constants are built once and shared read-only; assembled generators
+    are fresh arrays on every call, equal bit for bit to the block/Kronecker
+    constructions."""
+
+    @pytest.mark.parametrize("twice", [1, 2, 3, 4])
+    def test_spin_matrices_built_once_and_read_only(self, twice):
+        first = spin_matrices(HalfInt(twice))
+        assert all(a is b for a, b in zip(first, spin_matrices(str(HalfInt(twice)))))
+        for M in first:
+            with pytest.raises(ValueError):
+                M[0, 0] = 7.0
+
+    @pytest.mark.parametrize("twice", [1, 2, 3, 4])
+    def test_rep_generators_equal_block_construction(self, twice):
+        rep = rep_generators(HalfInt(twice))
+        J, K, eta = block_rep(twice)
+        assert same_bits(rep.J, J) and same_bits(rep.K, K) and same_bits((rep.eta,), (eta,))
+
+    @pytest.mark.parametrize("twice", [1, 2, 3, 4])
+    def test_tensor_rep_generators_equal_kron_construction(self, twice):
+        rep = tensor_rep_generators(HalfInt(twice))
+        J, K, swap = kron_tensor_rep(twice)
+        assert same_bits(rep.J, J) and same_bits(rep.K, K) and same_bits((rep.eta,), (swap,))
+
+    @pytest.mark.parametrize("build", [rep_generators, tensor_rep_generators])
+    @pytest.mark.parametrize("twice", [1, 2, 3, 4])
+    def test_mutating_one_result_leaves_the_next(self, build, twice):
+        rep = build(HalfInt(twice))
+        for M in rep.J + rep.K + (rep.eta,):
+            M[...] = 7.0
+        fresh = build(HalfInt(twice))
+        reference = block_rep(twice) if build is rep_generators else kron_tensor_rep(twice)
+        assert same_bits(fresh.J + fresh.K + (fresh.eta,), reference[0] + reference[1] + (reference[2],))
