@@ -47,6 +47,7 @@ from .higherspin import (
 from .kinematics import (
     FourMomentum,
     KinematicOperatorFamily,
+    MomentumBatch,
     boost_matrix,
     covariance_residual,
     is_fully_kinematic,

@@ -288,11 +288,13 @@ def cmd_check_kinematic(args) -> int:
 
 def cmd_check_all(args) -> int:
     start = time.monotonic()
-    report = checks.run_all(args.seed)
+    report, times_ms = checks.run_all(args.seed)
     runtime_ms = int((time.monotonic() - start) * 1000)
     _emit({"command": "check all", **report})
     # timing stays off stdout so identical seeds give byte-identical reports
-    print(f"check all: {'pass' if report['pass'] else 'FAIL'} in {runtime_ms} ms", file=sys.stderr)
+    suites = ", ".join(f"{name} {ms:.0f}" for name, ms in times_ms.items())
+    verdict = "pass" if report["pass"] else "FAIL"
+    print(f"check all: {verdict} in {runtime_ms} ms (per suite, ms: {suites})", file=sys.stderr)
     return 0 if report["pass"] else 1
 
 

@@ -2,7 +2,9 @@
 spinor-defined involution K(p), and the decomposition gamma^mu p_mu = m K Xi.
 
 For spin j > 1/2 the comparison target is m P_j(q) (the spin-j parity
-operator); the gamma^mu p_mu identity itself is the j = 1/2 case.
+operator); the gamma^mu p_mu identity itself is the j = 1/2 case. A batch of
+rest bases (an (N,) mass array) with a MomentumBatch of the same masses is
+decomposed in one stacked call.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import numpy as np
 
 from .dirac import SpinorBasis, boost_basis, dirac_operator
 from .elko import Cx2Basis, elko_basis, helicity_spinors
-from .kinematics import FourMomentum, KinematicOperatorFamily, check_mass, parity_operator
+from .kinematics import FourMomentum, KinematicOperatorFamily, MomentumBatch, parity_operator
+from .linalg import stack_norm
 from .reps import HalfInt, rep_generators
 
 __all__ = [
@@ -37,18 +40,14 @@ class NonHermitianBasisError(ValueError):
 def elko_rest_basis(mass: float, direction=(0.0, 0.0, 1.0)) -> SpinorBasis:
     """Spin-1/2 rest basis from charge-conjugation eigenspinors built on the
     helicity eigenvectors of sigma.n-hat: the u-set is the +1 eigenspace
-    (u_plus, v_plus), the v-set the -1 eigenspace, all scaled to norm sqrt(2m).
+    (u_plus, v_plus), the v-set the -1 eigenspace, all scaled to norm sqrt(2m)
+    (a 1-d array of masses gives the batch of bases).
     """
-    check_mass(mass)
     u2, v2 = helicity_spinors(np.asarray(direction, dtype=float))
     eb = elko_basis(Cx2Basis(u=u2, v=v2))
-    c = np.sqrt(mass)  # each Elko spinor has norm sqrt(2) for unit u
-    return SpinorBasis(
-        j=HalfInt(1),
-        mass=mass,
-        u=(c * eb.u_plus, c * eb.v_plus),
-        v=(c * eb.u_minus, c * eb.v_minus),
-    )
+    # each Elko spinor has norm sqrt(2) for unit u
+    unit = SpinorBasis(j=HalfInt(1), mass=None, u=(eb.u_plus, eb.v_plus), v=(eb.u_minus, eb.v_minus))
+    return unit.at_mass(mass)
 
 
 def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:
@@ -63,27 +62,31 @@ def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:
     """
     if basis.mass is None:
         raise ValueError("basis must carry a mass (norms sqrt(2m))")
-    m = basis.mass
     eta = rep_generators(basis.j).eta
-    W = np.array(basis.spinors)
-    eta_W = np.array([eta @ w for w in basis.spinors])
-    n_w, d = W.shape
-    # w_a^dag X (eta w_b) is linear in X: row (a, b) = conj(w_a) kron (eta w_b),
-    # formed for all pairs by the broadcast multiply np.kron does for one
-    system = np.multiply(np.conj(W)[:, None, :, None], eta_W[None, :, None, :]).reshape(n_w * n_w, d * d)
+    m = np.asarray(basis.mass)
+    W = np.stack(basis.spinors, axis=-2)
+    n_w, d = W.shape[-2:]
     signs = np.array([1.0] * len(basis.u) + [-1.0] * len(basis.v))
-    rhs = np.diag(2.0 * m * signs).astype(complex).reshape(-1)
-    solution, _, rank, sv = np.linalg.lstsq(system, rhs, rcond=None)
-    if rank < d * d or sv[-1] <= 1e-10 * sv[0]:
-        raise ValueError("degenerate spinor basis: constraint system is singular")
-    residual = np.linalg.norm(system @ solution - rhs)
-    if residual > 1e-8 * max(1.0, np.linalg.norm(rhs)):
-        raise ValueError(f"orthogonality constraints are inconsistent (residual {residual:.3e})")
-    X = solution.reshape(d, d)
-    return X.conj().T
+    out = []
+    # one basis at a time: lstsq takes a single system
+    for Wk, mk in zip(W.reshape(-1, n_w, d), m.reshape(-1)):
+        eta_W = (eta @ Wk[..., None])[..., 0]
+        # w_a^dag X (eta w_b) is linear in X: row (a, b) = conj(w_a) kron (eta w_b),
+        # formed for all pairs by the broadcast multiply np.kron does for one
+        system = np.multiply(np.conj(Wk)[:, None, :, None], eta_W[None, :, None, :])
+        system = system.reshape(n_w * n_w, d * d)
+        rhs = np.diag(2.0 * mk * signs).astype(complex).reshape(-1)
+        solution, _, rank, sv = np.linalg.lstsq(system, rhs, rcond=None)
+        if rank < d * d or sv[-1] <= 1e-10 * sv[0]:
+            raise ValueError("degenerate spinor basis: constraint system is singular")
+        residual = np.linalg.norm(system @ solution - rhs)
+        if residual > 1e-8 * max(1.0, np.linalg.norm(rhs)):
+            raise ValueError(f"orthogonality constraints are inconsistent (residual {residual:.3e})")
+        out.append(solution.reshape(d, d).conj().T)
+    return np.array(out).reshape(m.shape + (d, d))
 
 
-def k_operator(basis: SpinorBasis, q: FourMomentum) -> np.ndarray:
+def k_operator(basis: SpinorBasis, q: FourMomentum | MomentumBatch) -> np.ndarray:
     """The unique linear operator with K u_s(q) = u_s(q), K v_s(q) = -v_s(q),
     built from the boosted basis; K^2 = I and trace K = 0."""
     boosted = boost_basis(basis, q)
@@ -97,8 +100,8 @@ def hermiticity_condition(basis: SpinorBasis) -> bool:
     (equivalently K(0) is Hermitian): max |u^dag v| <= 1e-10 * 2m."""
     if basis.mass is None:
         raise ValueError("basis must carry a mass")
-    worst = max(abs(np.vdot(a, b)) for a in basis.u for b in basis.v)
-    return bool(worst <= 1e-10 * 2.0 * basis.mass)
+    overlaps = np.abs([np.vecdot(a, b) for a in basis.u for b in basis.v])
+    return bool(np.all(overlaps <= 1e-10 * 2.0 * np.asarray(basis.mass)))
 
 
 def completeness_residual(basis: SpinorBasis) -> float:
@@ -115,14 +118,15 @@ def completeness_residual(basis: SpinorBasis) -> float:
 @dataclass(frozen=True)
 class Decomposition:
     """The factors K(q), Xi(q) of m K(q) Xi(q) and its relative residual
-    against gamma^mu p_mu (m P_j(q) for j > 1/2)."""
+    against gamma^mu p_mu (m P_j(q) for j > 1/2); stacks and an (N,) residual
+    array for a batch."""
 
     K: np.ndarray
     Xi: np.ndarray
-    residual: float
+    residual: float | np.ndarray
 
 
-def decomposition_residual(basis: SpinorBasis, q: FourMomentum) -> Decomposition:
+def decomposition_residual(basis: SpinorBasis, q: FourMomentum | MomentumBatch) -> Decomposition:
     """Factors and relative residual of gamma^mu p_mu = m K(q) Xi(q) for a
     Hermitian rest basis, with Xi(q) = B tilde-Xi(0)^dagger B^-1.
 
@@ -134,12 +138,13 @@ def decomposition_residual(basis: SpinorBasis, q: FourMomentum) -> Decomposition
             "rest basis is not Hermitian-orthogonal; the elaborated Xi definition is out of scope"
         )
     rep = rep_generators(basis.j)
-    xi0 = xi_tilde_at_rest(basis).conj().T  # Xi(0) = tilde-Xi(0)^dagger
+    xi0 = np.conj(np.swapaxes(xi_tilde_at_rest(basis), -1, -2))  # Xi(0) = tilde-Xi(0)^dagger
     Xi_q = KinematicOperatorFamily(rep, xi0).matrix_at(q)
     K_q = k_operator(basis, q)
+    m = np.asarray(q.m)[..., None, None]
     if basis.j == HalfInt(1):
         target = dirac_operator(q)
     else:
-        target = q.m * parity_operator(rep, q)
-    residual = float(np.linalg.norm(target - q.m * K_q @ Xi_q) / np.linalg.norm(target))
-    return Decomposition(K=K_q, Xi=Xi_q, residual=residual)
+        target = m * parity_operator(rep, q)
+    r = stack_norm(target - m * K_q @ Xi_q, 2) / stack_norm(target, 2)
+    return Decomposition(K=K_q, Xi=Xi_q, residual=float(r) if r.ndim == 0 else r)

@@ -13,7 +13,14 @@ from functools import cache
 
 import numpy as np
 
-from .kinematics import FourMomentum, boost_matrix, check_mass, rapidity_from_momentum
+from .kinematics import (
+    FourMomentum,
+    MomentumBatch,
+    boost_matrix,
+    check_mass,
+    check_masses,
+    rapidity_from_momentum,
+)
 from .reps import HalfInt, pauli_matrices, rep_generators
 
 __all__ = [
@@ -35,12 +42,15 @@ class GammaSet:
 
     gamma: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-    def slash(self, q: FourMomentum) -> np.ndarray:
-        """gamma^mu p_mu = gamma^0 E - sum_i gamma^i p^i."""
-        out = self.gamma[0] * q.E
-        for i in range(3):
-            out = out - self.gamma[i + 1] * q.p[i]
-        return out
+    def slash(self, q: FourMomentum | MomentumBatch) -> np.ndarray:
+        """gamma^mu p_mu = gamma^0 E - sum_i gamma^i p^i; (N, 4, 4) for a batch.
+
+        One product of the lower-index momenta with the real view of the
+        stacked gammas: each entry of the result has at most two non-zero
+        terms, so it rounds as the term-by-term sum does."""
+        p = q.lower
+        rows = np.array(self.gamma).view(float).reshape(4, -1)
+        return (p @ rows).view(complex).reshape(p.shape[:-1] + (4, 4))
 
 
 def gamma_matrices() -> GammaSet:
@@ -61,7 +71,7 @@ def _gamma_set() -> GammaSet:
     return GammaSet(gamma=(g0, *gi))
 
 
-def dirac_operator(q: FourMomentum) -> np.ndarray:
+def dirac_operator(q: FourMomentum | MomentumBatch) -> np.ndarray:
     """gamma^mu p_mu; equals m * parity_operator(j=1/2, q)."""
     return gamma_matrices().slash(q)
 
@@ -71,11 +81,12 @@ class SpinorBasis:
     """Labeled u/v spinor sets of the (j,0)+(0,j) space.
 
     When mass is set, every spinor has norm sqrt(2m); the full set of 2(2j+1)
-    spinors is linearly independent.
+    spinors is linearly independent. A batch of N bases has an (N,) mass
+    array and spinors of shape (N, dim).
     """
 
     j: HalfInt
-    mass: float | None
+    mass: float | np.ndarray | None
     u: tuple[np.ndarray, ...]
     v: tuple[np.ndarray, ...]
 
@@ -84,48 +95,58 @@ class SpinorBasis:
         return self.u + self.v
 
     def stack(self) -> np.ndarray:
-        """Matrix with the u then v spinors as columns."""
-        return np.column_stack(self.spinors)
+        """Matrix with the u then v spinors as columns ((N, dim, dim) for a batch)."""
+        return np.stack(self.spinors, axis=-1)
+
+    def at_mass(self, mass) -> "SpinorBasis":
+        """This basis without a mass (spinors of norm sqrt 2) scaled by
+        sqrt(mass) to spinor norms sqrt(2m). A 1-d array of N masses gives
+        the batch of N bases."""
+        if self.mass is not None:
+            raise ValueError("basis already carries a mass")
+        W = np.array(self.spinors)
+        if isinstance(mass, np.ndarray) and mass.ndim > 0:
+            mass = check_masses(mass)
+            W = W[:, None, :] * np.sqrt(mass)[:, None]
+        else:
+            check_mass(mass)
+            W = float(np.sqrt(mass)) * W
+        n_u = len(self.u)
+        return SpinorBasis(j=self.j, mass=mass, u=tuple(W[:n_u]), v=tuple(W[n_u:]))
 
 
-def rest_spinors(j, mass: float | None = None) -> SpinorBasis:
+def rest_spinors(j, mass: float | np.ndarray | None = None) -> SpinorBasis:
     """Rest-frame parity eigenbasis: u_s(0) = c(theta_s, theta_s) with eta
     eigenvalue +1 and v_s(0) = c(theta_s, -theta_s) with eigenvalue -1.
 
     theta_s runs over the J_z eigenbasis; c = sqrt(mass) gives norm sqrt(2m)
     (c = 1 when no mass is supplied). Any rest spinor (theta, lambda) splits as
-    the half-sum of a u and a v spinor.
+    the half-sum of a u and a v spinor. A 1-d array of N masses gives the
+    batch of N bases.
     """
     j = HalfInt.coerce(j)
-    if mass is not None:
-        check_mass(mass)
-    c = 1.0 if mass is None else float(np.sqrt(mass))
-    d = j.block_dim
-    us, vs = [], []
-    for s in range(d):
-        theta = np.zeros(d, dtype=complex)
-        theta[s] = 1.0
-        us.append(c * np.concatenate([theta, theta]))
-        vs.append(c * np.concatenate([theta, -theta]))
-    return SpinorBasis(j=j, mass=mass, u=tuple(us), v=tuple(vs))
+    eye = np.eye(j.block_dim, dtype=complex)
+    u = np.concatenate([eye, eye], axis=1)
+    v = np.concatenate([eye, -eye], axis=1)
+    basis = SpinorBasis(j=j, mass=None, u=tuple(u), v=tuple(v))
+    return basis if mass is None else basis.at_mass(mass)
 
 
-def boost_basis(basis: SpinorBasis, q: FourMomentum) -> SpinorBasis:
-    """Boost every spinor of a rest basis to momentum q: w(q) = B(phi) w(0)."""
+def boost_basis(basis: SpinorBasis, q: FourMomentum | MomentumBatch) -> SpinorBasis:
+    """Boost every spinor of a rest basis to momentum q: w(q) = B(phi) w(0).
+    A batch of momenta takes the batch of rest bases with the same masses."""
     if basis.mass is None:
         raise ValueError("basis must carry a mass")
-    if abs(basis.mass - q.m) > 1e-12 * max(1.0, q.m):
+    if (np.abs(basis.mass - q.m) > 1e-12 * np.maximum(1.0, q.m)).any():
         raise ValueError(f"basis mass {basis.mass} does not match momentum mass {q.m}")
     B = boost_matrix(rep_generators(basis.j), rapidity_from_momentum(q))
-    return SpinorBasis(
-        j=basis.j,
-        mass=basis.mass,
-        u=tuple(B @ w for w in basis.u),
-        v=tuple(B @ w for w in basis.v),
-    )
+    # every spinor in one product: W[k] = B w_k, for all momenta of a batch
+    W = (B @ np.array(basis.spinors)[..., None])[..., 0]
+    n_u = len(basis.u)
+    return SpinorBasis(j=basis.j, mass=basis.mass, u=tuple(W[:n_u]), v=tuple(W[n_u:]))
 
 
-def boosted_spinors(j, q: FourMomentum) -> SpinorBasis:
+def boosted_spinors(j, q: FourMomentum | MomentumBatch) -> SpinorBasis:
     """u_s(q) = B(phi) u_s(0), v_s(q) = B(phi) v_s(0); each is a +-1 eigenvector
     of the parity operator at q."""
     return boost_basis(rest_spinors(j, mass=q.m), q)

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kinematics import KinematicOperatorFamily, check_mass, rotation_matrix
-from .linalg import AntiLinearMap, nullspace
+from .linalg import AntiLinearMap, nullspace, stack_norm
 from .reps import HalfInt, RepGenerators, pauli_matrices, rep_generators
 
 __all__ = [
@@ -150,13 +150,21 @@ def g_operator(basis: Cx2Basis) -> np.ndarray:
 def schur_conditions(basis: Cx2Basis) -> tuple[float, float]:
     """(r1, r2) = (|a conj(d) - c conj(b)|, |Im(a conj(c)) - Im(b conj(d))|).
 
-    Both vanish exactly when G(u, v) commutes with every rotation.
+    Both vanish exactly when G(u, v) commutes with every rotation. Computed in
+    Python complex arithmetic, as Cx2Basis.det is, so an overflow gives inf
+    or nan rather than a numpy warning; raises ValueError unless both are
+    finite.
     """
-    a, b = basis.u
-    c, d = basis.v
-    r1 = abs(a * np.conj(d) - c * np.conj(b))
-    r2 = abs(np.imag(a * np.conj(c)) - np.imag(b * np.conj(d)))
-    return float(r1), float(r2)
+    a, b = basis.u.tolist()
+    c, d = basis.v.tolist()
+    try:
+        r1 = abs(a * d.conjugate() - c * b.conjugate())
+    except OverflowError:  # finite parts whose modulus exceeds the float range
+        r1 = math.inf
+    r2 = abs((a * c.conjugate()).imag - (b * d.conjugate()).imag)
+    if not (math.isfinite(r1) and math.isfinite(r2)):
+        raise ValueError(f"Schur conditions are not finite (r1 = {r1}, r2 = {r2}); rescale u and v")
+    return r1, r2
 
 
 def schur_condition_family(lam: complex, b: complex, d: complex) -> Cx2Basis:
@@ -174,29 +182,26 @@ def schur_condition_family(lam: complex, b: complex, d: complex) -> Cx2Basis:
 def rotation_commutant_residual(G: np.ndarray, samples: int = 20, seed: int = 0) -> float:
     """max over random rotations R of ||[G, D(R)]||_F / ||G||_F with D the
     spin-1/2 rotation representative diag(exp(i sigma.theta/2), same)."""
-    worst = 0.0
     scale = float(np.linalg.norm(G))
     # integer keys only: with a None or Generator seed the cached set would
     # not be the fresh draw the seed asks for
-    for D in _seeded_rotations(operator.index(samples), operator.index(seed)):
-        worst = max(worst, float(np.linalg.norm(G @ D - D @ G)) / scale)
-    return worst
+    D = _seeded_rotations(operator.index(samples), operator.index(seed))
+    return float(np.max(stack_norm(G @ D - D @ G, 2) / scale, initial=0.0))
 
 
 @lru_cache(maxsize=8)
-def _seeded_rotations(samples: int, seed: int) -> tuple[np.ndarray, ...]:
-    """The rotation representatives of rotation_commutant_residual, drawn once
-    per (samples, seed); the arrays are read-only."""
-    rep = rep_generators(HalfInt(1))
+def _seeded_rotations(samples: int, seed: int) -> np.ndarray:
+    """The rotation representatives of rotation_commutant_residual as one
+    read-only (samples, 4, 4) stack, drawn once per (samples, seed)."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(samples):
+    theta = np.empty((samples, 3))
+    for k in range(samples):
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
-        D = rotation_matrix(rep, rng.uniform(0.0, np.pi) * d)
-        D.flags.writeable = False
-        out.append(D)
-    return tuple(out)
+        theta[k] = rng.uniform(0.0, np.pi) * d
+    D = rotation_matrix(rep_generators(HalfInt(1)), theta)
+    D.flags.writeable = False
+    return D
 
 
 # candidates per array pass of the no-go sweep; bounds its working set

@@ -14,7 +14,15 @@ from math import factorial
 
 import numpy as np
 
-from .kinematics import FourMomentum, boost_matrix, parity_operator, rapidity_from_momentum, sample_momenta
+from .kinematics import (
+    FourMomentum,
+    MomentumBatch,
+    boost_matrix,
+    parity_operator,
+    rapidity_from_momentum,
+    sample_momenta,
+)
+from .linalg import stack_norm
 from .reps import HalfInt, rep_generators, tensor_rep_generators
 
 __all__ = [
@@ -30,26 +38,33 @@ __all__ = [
 ]
 
 
-def field_equation_residual(j, psi: np.ndarray, q: FourMomentum, sign: int) -> float:
+def field_equation_residual(
+    j, psi: np.ndarray, q: FourMomentum | MomentumBatch, sign: int
+) -> float | np.ndarray:
     """|| (P_j(q) - sign) psi || / ||psi|| with P_j the spin-j parity operator;
-    boosted u (sign +1) and v (sign -1) spinors are exact solutions."""
+    boosted u (sign +1) and v (sign -1) spinors are exact solutions. For a
+    batch of N momenta psi is one spinor or N of them, shape (N, dim), and the
+    N residuals come back as an array."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     j = HalfInt.coerce(j)
     psi = np.asarray(psi, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if norm == 0.0:
+    norm = stack_norm(psi, 1)
+    if (norm == 0.0).any():
         raise ValueError("spinor must be non-zero")
     P = parity_operator(rep_generators(j), q)
-    return float(np.linalg.norm(P @ psi - sign * psi) / norm)
+    r = stack_norm((P @ psi[..., None])[..., 0] - sign * psi, 1) / norm
+    return float(r) if r.ndim == 0 else r
 
 
-def contraction_identity_residual(j, q: FourMomentum) -> float:
+def contraction_identity_residual(j, q: FourMomentum | MomentumBatch) -> float | np.ndarray:
     """|| P_j(q)^2 - I ||_F / dim; certifies the on-shell contraction identity
-    (the squared operator is (p.p)^{2j}/m^{4j} = 1) without the tensor."""
+    (the squared operator is (p.p)^{2j}/m^{4j} = 1) without the tensor. One
+    residual per momentum of a batch."""
     j = HalfInt.coerce(j)
     P = parity_operator(rep_generators(j), q)
-    return float(np.linalg.norm(P @ P - np.eye(j.dim)) / j.dim)
+    r = stack_norm(P @ P - np.eye(j.dim), 2) / j.dim
+    return float(r) if r.ndim == 0 else r
 
 
 def parity_spectrum(j, q: FourMomentum) -> dict:
@@ -134,13 +149,12 @@ def extract_gamma_tensor(j, sample_count: int, seed: int = 0) -> GammaTensor:
     momenta = sample_momenta(rng, sample_count, mass_range=(0.5, 2.0), momentum_factor=2.0)
 
     design = np.zeros((sample_count, len(idxs)))
-    targets = np.zeros((sample_count, j.dim * j.dim), dtype=complex)
     for s, q in enumerate(momenta):
         plow = q.lower
         scale = q.m ** (-j.twice)  # fit P itself to keep rows well scaled
         for k, idx in enumerate(idxs):
             design[s, k] = index_multiplicity(idx) * np.prod(plow[list(idx)]) * scale
-        targets[s] = parity_operator(rep, q).reshape(-1)
+    targets = parity_operator(rep, momenta).reshape(sample_count, -1)
 
     solution, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
     if rank < len(idxs):
@@ -154,14 +168,15 @@ def extract_gamma_tensor(j, sample_count: int, seed: int = 0) -> GammaTensor:
 
 
 def tensor_boost_matrix(j, phi) -> np.ndarray:
-    """exp(i K.phi) on (j,0)x(0,j) (Hermitian positive definite)."""
+    """exp(i K.phi) on (j,0)x(0,j) (Hermitian positive definite); a stack
+    (..., 3) of rapidities gives a stack of matrices."""
     return boost_matrix(tensor_rep_generators(j), phi)
 
 
-def swap_operator_at(j, q: FourMomentum) -> np.ndarray:
-    """The boosted swap family A(q) = B(phi) S B(phi)^-1 on (j,0)x(0,j).
+def swap_operator_at(j, q: FourMomentum | MomentumBatch) -> np.ndarray:
+    """The boosted swap family A(q) = B(phi) S B(phi)^-1 = B(2 phi) S on
+    (j,0)x(0,j), since S anti-commutes with the boost generators.
 
     For psi = (psi_R, psi_L) a parity eigenspinor at q, psi_R tensor psi_L is a
     +1 eigenvector of A(q)."""
-    B = tensor_boost_matrix(j, rapidity_from_momentum(q))
-    return B @ tensor_rep_generators(j).eta @ np.linalg.inv(B)
+    return tensor_boost_matrix(j, 2.0 * rapidity_from_momentum(q)) @ tensor_rep_generators(j).eta

@@ -1,6 +1,8 @@
 """Dense complex linear-algebra kernel: matrix exponentials, nullspaces,
 anti-linear maps, and the repo-wide matrix JSON schema.
 
+The exponentials and `stack_norm` take a stack: any leading axes index
+independent matrices, and a single matrix is a stack with no leading axes.
 All operations are pure functions on immutable values (inputs are never mutated,
 outputs are fresh arrays), so everything here is safe to call concurrently.
 """
@@ -14,6 +16,7 @@ import numpy as np
 __all__ = [
     "expm_hermitian",
     "expm_i_hermitian",
+    "stack_norm",
     "nullspace",
     "AntiLinearMap",
     "antilinear_compose",
@@ -26,33 +29,76 @@ __all__ = [
 
 
 def _as_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """M as a complex stack (..., n, n) with finite entries."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M.view(float))):
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} has non-finite entries")
     return M
 
 
-def _as_hermitian(H: np.ndarray) -> np.ndarray:
-    H = _as_square(H)
-    if np.linalg.norm(H - H.conj().T) > 1e-10 * max(1.0, np.linalg.norm(H)):
+def _check_hermitian(H: np.ndarray) -> None:
+    """Raise unless ||H - H^dagger||_F <= 1e-10 max(1, ||H||_F) for every
+    matrix of the stack (finite entries already checked)."""
+    flat = H.shape[:-2] + (-1,)
+    skew = (H - H.conj().swapaxes(-1, -2)).reshape(flat)
+    h = H.reshape(flat)
+    # the bound on squared norms: vecdot(x, x) = sum |x_k|^2
+    if (np.vecdot(skew, skew).real > 1e-20 * np.maximum(1.0, np.vecdot(h, h).real)).any():
         raise ValueError("matrix is not Hermitian")
-    return H
+
+
+# matrices per eigendecomposition pass: bounds the temporaries of a large
+# stack to a fraction of its size
+_EXPM_CHUNK = 64
+
+
+def _expm_eigh(H: np.ndarray, f, max_eigenvalue: float) -> np.ndarray:
+    """U diag(f(w)) U^dagger from eigh(H) = (w, U), for H or each matrix of a
+    stack; every eigenvalue must be at most max_eigenvalue."""
+    H = _as_square(H)
+    if H.ndim > 3 or (H.ndim == 3 and len(H) > _EXPM_CHUNK):
+        stack = H.reshape((-1,) + H.shape[-2:])
+        out = np.empty_like(stack)
+        for k in range(0, len(stack), _EXPM_CHUNK):
+            out[k : k + _EXPM_CHUNK] = _expm_eigh(stack[k : k + _EXPM_CHUNK], f, max_eigenvalue)
+        return out.reshape(H.shape)
+    _check_hermitian(H)
+    w, U = np.linalg.eigh(H)
+    if w.max(initial=0.0) > max_eigenvalue:
+        raise ValueError("matrix exponential overflows double precision")
+    Uf = U * f(w)[..., None, :]
+    return Uf @ np.conjugate(U, out=U).swapaxes(-1, -2)
 
 
 def expm_hermitian(H: np.ndarray) -> np.ndarray:
-    """exp(H) for Hermitian H via eigendecomposition (exactly positive definite)."""
-    w, U = np.linalg.eigh(_as_hermitian(H))
-    if w.max(initial=0.0) > 700.0:
-        raise ValueError("matrix exponential overflows double precision")
-    return (U * np.exp(w)) @ U.conj().T
+    """exp(H) for Hermitian H, or for each matrix of a stack (..., n, n), via
+    eigendecomposition (exactly positive definite)."""
+    return _expm_eigh(H, np.exp, 700.0)
 
 
 def expm_i_hermitian(H: np.ndarray) -> np.ndarray:
-    """exp(iH) for Hermitian H via eigendecomposition (exactly unitary spectrum)."""
-    w, U = np.linalg.eigh(_as_hermitian(H))
-    return (U * np.exp(1j * w)) @ U.conj().T
+    """exp(iH) for Hermitian H, or for each matrix of a stack (..., n, n), via
+    eigendecomposition (exactly unitary spectrum)."""
+    return _expm_eigh(H, lambda w: np.exp(1j * w), np.inf)
+
+
+def stack_norm(x: np.ndarray, ndim: int) -> np.ndarray:
+    """Euclidean norm over the last `ndim` axes (1: vectors, 2: the Frobenius
+    norm of matrices) for every entry of the leading axes.
+
+    Formed as np.linalg.norm forms the norm of one array (the dot products of
+    the real and the imaginary parts), so each entry equals that single call
+    bit for bit, and a stack of one equals the unstacked value.
+    """
+    x = np.asarray(x)
+    if ndim != 1:
+        x = x.reshape(x.shape[: x.ndim - ndim] + (-1,))
+    sq = np.vecdot(x.real, x.real)
+    if x.dtype.kind == "c":
+        sq = sq + np.vecdot(x.imag, x.imag)
+    return np.sqrt(sq)
 
 
 def nullspace(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -87,7 +133,10 @@ class AntiLinearMap:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_square(self.matrix, "linear part"))
+        M = _as_square(self.matrix, "linear part")
+        if M.ndim != 2:
+            raise ValueError(f"linear part must be one matrix, got shape {M.shape}")
+        object.__setattr__(self, "matrix", M)
 
     @property
     def dim(self) -> int:

@@ -119,12 +119,21 @@ class RepGenerators:
     eta: np.ndarray
 
     def J_dot(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        return sum(self.J[a] * theta[a] for a in range(3))
+        """J.theta for theta of shape (..., 3): one (n, n) matrix per vector."""
+        return self._dot(np.array(self.J), theta)
 
-    def K_dot(self, phi) -> np.ndarray:
-        phi = np.asarray(phi, dtype=float)
-        return sum(self.K[a] * phi[a] for a in range(3))
+    def iK_dot(self, phi) -> np.ndarray:
+        """i K.phi (Hermitian) for phi of shape (..., 3): one (n, n) matrix per vector."""
+        return self._dot(1j * np.array(self.K), phi)
+
+    def _dot(self, gens: np.ndarray, vec) -> np.ndarray:
+        """sum_a vec[..., a] gens[a] as one real product of the stacked vectors
+        with the (3, 2 n^2) real view of the generators."""
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape[-1:] != (3,):
+            raise ValueError(f"expected 3-vectors, got shape {vec.shape}")
+        out = vec @ gens.view(float).reshape(3, -1)
+        return out.view(complex).reshape(vec.shape[:-1] + (self.dim, self.dim))
 
 
 def rep_generators(j) -> RepGenerators:
@@ -136,12 +145,12 @@ def rep_generators(j) -> RepGenerators:
     j = HalfInt.coerce(j)
     d = j.block_dim
     n = 2 * d
+    S = np.array(spin_matrices(j))
     J = np.zeros((3, n, n), dtype=complex)
     K = np.zeros((3, n, n), dtype=complex)
-    for a, Ja in enumerate(spin_matrices(j)):
-        J[a, :d, :d] = J[a, d:, d:] = Ja
-        K[a, :d, :d] = -1j * Ja
-        K[a, d:, d:] = 1j * Ja
+    J[:, :d, :d] = J[:, d:, d:] = S
+    K[:, :d, :d] = -1j * S
+    K[:, d:, d:] = 1j * S
     eta = np.zeros((n, n), dtype=complex)
     eta[:d, d:] = eta[d:, :d] = np.eye(d)
     return RepGenerators(j=j, dim=n, J=tuple(J), K=tuple(K), eta=eta)
@@ -149,23 +158,26 @@ def rep_generators(j) -> RepGenerators:
 
 @dataclass(frozen=True)
 class LorentzTransform:
-    """4x4 real matrix acting on (p0, p1, p2, p3) with metric (+,-,-,-)."""
+    """4x4 real matrix acting on (p0, p1, p2, p3) with metric (+,-,-,-), or a
+    stack (..., 4, 4) of them acting on a stack of 4-vectors."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         M = np.asarray(self.matrix, dtype=float)
-        if M.shape != (4, 4):
+        if M.shape[-2:] != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {M.shape}")
         object.__setattr__(self, "matrix", M)
 
     def metric_residual(self) -> float:
-        """|| Lambda^T g Lambda - g ||, zero for a true Lorentz transform."""
+        """|| Lambda^T g Lambda - g ||, zero for a true Lorentz transform (the
+        largest over a stack)."""
         g = MINKOWSKI_METRIC
-        return float(np.linalg.norm(self.matrix.T @ g @ self.matrix - g))
+        M = self.matrix
+        return float(np.max(np.linalg.norm(M.swapaxes(-1, -2) @ g @ M - g, axis=(-2, -1))))
 
     def apply(self, fourvec: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(fourvec, dtype=float)
+        return (self.matrix @ np.asarray(fourvec, dtype=float)[..., None])[..., 0]
 
     def compose(self, other: "LorentzTransform") -> "LorentzTransform":
         return LorentzTransform(self.matrix @ other.matrix)
@@ -174,40 +186,45 @@ class LorentzTransform:
 RAPIDITY_MAX = 30.0
 
 
+def _unit_and_length(vec, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(vec / |vec|, |vec|) for a finite 3-vector or a stack of them; the
+    unit vector is 0 where |vec| = 0."""
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape[-1:] != (3,) or not np.isfinite(vec).all():
+        raise ValueError(f"{what} must be a finite 3-vector")
+    r = np.sqrt(np.vecdot(vec, vec))
+    n = np.divide(vec, r[..., None], out=np.zeros_like(vec), where=r[..., None] > 0.0)
+    return n, r
+
+
 def vector_boost(phi) -> LorentzTransform:
     """Pure boost with rapidity vector phi: cosh/sinh entries along phi-hat.
 
-    Maps the rest momentum (m, 0) to (m cosh phi, m sinh phi phi-hat).
+    Maps the rest momentum (m, 0) to (m cosh phi, m sinh phi phi-hat). A stack
+    of rapidities (..., 3) gives a stack of boosts.
     """
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (3,) or not np.all(np.isfinite(phi)):
-        raise ValueError("rapidity must be a finite 3-vector")
-    r = float(np.linalg.norm(phi))
-    if r > RAPIDITY_MAX:
-        raise ValueError(f"rapidity {r:.3f} exceeds the overflow cap {RAPIDITY_MAX}")
-    L = np.eye(4)
-    if r == 0.0:
-        return LorentzTransform(L)
-    n = phi / r
-    L[0, 0] = np.cosh(r)
-    L[0, 1:] = np.sinh(r) * n
-    L[1:, 0] = np.sinh(r) * n
-    L[1:, 1:] = np.eye(3) + (np.cosh(r) - 1.0) * np.outer(n, n)
+    n, r = _unit_and_length(phi, "rapidity")
+    if (r > RAPIDITY_MAX).any():
+        raise ValueError(f"rapidity {r.max():.3f} exceeds the overflow cap {RAPIDITY_MAX}")
+    ch = np.cosh(r)
+    L = np.empty(r.shape + (4, 4))
+    L[..., 0, 0] = ch
+    L[..., 0, 1:] = L[..., 1:, 0] = np.sinh(r)[..., None] * n
+    L[..., 1:, 1:] = np.eye(3) + (ch - 1.0)[..., None, None] * (n[..., :, None] * n[..., None, :])
     return LorentzTransform(L)
 
 
 def vector_rotation(theta) -> LorentzTransform:
-    """Spatial rotation by angle |theta| about theta-hat (right-hand rule)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (3,) or not np.all(np.isfinite(theta)):
-        raise ValueError("rotation vector must be a finite 3-vector")
-    ang = float(np.linalg.norm(theta))
-    L = np.eye(4)
-    if ang == 0.0:
-        return LorentzTransform(L)
-    n = theta / ang
-    X = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-    L[1:, 1:] = np.eye(3) + np.sin(ang) * X + (1.0 - np.cos(ang)) * (X @ X)
+    """Spatial rotation by angle |theta| about theta-hat (right-hand rule); a
+    stack of rotation vectors (..., 3) gives a stack of rotations."""
+    n, ang = _unit_and_length(theta, "rotation vector")
+    X = np.zeros(ang.shape + (3, 3))
+    X[..., 0, 1], X[..., 0, 2], X[..., 1, 2] = -n[..., 2], n[..., 1], -n[..., 0]
+    X[..., 1, 0], X[..., 2, 0], X[..., 2, 1] = n[..., 2], -n[..., 1], n[..., 0]
+    L = np.zeros(ang.shape + (4, 4))
+    L[..., 0, 0] = 1.0
+    s, c = np.sin(ang)[..., None, None], np.cos(ang)[..., None, None]
+    L[..., 1:, 1:] = np.eye(3) + s * X + (1.0 - c) * (X @ X)
     return LorentzTransform(L)
 
 

@@ -166,6 +166,17 @@ class TestCheckCommands:
         assert out == "" and "tol" in err
 
 
+    def test_check_all_times_each_suite_on_stderr(self, capsys):
+        from spinkin.checks import SUITES
+
+        code, out, err = run_cli(capsys, "check", "all", "--seed", "3")
+        assert code == 0 and json.loads(out)["pass"] is True
+        line = err.strip()
+        assert line.startswith("check all: pass in ") and len(err.splitlines()) == 1
+        for name, _ in SUITES:
+            assert f" {name} " in line
+
+
 class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

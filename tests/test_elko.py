@@ -64,6 +64,15 @@ def nogo_floor_scalar(samples: int, seed: int) -> float:
     return float(floor)
 
 
+def schur_conditions_numpy(basis: Cx2Basis) -> tuple[float, float]:
+    """Reference for schur_conditions: the formula in numpy complex scalars."""
+    a, b = basis.u
+    c, d = basis.v
+    r1 = abs(a * np.conj(d) - c * np.conj(b))
+    r2 = abs(np.imag(a * np.conj(c)) - np.imag(b * np.conj(d)))
+    return float(r1), float(r2)
+
+
 def commutant_residual_scalar(G, samples: int, seed: int) -> float:
     """Reference for rotation_commutant_residual: rotations drawn afresh."""
     rep = rep_generators(HalfInt(1))
@@ -187,6 +196,28 @@ class TestSchurConditions:
         assert r1 == pytest.approx(0.0, abs=1e-15)
         assert r2 == pytest.approx(2.0, abs=1e-15)
         assert abs(basis.det) == pytest.approx(2.0, abs=1e-15)
+
+    def test_python_arithmetic_matches_numpy_scalars(self, rng):
+        for _ in range(3000):
+            z = (rng.normal(size=4) + 1j * rng.normal(size=4)) * np.exp(rng.uniform(-30, 30, size=4))
+            basis = Cx2Basis(u=z[:2], v=z[2:])
+            assert schur_conditions(basis) == schur_conditions_numpy(basis)
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            ([1e200, 1e200], [1e200, -1e200]),  # r1 = |inf - inf| is nan
+            ([1.5e308, 0.0], [0.0, 1.0 + 1.0j]),  # finite a conj(d), modulus beyond the float range
+            ([1e300, 1e300j], [1e300, 0.0]),  # c conj(b) overflows to inf
+            ([1e200, 0.0], [1e200j, 0.0]),  # r2: Im(a conj(c)) overflows
+        ],
+    )
+    def test_non_finite_conditions_rejected(self, u, v):
+        basis = Cx2Basis(u=np.array(u), v=np.array(v))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                schur_conditions(basis)
 
     def test_commutant_residual_iff_conditions(self, rng):
         # per-sample equivalence at the stated thresholds, both directions

@@ -39,12 +39,16 @@ class TestFourMomentum:
         FourMomentum(m, (0.1, 0.2, 0.3))
 
     @pytest.mark.parametrize(
-        "m", [0.0, 0, -1.0, np.nan, np.inf, -np.inf, np.float64(np.nan), np.float32(np.inf), np.array(-1.0), False]
+        "m",
+        [
+            0.0, 0, -1.0, np.nan, np.inf, -np.inf, np.float64(np.nan), np.float32(np.inf), np.array(-1.0), False,
+            np.array([1.0]), np.array([1.0, 2.0]), 1.0 + 0j, np.complex128(2.0),
+        ],
     )
     def test_mass_rule_rejects(self, m):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mass"):
             check_mass(m)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mass"):
             FourMomentum(m, (0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("p", [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, -np.inf)])

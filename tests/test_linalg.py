@@ -42,6 +42,29 @@ class TestHermitianExpm:
             expm_hermitian(H)
 
 
+    def test_transposed_view_accepted(self, rng):
+        H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        H = H + H.conj().T
+        assert np.array_equal(expm_hermitian(H.T), expm_hermitian(H.T.copy()))
+
+    @pytest.mark.parametrize("shape", [(6,), (150,), (3, 50)])  # one pass and several
+    def test_stack_equals_each_matrix(self, rng, shape):
+        H = rng.normal(size=shape + (3, 3)) + 1j * rng.normal(size=shape + (3, 3))
+        H = H + H.conj().swapaxes(-1, -2)
+        for f in (expm_hermitian, expm_i_hermitian):
+            stacked = f(H)
+            assert stacked.shape == H.shape
+            assert all(np.array_equal(stacked[k], f(H[k])) for k in np.ndindex(shape))
+
+    @pytest.mark.parametrize("bad", [np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([np.nan, 0.0]), np.diag([1000.0, 0.0])])
+    @pytest.mark.parametrize("where", [1, 140])
+    def test_stack_with_one_bad_matrix_rejected(self, bad, where):
+        stack = np.array([np.eye(2)] * 150)
+        stack[where] = bad
+        with pytest.raises(ValueError):
+            expm_hermitian(stack)
+
+
 class TestNullspace:
     def test_invertible_gives_empty(self):
         assert nullspace(np.eye(3)).shape == (3, 0)
