@@ -172,6 +172,13 @@ def antilinear_solutions_suite(seed: int, tol: float = 1e-10) -> dict:
     }
 
 
+def _complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 4) draws z, row k as one normal(4) + 1j * normal(4) call pair
+    draws it."""
+    x = rng.normal(size=(n, 2, 4))
+    return x[:, 0] + 1j * x[:, 1]
+
+
 def elko_nogo_suite(seed: int, mc_samples: int = 10_000) -> dict:
     """The Schur/no-go chain: random bases always violate a condition;
     exact-condition pairs are degenerate; commutant residual tracks the
@@ -179,39 +186,33 @@ def elko_nogo_suite(seed: int, mc_samples: int = 10_000) -> dict:
     rng = np.random.default_rng(seed)
     mc = elko.nogo_monte_carlo(samples=mc_samples, seed=seed)
 
-    worst_det = 0.0
-    for _ in range(100):
-        lam = rng.normal() + 1j * rng.normal()
-        b = rng.normal() + 1j * rng.normal()
-        t = rng.normal()  # d = t b keeps Im(b conj(d)) = 0: both conditions hold
-        basis = elko.schur_condition_family(lam, b, t * b)
-        r1, r2 = elko.schur_conditions(basis)
-        if max(r1, r2) > 1e-12:
-            worst_det = np.inf
-            break
-        worst_det = max(worst_det, abs(basis.det))
+    # 100 exact-condition pairs, each drawn as lam, b (complex) and t: d = t b
+    # keeps Im(b conj(d)) = 0, so both conditions hold and det must vanish
+    x = rng.normal(size=(100, 5))
+    lam = x[:, 0] + 1j * x[:, 1]
+    b = x[:, 2] + 1j * x[:, 3]
+    family = elko.schur_condition_family(lam, b, x[:, 4] * b)
+    r1, r2 = elko.schur_conditions(family)
+    # a pair off the conditions fails the suite; unlike a stop at that pair,
+    # the stream has then moved past all 100 draws
+    if (np.maximum(r1, r2) > 1e-12).any():
+        worst_det = np.inf
+    else:
+        worst_det = float(family.abs_det.max(initial=0.0))
 
-    # both directions of the Schur equivalence
-    equivalence_ok = True
-    for _ in range(200):
-        z = rng.normal(size=4) + 1j * rng.normal(size=4)
-        basis = elko.Cx2Basis(u=z[:2] / np.linalg.norm(z[:2]), v=z[2:] / np.linalg.norm(z[2:]))
-        if abs(basis.det) < 0.1:
-            continue
-        r1, r2 = elko.schur_conditions(basis)
-        comm = elko.rotation_commutant_residual(elko.g_operator(basis), samples=20, seed=seed)
-        equivalence_ok = equivalence_ok and ((comm <= 1e-9) == (max(r1, r2) <= 1e-10))
+    # both directions of the Schur equivalence, over the candidates with
+    # |det| >= 0.1 among 200 random unit pairs
+    z = _complex_normals(rng, 200)
+    u, v = z[:, :2] / stack_norm(z[:, :2], 1)[:, None], z[:, 2:] / stack_norm(z[:, 2:], 1)[:, None]
+    keep = elko.Cx2Basis(u=u, v=v).abs_det >= 0.1
+    basis = elko.Cx2Basis(u=u[keep], v=v[keep])
+    r1, r2 = elko.schur_conditions(basis)
+    comm = elko.rotation_commutant_residual(elko.g_operator(basis), samples=20, seed=seed)
+    equivalence_ok = bool(np.all((comm <= 1e-9) == (np.maximum(r1, r2) <= 1e-10)))
     # conditions-hold side, at the operator level: block-scalar matrices
     # (the Schur commutant) do commute with every rotation
-    scalar_comm = 0.0
-    for _ in range(5):
-        blocks = rng.normal(size=4) + 1j * rng.normal(size=4)
-        G = np.zeros((4, 4), dtype=complex)
-        G[:2, :2] = blocks[0] * np.eye(2)
-        G[:2, 2:] = blocks[1] * np.eye(2)
-        G[2:, :2] = blocks[2] * np.eye(2)
-        G[2:, 2:] = blocks[3] * np.eye(2)
-        scalar_comm = max(scalar_comm, elko.rotation_commutant_residual(G, samples=20, seed=seed))
+    G = np.kron(_complex_normals(rng, 5).reshape(5, 2, 2), np.eye(2))
+    scalar_comm = float(elko.rotation_commutant_residual(G, samples=20, seed=seed).max())
     # conditions-fail side: r1-only and r2-only families are detected
     fam_r1 = elko.schur_condition_family(1.0, 1.0, 1j)  # r1 = 0, r2 = 2, det = 2i
     detect_r2 = elko.rotation_commutant_residual(elko.g_operator(fam_r1), samples=20, seed=seed)
@@ -249,19 +250,19 @@ def g_operator_suite(seed: int, samples: int = 100, tol: float = 1e-10) -> dict:
     """G(u,v)^2 = I and the four eigenvalue relations for random bases; the
     u=e1, v=e2 case reproduces the derived matrix entrywise."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    done = 0
-    while done < samples:
-        z = rng.normal(size=4) + 1j * rng.normal(size=4)
-        basis = elko.Cx2Basis(u=z[:2], v=z[2:])
-        if abs(basis.det) < 0.05:
-            continue
-        done += 1
-        G = elko.g_operator(basis)
-        eb = elko.elko_basis(basis)
-        worst = max(worst, float(np.linalg.norm(G @ G - np.eye(4))))
-        for w, s in ((eb.u_plus, 1), (eb.u_minus, -1), (eb.v_plus, 1), (eb.v_minus, -1)):
-            worst = max(worst, float(np.linalg.norm(G @ w - s * w) / np.linalg.norm(w)))
+    z = np.empty((0, 4), dtype=complex)
+    while len(z) < samples:
+        # never more candidates than still needed, so the accepted ones are
+        # the first `samples` of the stream and nothing is drawn past them
+        new = _complex_normals(rng, samples - len(z))
+        z = np.concatenate([z, new[elko.Cx2Basis(u=new[:, :2], v=new[:, 2:]).abs_det >= 0.05]])
+    basis = elko.Cx2Basis(u=z[:, :2], v=z[:, 2:])
+    G = elko.g_operator(basis)
+    eb = elko.elko_basis(basis)
+    worst = float(stack_norm(G @ G - np.eye(4), 2).max(initial=0.0))
+    for w, s in ((eb.u_plus, 1), (eb.u_minus, -1), (eb.v_plus, 1), (eb.v_minus, -1)):
+        r = stack_norm((G @ w[..., None])[..., 0] - s * w, 1) / stack_norm(w, 1)
+        worst = max(worst, float(r.max(initial=0.0)))
     explicit = float(
         np.max(np.abs(elko.g_operator(elko.Cx2Basis(u=np.array([1.0, 0]), v=np.array([0, 1.0]))) - _G_E1_E2))
     )

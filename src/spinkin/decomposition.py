@@ -56,9 +56,12 @@ def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:
     The unknown X = tilde-Xi(0)^dagger satisfies, over all basis labels,
         u^dag X eta u' = 2m delta,   u^dag X eta v' = 0,
         v^dag X eta u' = 0,          v^dag X eta v' = -2m delta,
-    a dense linear system with 4(2j+1)^2 rows in the d^2 unknowns. Full column
+    a dense square linear system of (2 (2j+1))^2 = d^2 rows in the d^2
+    unknowns. A batch of N bases is solved as one (N, d^2, d^2) stack. Full
     rank, with the smallest singular value above 1e-10 of the largest, is
-    asserted (the operator is unique); returns tilde-Xi(0) = X^dagger.
+    asserted for every basis (the operator is unique), and so is a solution
+    residual within 1e-8 of the right-hand side; returns tilde-Xi(0) = X^dagger
+    ((N, d, d) for a batch).
     """
     if basis.mass is None:
         raise ValueError("basis must carry a mass (norms sqrt(2m))")
@@ -66,24 +69,27 @@ def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:
     m = np.asarray(basis.mass)
     W = np.stack(basis.spinors, axis=-2)
     n_w, d = W.shape[-2:]
+    if n_w != d:
+        raise ValueError(f"degenerate spinor basis: {n_w} spinors in dimension {d}")
     signs = np.array([1.0] * len(basis.u) + [-1.0] * len(basis.v))
-    out = []
-    # one basis at a time: lstsq takes a single system
-    for Wk, mk in zip(W.reshape(-1, n_w, d), m.reshape(-1)):
-        eta_W = (eta @ Wk[..., None])[..., 0]
-        # w_a^dag X (eta w_b) is linear in X: row (a, b) = conj(w_a) kron (eta w_b),
-        # formed for all pairs by the broadcast multiply np.kron does for one
-        system = np.multiply(np.conj(Wk)[:, None, :, None], eta_W[None, :, None, :])
-        system = system.reshape(n_w * n_w, d * d)
-        rhs = np.diag(2.0 * mk * signs).astype(complex).reshape(-1)
-        solution, _, rank, sv = np.linalg.lstsq(system, rhs, rcond=None)
-        if rank < d * d or sv[-1] <= 1e-10 * sv[0]:
-            raise ValueError("degenerate spinor basis: constraint system is singular")
-        residual = np.linalg.norm(system @ solution - rhs)
-        if residual > 1e-8 * max(1.0, np.linalg.norm(rhs)):
-            raise ValueError(f"orthogonality constraints are inconsistent (residual {residual:.3e})")
-        out.append(solution.reshape(d, d).conj().T)
-    return np.array(out).reshape(m.shape + (d, d))
+    eta_W = (eta @ W[..., None])[..., 0]
+    # w_a^dag X (eta w_b) is linear in X: row (a, b) = conj(w_a) kron (eta w_b),
+    # formed for all pairs by the broadcast multiply np.kron does for one
+    system = np.conj(W)[..., :, None, :, None] * eta_W[..., None, :, None, :]
+    system = system.reshape(m.shape + (n_w * n_w, d * d))
+    rhs = np.zeros(m.shape + (n_w, n_w), dtype=complex)
+    rhs[..., np.arange(n_w), np.arange(n_w)] = 2.0 * m[..., None] * signs
+    rhs = rhs.reshape(m.shape + (n_w * n_w, 1))
+    sv = np.linalg.svd(system, compute_uv=False)
+    if not (sv[..., -1] > 1e-10 * sv[..., 0]).all():
+        raise ValueError("degenerate spinor basis: constraint system is singular")
+    solution = np.linalg.solve(system, rhs)
+    residual = stack_norm(system @ solution - rhs, 2)
+    bound = 1e-8 * np.maximum(1.0, stack_norm(rhs, 2))
+    if (residual > bound).any():
+        worst = residual[residual > bound].flat[0]
+        raise ValueError(f"orthogonality constraints are inconsistent (residual {worst:.3e})")
+    return np.conj(np.swapaxes(solution.reshape(m.shape + (d, d)), -1, -2))
 
 
 def k_operator(basis: SpinorBasis, q: FourMomentum | MomentumBatch) -> np.ndarray:
@@ -104,15 +110,18 @@ def hermiticity_condition(basis: SpinorBasis) -> bool:
     return bool(np.all(overlaps <= 1e-10 * 2.0 * np.asarray(basis.mass)))
 
 
-def completeness_residual(basis: SpinorBasis) -> float:
-    """|| sum_s (u u^dag + v v^dag) - 2m I ||_F; zero in the Hermitian case."""
+def completeness_residual(basis: SpinorBasis) -> float | np.ndarray:
+    """|| sum_s (u u^dag + v v^dag) - 2m I ||_F; zero in the Hermitian case.
+    One residual per basis of a batch."""
     if basis.mass is None:
         raise ValueError("basis must carry a mass")
     d = basis.j.dim
-    acc = np.zeros((d, d), dtype=complex)
+    m = np.asarray(basis.mass)
+    acc = np.zeros(m.shape + (d, d), dtype=complex)
     for w in basis.spinors:
-        acc += np.outer(w, np.conj(w))
-    return float(np.linalg.norm(acc - 2.0 * basis.mass * np.eye(d)))
+        acc += w[..., :, None] * np.conj(w)[..., None, :]
+    r = stack_norm(acc - (2.0 * m)[..., None, None] * np.eye(d), 2)
+    return float(r) if r.ndim == 0 else r
 
 
 @dataclass(frozen=True)

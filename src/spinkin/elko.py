@@ -6,15 +6,13 @@ invariant G from a genuine basis; direction dependence at the origin).
 
 from __future__ import annotations
 
-import cmath
-import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .kinematics import KinematicOperatorFamily, check_mass, rotation_matrix
+from .kinematics import KinematicOperatorFamily, _random_vectors, check_mass, rotation_matrix
 from .linalg import AntiLinearMap, nullspace, stack_norm
 from .reps import HalfInt, RepGenerators, pauli_matrices, rep_generators
 
@@ -50,48 +48,94 @@ def charge_conjugation() -> AntiLinearMap:
     return AntiLinearMap(np.block([[Z, 1j * THETA], [-1j * THETA, Z]]))
 
 
+def _mul(x, y) -> np.ndarray:
+    """x * y for complex arrays, entry by entry, in explicit real arithmetic.
+
+    This rounds as one Python or numpy complex scalar product does; numpy's
+    vectorised complex multiply can differ in the last bit. An overflow gives
+    inf or nan; callers silence the numpy warnings and check finiteness.
+    """
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    re = xr * yr - xi * yi
+    # filled part by part: 1j * im would turn an infinite im into a nan real part
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = xr * yi + xi * yr
+    return out
+
+
+def _scalar_or_stack(x):
+    """A 0-d result as a Python scalar, a stack as it is."""
+    return x.item() if x.ndim == 0 else x
+
+
 @dataclass(frozen=True)
 class Cx2Basis:
-    """A pair u, v in C^2 with finite entries; a genuine basis when det [u v] != 0."""
+    """A pair u, v in C^2 with finite entries, or a stack of pairs (u and v of
+    shape (..., 2)); a genuine basis when det [u v] != 0.
+
+    The functions below take a stack and evaluate every pair in one call;
+    one pair is the stack with no leading axis, and each entry of a stacked
+    result equals its single call bit for bit.
+    """
 
     u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=complex).reshape(2)
-        v = np.asarray(self.v, dtype=complex).reshape(2)
-        # cmath, not np.isfinite: the numpy check would multiply the cost of
-        # each construction by ~4
-        if not all(map(cmath.isfinite, u.tolist() + v.tolist())):
+        u = np.asarray(self.u, dtype=complex)
+        v = np.asarray(self.v, dtype=complex)
+        if u.shape != v.shape or u.shape[-1:] != (2,):
+            raise ValueError(f"u and v must be pairs of shape (..., 2), got {u.shape} and {v.shape}")
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
             raise ValueError("u and v must have finite entries")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
+    def _det(self) -> np.ndarray:
+        a, b = self.u[..., 0], self.u[..., 1]
+        c, d = self.v[..., 0], self.v[..., 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _mul(a, d) - _mul(b, c)
+
     @property
-    def det(self) -> complex:
-        """det of the column matrix [u v] = a d - b c, in Python complex
-        arithmetic: an overflow gives inf or nan, not a numpy warning."""
-        a, b = self.u.tolist()
-        c, d = self.v.tolist()
-        return a * d - b * c
+    def det(self) -> complex | np.ndarray:
+        """det of the column matrix [u v] = a d - b c, rounded as Python
+        complex arithmetic rounds it: an overflow gives inf or nan, not a
+        numpy warning."""
+        return _scalar_or_stack(self._det())
+
+    @property
+    def abs_det(self) -> float | np.ndarray:
+        """|det [u v]| as Python's abs of the complex det (np.hypot of its
+        parts), with inf where the modulus overflows."""
+        return _scalar_or_stack(_modulus(self._det()))
 
     def require_nondegenerate(self):
-        """Raise unless |det [u v]| is finite and > 1e-10."""
-        det = self.det
-        try:
-            size = abs(det)
-        except OverflowError:  # finite parts whose modulus exceeds the float range
-            size = math.inf
-        if not math.isfinite(size):
-            raise ValueError(f"|det [u v]| is not finite (det = {det}); rescale u and v")
-        if size <= 1e-10:
-            raise ValueError(f"u, v are degenerate: |det| = {size:.3e}")
+        """Raise unless |det [u v]| is finite and > 1e-10 (for every pair)."""
+        _require_nondegenerate(self._det())
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return np.hypot(z.real, z.imag)
+
+
+def _require_nondegenerate(det: np.ndarray) -> None:
+    size = _modulus(det)
+    bad = ~np.isfinite(size)
+    if bad.any():
+        raise ValueError(f"|det [u v]| is not finite (det = {complex(det[bad].flat[0])}); rescale u and v")
+    low = size <= 1e-10
+    if low.any():
+        raise ValueError(f"u, v are degenerate: |det| = {size[low].flat[0]:.3e}")
 
 
 @dataclass(frozen=True)
 class ElkoBasis:
-    """The four charge-conjugation eigenspinors built from a C^2 pair:
-    C-eigenvalue +1 on u_plus/v_plus, -1 on u_minus/v_minus."""
+    """The four charge-conjugation eigenspinors built from a C^2 pair, or a
+    stack of them (..., 4): C-eigenvalue +1 on u_plus/v_plus, -1 on
+    u_minus/v_minus."""
 
     u_plus: np.ndarray
     u_minus: np.ndarray
@@ -100,15 +144,15 @@ class ElkoBasis:
 
     def stack(self) -> np.ndarray:
         """Columns ordered (u+, v+, u-, v-), matching diag(1, 1, -1, -1)."""
-        return np.column_stack([self.u_plus, self.v_plus, self.u_minus, self.v_minus])
+        return np.stack([self.u_plus, self.v_plus, self.u_minus, self.v_minus], axis=-1)
 
 
 def elko_pair(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(+-i Theta conj(u), u) stacked as 4-spinors; the map u -> output is
-    non-linear in u (it involves conj(u))."""
-    u = np.asarray(u, dtype=complex).reshape(2)
-    top = THETA @ np.conj(u)
-    return np.concatenate([1j * top, u]), np.concatenate([-1j * top, u])
+    """(+-i Theta conj(u), u) stacked as 4-spinors, for u of shape (..., 2);
+    the map u -> output is non-linear in u (it involves conj(u))."""
+    u = np.asarray(u, dtype=complex)
+    top = np.conj(u) @ THETA.T  # Theta conj(u) for every u of the stack
+    return np.concatenate([1j * top, u], axis=-1), np.concatenate([-1j * top, u], axis=-1)
 
 
 def elko_basis(basis: Cx2Basis) -> ElkoBasis:
@@ -118,87 +162,100 @@ def elko_basis(basis: Cx2Basis) -> ElkoBasis:
     return ElkoBasis(u_plus=up, u_minus=um, v_plus=vp, v_minus=vm)
 
 
+# the non-zero entries of G(u, v), one column each: G[row, col] is
+# i (x conj(y) - x' conj(y')) over det [u v] in the upper block and over
+# conj(det) in the lower one, with (a, b, c, d) = (u, v) numbered 0..3
+_G_ROWS = (0, 0, 1, 1, 2, 2, 3, 3)
+_G_COLS = (2, 3, 2, 3, 0, 1, 0, 1)
+_G_UPPER = (True,) * 4 + (False,) * 4
+_G_X = (1, 2, 3, 0, 2, 2, 3, 3)  # b c d a c c d d
+_G_Y = (3, 1, 0, 2, 0, 1, 0, 1)  # d b a c a b a b
+_G_X2 = (3, 0, 1, 2, 0, 0, 1, 1)  # d a b c a a b b
+_G_Y2 = (1, 3, 2, 0, 2, 3, 2, 3)  # b d c a c d c d
+
+
 def g_operator(basis: Cx2Basis) -> np.ndarray:
     """The unique linear operator with eigenvalue +1 on u_plus/v_plus and -1 on
-    u_minus/v_minus, i.e. diag(1, 1, -1, -1) in the Elko basis.
+    u_minus/v_minus, i.e. diag(1, 1, -1, -1) in the Elko basis; (..., 4, 4)
+    for a stack of pairs.
 
     Closed form in u = (a, b), v = (c, d); every entry is i times a difference
-    x - conj(x) over det [u v] (or its conjugate in the lower block).
+    x - conj(x) over det [u v] (or its conjugate in the lower block), rounded
+    as the numpy complex scalar formula rounds it.
     """
-    basis.require_nondegenerate()
-    a, b = basis.u
-    c, d = basis.v
-    cj = np.conj
-    det = basis.det
-    detb = cj(det)
-    G = np.zeros((4, 4), dtype=complex)
+    det = basis._det()
+    _require_nondegenerate(det)
+    abcd = np.concatenate([basis.u, basis.v], axis=-1)
+    x, y, x2, y2 = (abcd[..., k] for k in (_G_X, _G_Y, _G_X2, _G_Y2))
+    den = np.where(_G_UPPER, det[..., None], np.conj(det)[..., None])
+    G = np.zeros(abcd.shape[:-1] + (4, 4), dtype=complex)
     # with a finite det the entries can still overflow (entries near 1e154)
     with np.errstate(over="ignore", invalid="ignore"):
-        G[0, 2] = 1j * (b * cj(d) - d * cj(b)) / det
-        G[0, 3] = 1j * (c * cj(b) - a * cj(d)) / det
-        G[1, 2] = 1j * (d * cj(a) - b * cj(c)) / det
-        G[1, 3] = 1j * (a * cj(c) - c * cj(a)) / det
-        G[2, 0] = 1j * (c * cj(a) - a * cj(c)) / detb
-        G[2, 1] = 1j * (c * cj(b) - a * cj(d)) / detb
-        G[3, 0] = 1j * (d * cj(a) - b * cj(c)) / detb
-        G[3, 1] = 1j * (d * cj(b) - b * cj(d)) / detb
+        G[..., _G_ROWS, _G_COLS] = _mul(np.complex128(1j), _mul(x, np.conj(y)) - _mul(x2, np.conj(y2))) / den
     if not np.isfinite(G).all():
         raise ValueError("G(u, v) is not finite in double precision; rescale u and v")
     return G
 
 
-def schur_conditions(basis: Cx2Basis) -> tuple[float, float]:
-    """(r1, r2) = (|a conj(d) - c conj(b)|, |Im(a conj(c)) - Im(b conj(d))|).
+def schur_conditions(basis: Cx2Basis) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """(r1, r2) = (|a conj(d) - c conj(b)|, |Im(a conj(c)) - Im(b conj(d))|),
+    two arrays for a stack of pairs.
 
     Both vanish exactly when G(u, v) commutes with every rotation. Computed in
-    Python complex arithmetic, as Cx2Basis.det is, so an overflow gives inf
-    or nan rather than a numpy warning; raises ValueError unless both are
-    finite.
+    explicit real arithmetic that rounds as Python complex arithmetic does,
+    moduli by np.hypot, so an overflow gives inf or nan rather than a numpy
+    warning; raises ValueError unless all are finite.
     """
-    a, b = basis.u.tolist()
-    c, d = basis.v.tolist()
-    try:
-        r1 = abs(a * d.conjugate() - c * b.conjugate())
-    except OverflowError:  # finite parts whose modulus exceeds the float range
-        r1 = math.inf
-    r2 = abs((a * c.conjugate()).imag - (b * d.conjugate()).imag)
-    if not (math.isfinite(r1) and math.isfinite(r2)):
-        raise ValueError(f"Schur conditions are not finite (r1 = {r1}, r2 = {r2}); rescale u and v")
-    return r1, r2
+    a, b = basis.u[..., 0], basis.u[..., 1]
+    c, d = basis.v[..., 0], basis.v[..., 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1 = _modulus(_mul(a, np.conj(d)) - _mul(c, np.conj(b)))
+        r2 = np.abs(_mul(a, np.conj(c)).imag - _mul(b, np.conj(d)).imag)
+    bad = ~(np.isfinite(r1) & np.isfinite(r2))
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise ValueError(
+            f"Schur conditions are not finite (r1 = {r1.flat[k]}, r2 = {r2.flat[k]}); rescale u and v"
+        )
+    return _scalar_or_stack(r1), _scalar_or_stack(r2)
 
 
-def schur_condition_family(lam: complex, b: complex, d: complex) -> Cx2Basis:
-    """The first Schur condition solved exactly: a = lam conj(b), c = lam conj(d).
+def schur_condition_family(lam, b, d) -> Cx2Basis:
+    """The first Schur condition solved exactly: a = lam conj(b), c = lam conj(d)
+    (arrays of lam, b, d give the stack of pairs).
 
     If additionally Im(b conj(d)) = 0 the second condition holds too, and then
     det [u v] = 0: the pair degenerates, which is the no-go.
     """
-    return Cx2Basis(
-        u=np.array([lam * np.conj(b), b], dtype=complex),
-        v=np.array([lam * np.conj(d), d], dtype=complex),
-    )
+    lam, b, d = (np.asarray(x, dtype=complex) for x in (lam, b, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.stack(np.broadcast_arrays(_mul(lam, np.conj(b)), b), axis=-1)
+        v = np.stack(np.broadcast_arrays(_mul(lam, np.conj(d)), d), axis=-1)
+    return Cx2Basis(u=u, v=v)
 
 
-def rotation_commutant_residual(G: np.ndarray, samples: int = 20, seed: int = 0) -> float:
+def rotation_commutant_residual(G: np.ndarray, samples: int = 20, seed: int = 0) -> float | np.ndarray:
     """max over random rotations R of ||[G, D(R)]||_F / ||G||_F with D the
-    spin-1/2 rotation representative diag(exp(i sigma.theta/2), same)."""
-    scale = float(np.linalg.norm(G))
+    spin-1/2 rotation representative diag(exp(i sigma.theta/2), same); one
+    residual per matrix of a stack (..., 4, 4)."""
+    G = np.asarray(G)
+    scale = stack_norm(G, 2)
+    worst = np.zeros(G.shape[:-2])
     # integer keys only: with a None or Generator seed the cached set would
     # not be the fresh draw the seed asks for
     D = _seeded_rotations(operator.index(samples), operator.index(seed))
-    return float(np.max(stack_norm(G @ D - D @ G, 2) / scale, initial=0.0))
+    # one rotation at a time over the whole stack: a (stack, rotation)
+    # product would hold samples times the stack in memory
+    for Dk in D:
+        worst = np.maximum(worst, stack_norm(G @ Dk - Dk @ G, 2) / scale)
+    return _scalar_or_stack(worst)
 
 
 @lru_cache(maxsize=8)
 def _seeded_rotations(samples: int, seed: int) -> np.ndarray:
     """The rotation representatives of rotation_commutant_residual as one
     read-only (samples, 4, 4) stack, drawn once per (samples, seed)."""
-    rng = np.random.default_rng(seed)
-    theta = np.empty((samples, 3))
-    for k in range(samples):
-        d = rng.normal(size=3)
-        d /= np.linalg.norm(d)
-        theta[k] = rng.uniform(0.0, np.pi) * d
+    theta = _random_vectors(np.random.default_rng(seed), np.full(samples, np.pi))
     D = rotation_matrix(rep_generators(HalfInt(1)), theta)
     D.flags.writeable = False
     return D
@@ -378,11 +435,13 @@ def helicity_origin_discontinuity(
     check_mass(mass)
     eps_large, eps_small = max(epsilons), min(epsilons)
     dirs = [np.asarray(d, dtype=float) for d in directions]
+    # helicity_g at eps_large * n and eps_small * n for every n, in one call
+    spinors = [helicity_spinors(eps * n) for n in dirs for eps in (eps_large, eps_small)]
+    u, v = (np.reshape([pair[k] for pair in spinors], (-1, 2)) for k in (0, 1))
+    G = g_operator(Cx2Basis(u=u, v=v)).reshape(len(dirs), 2, 4, 4)
     ray_cauchy = {}
     limits = {}
-    for k, n in enumerate(dirs):
-        G_large = helicity_g(eps_large * n)
-        G_small = helicity_g(eps_small * n)
+    for n, (G_large, G_small) in zip(dirs, G):
         key = ",".join(f"{x:g}" for x in n)
         ray_cauchy[key] = float(np.linalg.norm(G_large - G_small))
         limits[key] = G_small

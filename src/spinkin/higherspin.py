@@ -67,8 +67,10 @@ def contraction_identity_residual(j, q: FourMomentum | MomentumBatch) -> float |
     return float(r) if r.ndim == 0 else r
 
 
-def parity_spectrum(j, q: FourMomentum) -> dict:
-    """Eigenvalues (sorted by real part) and determinant of P_j(q).
+def parity_spectrum(j, q: FourMomentum | MomentumBatch) -> dict:
+    """Eigenvalues (sorted by real part, then imaginary part) and determinant
+    of P_j(q); for a batch of N momenta, (N, dim) eigenvalues and N
+    determinants.
 
     The spectrum is +-1 with multiplicities (2j+1, 2j+1); the determinant is
     the momentum-independent sign of the block-swap permutation, (-1)^(2j+1).
@@ -76,8 +78,12 @@ def parity_spectrum(j, q: FourMomentum) -> dict:
     j = HalfInt.coerce(j)
     P = parity_operator(rep_generators(j), q)
     ev = np.linalg.eigvals(P)
-    order = np.lexsort((ev.imag, ev.real))
-    return {"eigenvalues": ev[order], "det": complex(np.linalg.det(P))}
+    order = np.lexsort((ev.imag, ev.real), axis=-1)
+    det = np.linalg.det(P)
+    return {
+        "eigenvalues": np.take_along_axis(ev, order, axis=-1),
+        "det": complex(det) if det.ndim == 0 else det,
+    }
 
 
 def symmetric_multi_indices(degree: int) -> list[tuple[int, ...]]:

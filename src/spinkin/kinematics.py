@@ -319,28 +319,41 @@ def sample_momenta(
 ) -> MomentumBatch:
     """Reproducible random on-shell momenta: m log-uniform in mass_range,
     |p| uniform in [0, momentum_factor*m], direction uniform on the sphere."""
-    m = np.empty(n)
-    p = np.empty((n, 3))
-    lo, hi = np.log(mass_range[0]), np.log(mass_range[1])
-    # one momentum at a time: rng.normal draws a variable amount of the
-    # stream, so the per-momentum draw order cannot be vectorised
+    u = np.empty((n, 2))
+    d = np.empty((n, 3))
+    # one momentum at a time: a normal draw takes a variable share of the
+    # stream, so the per-momentum draw order cannot be vectorised. The loop
+    # only draws; the arithmetic of rng.uniform (lo + (hi - lo) u) and of
+    # np.linalg.norm follows on whole arrays, which round as the scalar calls
     for k in range(n):
-        m[k] = np.exp(rng.uniform(lo, hi))
-        d = rng.normal(size=3)
-        d /= math.sqrt(d.dot(d))  # np.linalg.norm(d), bit for bit
-        p[k] = rng.uniform(0.0, momentum_factor * m[k]) * d
-    return MomentumBatch(m, p)
+        u[k, 0] = rng.random()
+        rng.standard_normal(out=d[k])
+        u[k, 1] = rng.random()
+    lo, hi = np.log(mass_range[0]), np.log(mass_range[1])
+    m = np.exp(lo + (hi - lo) * u[:, 0])
+    d /= np.sqrt(np.vecdot(d, d))[:, None]
+    return MomentumBatch(m, ((momentum_factor * m) * u[:, 1])[:, None] * d)
 
 
 # largest rapidity of the random boosts drawn for the covariance checks
 _PAIR_RAPIDITY_MAX = 1.5
 
 
-def _random_vector(rng: np.random.Generator, max_length: float) -> np.ndarray:
-    """A direction uniform on the sphere times a length uniform in [0, max_length)."""
-    d = rng.normal(size=3)
-    d /= np.linalg.norm(d)
-    return rng.uniform(0.0, max_length) * d
+def _random_vectors(rng: np.random.Generator, max_lengths) -> np.ndarray:
+    """One random vector per entry of max_lengths (any shape; the result has
+    a trailing axis of 3): a direction uniform on the sphere times a length
+    uniform in [0, max_length). Drawn entry by entry in C order, each as
+    normal(3) then uniform(0, max_length), with the rounding of those calls."""
+    max_lengths = np.asarray(max_lengths, dtype=float)
+    d = np.empty(max_lengths.shape + (3,))
+    u = np.empty(max_lengths.shape)
+    flat_d, flat_u = d.reshape(-1, 3), u.reshape(-1)
+    # a normal draw takes a variable share of the stream: one entry at a time
+    for k in range(u.size):
+        rng.standard_normal(out=flat_d[k])
+        flat_u[k] = rng.random()
+    d /= np.sqrt(np.vecdot(d, d))[..., None]
+    return (max_lengths * u)[..., None] * d
 
 
 def _boost_pair(rep: RepGenerators, phi) -> tuple[LorentzTransform, np.ndarray]:
@@ -357,7 +370,7 @@ def random_boost_pair(
     rep: RepGenerators, rng: np.random.Generator, max_rapidity: float = _PAIR_RAPIDITY_MAX
 ) -> tuple[LorentzTransform, np.ndarray]:
     """A random pure boost and its spinor representative exp(i K.phi)."""
-    return _boost_pair(rep, _random_vector(rng, max_rapidity))
+    return _boost_pair(rep, _random_vectors(rng, max_rapidity))
 
 
 def random_rotation_pair(
@@ -365,7 +378,7 @@ def random_rotation_pair(
 ) -> tuple[LorentzTransform, np.ndarray]:
     """A random rotation and its matched spinor representative: D =
     exp(i J.theta) with the vector rotation by -theta."""
-    return _rotation_pair(rep, _random_vector(rng, np.pi))
+    return _rotation_pair(rep, _random_vectors(rng, np.pi))
 
 
 def random_transform_pairs(
@@ -374,11 +387,8 @@ def random_transform_pairs(
     """n random boost pairs and n random rotation pairs as two stacked pairs,
     drawn from rng as n alternating random_boost_pair / random_rotation_pair
     calls would draw them, then evaluated in one stacked call each."""
-    draws = np.empty((2, n, 3))
-    for k in range(n):
-        draws[0, k] = _random_vector(rng, _PAIR_RAPIDITY_MAX)
-        draws[1, k] = _random_vector(rng, np.pi)
-    return _boost_pair(rep, draws[0]), _rotation_pair(rep, draws[1])
+    draws = _random_vectors(rng, np.broadcast_to((_PAIR_RAPIDITY_MAX, np.pi), (n, 2)))
+    return _boost_pair(rep, draws[:, 0]), _rotation_pair(rep, draws[:, 1])
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ outputs are fresh arrays), so everything here is safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ def _as_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 def _check_hermitian(H: np.ndarray) -> None:
     """Raise unless ||H - H^dagger||_F <= 1e-10 max(1, ||H||_F) for every
     matrix of the stack (finite entries already checked)."""
-    flat = H.shape[:-2] + (-1,)
+    flat = H.shape[:-2] + (H.shape[-2] * H.shape[-1],)  # not -1: a stack may be empty
     skew = (H - H.conj().swapaxes(-1, -2)).reshape(flat)
     h = H.reshape(flat)
     # the bound on squared norms: vecdot(x, x) = sum |x_k|^2
@@ -94,7 +95,8 @@ def stack_norm(x: np.ndarray, ndim: int) -> np.ndarray:
     """
     x = np.asarray(x)
     if ndim != 1:
-        x = x.reshape(x.shape[: x.ndim - ndim] + (-1,))
+        lead = x.ndim - ndim
+        x = x.reshape(x.shape[:lead] + (math.prod(x.shape[lead:]),))  # not -1: a stack may be empty
     sq = np.vecdot(x.real, x.real)
     if x.dtype.kind == "c":
         sq = sq + np.vecdot(x.imag, x.imag)

@@ -23,7 +23,15 @@ from spinkin.kinematics import (
     sample_momenta,
     scaled_swap_family,
 )
-from spinkin.reps import RAPIDITY_MAX, HalfInt, LorentzTransform, rep_generators, tensor_rep_generators
+from spinkin.reps import (
+    RAPIDITY_MAX,
+    HalfInt,
+    LorentzTransform,
+    rep_generators,
+    tensor_rep_generators,
+    vector_boost,
+    vector_rotation,
+)
 
 SPINS = (1, 2, 3, 4)
 REPS = (rep_generators, tensor_rep_generators)
@@ -40,6 +48,14 @@ def sample_momenta_loop(rng, n, mass_range=(0.1, 10.0), momentum_factor=5.0):
         pn = rng.uniform(0.0, momentum_factor * m)
         out.append(FourMomentum(m, tuple(pn * d)))
     return out
+
+
+def random_vector_loop(rng, max_length):
+    """Reference for the draws of random_boost_pair, random_rotation_pair and
+    random_transform_pairs: one vector at a time."""
+    d = rng.normal(size=3)
+    d /= np.linalg.norm(d)
+    return rng.uniform(0.0, max_length) * d
 
 
 def assert_rows_equal(stacked, singles):
@@ -59,7 +75,7 @@ def old_conjugated(fam, q):
 class TestMomentumBatch:
     @pytest.mark.parametrize(
         "seed, n, kwargs",
-        [(0, 1, {}), (7, 40, {}), (11, 25, {"mass_range": (0.5, 2.0), "momentum_factor": 2.0})],
+        [(0, 1, {}), (7, 40, {}), (11, 25, {"mass_range": (0.5, 2.0), "momentum_factor": 2.0}), (3, 0, {})],
     )
     def test_same_draws_as_per_momentum_loop(self, seed, n, kwargs):
         rng_batch, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -68,7 +84,8 @@ class TestMomentumBatch:
         assert isinstance(batch, MomentumBatch) and len(batch) == n
         assert list(batch) == ref
         assert all(batch[k] == ref[k] for k in range(n))
-        assert np.array_equal(batch.m, [q.m for q in ref]) and np.array_equal(batch.p, [q.p for q in ref])
+        assert np.array_equal(batch.m, [q.m for q in ref])
+        assert np.array_equal(batch.p, np.reshape([q.p for q in ref], (n, 3)))
         # the stream is left where the loop leaves it
         assert rng_batch.uniform() == rng_loop.uniform()
 
@@ -157,6 +174,35 @@ class TestStackedEqualsLoop:
 def test_dirac_operator_stack():
     batch = momenta(91, 40)
     assert_rows_equal(dirac_operator(batch), [dirac_operator(q) for q in batch])
+
+
+@pytest.mark.parametrize("n", [0, 1, 17])
+def test_transform_pairs_match_scalar_draw_loop(n):
+    rep = rep_generators(HalfInt(2))
+    rng_pairs, rng_loop = np.random.default_rng(40 + n), np.random.default_rng(40 + n)
+    (Lb, Db), (Lr, Dr) = random_transform_pairs(rep, rng_pairs, n)
+    # the default boost rapidity cap of the pairs is 1.5
+    draws = np.array([[random_vector_loop(rng_loop, 1.5), random_vector_loop(rng_loop, np.pi)] for _ in range(n)])
+    draws = draws.reshape(n, 2, 3)
+    assert Db.shape == Dr.shape == (n, 6, 6)
+    assert np.array_equal(Db, boost_matrix(rep, draws[:, 0]))
+    assert np.array_equal(Lb.matrix, vector_boost(draws[:, 0]).matrix)
+    assert np.array_equal(Dr, rotation_matrix(rep, draws[:, 1]))
+    assert np.array_equal(Lr.matrix, vector_rotation(-draws[:, 1]).matrix)
+    assert rng_pairs.uniform() == rng_loop.uniform()
+
+
+def test_single_pairs_match_scalar_draw_loop():
+    rep = rep_generators(HalfInt(1))
+    rng, rng_loop = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(20):
+        L, D = random_boost_pair(rep, rng, 0.7)
+        phi = random_vector_loop(rng_loop, 0.7)
+        assert np.array_equal(D, boost_matrix(rep, phi)) and np.array_equal(L.matrix, vector_boost(phi).matrix)
+        L, D = random_rotation_pair(rep, rng)
+        theta = random_vector_loop(rng_loop, np.pi)
+        assert np.array_equal(D, rotation_matrix(rep, theta))
+        assert np.array_equal(L.matrix, vector_rotation(-theta).matrix)
 
 
 def test_transform_pairs_draw_as_alternating_pair_calls():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,9 +29,9 @@ def xi_closed_form(basis: SpinorBasis) -> np.ndarray:
     return X.conj().T  # xi_tilde_at_rest returns tilde-Xi(0) = X^dagger
 
 
-def xi_kron_rows(basis: SpinorBasis) -> np.ndarray:
-    """Reference for xi_tilde_at_rest: the constraint rows one np.kron at a
-    time, solved the same way."""
+def xi_kron_system(basis: SpinorBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The constraint rows of xi_tilde_at_rest one np.kron at a time, and the
+    right-hand side."""
     m = basis.mass
     eta = rep_generators(basis.j).eta
     rows, targets = [], []
@@ -37,9 +39,23 @@ def xi_kron_rows(basis: SpinorBasis) -> np.ndarray:
         for ib, wb in enumerate(basis.spinors):
             rows.append(np.kron(np.conj(wa), eta @ wb))
             targets.append((2.0 * m if ia < len(basis.u) else -2.0 * m) if ia == ib else 0.0)
-    solution = np.linalg.lstsq(np.array(rows), np.array(targets, dtype=complex), rcond=None)[0]
+    return np.array(rows), np.array(targets, dtype=complex)
+
+
+def xi_kron_rows(basis: SpinorBasis) -> np.ndarray:
+    """Reference for xi_tilde_at_rest: the kron rows, solved the same way
+    (np.linalg.solve of the square system)."""
+    system, rhs = xi_kron_system(basis)
     d = basis.j.dim
-    return solution.reshape(d, d).conj().T
+    return np.linalg.solve(system, rhs[:, None]).reshape(d, d).conj().T
+
+
+def xi_lstsq(basis: SpinorBasis) -> np.ndarray:
+    """Reference for xi_tilde_at_rest: the least-squares solution of the kron
+    rows, one basis at a time."""
+    system, rhs = xi_kron_system(basis)
+    d = basis.j.dim
+    return np.linalg.lstsq(system, rhs, rcond=None)[0].reshape(d, d).conj().T
 
 
 class TestXiTilde:
@@ -51,6 +67,25 @@ class TestXiTilde:
     def test_broadcast_rows_match_kron_loop(self, basis):
         got = xi_tilde_at_rest(basis)
         assert got.tobytes() == xi_kron_rows(basis).tobytes()
+
+    @pytest.mark.parametrize("make", [lambda m: rest_spinors(HalfInt(1), mass=m), elko_rest_basis])
+    def test_batch_matches_per_basis_lstsq(self, make):
+        masses = np.exp(np.random.default_rng(5).uniform(np.log(0.1), np.log(10.0), 40))
+        got = xi_tilde_at_rest(make(masses))
+        assert got.shape == (40, 4, 4)
+        for k, mass in enumerate(masses):
+            single = make(float(mass))
+            assert np.array_equal(got[k], xi_tilde_at_rest(single))
+            want = xi_lstsq(single)
+            assert np.linalg.norm(got[k] - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_general_spin_batch_matches_lstsq(self):
+        for twice in (2, 3):
+            masses = np.array([0.2, 1.0, 7.5])
+            got = xi_tilde_at_rest(rest_spinors(HalfInt(twice), mass=masses))
+            for k, mass in enumerate(masses):
+                want = xi_lstsq(rest_spinors(HalfInt(twice), mass=mass))
+                assert np.linalg.norm(got[k] - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_canonical_basis_gives_identity(self):
         basis = rest_spinors(HalfInt(1), mass=1.7)
@@ -90,6 +125,26 @@ class TestXiTilde:
         bad = SpinorBasis(j=good.j, mass=good.mass, u=(good.u[0], good.u[0]), v=good.v)
         with pytest.raises(ValueError):
             xi_tilde_at_rest(bad)
+
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_degenerate_entry_of_a_batch_rejected(self, k):
+        # one degenerate basis at index k of a batch raises as its single call does
+        good = rest_spinors(HalfInt(1), mass=np.full(7, 1.3))
+        u0 = good.u[0].copy()
+        u1 = good.u[1].copy()
+        u1[k] = u0[k]
+        bad = SpinorBasis(j=good.j, mass=good.mass, u=(u0, u1), v=good.v)
+        with pytest.raises(ValueError, match="singular"):
+            xi_tilde_at_rest(SpinorBasis(j=good.j, mass=1.3, u=(u0[k], u1[k]), v=tuple(w[k] for w in good.v)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="singular"):
+                xi_tilde_at_rest(bad)
+
+    def test_incomplete_basis_rejected(self):
+        good = rest_spinors(HalfInt(1), mass=1.0)
+        with pytest.raises(ValueError, match="degenerate"):
+            xi_tilde_at_rest(SpinorBasis(j=good.j, mass=good.mass, u=good.u, v=good.v[:1]))
 
 
 class TestKOperator:
@@ -146,6 +201,21 @@ class TestHermiticity:
     def test_completeness_sum(self):
         for make in (lambda: rest_spinors(HalfInt(1), mass=1.6), lambda: elko_rest_basis(1.6)):
             assert completeness_residual(make()) < 1e-10 * 2 * 1.6
+
+    @pytest.mark.parametrize("make", [lambda m: rest_spinors(HalfInt(1), mass=m), elko_rest_basis])
+    def test_completeness_batch_matches_single_bases(self, make):
+        masses = np.array([1.0, 2.0, 3.0, 0.37])
+        got = completeness_residual(make(masses))
+        assert got.shape == (4,)
+        for k, mass in enumerate(masses):
+            single = completeness_residual(make(float(mass)))
+            assert got[k] == single and type(single) is float
+
+    def test_completeness_per_spinor_outer_products(self):
+        # reference: the np.outer sum of one basis
+        basis = elko_rest_basis(0.9)
+        acc = sum(np.outer(w, np.conj(w)) for w in basis.spinors)
+        assert completeness_residual(basis) == float(np.linalg.norm(acc - 2.0 * 0.9 * np.eye(4)))
 
 
 class TestDecomposition:

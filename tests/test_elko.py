@@ -3,8 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from spinkin import checks
 from spinkin.elko import (
     THETA,
+    _seeded_rotations,
     Cx2Basis,
     antilinear_family,
     antilinear_kinematic_solutions,
@@ -85,6 +87,46 @@ def commutant_residual_scalar(G, samples: int, seed: int) -> float:
         D = rotation_matrix(rep, rng.uniform(0.0, np.pi) * d)
         worst = max(worst, float(np.linalg.norm(G @ D - D @ G)) / scale)
     return worst
+
+
+def det_scalar(basis: Cx2Basis) -> complex:
+    """Reference for Cx2Basis.det: a d - b c in Python complex arithmetic."""
+    a, b = basis.u.tolist()
+    c, d = basis.v.tolist()
+    return a * d - b * c
+
+
+def g_operator_scalar(basis: Cx2Basis) -> np.ndarray:
+    """Reference for g_operator: the closed form of one pair in numpy complex
+    scalars, over the Python complex det."""
+    a, b = basis.u
+    c, d = basis.v
+    cj = np.conj
+    det = det_scalar(basis)
+    detb = det.conjugate()
+    G = np.zeros((4, 4), dtype=complex)
+    G[0, 2] = 1j * (b * cj(d) - d * cj(b)) / det
+    G[0, 3] = 1j * (c * cj(b) - a * cj(d)) / det
+    G[1, 2] = 1j * (d * cj(a) - b * cj(c)) / det
+    G[1, 3] = 1j * (a * cj(c) - c * cj(a)) / det
+    G[2, 0] = 1j * (c * cj(a) - a * cj(c)) / detb
+    G[2, 1] = 1j * (c * cj(b) - a * cj(d)) / detb
+    G[3, 0] = 1j * (d * cj(a) - b * cj(c)) / detb
+    G[3, 1] = 1j * (d * cj(b) - b * cj(d)) / detb
+    return G
+
+
+def assert_same_bits(got, want):
+    """Equal values, dtypes and signs of zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def wide_pairs(rng, shape) -> np.ndarray:
+    """Random pairs (u, v) of shape shape + (2, 2), entries over magnitudes e^-30 .. e^30."""
+    size = shape + (2, 2)
+    return (rng.normal(size=size) + 1j * rng.normal(size=size)) * np.exp(rng.uniform(-30, 30, size=size))
 
 
 class TestWignerTheta:
@@ -315,6 +357,209 @@ class TestNogo:
     def test_array_sweep_matches_scalar_loop(self, samples, seed):
         # chunk edges (1024 candidates per pass) and the default sweep
         assert nogo_monte_carlo(samples=samples, seed=seed)["min_max_r"] == nogo_floor_scalar(samples, seed)
+
+
+class TestStackedPairs:
+    """Every Elko function that takes a Cx2Basis takes a stack of pairs, and
+    each entry equals its single-pair call bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(40,), (3, 7), (1,)])
+    def test_det_schur_and_g_equal_single_calls(self, rng, shape):
+        z = wide_pairs(rng, shape)
+        stack = Cx2Basis(u=z[..., 0, :], v=z[..., 1, :])
+        det, abs_det = stack.det, stack.abs_det
+        r1, r2 = schur_conditions(stack)
+        G = g_operator(stack)
+        eb = elko_basis(stack)
+        assert G.shape == shape + (4, 4) and eb.stack().shape == shape + (4, 4)
+        for k in np.ndindex(shape):
+            single = Cx2Basis(u=z[k][0], v=z[k][1])
+            assert_same_bits(det[k], single.det)
+            assert det[k] == det_scalar(single) and type(single.det) is complex
+            assert_same_bits(abs_det[k], single.abs_det)
+            assert single.abs_det == abs(det_scalar(single))
+            assert (r1[k], r2[k]) == schur_conditions(single)
+            assert type(schur_conditions(single)[0]) is float
+            assert_same_bits(G[k], g_operator(single))
+            assert_same_bits(G[k], g_operator_scalar(single))
+            single_eb = elko_basis(single)
+            for name in ("u_plus", "u_minus", "v_plus", "v_minus"):
+                assert_same_bits(getattr(eb, name)[k], getattr(single_eb, name))
+
+    def test_elko_pair_formula(self, rng):
+        z = rng.normal(size=(30, 2)) + 1j * rng.normal(size=(30, 2))
+        up, um = elko_pair(z)
+        for k in range(30):
+            top = THETA @ np.conj(z[k])
+            assert np.array_equal(up[k], np.concatenate([1j * top, z[k]]))
+            assert np.array_equal(um[k], np.concatenate([-1j * top, z[k]]))
+
+    def test_schur_condition_family(self, rng):
+        x = rng.normal(size=(25, 5))
+        lam, b = x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]
+        d = x[:, 4] * b
+        stack = schur_condition_family(lam, b, d)
+        for k in range(25):
+            single = schur_condition_family(complex(lam[k]), complex(b[k]), complex(d[k]))
+            assert_same_bits(stack.u[k], single.u)
+            assert_same_bits(stack.v[k], single.v)
+            assert_same_bits(single.u, np.array([lam[k] * np.conj(b[k]), b[k]]))
+
+    def test_rotation_commutant_residual(self, rng):
+        G = g_operator(Cx2Basis(u=rng.normal(size=(12, 2)) + 0.3j, v=rng.normal(size=(12, 2)) - 0.1j))
+        stacked = rotation_commutant_residual(G, samples=20, seed=4)
+        assert stacked.shape == (12,)
+        for k in range(12):
+            assert stacked[k] == rotation_commutant_residual(G[k], samples=20, seed=4)
+            assert stacked[k] == commutant_residual_scalar(G[k], 20, 4)
+        assert rotation_commutant_residual(G.reshape(3, 4, 4, 4), samples=20, seed=4).shape == (3, 4)
+
+    @pytest.mark.parametrize("samples", [0, 1, 20])
+    def test_seeded_rotations_match_scalar_draw_loop(self, samples):
+        rng = np.random.default_rng(13)
+        theta = []
+        for _ in range(samples):
+            d = rng.normal(size=3)
+            d /= np.linalg.norm(d)
+            theta.append(rng.uniform(0.0, np.pi) * d)
+        want = rotation_matrix(rep_generators(HalfInt(1)), np.reshape(theta, (samples, 3)))
+        got = _seeded_rotations(samples, 13)
+        assert got.shape == (samples, 4, 4)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [0, 4, 9])
+    @pytest.mark.parametrize(
+        "u, v, calls",
+        [
+            ([1.0, 0.0], [2.0, 0.0], ("g", "elko", "require")),  # degenerate
+            ([1e200, 1e200], [1e200, -1e200], ("g", "elko", "require", "schur")),  # det overflows
+            ([1.5e308, 0.0], [0.0, 1.0 + 1.0j], ("g", "elko", "require", "schur")),  # |det| overflows
+            ([1e154, 1e154], [1e154, 1e154j], ("g",)),  # the entries of G overflow
+            ([1e300, 1e300j], [1e300, 0.0], ("schur",)),  # r1 overflows
+            ([1e200, 0.0], [1e200j, 0.0], ("schur",)),  # r2 overflows
+        ],
+    )
+    def test_one_bad_pair_raises_as_its_single_call(self, rng, k, u, v, calls):
+        z = rng.normal(size=(10, 2, 2)) + 1j * rng.normal(size=(10, 2, 2))
+        z[:, :, 0] += 3.0  # keeps |det| well above the 1e-10 floor
+        z[:, 1, 1] += 3.0
+        z[k] = [u, v]
+        stack = Cx2Basis(u=z[:, 0], v=z[:, 1])
+        single = Cx2Basis(u=np.array(u), v=np.array(v))
+        fns = {
+            "g": g_operator,
+            "elko": elko_basis,
+            "require": lambda b: b.require_nondegenerate(),
+            "schur": schur_conditions,
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in calls:
+                with pytest.raises(ValueError) as one:
+                    fns[name](single)
+                with pytest.raises(ValueError) as many:
+                    fns[name](stack)
+                assert str(many.value) == str(one.value)
+            # the rest of the stack is fine
+            rest = Cx2Basis(u=np.delete(z[:, 0], k, axis=0), v=np.delete(z[:, 1], k, axis=0))
+            g_operator(rest)
+            schur_conditions(rest)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf * 1j])
+    def test_one_non_finite_entry_rejected(self, bad):
+        u = np.ones((6, 2), dtype=complex)
+        v = np.ones((6, 2), dtype=complex)
+        with pytest.raises(ValueError, match="finite"):
+            Cx2Basis(u=np.array([1.0, bad]), v=v[0])
+        u[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Cx2Basis(u=u, v=v)
+
+    def test_shape_rule(self):
+        with pytest.raises(ValueError, match="shape"):
+            Cx2Basis(u=np.ones((3, 2)), v=np.ones((4, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            Cx2Basis(u=np.ones(3), v=np.ones(3))
+
+
+def g_operator_suite_loop(seed: int, samples: int = 100) -> float:
+    """Reference for checks.g_operator_suite's relations residual: one
+    candidate pair at a time."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    done = 0
+    while done < samples:
+        z = rng.normal(size=4) + 1j * rng.normal(size=4)
+        basis = Cx2Basis(u=z[:2], v=z[2:])
+        if abs(det_scalar(basis)) < 0.05:
+            continue
+        done += 1
+        G = g_operator_scalar(basis)
+        worst = max(worst, float(np.linalg.norm(G @ G - np.eye(4))))
+        up, um = elko_pair(basis.u)
+        vp, vm = elko_pair(basis.v)
+        for w, s in ((up, 1), (um, -1), (vp, 1), (vm, -1)):
+            worst = max(worst, float(np.linalg.norm(G @ w - s * w) / np.linalg.norm(w)))
+    return worst
+
+
+def elko_nogo_suite_loop(seed: int) -> dict:
+    """Reference for the seeded parts of checks.elko_nogo_suite: one pair at
+    a time, in Python and numpy complex scalars."""
+    rng = np.random.default_rng(seed)
+    worst_det = 0.0
+    for _ in range(100):
+        lam = rng.normal() + 1j * rng.normal()
+        b = rng.normal() + 1j * rng.normal()
+        d = rng.normal() * b
+        basis = Cx2Basis(u=np.array([lam * np.conj(b), b]), v=np.array([lam * np.conj(d), d]))
+        assert max(schur_conditions_numpy(basis)) <= 1e-12
+        worst_det = max(worst_det, abs(det_scalar(basis)))
+    equivalence = []
+    for _ in range(200):
+        z = rng.normal(size=4) + 1j * rng.normal(size=4)
+        basis = Cx2Basis(u=z[:2] / np.linalg.norm(z[:2]), v=z[2:] / np.linalg.norm(z[2:]))
+        if abs(det_scalar(basis)) < 0.1:
+            continue
+        comm = commutant_residual_scalar(g_operator_scalar(basis), 20, seed)
+        equivalence.append((comm, max(schur_conditions_numpy(basis))))
+    scalar_comm = 0.0
+    for _ in range(5):
+        blocks = rng.normal(size=4) + 1j * rng.normal(size=4)
+        G = np.zeros((4, 4), dtype=complex)
+        G[:2, :2] = blocks[0] * np.eye(2)
+        G[:2, 2:] = blocks[1] * np.eye(2)
+        G[2:, :2] = blocks[2] * np.eye(2)
+        G[2:, 2:] = blocks[3] * np.eye(2)
+        scalar_comm = max(scalar_comm, commutant_residual_scalar(G, 20, seed))
+    return {"worst_det": worst_det, "equivalence": equivalence, "scalar_comm": scalar_comm}
+
+
+class TestSuitesMatchScalarLoops:
+    """The stacked Elko suites draw as the one-pair-at-a-time loops did and
+    report the same residuals bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_g_operator_suite(self, seed):
+        report = checks.g_operator_suite(seed)
+        assert report["max_residuals"]["relations"] == g_operator_suite_loop(seed)
+
+    @pytest.mark.parametrize("seed", [0, 6, 48])
+    def test_elko_nogo_suite(self, seed, monkeypatch):
+        seen = []
+
+        def recording(G, **kwargs):
+            seen.append(rotation_commutant_residual(G, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(checks.elko, "rotation_commutant_residual", recording)
+        report = checks.elko_nogo_suite(seed, mc_samples=10)
+        ref = elko_nogo_suite_loop(seed)
+        assert report["max_residuals"]["constructed_family_det"] == ref["worst_det"]
+        assert report["max_residuals"]["block_scalar_commutant"] == ref["scalar_comm"]
+        # the first commutant call is the equivalence sweep
+        assert seen[0].tolist() == [comm for comm, _ in ref["equivalence"]]
+        assert report["schur_equivalence_ok"]
 
 
 class TestAntilinearSolutions:

@@ -83,6 +83,20 @@ class TestParitySpectrum:
             assert int(np.sum(ev.real < 0)) == j.block_dim
 
 
+    @pytest.mark.parametrize("twice", [1, 2, 3, 4])
+    def test_batch_matches_per_momentum_loop(self, twice):
+        batch = momenta(131 + twice, 12)
+        out = parity_spectrum(HalfInt(twice), batch)
+        assert out["eigenvalues"].shape == (12, 2 * (twice + 1)) and out["det"].shape == (12,)
+        for k, q in enumerate(batch):
+            single = parity_spectrum(HalfInt(twice), q)
+            assert np.array_equal(out["eigenvalues"][k], single["eigenvalues"])
+            assert out["det"][k] == single["det"] and type(single["det"]) is complex
+            # sorted by real part, then imaginary part
+            ev = single["eigenvalues"]
+            assert list(ev) == sorted(ev, key=lambda z: (z.real, z.imag))
+
+
 class TestGammaTensorExtraction:
     def test_multi_index_bookkeeping(self):
         assert len(symmetric_multi_indices(1)) == 4

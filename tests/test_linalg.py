@@ -12,6 +12,7 @@ from spinkin.linalg import (
     matrix_from_json,
     matrix_to_json,
     nullspace,
+    stack_norm,
 )
 
 THETA = np.array([[0, -1], [1, 0]], dtype=complex)
@@ -55,6 +56,13 @@ class TestHermitianExpm:
             stacked = f(H)
             assert stacked.shape == H.shape
             assert all(np.array_equal(stacked[k], f(H[k])) for k in np.ndindex(shape))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+    def test_empty_stack(self, shape):
+        for f in (expm_hermitian, expm_i_hermitian):
+            assert f(np.zeros(shape + (3, 3))).shape == shape + (3, 3)
+        assert stack_norm(np.zeros(shape + (3, 3)), 2).shape == shape
+        assert stack_norm(np.zeros(shape + (3,)), 1).shape == shape
 
     @pytest.mark.parametrize("bad", [np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([np.nan, 0.0]), np.diag([1000.0, 0.0])])
     @pytest.mark.parametrize("where", [1, 140])
