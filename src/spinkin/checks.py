@@ -4,7 +4,9 @@ claims, swept over seeded random inputs with explicit tolerances.
 Each suite returns a plain dict (JSON-ready) with max residuals, the
 tolerances applied, and a pass flag; run_all composes them. The sweep suites
 draw their seeded momenta (and Lorentz pairs) first, then evaluate the whole
-sample in one stacked call per spin.
+sample in one stacked call per spin: all spinors of one sign against one
+P(q), boosts and rotations as one pair stack against one A(q), and a set of
+operator families as one family stack.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .kinematics import (
     random_transform_pairs,
     sample_momenta,
     scaled_swap_family,
+    stack_pairs,
 )
 from .linalg import anticommutator, stack_norm
 from .reps import HalfInt, rep_generators, tensor_rep_generators
@@ -90,8 +93,8 @@ def field_equation_suite(seed: int, per_spin: int = 25, tol: float = 1e-9) -> di
         momenta = sample_momenta(rng, per_spin)
         basis = boosted_spinors(j, momenta)
         for ws, sign in ((basis.u, +1), (basis.v, -1)):
-            for w in ws:
-                worst = max(worst, float(field_equation_residual(j, w, momenta, sign).max(initial=0.0)))
+            r = field_equation_residual(j, np.array(ws), momenta, sign)
+            worst = max(worst, float(r.max(initial=0.0)))
     return {
         "per_spin_samples": per_spin,
         "max_residuals": {"field_equation": worst},
@@ -108,8 +111,8 @@ def covariance_suite(seed: int, per_spin: int = 100, tol: float = 1e-8) -> dict:
         rep = rep_generators(HalfInt(twice))
         fam = parity_family(rep)
         momenta = sample_momenta(rng, per_spin)
-        for L, D in random_transform_pairs(rep, rng, per_spin):
-            worst = max(worst, float(covariance_residual(fam, momenta, L, D).max(initial=0.0)))
+        pairs = stack_pairs(random_transform_pairs(rep, rng, per_spin))
+        worst = max(worst, float(covariance_residual(fam, momenta, *pairs).max(initial=0.0)))
     return {
         "per_spin_samples": per_spin,
         "max_residuals": {"covariance": worst},
@@ -131,25 +134,22 @@ def kinematic_checker_suite(seed: int, tol: float = 1e-8) -> dict:
         report = is_fully_kinematic(parity_family(rep), samples=25, tol=tol, seed=seed + twice)
         parity_ok = parity_ok and report.fully_kinematic
 
-    swap_ok = True
-    for _ in range(10):
-        a = rng.uniform(0.2, 5.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        report = is_fully_kinematic(scaled_swap_family(rep_half, a), samples=10, tol=tol, seed=seed)
-        swap_ok = swap_ok and report.fully_kinematic
+    # ten scaled swaps, checked as one family stack on one draw of momenta
+    # and pairs; the draws stay scalar calls, in the order of one loop
+    a = [rng.uniform(0.2, 5.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)) for _ in range(10)]
+    swap_ok = is_fully_kinematic(scaled_swap_family(rep_half, a), samples=10, tol=tol, seed=seed).fully_kinematic
 
     # anti-linear grid: anticommutes but the square stays >= 1 away from I
     q = FourMomentum(1.0, (0.3, -0.2, 0.5))
     grid = np.logspace(-1, 1, 5)
-    min_gap = np.inf
-    anti_ok = True
-    for amag in grid:
-        for bmag in grid:
-            a = amag * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            b = bmag * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            fam = elko.antilinear_family(rep_half, a, b)
-            anti_ok = anti_ok and fam.anticommutator_residual() <= tol
-            gap = np.linalg.norm(fam.squared_at(q) - np.eye(4))
-            min_gap = min(min_gap, float(gap))
+    ab = [
+        (amag * np.exp(1j * rng.uniform(0, 2 * np.pi)), bmag * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        for amag in grid
+        for bmag in grid
+    ]
+    fam = elko.antilinear_family(rep_half, *np.array(ab).T)
+    anti_ok = fam.anticommutator_residual() <= tol
+    min_gap = float(stack_norm(fam.squared_at(q) - np.eye(4), 2).min())
     return {
         "parity_fully_kinematic": bool(parity_ok),
         "scaled_swap_fully_kinematic": bool(swap_ok),

@@ -15,7 +15,14 @@ import numpy as np
 
 from .dirac import SpinorBasis, boost_basis, dirac_operator
 from .elko import Cx2Basis, elko_basis, helicity_spinors
-from .kinematics import FourMomentum, KinematicOperatorFamily, MomentumBatch, parity_operator
+from .kinematics import (
+    FourMomentum,
+    KinematicOperatorFamily,
+    MomentumBatch,
+    boost_matrix,
+    parity_operator,
+    rapidity_from_momentum,
+)
 from .linalg import stack_norm
 from .reps import HalfInt, rep_generators
 
@@ -148,7 +155,10 @@ def decomposition_residual(basis: SpinorBasis, q: FourMomentum | MomentumBatch) 
         )
     rep = rep_generators(basis.j)
     xi0 = np.conj(np.swapaxes(xi_tilde_at_rest(basis), -1, -2))  # Xi(0) = tilde-Xi(0)^dagger
-    Xi_q = KinematicOperatorFamily(rep, xi0).matrix_at(q)
+    # a batch has one rest matrix per momentum, conjugated by that momentum's
+    # boost (matrix_at would take the rest matrices for a family stack)
+    B = boost_matrix(rep, rapidity_from_momentum(q))
+    Xi_q = KinematicOperatorFamily(rep, xi0).conjugated(B, xi0)
     K_q = k_operator(basis, q)
     m = np.asarray(q.m)[..., None, None]
     if basis.j == HalfInt(1):

@@ -12,7 +12,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kinematics import KinematicOperatorFamily, _random_vectors, check_mass, rotation_matrix
+from .kinematics import (
+    KinematicOperatorFamily,
+    _check_rest_norms,
+    _family_scales,
+    _random_vectors,
+    check_mass,
+    rotation_matrix,
+)
 from .linalg import AntiLinearMap, nullspace, stack_norm
 from .reps import HalfInt, RepGenerators, pauli_matrices, rep_generators
 
@@ -320,18 +327,30 @@ def nogo_monte_carlo(samples: int = 10_000, seed: int = 20240811, threshold: flo
     }
 
 
+def _antilinear_rest(a, b) -> np.ndarray:
+    """diag(a Theta, b Theta), or the stack of them for arrays a, b that
+    broadcast; refused for a zero or non-finite scale, or a norm of the matrix
+    or of its anti-linear square that overflows."""
+    a, b = _family_scales(a, "a"), _family_scales(b, "b")
+    rest = np.zeros(np.broadcast_shapes(a.shape, b.shape) + (4, 4), dtype=complex)
+    rest[..., :2, :2] = a[..., None, None] * THETA
+    rest[..., 2:, 2:] = b[..., None, None] * THETA
+    _check_rest_norms(rest, antilinear=True)
+    return rest
+
+
 def antilinear_rest_map(a: complex, b: complex) -> AntiLinearMap:
     """The rest-frame anti-linear family diag(a Theta, b Theta) o K."""
-    Z = np.zeros((2, 2), dtype=complex)
-    return AntiLinearMap(np.block([[a * THETA, Z], [Z, b * THETA]]))
+    return AntiLinearMap(_antilinear_rest(a, b))
 
 
-def antilinear_family(rep: RepGenerators, a: complex, b: complex) -> KinematicOperatorFamily:
+def antilinear_family(rep: RepGenerators, a, b) -> KinematicOperatorFamily:
     """The anti-linear candidate family; satisfies the anticommutation
-    condition but its square is -diag(|a|^2 I, |b|^2 I), never the identity."""
+    condition but its square is -diag(|a|^2 I, |b|^2 I), never the identity.
+    Arrays a, b give the stack of those families."""
     if rep.j != HalfInt(1):
         raise ValueError("the anti-linear family is a spin-1/2 construction")
-    return KinematicOperatorFamily(rep=rep, rest_matrix=antilinear_rest_map(a, b).matrix, antilinear=True)
+    return KinematicOperatorFamily(rep=rep, rest_matrix=_antilinear_rest(a, b), antilinear=True)
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,9 @@ def field_equation_residual(
 ) -> float | np.ndarray:
     """|| (P_j(q) - sign) psi || / ||psi|| with P_j the spin-j parity operator;
     boosted u (sign +1) and v (sign -1) spinors are exact solutions. For a
-    batch of N momenta psi is one spinor or N of them, shape (N, dim), and the
-    N residuals come back as an array."""
+    batch of N momenta psi is one spinor, N of them (N, dim), or k sets of N
+    (k, N, dim); P_j(q) is evaluated once and the (N,) or (k, N) residuals
+    come back as an array."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     j = HalfInt.coerce(j)

@@ -12,6 +12,18 @@ The functions here that take a momentum also take a MomentumBatch and then
 evaluate all of its momenta in one stacked call: matrices come back as
 (N, n, n) stacks and residuals as (N,) arrays. A single FourMomentum is the
 same computation on a stack with no leading axis.
+
+Two more stack axes ride on top of the momentum axis, and both lead it:
+
+- a family stack: a KinematicOperatorFamily whose rest matrix is a stack
+  (k, n, n) is k families evaluated together, so k families at N momenta
+  give (k, N, n, n);
+- a pair stack: covariance_residual takes k stacks of N Lorentz pairs,
+  shapes (k, N, 4, 4) and (k, N, n, n), evaluates A(q) once and all k N
+  images A(Lq) in one call, and returns (k, N) residuals (after the family
+  axes).
+
+Each entry of a stacked result equals its single call bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +51,7 @@ __all__ = [
     "parity_family",
     "scaled_swap_family",
     "covariance_residual",
+    "stack_pairs",
     "is_fully_kinematic",
     "KinematicCheckReport",
     "sample_momenta",
@@ -176,11 +189,14 @@ class MomentumBatch:
         return np.concatenate([self.E[:, None], -self.p], axis=1)
 
     def transform(self, L: LorentzTransform) -> "MomentumBatch":
-        """Apply one Lorentz transform, or a stack of N (one per momentum);
-        raises if any image is off-shell by more than 1e-9 relative to its
-        energy."""
+        """Apply one Lorentz transform, a stack of N (one per momentum), or a
+        stack (..., N) of such stacks, whose images come back as one batch in
+        C order; raises if any image is off-shell by more than 1e-9 relative
+        to its energy."""
         v = L.apply(self.four_vector)
-        out = MomentumBatch(self.m, v[:, 1:])
+        m = np.broadcast_to(self.m, v.shape[:-1]).reshape(-1)
+        v = v.reshape(-1, 4)
+        out = MomentumBatch(m, v[:, 1:])
         if (np.abs(out.E - v[:, 0]) > 1e-9 * np.maximum(1.0, np.abs(v[:, 0]))).any():
             raise ValueError("transformed momentum is off-shell; inconsistent inputs")
         return out
@@ -230,7 +246,9 @@ def parity_operator(rep: RepGenerators, q: FourMomentum | MomentumBatch) -> np.n
 
 @dataclass(frozen=True)
 class KinematicOperatorFamily:
-    """Operator family determined by its rest-frame matrix A(0).
+    """Operator family determined by its rest-frame matrix A(0), or a stack of
+    families given by a stack (k, n, n) of rest matrices; in a result the
+    family axes lead and the momentum axes follow.
 
     Linear: A(q) = B A(0) B^-1.  Anti-linear (A(0) = M o K): the matrix part
     evaluates as B M conj(B)^-1 and A(q)^2 means M(q) conj(M(q)).
@@ -241,7 +259,8 @@ class KinematicOperatorFamily:
     antilinear: bool = False
 
     def conjugated(self, D: np.ndarray, M: np.ndarray) -> np.ndarray:
-        """D M D^-1, or D M conj(D)^-1 for an anti-linear family.
+        """D M D^-1, or D M conj(D)^-1 for an anti-linear family, with D and
+        M broadcast against each other as stacks.
 
         D represents a Lorentz transformation (a boost, a rotation, or a stack
         of them), so D^-1 = eta D^dagger eta and nothing is inverted.
@@ -250,29 +269,57 @@ class KinematicOperatorFamily:
         Dt = np.swapaxes(D, -1, -2)
         return D @ (M @ eta) @ (Dt if self.antilinear else np.conj(Dt)) @ eta
 
+    def _spread(self, M: np.ndarray, axes: int) -> np.ndarray:
+        """M, whose leading axes are the family axes, with `axes` unit axes
+        put after them: it then broadcasts against a stack of that many axes."""
+        f = self.rest_matrix.ndim - 2
+        return M.reshape(M.shape[:f] + (1,) * axes + M.shape[f:])
+
     def matrix_at(self, q: FourMomentum | MomentumBatch) -> np.ndarray:
-        return self.conjugated(boost_matrix(self.rep, rapidity_from_momentum(q)), self.rest_matrix)
+        B = boost_matrix(self.rep, rapidity_from_momentum(q))
+        return self.conjugated(B, self._spread(self.rest_matrix, B.ndim - 2))
 
     def squared_at(self, q: FourMomentum | MomentumBatch) -> np.ndarray:
-        M = self.matrix_at(q)
-        return M @ np.conj(M) if self.antilinear else M @ M
+        return _squared(self.matrix_at(q), self.antilinear)
 
     def anticommutator_residual(self) -> float:
-        """max_a ||{A(0), K_a}|| in the convention appropriate to linearity.
+        """max_a ||{A(0), K_a}|| in the convention appropriate to linearity,
+        the largest over a family stack.
 
         For anti-linear A(0) = M o K the anticommutator with the boost
         generators i*K_a picks up a sign through the conjugation, so the
         matrix condition is K_a M - M conj(K_a) = 0.
         """
         M = self.rest_matrix
-        worst = 0.0
-        for Ka in self.rep.K:
-            if self.antilinear:
-                r = np.linalg.norm(Ka @ M - M @ np.conj(Ka))
-            else:
-                r = np.linalg.norm(anticommutator(M, Ka))
-            worst = max(worst, float(r))
-        return worst
+        K = np.array(self.rep.K).reshape((3,) + (1,) * (M.ndim - 2) + M.shape[-2:])
+        r = K @ M - M @ np.conj(K) if self.antilinear else anticommutator(M, K)
+        return float(stack_norm(r, 2).max(initial=0.0))
+
+
+def _squared(M: np.ndarray, antilinear: bool) -> np.ndarray:
+    """A^2 of a matrix stack: M conj(M) for the anti-linear M o K, else M M."""
+    return M @ np.conj(M) if antilinear else M @ M
+
+
+def _family_scales(x, name: str) -> np.ndarray:
+    """x as a complex array of scales, refused unless every entry is finite
+    and non-zero."""
+    x = np.asarray(x, dtype=complex)
+    bad = ~(np.isfinite(x) & (x != 0))
+    if bad.any():
+        raise ValueError(f"{name} must be finite and non-zero, got {x[bad][0]}")
+    return x
+
+
+def _check_rest_norms(rest: np.ndarray, antilinear: bool) -> None:
+    """Refuse a rest matrix (or stack) whose A(0) or A(0)^2 has an entry or a
+    Frobenius norm that is not finite: the checks on such a family would read
+    nan or inf residuals."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = np.isfinite(stack_norm(rest, 2)) & np.isfinite(stack_norm(_squared(rest, antilinear), 2))
+    if not ok.all():
+        where = f" (stack index {np.argwhere(~ok)[0].tolist()})" if ok.ndim else ""
+        raise ValueError(f"the rest matrix or its square overflows{where}; rescale the family")
 
 
 def parity_family(rep: RepGenerators) -> KinematicOperatorFamily:
@@ -280,14 +327,21 @@ def parity_family(rep: RepGenerators) -> KinematicOperatorFamily:
     return KinematicOperatorFamily(rep=rep, rest_matrix=rep.eta.copy())
 
 
-def scaled_swap_family(rep: RepGenerators, a: complex) -> KinematicOperatorFamily:
-    """Linear family A(0) = offdiag(a I, a^-1 I); fully kinematic for any a != 0."""
-    if a == 0:
-        raise ValueError("a must be non-zero")
+def scaled_swap_family(rep: RepGenerators, a) -> KinematicOperatorFamily:
+    """Linear family A(0) = offdiag(a I, a^-1 I); fully kinematic for any a != 0.
+
+    An array of a gives the stack of those families. Raises for an a that is
+    zero or not finite, or whose A(0) has a norm that overflows.
+    """
+    a = _family_scales(a, "a")
     d = rep.j.block_dim
-    Z = np.zeros((d, d), dtype=complex)
     I = np.eye(d, dtype=complex)
-    rest = np.block([[Z, a * I], [(1.0 / a) * I, Z]])
+    rest = np.zeros(a.shape + (2 * d, 2 * d), dtype=complex)
+    rest[..., :d, d:] = a[..., None, None] * I
+    # 1/a overflows for a subnormal a; the norm check below refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        rest[..., d:, :d] = (1.0 / a)[..., None, None] * I
+    _check_rest_norms(rest, antilinear=False)
     return KinematicOperatorFamily(rep=rep, rest_matrix=rest)
 
 
@@ -302,13 +356,33 @@ def covariance_residual(
     D must be the spinor representative of L: exp(i K.phi) for a pure boost by
     phi, exp(i J.theta) for the rotation by -theta (conjugation by exp(iJ.theta)
     rotates momenta the opposite way). For a batch of N momenta, L and D are
-    one pair or stacks of N pairs, and the N residuals come back as an array.
+    one pair, a stack of N pairs (one per momentum), or k such stacks, shapes
+    (k, N, 4, 4) and (k, N, n, n); the residuals come back as an (N,) or
+    (k, N) array, after the family axes of a family stack. A(q) is evaluated
+    once, and every image A(Lq) in one call.
+
+    Raises when a norm overflows: a family scaled near the float range can
+    have finite matrices whose norms are not, and would read residual 0.
     """
-    q2 = q.transform(L)
     A1 = fam.matrix_at(q)
-    A2 = fam.matrix_at(q2)
-    r = stack_norm(A2 - fam.conjugated(D, A1), 2) / stack_norm(A1, 2)
+    A2 = fam.matrix_at(q.transform(L))
+    # the images of a pair stack come back as one batch: give them its axes
+    lead = np.broadcast_shapes(L.matrix.shape[:-2], np.shape(q.m))
+    A2 = A2.reshape(A2.shape[: fam.rest_matrix.ndim - 2] + lead + A2.shape[-2:])
+    A1 = fam._spread(A1, len(lead) - np.ndim(q.m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = stack_norm(A1, 2)
+        r = stack_norm(A2 - fam.conjugated(D, A1), 2) / scale
+    if not (np.isfinite(scale).all() and np.isfinite(r).all()):
+        raise ValueError("the family's norm overflows at a sampled momentum; rescale it")
     return float(r) if r.ndim == 0 else r
+
+
+def stack_pairs(pairs) -> tuple[LorentzTransform, np.ndarray]:
+    """Lorentz pairs (L, D) of equal shapes as one pair stack, with a new
+    leading axis: for covariance_residual's pair stacks."""
+    Ls, Ds = zip(*pairs)
+    return LorentzTransform(np.stack([L.matrix for L in Ls])), np.stack(Ds)
 
 
 def sample_momenta(
@@ -415,25 +489,31 @@ def is_fully_kinematic(
     seed: int = 0,
 ) -> KinematicCheckReport:
     """Check A(p)^2 = I, {A(0), K} = 0 and covariance over random momenta and
-    random pure boosts/rotations; reports the max residual of each condition."""
+    random pure boosts/rotations; reports the max residual of each condition.
+
+    A family stack is checked on one draw of momenta and pairs, and reports
+    the largest residual of each condition over its families."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     rng = np.random.default_rng(seed)
     momenta = sample_momenta(rng, samples)
-    boosts, rotations = random_transform_pairs(fam.rep, rng, samples)
-    sq_worst = float(np.max(stack_norm(fam.squared_at(momenta) - np.eye(fam.rep.dim), 2)))
-    cov_worst = float(
-        max(np.max(covariance_residual(fam, momenta, *pair)) for pair in (boosts, rotations))
-    )
-    anti_worst = fam.anticommutator_residual()
+    pairs = stack_pairs(random_transform_pairs(fam.rep, rng, samples))
+    # a family scaled near the float range can overflow once boosted: a
+    # residual that is not finite is refused, not reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_worst = float(np.max(stack_norm(fam.squared_at(momenta) - np.eye(fam.rep.dim), 2)))
+        anti_worst = fam.anticommutator_residual()
+    cov_worst = float(np.max(covariance_residual(fam, momenta, *pairs)))
 
     residuals = {
         "square": sq_worst,
         "anticommutator": anti_worst,
         "covariance": cov_worst,
     }
+    if not all(map(math.isfinite, residuals.values())):
+        raise ValueError(f"a residual of the family overflows ({residuals}); rescale it")
     return KinematicCheckReport(
         squares_to_identity=sq_worst <= tol,
         anticommutes=anti_worst <= tol,

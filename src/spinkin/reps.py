@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -120,20 +120,37 @@ class RepGenerators:
 
     def J_dot(self, theta) -> np.ndarray:
         """J.theta for theta of shape (..., 3): one (n, n) matrix per vector."""
-        return self._dot(np.array(self.J), theta)
+        return self._dot(self._J_real, theta)
 
     def iK_dot(self, phi) -> np.ndarray:
         """i K.phi (Hermitian) for phi of shape (..., 3): one (n, n) matrix per vector."""
-        return self._dot(1j * np.array(self.K), phi)
+        return self._dot(self._iK_real, phi)
+
+    # the (3, 2 n^2) real views of the stacks (J_a) and (i K_a), built at the
+    # first product and read-only: J and K are taken as fixed from then on
+    @cached_property
+    def _J_real(self) -> np.ndarray:
+        return _real_rows(np.array(self.J))
+
+    @cached_property
+    def _iK_real(self) -> np.ndarray:
+        return _real_rows(1j * np.array(self.K))
 
     def _dot(self, gens: np.ndarray, vec) -> np.ndarray:
         """sum_a vec[..., a] gens[a] as one real product of the stacked vectors
-        with the (3, 2 n^2) real view of the generators."""
+        with the real view of the generators."""
         vec = np.asarray(vec, dtype=float)
         if vec.shape[-1:] != (3,):
             raise ValueError(f"expected 3-vectors, got shape {vec.shape}")
-        out = vec @ gens.view(float).reshape(3, -1)
+        out = vec @ gens
         return out.view(complex).reshape(vec.shape[:-1] + (self.dim, self.dim))
+
+
+def _real_rows(gens: np.ndarray) -> np.ndarray:
+    """A (3, n, n) complex stack as its read-only (3, 2 n^2) real view."""
+    rows = gens.view(float).reshape(3, -1)
+    rows.flags.writeable = False
+    return rows
 
 
 def rep_generators(j) -> RepGenerators:

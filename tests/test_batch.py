@@ -1,18 +1,23 @@
 """A momentum batch is evaluated in one stacked call that equals the loop over
-its single momenta, and the inverse of every boost is eta B eta."""
+its single momenta, and the inverse of every boost is eta B eta. Family, pair
+and spinor stacks equal their single calls, and the suites built on them
+equal the one-at-a-time suites."""
 
 import numpy as np
 import pytest
 
 from conftest import momenta
+from spinkin import checks, elko
 from spinkin.dirac import boosted_spinors, dirac_operator
 from spinkin.elko import antilinear_family
 from spinkin.higherspin import contraction_identity_residual, field_equation_residual, swap_operator_at
 from spinkin.kinematics import (
     FourMomentum,
+    KinematicOperatorFamily,
     MomentumBatch,
     boost_matrix,
     covariance_residual,
+    is_fully_kinematic,
     parity_family,
     parity_operator,
     random_boost_pair,
@@ -22,7 +27,9 @@ from spinkin.kinematics import (
     rotation_matrix,
     sample_momenta,
     scaled_swap_family,
+    stack_pairs,
 )
+from spinkin.linalg import anticommutator
 from spinkin.reps import (
     RAPIDITY_MAX,
     HalfInt,
@@ -282,3 +289,217 @@ def test_matrix_at_matches_numerical_inverse(twice):
         for k, q in enumerate(batch):
             old = old_conjugated(fam, q)
             assert np.linalg.norm(stacked[k] - old) <= 1e-12 * np.linalg.norm(old)
+
+
+# scales of the scaled-swap and anti-linear family stacks below
+SCALES = np.array([1.7 - 0.4j, 0.3j, -2.5, 4.0 + 1.0j])
+
+
+def random_families(rep, rng, k, antilinear):
+    """k families with random (not kinematic) rest matrices, as singles and
+    as one stack."""
+    rest = rng.normal(size=(k, rep.dim, rep.dim)) + 1j * rng.normal(size=(k, rep.dim, rep.dim))
+    singles = [KinematicOperatorFamily(rep, M, antilinear) for M in rest]
+    return singles, KinematicOperatorFamily(rep, rest, antilinear)
+
+
+def family_stacks(rep, rng):
+    """(singles, stack) pairs: scaled swaps, random linear families and, at
+    spin 1/2, anti-linear and random anti-linear families."""
+    out = [
+        ([scaled_swap_family(rep, a) for a in SCALES], scaled_swap_family(rep, SCALES)),
+        random_families(rep, rng, 3, antilinear=False),
+    ]
+    if rep.j == HalfInt(1):
+        b = 0.5 * SCALES[::-1]
+        out.append(([antilinear_family(rep, x, y) for x, y in zip(SCALES, b)], antilinear_family(rep, SCALES, b)))
+        out.append(random_families(rep, rng, 3, antilinear=True))
+    return out
+
+
+def anticommutator_residual_loop(fam):
+    """Reference for anticommutator_residual on one family: one norm per
+    boost generator."""
+    M = fam.rest_matrix
+    worst = 0.0
+    for Ka in fam.rep.K:
+        if fam.antilinear:
+            r = np.linalg.norm(Ka @ M - M @ np.conj(Ka))
+        else:
+            r = np.linalg.norm(anticommutator(M, Ka))
+        worst = max(worst, float(r))
+    return worst
+
+
+@pytest.mark.parametrize("twice", SPINS)
+class TestFamilyStack:
+    """A stack of k families evaluates as its k single families, bit for
+    bit; family axes lead and momentum axes follow."""
+
+    def test_scaled_swap_rest_matrix_is_the_block_form(self, twice):
+        rep = rep_generators(HalfInt(twice))
+        d = rep.j.block_dim
+        Z, I = np.zeros((d, d), dtype=complex), np.eye(d, dtype=complex)
+        stack = scaled_swap_family(rep, SCALES).rest_matrix
+        for k, a in enumerate(SCALES):
+            block = np.block([[Z, a * I], [(1.0 / a) * I, Z]])
+            assert np.array_equal(scaled_swap_family(rep, a).rest_matrix.view(float), block.view(float))
+            assert np.array_equal(stack[k].view(float), block.view(float))
+
+    @pytest.mark.parametrize("method", ["matrix_at", "squared_at"])
+    def test_matrix_and_square(self, twice, method, rng):
+        rep = rep_generators(HalfInt(twice))
+        batch = momenta(130 + twice, 20)
+        for singles, stack in family_stacks(rep, rng):
+            got = getattr(stack, method)(batch)
+            assert got.shape == (len(singles), len(batch), rep.dim, rep.dim)
+            assert_rows_equal(got, [getattr(f, method)(batch) for f in singles])
+            assert_rows_equal(getattr(stack, method)(batch[7]), [getattr(f, method)(batch[7]) for f in singles])
+
+    def test_anticommutator_residual(self, twice, rng):
+        rep = rep_generators(HalfInt(twice))
+        for singles, stack in family_stacks(rep, rng):
+            for f in singles:
+                assert f.anticommutator_residual() == anticommutator_residual_loop(f)
+            assert stack.anticommutator_residual() == max(f.anticommutator_residual() for f in singles)
+
+    def test_covariance_pair_stack(self, twice, rng):
+        rep = rep_generators(HalfInt(twice))
+        batch = momenta(140 + twice, 25)
+        pairs = random_transform_pairs(rep, np.random.default_rng(twice), len(batch))
+        pairs += random_transform_pairs(rep, np.random.default_rng(twice + 10), len(batch))[:1]
+        L, D = stack_pairs(pairs)
+        assert L.matrix.shape == (3, len(batch), 4, 4) and D.shape == (3, len(batch), rep.dim, rep.dim)
+        fam = parity_family(rep)
+        got = covariance_residual(fam, batch, L, D)
+        assert got.shape == (3, len(batch))
+        assert_rows_equal(got, [covariance_residual(fam, batch, *pair) for pair in pairs])
+        for singles, stack in family_stacks(rep, rng):
+            got = covariance_residual(stack, batch, L, D)
+            assert got.shape == (len(singles), 3, len(batch))
+            for k, f in enumerate(singles):
+                assert_rows_equal(got[k], [covariance_residual(f, batch, *pair) for pair in pairs])
+
+    def test_transform_by_pair_stack(self, twice):
+        batch = momenta(150 + twice, 12)
+        pairs = random_transform_pairs(rep_generators(HalfInt(twice)), np.random.default_rng(twice), 12)
+        images = batch.transform(stack_pairs(pairs)[0])
+        assert len(images) == 24
+        for k, (L, _) in enumerate(pairs):
+            one = batch.transform(L)
+            assert np.array_equal(images.m[12 * k : 12 * (k + 1)], one.m)
+            assert np.array_equal(images.p[12 * k : 12 * (k + 1)], one.p)
+
+    def test_field_equation_spinor_stack(self, twice):
+        j = HalfInt(twice)
+        batch = momenta(160 + twice, 20)
+        basis = boosted_spinors(j, batch)
+        for ws, sign in ((basis.u, +1), (basis.v, -1)):
+            got = field_equation_residual(j, np.array(ws), batch, sign)
+            assert got.shape == (j.block_dim, len(batch))
+            assert_rows_equal(got, [field_equation_residual(j, w, batch, sign) for w in ws])
+
+    def test_is_fully_kinematic(self, twice, rng):
+        """A stack reports the largest residual of each condition over its
+        families, on the same draws as each single call."""
+        rep = rep_generators(HalfInt(twice))
+        stacks = family_stacks(rep, rng)
+        # a stack whose families pass and fail: parity with random families
+        rest = np.concatenate([rep.eta[None], stacks[1][1].rest_matrix])
+        stacks.append(([parity_family(rep)] + stacks[1][0], KinematicOperatorFamily(rep, rest)))
+        for singles, stack in stacks:
+            report = is_fully_kinematic(stack, samples=10, tol=1e-8, seed=3)
+            reports = [is_fully_kinematic(f, samples=10, tol=1e-8, seed=3) for f in singles]
+            for key, value in report.max_residuals.items():
+                assert value == max(r.max_residuals[key] for r in reports)
+            for flag in ("squares_to_identity", "anticommutes", "covariant", "fully_kinematic"):
+                assert getattr(report, flag) == all(getattr(r, flag) for r in reports)
+
+
+# The three suites as they were before the family, pair and spinor stacks:
+# one family, one pair stack and one spinor per call. Kept as the reference
+# the stacked suites must reproduce exactly.
+
+
+def field_equation_suite_loop(seed, per_spin=25, tol=1e-9):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for twice in (1, 2, 3, 4):
+        j = HalfInt(twice)
+        batch = sample_momenta(rng, per_spin)
+        basis = boosted_spinors(j, batch)
+        for ws, sign in ((basis.u, +1), (basis.v, -1)):
+            for w in ws:
+                worst = max(worst, float(field_equation_residual(j, w, batch, sign).max(initial=0.0)))
+    return {
+        "per_spin_samples": per_spin,
+        "max_residuals": {"field_equation": worst},
+        "tolerances": {"field_equation": tol},
+        "pass": bool(worst <= tol),
+    }
+
+
+def covariance_suite_loop(seed, per_spin=100, tol=1e-8):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for twice in (1, 2, 3):
+        rep = rep_generators(HalfInt(twice))
+        fam = parity_family(rep)
+        batch = sample_momenta(rng, per_spin)
+        for L, D in random_transform_pairs(rep, rng, per_spin):
+            worst = max(worst, float(covariance_residual(fam, batch, L, D).max(initial=0.0)))
+    return {
+        "per_spin_samples": per_spin,
+        "max_residuals": {"covariance": worst},
+        "tolerances": {"covariance": tol},
+        "pass": bool(worst <= tol),
+    }
+
+
+def kinematic_checker_suite_loop(seed, tol=1e-8):
+    rng = np.random.default_rng(seed)
+    rep_half = rep_generators(HalfInt(1))
+    parity_ok = True
+    for twice in (1, 2):
+        rep = rep_generators(HalfInt(twice))
+        report = is_fully_kinematic(parity_family(rep), samples=25, tol=tol, seed=seed + twice)
+        parity_ok = parity_ok and report.fully_kinematic
+    swap_ok = True
+    for _ in range(10):
+        a = rng.uniform(0.2, 5.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        report = is_fully_kinematic(scaled_swap_family(rep_half, a), samples=10, tol=tol, seed=seed)
+        swap_ok = swap_ok and report.fully_kinematic
+    q = FourMomentum(1.0, (0.3, -0.2, 0.5))
+    grid = np.logspace(-1, 1, 5)
+    min_gap = np.inf
+    anti_ok = True
+    for amag in grid:
+        for bmag in grid:
+            a = amag * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            b = bmag * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            fam = elko.antilinear_family(rep_half, a, b)
+            anti_ok = anti_ok and fam.anticommutator_residual() <= tol
+            gap = np.linalg.norm(fam.squared_at(q) - np.eye(4))
+            min_gap = min(min_gap, float(gap))
+    return {
+        "parity_fully_kinematic": bool(parity_ok),
+        "scaled_swap_fully_kinematic": bool(swap_ok),
+        "antilinear_anticommutes": bool(anti_ok),
+        "max_residuals": {"antilinear_square_gap_min": float(min_gap)},
+        "tolerances": {"conditions": tol, "antilinear_square_gap_min": 1.0},
+        "pass": bool(parity_ok and swap_ok and anti_ok and min_gap >= 1.0),
+    }
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(
+    "suite, loop",
+    [
+        (checks.field_equation_suite, field_equation_suite_loop),
+        (checks.covariance_suite, covariance_suite_loop),
+        (checks.kinematic_checker_suite, kinematic_checker_suite_loop),
+    ],
+    ids=["field_equation", "covariance", "kinematic_checker"],
+)
+def test_stacked_suite_matches_loop(suite, loop, seed):
+    assert suite(seed) == loop(seed)

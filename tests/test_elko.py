@@ -583,6 +583,47 @@ class TestAntilinearSolutions:
         ev = np.sort(np.linalg.eigvals(A.squared()).real)
         assert np.allclose(ev, [-4.0, -4.0, -0.25, -0.25], atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (np.nan, "finite and non-zero"),
+            (np.inf, "finite and non-zero"),
+            (complex(np.nan, 1.0), "finite and non-zero"),
+            (0.0, "finite and non-zero"),
+            (1e300, "overflows"),
+            # |a|^4 overflows in the norm of the square
+            (1e80j, "overflows"),
+        ],
+    )
+    @pytest.mark.parametrize("slot", ["a", "b"])
+    def test_domain(self, bad, match, slot):
+        rep = rep_generators(HalfInt(1))
+        good = np.array([1.0, 0.5j, -2.0])
+        stack = good.copy().astype(complex)
+        stack[1] = bad
+        cases = [
+            lambda: antilinear_rest_map(*((bad, 1.0) if slot == "a" else (1.0, bad))),
+            lambda: antilinear_family(rep, *((bad, 1.0) if slot == "a" else (1.0, bad))),
+            lambda: antilinear_family(rep, *((stack, good) if slot == "a" else (good, stack))),
+        ]
+        for call in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=match):
+                    call()
+
+    def test_rest_map_matches_block_form(self, rng):
+        """The rest matrix equals np.block([[a Theta, 0], [0, b Theta]]) bit
+        for bit, singly and as a stack."""
+        Z = np.zeros((2, 2), dtype=complex)
+        a = rng.normal(size=6) + 1j * rng.normal(size=6)
+        b = rng.normal(size=6) + 1j * rng.normal(size=6)
+        stack = antilinear_family(rep_generators(HalfInt(1)), a, b).rest_matrix
+        for k in range(6):
+            block = np.block([[a[k] * THETA, Z], [Z, b[k] * THETA]])
+            assert np.array_equal(antilinear_rest_map(a[k], b[k]).matrix.view(float), block.view(float))
+            assert np.array_equal(stack[k].view(float), block.view(float))
+
     def test_no_member_squares_to_identity(self, rng):
         rep = rep_generators(HalfInt(1))
         from spinkin.kinematics import FourMomentum

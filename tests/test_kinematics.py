@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,61 @@ class TestFullyKinematicChecker:
     def test_scaled_swap_rejects_zero(self):
         with pytest.raises(ValueError):
             scaled_swap_family(rep_generators(HalfInt(1)), 0.0)
+
+
+def raises_without_warning(call, match):
+    """call() raises ValueError, and no warning is raised on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+class TestScaledSwapDomain:
+    """A zero or non-finite a, or one whose family norms overflow, raises
+    ValueError with no warning: nan would give nan residuals, inf and 1e-320
+    an invalid multiply, 1e300 an overflow in the norm."""
+
+    BAD = [
+        (np.nan, "finite and non-zero"),
+        (complex(1.0, np.nan), "finite and non-zero"),
+        (np.inf, "finite and non-zero"),
+        (complex(0.0, -np.inf), "finite and non-zero"),
+        (0.0, "finite and non-zero"),
+        (1e-320, "overflows"),
+        (1e300, "overflows"),
+        (1e300j, "overflows"),
+    ]
+
+    @pytest.mark.parametrize("twice", [1, 4])
+    @pytest.mark.parametrize("a, match", BAD)
+    def test_single_value(self, twice, a, match):
+        raises_without_warning(lambda: scaled_swap_family(rep_generators(HalfInt(twice)), a), match)
+
+    @pytest.mark.parametrize("index", [0, 3])
+    @pytest.mark.parametrize("a, match", BAD)
+    def test_one_entry_of_a_stack(self, index, a, match):
+        scales = np.array([2.0, 0.5j, -1.0, 3.0 - 1.0j], dtype=complex)
+        scales[index] = a
+        raises_without_warning(lambda: scaled_swap_family(rep_generators(HalfInt(1)), scales), match)
+
+    def test_stack_index_is_reported(self):
+        scales = np.array([[1.0, 2.0], [1e300, 1.0]])
+        raises_without_warning(lambda: scaled_swap_family(rep_generators(HalfInt(1)), scales), r"\[1, 0\]")
+
+    @pytest.mark.parametrize("a", [1.0, -0.2j, 1e150, 1e-150])
+    def test_valid_scales_pass(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = is_fully_kinematic(scaled_swap_family(rep_generators(HalfInt(1)), a), samples=10, seed=5)
+        assert report.fully_kinematic
+
+    @pytest.mark.parametrize("a", [1e152, 1e-152])
+    def test_norm_overflow_once_boosted(self, a):
+        """At 2j = 4 the boosted family's norms overflow for |a| near 1e152,
+        although A(0)'s do not; an infinite norm would read as residual 0."""
+        fam = scaled_swap_family(rep_generators(HalfInt(4)), a)
+        raises_without_warning(lambda: is_fully_kinematic(fam, samples=50, seed=0), "overflow")
 
 
 class TestSampling:

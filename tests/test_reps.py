@@ -234,3 +234,21 @@ class TestCacheContract:
         fresh = build(HalfInt(twice))
         reference = block_rep(twice) if build is rep_generators else kron_tensor_rep(twice)
         assert same_bits(fresh.J + fresh.K + (fresh.eta,), reference[0] + reference[1] + (reference[2],))
+
+    @pytest.mark.parametrize("build", [rep_generators, tensor_rep_generators])
+    @pytest.mark.parametrize("twice", [1, 2, 3, 4])
+    def test_generator_products_use_one_read_only_stack(self, build, twice, rng):
+        """iK_dot and J_dot read one real view of (i K_a) and of (J_a) per
+        instance, and equal the product with a freshly built stack bit for
+        bit."""
+        rep = build(HalfInt(twice))
+        vec = rng.normal(size=(5, 3))
+        for method, gens in (("iK_dot", 1j * np.array(rep.K)), ("J_dot", np.array(rep.J))):
+            want = (vec @ gens.view(float).reshape(3, -1)).view(complex).reshape(5, rep.dim, rep.dim)
+            assert np.array_equal(getattr(rep, method)(vec).view(float), want.view(float))
+            assert np.array_equal(getattr(rep, method)(vec[0]).view(float), want[0].view(float))
+        first = (rep._iK_real, rep._J_real)
+        for cached in first:
+            assert cached.shape == (3, 2 * rep.dim**2) and not cached.flags.writeable
+        rep.iK_dot(vec), rep.J_dot(vec)
+        assert rep._iK_real is first[0] and rep._J_real is first[1]
