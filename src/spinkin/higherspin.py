@@ -2,7 +2,8 @@
 least-squares gamma-tensor extraction, and the boosted tensor swap on
 (j,0)x(0,j).
 
-Field-equation evaluation always goes through the exponential form
+Field-equation evaluation always goes through parity_operator, the
+polynomial offdiag(Sym^{2j}((E + sigma.p)/m), Sym^{2j}((E - sigma.p)/m)) =
 exp(2i K.phi) eta, never the extracted tensor.
 """
 
@@ -175,8 +176,9 @@ def extract_gamma_tensor(j, sample_count: int, seed: int = 0) -> GammaTensor:
 
 
 def tensor_boost_matrix(j, phi) -> np.ndarray:
-    """exp(i K.phi) on (j,0)x(0,j) (Hermitian positive definite); a stack
-    (..., 3) of rapidities gives a stack of matrices."""
+    """exp(i K.phi) = Sym^{2j}(A) x Sym^{2j}(A^-1) on (j,0)x(0,j), with
+    A = exp(sigma.phi/2) (Hermitian positive definite); a stack (..., 3) of
+    rapidities gives a stack of matrices."""
     return boost_matrix(tensor_rep_generators(j), phi)
 
 

@@ -1,6 +1,13 @@
 """Momentum/rapidity bookkeeping, boost evaluation, the momentum-dependent parity
 operator, and the fully-kinematic-operator checker.
 
+Every Lorentz representative is the lift of a 2x2 SL(2,C) matrix through
+its spin-j image Sym^{2j} (reps.symmetric_power, RepGenerators.lift): the
+boost exp(i K.phi) lifts A = exp(sigma.phi/2) and A^-1 = adj A, the
+rotation exp(i J.theta) lifts R = exp(i sigma.theta/2), and the parity
+operator exp(2i K.phi) eta lifts the polynomial (E + sigma.p)/m with no
+exponential at all. Only the 2x2 exponentials go through linalg.
+
 A family A(p) is evaluated as B(phi) A(0) B(phi)^-1 with B = exp(i K.phi); for
 anti-linear families the rightmost factor becomes conj(B)^-1 because the
 conjugation passes through B^-1's argument. No matrix is inverted: eta
@@ -36,7 +43,16 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import anticommutator, expm_hermitian, expm_i_hermitian, stack_norm
-from .reps import RAPIDITY_MAX, LorentzTransform, RepGenerators, vector_boost, vector_rotation
+from .reps import (
+    RAPIDITY_MAX,
+    LorentzTransform,
+    RepGenerators,
+    adjugate_power,
+    pauli_matrices,
+    symmetric_power,
+    vector_boost,
+    vector_rotation,
+)
 
 __all__ = [
     "check_mass",
@@ -218,30 +234,63 @@ def rapidity_from_momentum(q: FourMomentum | MomentumBatch) -> np.ndarray:
     return phi * (p / np.maximum(pn, _FLOAT_TINY))
 
 
-def boost_matrix(rep: RepGenerators, phi) -> np.ndarray:
-    """exp(i K.phi) for a rapidity phi, or a stack (..., 3) of them. i K.phi is
-    Hermitian, so this is computed by eigendecomposition and is Hermitian
-    positive definite; its inverse is eta B eta = exp(-i K.phi)."""
+# sigma/2 (for the 2x2 generators of boosts and rotations) and (1, sigma)
+# (for E + sigma.p), each 2x2 matrix flattened to a row
+_HALF_SIGMA = np.array(pauli_matrices()).reshape(3, 4) / 2.0
+_ONE_SIGMA = np.array([np.eye(2), *pauli_matrices()]).reshape(4, 4)
+_HALF_SIGMA.flags.writeable = _ONE_SIGMA.flags.writeable = False
+
+
+def _pauli_dot(v: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_a v[..., a] table[a] as (..., 2, 2) complex matrices. Every entry
+    is a sum of at most two non-zero terms, so a stack rounds as its rows."""
+    if v.shape[-1:] != (len(table),):
+        raise ValueError(f"expected {len(table)}-vectors, got shape {v.shape}")
+    return (v @ table).reshape(v.shape[:-1] + (2, 2))
+
+
+def _checked_rapidity(phi) -> np.ndarray:
+    """phi as a float array, refused unless every rapidity is finite and
+    within the overflow cap."""
     phi = np.asarray(phi, dtype=float)
     # one reduction tests finiteness and the cap: a nan or inf fails `<=`
     if not np.sqrt(np.vecdot(phi, phi).max(initial=0.0)) <= RAPIDITY_MAX:
         if not np.isfinite(phi).all():
             raise ValueError("rapidity must be finite")
         raise ValueError(f"rapidity norm exceeds the overflow cap {RAPIDITY_MAX}")
-    return expm_hermitian(rep.iK_dot(phi))
+    return phi
+
+
+def boost_matrix(rep: RepGenerators, phi) -> np.ndarray:
+    """exp(i K.phi) for a rapidity phi, or a stack (..., 3) of them: the lift
+    of A = exp(sigma.phi/2) and of A^-1 = adj A, as Sym^{2j}(A) on (j,0)
+    and Sym^{2j}(A^-1) on (0,j). It is Hermitian positive definite, and its
+    inverse is eta B eta = exp(-i K.phi)."""
+    S = symmetric_power(expm_hermitian(_pauli_dot(_checked_rapidity(phi), _HALF_SIGMA)), rep.j)
+    return rep.lift(S, adjugate_power(S))
 
 
 def rotation_matrix(rep: RepGenerators, theta) -> np.ndarray:
-    """exp(i J.theta), unitary (J.theta is Hermitian); a stack (..., 3) of
-    rotation vectors gives a stack of matrices."""
-    return expm_i_hermitian(rep.J_dot(theta))
+    """exp(i J.theta), unitary: the lift of R = exp(i sigma.theta/2) as
+    Sym^{2j}(R) on both factors; a stack (..., 3) of rotation vectors gives
+    a stack of matrices."""
+    S = symmetric_power(expm_i_hermitian(_pauli_dot(np.asarray(theta, dtype=float), _HALF_SIGMA)), rep.j)
+    return rep.lift(S, S)
 
 
 def parity_operator(rep: RepGenerators, q: FourMomentum | MomentumBatch) -> np.ndarray:
     """P(q) = exp(2i K.phi) eta = B(phi) eta B(phi)^-1; squares to the identity
-    with eigenvalues +-1, each of multiplicity 2j+1."""
-    phi = rapidity_from_momentum(q)
-    return boost_matrix(rep, 2.0 * phi) @ rep.eta
+    with eigenvalues +-1, each of multiplicity 2j+1.
+
+    exp(sigma.phi) = (E + sigma.p)/m, so P(q) is a polynomial in p/m with no
+    exponential: offdiag(Sym^{2j}((E + sigma.p)/m), Sym^{2j}((E - sigma.p)/m))
+    on (j,0)+(0,j). It refuses the momenta boost_matrix(rep, 2 phi) refuses.
+    """
+    _checked_rapidity(2.0 * rapidity_from_momentum(q))
+    u = q.p_vec / np.asarray(q.m)[..., None]
+    e = np.sqrt(1.0 + np.vecdot(u, u, keepdims=True))
+    S = symmetric_power(_pauli_dot(np.concatenate([e, u], axis=-1), _ONE_SIGMA), rep.j)
+    return rep.lift(S, adjugate_power(S), swap=True)
 
 
 @dataclass(frozen=True)
@@ -265,9 +314,17 @@ class KinematicOperatorFamily:
         D represents a Lorentz transformation (a boost, a rotation, or a stack
         of them), so D^-1 = eta D^dagger eta and nothing is inverted.
         """
-        eta = self.rep.eta
-        Dt = np.swapaxes(D, -1, -2)
-        return D @ (M @ eta) @ (Dt if self.antilinear else np.conj(Dt)) @ eta
+        # eta is a permutation, so a product with it is a gather of columns.
+        # The linear case forms X D^dagger as conj(conj(X) D^T), with D^T a
+        # view. The stack is formed a block at a time, so that besides the
+        # result only a few blocks are held; each matrix goes through the
+        # same products as in one call over the whole stack
+        shape = np.broadcast_shapes(D.shape, M.shape)
+        D, M = np.broadcast_to(D, shape), np.broadcast_to(M, shape)
+        out = np.empty(shape, dtype=np.result_type(D, M))
+        for block in _blocks(shape[:-2]):
+            _conjugate_block(D[block], M[block], self.rep.eta_index, self.antilinear, out[block])
+        return out
 
     def _spread(self, M: np.ndarray, axes: int) -> np.ndarray:
         """M, whose leading axes are the family axes, with `axes` unit axes
@@ -294,6 +351,34 @@ class KinematicOperatorFamily:
         K = np.array(self.rep.K).reshape((3,) + (1,) * (M.ndim - 2) + M.shape[-2:])
         r = K @ M - M @ np.conj(K) if self.antilinear else anticommutator(M, K)
         return float(stack_norm(r, 2).max(initial=0.0))
+
+
+# matrices per block of KinematicOperatorFamily.conjugated: its temporaries
+# are a few blocks, not stacks of the result's size
+_BLOCK = 32
+
+
+def _blocks(shape: tuple[int, ...]):
+    """Index tuples that split a stack of this shape into blocks of at most
+    _BLOCK matrices along its last axis."""
+    if not shape:
+        yield ()
+        return
+    for lead in np.ndindex(shape[:-1]):
+        for k in range(0, shape[-1], _BLOCK):
+            yield lead + (slice(k, k + _BLOCK),)
+
+
+def _conjugate_block(D, M, index, antilinear: bool, out: np.ndarray) -> None:
+    """out = D M eta D^dagger eta (anti-linear: D M eta D^T eta) for one
+    block, with eta the permutation `index`."""
+    X = D @ M[..., index]
+    if not antilinear:
+        np.conjugate(X, out=X)
+    X = X @ np.swapaxes(D, -1, -2)
+    if not antilinear:
+        np.conjugate(X, out=X)
+    np.take(X, index, axis=-1, out=out, mode="clip")
 
 
 def _squared(M: np.ndarray, antilinear: bool) -> np.ndarray:
@@ -364,7 +449,11 @@ def covariance_residual(
     Raises when a norm overflows: a family scaled near the float range can
     have finite matrices whose norms are not, and would read residual 0.
     """
-    A1 = fam.matrix_at(q)
+    return _covariance_residual(fam, fam.matrix_at(q), q, L, D)
+
+
+def _covariance_residual(fam, A1, q, L, D) -> float | np.ndarray:
+    """covariance_residual with A1 = fam.matrix_at(q) already evaluated."""
     A2 = fam.matrix_at(q.transform(L))
     # the images of a pair stack come back as one batch: give them its axes
     lead = np.broadcast_shapes(L.matrix.shape[:-2], np.shape(q.m))
@@ -372,7 +461,9 @@ def covariance_residual(
     A1 = fam._spread(A1, len(lead) - np.ndim(q.m))
     with np.errstate(over="ignore", invalid="ignore"):
         scale = stack_norm(A1, 2)
-        r = stack_norm(A2 - fam.conjugated(D, A1), 2) / scale
+        # the difference overwrites the conjugated stack, a fresh array
+        diff = fam.conjugated(D, A1)
+        r = stack_norm(np.subtract(A2, diff, out=diff), 2) / scale
     if not (np.isfinite(scale).all() and np.isfinite(r).all()):
         raise ValueError("the family's norm overflows at a sampled momentum; rescale it")
     return float(r) if r.ndim == 0 else r
@@ -500,12 +591,14 @@ def is_fully_kinematic(
     rng = np.random.default_rng(seed)
     momenta = sample_momenta(rng, samples)
     pairs = stack_pairs(random_transform_pairs(fam.rep, rng, samples))
-    # a family scaled near the float range can overflow once boosted: a
-    # residual that is not finite is refused, not reported
+    # A(q) once, for the square and for the covariance. A family scaled near
+    # the float range can overflow once boosted: a residual that is not
+    # finite is refused, not reported
+    A = fam.matrix_at(momenta)
     with np.errstate(over="ignore", invalid="ignore"):
-        sq_worst = float(np.max(stack_norm(fam.squared_at(momenta) - np.eye(fam.rep.dim), 2)))
+        sq_worst = float(np.max(stack_norm(_squared(A, fam.antilinear) - np.eye(fam.rep.dim), 2)))
         anti_worst = fam.anticommutator_residual()
-    cov_worst = float(np.max(covariance_residual(fam, momenta, *pairs)))
+    cov_worst = float(np.max(_covariance_residual(fam, A, momenta, *pairs)))
 
     residuals = {
         "square": sq_worst,

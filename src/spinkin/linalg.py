@@ -50,21 +50,10 @@ def _check_hermitian(H: np.ndarray) -> None:
         raise ValueError("matrix is not Hermitian")
 
 
-# matrices per eigendecomposition pass: bounds the temporaries of a large
-# stack to a fraction of its size
-_EXPM_CHUNK = 64
-
-
 def _expm_eigh(H: np.ndarray, f, max_eigenvalue: float) -> np.ndarray:
     """U diag(f(w)) U^dagger from eigh(H) = (w, U), for H or each matrix of a
     stack; every eigenvalue must be at most max_eigenvalue."""
     H = _as_square(H)
-    if H.ndim > 3 or (H.ndim == 3 and len(H) > _EXPM_CHUNK):
-        stack = H.reshape((-1,) + H.shape[-2:])
-        out = np.empty_like(stack)
-        for k in range(0, len(stack), _EXPM_CHUNK):
-            out[k : k + _EXPM_CHUNK] = _expm_eigh(stack[k : k + _EXPM_CHUNK], f, max_eigenvalue)
-        return out.reshape(H.shape)
     _check_hermitian(H)
     w, U = np.linalg.eigh(H)
     if w.max(initial=0.0) > max_eigenvalue:

@@ -8,9 +8,10 @@ exp(+J.phi); inside each block the basis is the J_z eigenbasis descending from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +21,8 @@ __all__ = [
     "spin_matrices",
     "RepGenerators",
     "rep_generators",
+    "symmetric_power",
+    "adjugate_power",
     "LorentzTransform",
     "vector_boost",
     "vector_rotation",
@@ -110,6 +113,10 @@ class RepGenerators:
     (tensor_rep_generators): Kronecker sums and eta = S, the tensor swap.
     On either, eta^2 = I exactly, eta commutes with rotations and
     anti-commutes with boosts.
+
+    `tensor` tells the two apart (at 2j = 1 both have dimension 4); only the
+    two builders set it. J and K define the representation; its group
+    elements are evaluated by `lift` from spin-j images of 2x2 matrices.
     """
 
     j: HalfInt
@@ -117,40 +124,112 @@ class RepGenerators:
     J: tuple[np.ndarray, np.ndarray, np.ndarray]
     K: tuple[np.ndarray, np.ndarray, np.ndarray]
     eta: np.ndarray
+    tensor: bool = False
 
-    def J_dot(self, theta) -> np.ndarray:
-        """J.theta for theta of shape (..., 3): one (n, n) matrix per vector."""
-        return self._dot(self._J_real, theta)
+    @property
+    def eta_index(self) -> np.ndarray:
+        """eta as the permutation it is: M @ eta = M[..., eta_index] and
+        eta @ M = M[..., eta_index, :]."""
+        return _eta_index(self.j, self.tensor)
 
-    def iK_dot(self, phi) -> np.ndarray:
-        """i K.phi (Hermitian) for phi of shape (..., 3): one (n, n) matrix per vector."""
-        return self._dot(self._iK_real, phi)
-
-    # the (3, 2 n^2) real views of the stacks (J_a) and (i K_a), built at the
-    # first product and read-only: J and K are taken as fixed from then on
-    @cached_property
-    def _J_real(self) -> np.ndarray:
-        return _real_rows(np.array(self.J))
-
-    @cached_property
-    def _iK_real(self) -> np.ndarray:
-        return _real_rows(1j * np.array(self.K))
-
-    def _dot(self, gens: np.ndarray, vec) -> np.ndarray:
-        """sum_a vec[..., a] gens[a] as one real product of the stacked vectors
-        with the real view of the generators."""
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape[-1:] != (3,):
-            raise ValueError(f"expected 3-vectors, got shape {vec.shape}")
-        out = vec @ gens
-        return out.view(complex).reshape(vec.shape[:-1] + (self.dim, self.dim))
+    def lift(self, right: np.ndarray, left: np.ndarray, swap: bool = False) -> np.ndarray:
+        """The matrix acting as `right` on (j,0) and `left` on (0,j), two
+        (stacks of) spin-j matrices (..., d, d): diag(right, left) on the
+        direct sum, right x left on the tensor product; times eta on the
+        right when `swap`. Both stacks have the same shape."""
+        if self.tensor:
+            # (i, k, j, l) indexes row i*d+k and column j*d+l, as in np.kron;
+            # eta swaps the column factors
+            r = right[..., :, None, None, :] if swap else right[..., :, None, :, None]
+            out = r * (left[..., None, :, :, None] if swap else left[..., None, :, None, :])
+            return out.reshape(out.shape[:-4] + (self.dim, self.dim))
+        d = right.shape[-1]
+        out = np.zeros(right.shape[:-2] + (2 * d, 2 * d), dtype=complex)
+        if swap:
+            out[..., :d, d:], out[..., d:, :d] = right, left
+        else:
+            out[..., :d, :d], out[..., d:, d:] = right, left
+        return out
 
 
-def _real_rows(gens: np.ndarray) -> np.ndarray:
-    """A (3, n, n) complex stack as its read-only (3, 2 n^2) real view."""
-    rows = gens.view(float).reshape(3, -1)
-    rows.flags.writeable = False
-    return rows
+@lru_cache(maxsize=32)
+def _eta_index(j: HalfInt, tensor: bool) -> np.ndarray:
+    d = j.block_dim
+    # the swap sends index i*d+k to k*d+i; the block swap sends the top
+    # block to the bottom one
+    index = np.arange(d * d).reshape(d, d).T.reshape(-1) if tensor else np.roll(np.arange(2 * d), d)
+    index.flags.writeable = False
+    return index
+
+
+def symmetric_power(g, j) -> np.ndarray:
+    """Sym^{2j}(g): the spin-j image of a 2x2 matrix g, or of each matrix of
+    a stack (..., 2, 2), in the J_z basis of spin_matrices.
+
+    Its entries are homogeneous polynomials of degree 2j in the entries of
+    g, summed over a constant table of monomial coefficients. It is a
+    homomorphism, Sym(gh) = Sym(g) Sym(h), with Sym(exp(sigma.z/2)) =
+    exp(J.z) for any complex 3-vector z: exp(sigma.phi/2) gives the spin-j
+    boost and exp(i sigma.theta/2) the spin-j rotation.
+    """
+    index, exponents, table, _ = _symmetric_power_table(HalfInt.coerce(j).twice)
+    g = np.asarray(g, dtype=complex)
+    lead = g.shape[:-2]
+    # g_v^k for the four entries v and k = 0..2j; the products g11^a g12^b
+    # and g21^c g22^e; then each monomial as the product of two of those.
+    # Elementwise products and one (1, M) @ table product per matrix round a
+    # stacked entry exactly as its single call (a reduction such as prod()
+    # does not: its loop order depends on the stack's shape)
+    powers = np.power(g.reshape(lead + (2, 2, 1)), exponents)
+    d = len(exponents)
+    halves = (powers[..., :, 0, :, None] * powers[..., :, 1, None, :]).reshape(lead + (2 * d * d,))
+    monomials = halves[..., index[0]] * halves[..., index[1]]
+    return (monomials[..., None, :] @ table).reshape(lead + (d, d))
+
+
+def adjugate_power(S: np.ndarray) -> np.ndarray:
+    """Sym^{2j}(adj g) from S = Sym^{2j}(g), for one image or a stack.
+
+    adj g = eps g^T eps^-1 with eps = i sigma_y, and Sym(eps) is the signed
+    reversal, so the entry (x, y) is (-1)^(x+y) S[2j-y, 2j-x]. For det g = 1
+    this is Sym^{2j}(g^-1).
+    """
+    _, _, _, sign = _symmetric_power_table(S.shape[-1] - 1)
+    return S[..., ::-1, ::-1].swapaxes(-1, -2) * sign
+
+
+@lru_cache(maxsize=16)
+def _symmetric_power_table(twice: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(index, exponents, table, sign) of symmetric_power and adjugate_power,
+    built once per spin from binomials and read-only.
+
+    In the basis e_1^a e_2^(2j-a) / sqrt(a! (2j-a)!), index a descending, g
+    sends e_1 to g11 e_1 + g21 e_2 and e_2 to g12 e_1 + g22 e_2. The
+    monomial g11^k g12^l g21^(a-k) g22^(2j-a-l) (k + l = a') then carries
+    C(a,k) C(2j-a,l) sqrt(C(2j,a)/C(2j,a')) into the entry (a', a): one
+    entry per monomial, C(2j+3, 3) monomials (35 at 2j = 4).
+    """
+    n, d = twice, twice + 1
+    exps = [
+        (k11, k12, k21, n - k11 - k12 - k21)
+        for k11 in range(n + 1)
+        for k12 in range(n + 1 - k11)
+        for k21 in range(n + 1 - k11 - k12)
+    ]
+    table = np.zeros((len(exps), d * d), dtype=complex)
+    for row, (k11, k12, k21, _) in enumerate(exps):
+        a, a_out = k11 + k21, k11 + k12  # powers of e_1 before and after
+        weight = math.comb(a, k11) * math.comb(n - a, k12) * math.sqrt(math.comb(n, a) / math.comb(n, a_out))
+        table[row, (n - a_out) * d + (n - a)] = weight
+    # index[0] points at g11^k11 g12^k12 and index[1] at g21^k21 g22^k22 in
+    # the flattened (2, 2j+1, 2j+1) products of powers
+    k = np.array(exps).T
+    index = np.array([k[0] * d + k[1], d * d + k[2] * d + k[3]])
+    exponents = np.arange(n + 1, dtype=complex)
+    sign = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
+    for a in (index, exponents, table, sign):
+        a.flags.writeable = False
+    return index, exponents, table, sign
 
 
 def rep_generators(j) -> RepGenerators:
@@ -262,5 +341,7 @@ def tensor_rep_generators(j) -> RepGenerators:
     left = np.einsum("aik,jl->aijkl", A, I).reshape(3, n, n)
     right = np.einsum("ik,ajl->aijkl", I, A).reshape(3, n, n)
     # row k*d+i of S is the unit row i*d+k
-    S = np.eye(n, dtype=complex)[np.arange(n).reshape(d, d).T.reshape(-1)]
-    return RepGenerators(j=j, dim=n, J=tuple(left + right), K=tuple(-1j * left + 1j * right), eta=S)
+    S = np.eye(n, dtype=complex)[_eta_index(j, True)]
+    return RepGenerators(
+        j=j, dim=n, J=tuple(left + right), K=tuple(-1j * left + 1j * right), eta=S, tensor=True
+    )

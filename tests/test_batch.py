@@ -29,7 +29,7 @@ from spinkin.kinematics import (
     scaled_swap_family,
     stack_pairs,
 )
-from spinkin.linalg import anticommutator
+from spinkin.linalg import anticommutator, stack_norm
 from spinkin.reps import (
     RAPIDITY_MAX,
     HalfInt,
@@ -249,12 +249,12 @@ class TestStackValidation:
             boost_matrix(rep, phi)
 
 
-@pytest.mark.parametrize("twice", SPINS)
+@pytest.mark.parametrize("twice", range(1, 9))
 @pytest.mark.parametrize("make_rep", REPS)
 class TestInverseRule:
     """eta anti-commutes with every K_a on both representations, so
     eta B(phi) eta = B(-phi) = B(phi)^-1; |phi| <= asinh(5) = 2.31 here, the
-    cap of sample_momenta's default draws."""
+    cap of sample_momenta's default draws, up to 2j = 8."""
 
     def phis(self, twice):
         phi = rapidity_from_momentum(momenta(100 + twice, 60))
@@ -414,6 +414,47 @@ class TestFamilyStack:
                 assert value == max(r.max_residuals[key] for r in reports)
             for flag in ("squares_to_identity", "anticommutes", "covariant", "fully_kinematic"):
                 assert getattr(report, flag) == all(getattr(r, flag) for r in reports)
+
+
+def product_form_conjugated(fam, D, M):
+    """Reference for conjugated: the products with eta as a matrix and an
+    explicit conjugate transpose of D."""
+    Dt = np.swapaxes(D, -1, -2)
+    return D @ (M @ fam.rep.eta) @ (Dt if fam.antilinear else np.conj(Dt)) @ fam.rep.eta
+
+
+@pytest.mark.parametrize("twice", SPINS)
+def test_conjugated_equals_product_form(twice, rng):
+    """conjugated applies eta by index, conjugates in place and works a block
+    at a time, with results equal to the product form bit for bit: single
+    matrices, stacks longer than a block, pair stacks and family stacks."""
+    rep = rep_generators(HalfInt(twice))
+    phi = rapidity_from_momentum(momenta(170 + twice, 70))
+    (_, Db), (_, Dr) = random_transform_pairs(rep, rng, 70)
+    Ds = [boost_matrix(rep, phi), Db, Dr, np.stack([Db, Dr]), Db[5]]
+    for singles, stack in family_stacks(rep, rng):
+        for fam in singles[:2] + [stack]:
+            for D in Ds:
+                M = fam._spread(fam.rest_matrix, D.ndim - 2)
+                want = product_form_conjugated(fam, D, M)
+                got = fam.conjugated(D, M)
+                assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("twice", SPINS)
+def test_is_fully_kinematic_equals_its_public_parts(twice):
+    """is_fully_kinematic evaluates A(q) once for the square and the
+    covariance; its residuals equal squared_at and covariance_residual on
+    the same draws."""
+    rep = rep_generators(HalfInt(twice))
+    for fam in (parity_family(rep), scaled_swap_family(rep, SCALES)):
+        report = is_fully_kinematic(fam, samples=12, seed=5)
+        rng = np.random.default_rng(5)
+        batch = sample_momenta(rng, 12)
+        pairs = stack_pairs(random_transform_pairs(rep, rng, 12))
+        square = np.max(stack_norm(fam.squared_at(batch) - np.eye(rep.dim), 2))
+        assert report.max_residuals["square"] == float(square)
+        assert report.max_residuals["covariance"] == float(np.max(covariance_residual(fam, batch, *pairs)))
 
 
 # The three suites as they were before the family, pair and spinor stacks:

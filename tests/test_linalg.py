@@ -48,7 +48,7 @@ class TestHermitianExpm:
         H = H + H.conj().T
         assert np.array_equal(expm_hermitian(H.T), expm_hermitian(H.T.copy()))
 
-    @pytest.mark.parametrize("shape", [(6,), (150,), (3, 50)])  # one pass and several
+    @pytest.mark.parametrize("shape", [(6,), (150,), (3, 50)])
     def test_stack_equals_each_matrix(self, rng, shape):
         H = rng.normal(size=shape + (3, 3)) + 1j * rng.normal(size=shape + (3, 3))
         H = H + H.conj().swapaxes(-1, -2)

@@ -1,14 +1,26 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from spinkin.kinematics import (
+    MomentumBatch,
+    boost_matrix,
+    parity_operator,
+    rapidity_from_momentum,
+    rotation_matrix,
+    sample_momenta,
+)
 from spinkin.linalg import anticommutator, commutator
 from spinkin.reps import (
     HalfInt,
     LorentzTransform,
     RepGenerators,
+    _symmetric_power_table,
+    adjugate_power,
     pauli_matrices,
     rep_generators,
     spin_matrices,
+    symmetric_power,
     tensor_rep_generators,
     vector_boost,
     vector_rotation,
@@ -90,16 +102,12 @@ class TestRepGenerators:
 
     def test_block_boost_closed_form(self):
         # j = 1/2, phi = (ln 4) z: exp(i K.phi) = diag(2, 1/2, 1/2, 2)
-        from spinkin.kinematics import boost_matrix
-
         rep = rep_generators(HalfInt(1))
         B = boost_matrix(rep, (0.0, 0.0, np.log(4.0)))
         assert np.allclose(B, np.diag([2.0, 0.5, 0.5, 2.0]), atol=1e-13)
 
     @pytest.mark.parametrize("twice", [1, 2, 3, 4])
     def test_rotation_unitary_boost_positive(self, twice, rng):
-        from spinkin.kinematics import boost_matrix, rotation_matrix
-
         rep = rep_generators(HalfInt(twice))
         theta = rng.normal(size=3)
         theta *= rng.uniform(0, 2 * np.pi) / np.linalg.norm(theta)
@@ -237,18 +245,117 @@ class TestCacheContract:
 
     @pytest.mark.parametrize("build", [rep_generators, tensor_rep_generators])
     @pytest.mark.parametrize("twice", [1, 2, 3, 4])
-    def test_generator_products_use_one_read_only_stack(self, build, twice, rng):
-        """iK_dot and J_dot read one real view of (i K_a) and of (J_a) per
-        instance, and equal the product with a freshly built stack bit for
-        bit."""
+    def test_lift_uses_one_read_only_table(self, build, twice):
+        """Every representative reads one Sym^{2j} table per spin, built once
+        and read-only, and eta_index is the permutation of eta."""
         rep = build(HalfInt(twice))
-        vec = rng.normal(size=(5, 3))
-        for method, gens in (("iK_dot", 1j * np.array(rep.K)), ("J_dot", np.array(rep.J))):
-            want = (vec @ gens.view(float).reshape(3, -1)).view(complex).reshape(5, rep.dim, rep.dim)
-            assert np.array_equal(getattr(rep, method)(vec).view(float), want.view(float))
-            assert np.array_equal(getattr(rep, method)(vec[0]).view(float), want[0].view(float))
-        first = (rep._iK_real, rep._J_real)
-        for cached in first:
-            assert cached.shape == (3, 2 * rep.dim**2) and not cached.flags.writeable
-        rep.iK_dot(vec), rep.J_dot(vec)
-        assert rep._iK_real is first[0] and rep._J_real is first[1]
+        first = _symmetric_power_table(twice)
+        symmetric_power(np.eye(2), rep.j)
+        assert all(a is b for a, b in zip(first, _symmetric_power_table(twice)))
+        for a in first + (rep.eta_index,):
+            assert not a.flags.writeable
+        M = np.arange(rep.dim**2, dtype=complex).reshape(rep.dim, rep.dim)
+        assert np.array_equal(M @ rep.eta, M[:, rep.eta_index])
+        assert np.array_equal(rep.eta @ M, M[rep.eta_index])
+
+
+# every spin the kernel is tested at; the checks use 2j <= 4
+KERNEL_SPINS = range(1, 9)
+# sample_momenta's default draws: |p| <= 5 m, so |phi| <= asinh 5 = 2.31
+PHI_MAX = np.arcsinh(5.0)
+
+
+def kernel_momenta(seed, n=6):
+    """n seeded momenta with |phi| <= 2.31, the last one at that cap."""
+    q = sample_momenta(np.random.default_rng(seed), n - 1)
+    m = np.append(q.m, 1.3)
+    p = np.vstack([q.p, 5.0 * 1.3 * np.array([0.48, -0.6, 0.64])])
+    return MomentumBatch(m, p)
+
+
+def generator_dot(gens, v):
+    return np.einsum("a,aij->ij", v, np.array(gens))
+
+
+def rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("build", [rep_generators, tensor_rep_generators])
+@pytest.mark.parametrize("twice", KERNEL_SPINS)
+class TestSymmetricPowerKernel:
+    """Boosts, rotations and parity operators, all lifted from 2x2 matrices
+    through Sym^{2j}, against the exponentials of their generators."""
+
+    def test_boost_and_parity_match_expm(self, build, twice):
+        rep = build(HalfInt(twice))
+        batch = kernel_momenta(twice)
+        phis = rapidity_from_momentum(batch)
+        assert np.linalg.norm(phis, axis=-1).max() <= PHI_MAX
+        P = parity_operator(rep, batch)
+        for k, phi in enumerate(phis):
+            assert rel_err(boost_matrix(rep, phi), scipy.linalg.expm(1j * generator_dot(rep.K, phi))) <= 1e-13
+            want = scipy.linalg.expm(2j * generator_dot(rep.K, phi)) @ rep.eta
+            assert rel_err(P[k], want) <= 1e-13
+
+    def test_rotation_matches_expm(self, build, twice, rng):
+        rep = build(HalfInt(twice))
+        for _ in range(4):
+            theta = rng.normal(size=3)
+            theta *= rng.uniform(0.0, 2.0 * np.pi) / np.linalg.norm(theta)
+            want = scipy.linalg.expm(1j * generator_dot(rep.J, theta))
+            assert rel_err(rotation_matrix(rep, theta), want) <= 1e-13
+
+
+@pytest.mark.parametrize("twice", KERNEL_SPINS)
+def test_symmetric_power_is_a_homomorphism(twice, rng):
+    """Sym(AB) = Sym(A) Sym(B) for complex 2x2 matrices of any determinant,
+    and the adjugate image is the image of the adjugate."""
+    j = HalfInt(twice)
+    A, B = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+    SA, SB = symmetric_power(A, j), symmetric_power(B, j)
+    assert rel_err(SA @ SB, symmetric_power(A @ B, j)) <= 1e-13
+    adj = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]])
+    assert rel_err(adjugate_power(SA), symmetric_power(adj, j)) <= 1e-13
+
+
+@pytest.mark.parametrize("build", [rep_generators, tensor_rep_generators])
+def test_stacked_equals_single_at_2j_8(build, rng):
+    rep = build(HalfInt(8))
+    batch = kernel_momenta(8, n=12)
+    phi, theta = rapidity_from_momentum(batch), rng.normal(size=(12, 3))
+    for stacked, single in (
+        (boost_matrix(rep, phi), lambda k: boost_matrix(rep, phi[k])),
+        (rotation_matrix(rep, theta), lambda k: rotation_matrix(rep, theta[k])),
+        (parity_operator(rep, batch), lambda k: parity_operator(rep, batch[k])),
+    ):
+        assert all(np.array_equal(stacked[k], single(k)) for k in range(12))
+
+
+class DuckMomentum:
+    """A momentum that skips FourMomentum's checks, to feed parity_operator
+    values no validated momentum can hold."""
+
+    def __init__(self, m, p):
+        self.m, self.p_vec = m, np.asarray(p, dtype=float)
+
+
+@pytest.mark.parametrize(
+    "p, match",
+    [
+        ((0.0, 0.0, np.sinh(15.0 + 1e-9)), "cap"),
+        ((np.nan, 0.0, 0.0), "finite"),
+        ((0.0, np.inf, 0.0), "cap"),
+    ],
+)
+def test_parity_operator_refusals(p, match):
+    """|phi| just above 15 (the cap of B(2 phi)), nan and inf are refused, as
+    they were when P(q) was computed as B(2 phi) eta."""
+    rep = rep_generators(HalfInt(2))
+    with pytest.raises(ValueError, match=match):
+        parity_operator(rep, DuckMomentum(1.0, p))
+    batch = DuckMomentum(np.array([1.0, 1.0]), np.array([[0.1, 0.2, 0.3], p]))
+    with pytest.raises(ValueError, match=match):
+        parity_operator(rep, batch)
+    # just below the cap is accepted
+    parity_operator(rep, DuckMomentum(1.0, (0.0, 0.0, np.sinh(15.0 - 1e-9))))

@@ -2,24 +2,47 @@
 library functions, so a rename fails here and not only in a traced run."""
 
 import json
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS_PATH = PERFBENCH / "spans.py"
 
 
-def load_spans() -> types.ModuleType:
-    """perfbench/spans.py as a module, read without writing a bytecode cache
+def load_source(path: Path, name: str) -> types.ModuleType:
+    """A perfbench file as a module, read without writing a bytecode cache
     next to it."""
-    module = types.ModuleType("perfbench_spans")
-    module.__file__ = str(SPANS_PATH)
-    exec(compile(SPANS_PATH.read_text(), str(SPANS_PATH), "exec"), module.__dict__)
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
+def load_spans() -> types.ModuleType:
+    return load_source(SPANS_PATH, "perfbench_spans")
+
+
 SPANS = load_spans()
+
+
+def load_run() -> types.ModuleType:
+    """perfbench/run.py, with the `spans` and `workloads` modules it imports
+    loaded the same way; sys.path and sys.modules are left as they were."""
+    saved_path, saved = list(sys.path), {n: sys.modules.get(n) for n in ("spans", "workloads")}
+    try:
+        sys.modules["spans"] = load_source(SPANS_PATH, "spans")
+        sys.modules["workloads"] = load_source(PERFBENCH / "workloads.py", "workloads")
+        return load_source(PERFBENCH / "run.py", "perfbench_run")
+    finally:
+        sys.path[:] = saved_path
+        for name, module in saved.items():
+            if module is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = module
 
 
 @pytest.mark.parametrize("name", SPANS.SPAN_NAMES)
@@ -29,8 +52,10 @@ def test_span_name_resolves(name):
 
 def test_check_all_reaches_every_span(capsys):
     """The coverage guard of the traced check_all workload: one `check all`
-    calls every traced function and suite, with at most 60 boost_matrix
-    calls (157 before the family, pair and spinor stacks; 47 with them)."""
+    calls every traced function and suite, with at most 31 boost_matrix
+    calls (157 before the family, pair and spinor stacks; 47 with them; 31
+    once parity_operator needs no boost and is_fully_kinematic evaluates
+    A(q) once)."""
     from spinkin import checks, cli
 
     untraced, _ = checks.run_all(42)
@@ -42,7 +67,26 @@ def test_check_all_reaches_every_span(capsys):
         tracer.remove()
     counts = SPANS.summarize(tracer.take())
     assert [n for n in SPANS.SPAN_NAMES if not counts.get(f"{n}.calls")] == []
-    assert counts["kinematics.boost_matrix.calls"] <= 60
+    assert counts["kinematics.boost_matrix.calls"] <= 31
     # the tracer changed no result, and removing it restored the suites
     assert json.loads(capsys.readouterr().out)["suites"] == untraced["suites"]
     assert checks.SUITES[0][1] is checks.dirac_parity_suite
+
+
+def test_kernel_sweep_reaches_every_required_span():
+    """The coverage guard of the traced kernel_sweep workload: one traced
+    pass (its momentum draw, then one operation per spin) reaches every
+    counter that perfbench/run.py requires of it, so a kernel that drops a
+    layer such as linalg.expm_hermitian or rapidity_from_momentum fails
+    here, not only in a traced benchmark run."""
+    run = load_run()
+    wl = run.workloads.KernelSweep(seed=0)
+    wl.trace(True)
+    try:
+        ops = wl.pass_ops(0)
+        for i in ops[: len(run.spans.SPINS)]:
+            assert wl.check(i, wl.run(i)) is None
+    finally:
+        wl.trace(False)
+    counts = run.spans.summarize(wl.take_spans())
+    assert [n for n in run.REQUIRED["kernel_sweep"] if not counts.get(f"{n}.calls")] == []
