@@ -47,7 +47,6 @@ from .higherspin import (
 from .kinematics import (
     FourMomentum,
     KinematicOperatorFamily,
-    MomentumBatch,
     boost_matrix,
     covariance_residual,
     is_fully_kinematic,

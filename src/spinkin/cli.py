@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 
@@ -140,14 +139,14 @@ def cmd_parity(args) -> int:
         "command": args.command,
         "spin": str(j),
         "spin_twice": j.twice,
-        "mass": q.m,
-        "p": q.p,
+        "mass": args.mass,
+        "p": args.p,
         key: P,
         **spectrum,
     }
 
     def render():
-        print(f"{title} for spin {j}, m={q.m}, p={q.p}:")
+        print(f"{title} for spin {j}, m={args.mass}, p={args.p}:")
         print(np.array_str(P, precision=10, suppress_small=True))
         print("eigenvalues:", np.array_str(spectrum["eigenvalues"], precision=6))
         print("det:", spectrum["det"])
@@ -160,14 +159,17 @@ def cmd_spinors(args) -> int:
     j = _spin(args)
     q = _momentum(args)
     basis = boosted_spinors(j, q)
-    res_u = max(field_equation_residual(j, w, q, +1) for w in basis.u)
-    res_v = max(field_equation_residual(j, w, q, -1) for w in basis.v)
+    # one call per sign: every spinor of that sign against one P(q)
+    res_u, res_v = (
+        float(field_equation_residual(j, np.array(ws), q, sign).max())
+        for ws, sign in ((basis.u, +1), (basis.v, -1))
+    )
     payload = {
         "command": "spinors",
         "spin": str(j),
         "spin_twice": j.twice,
-        "mass": q.m,
-        "p": q.p,
+        "mass": args.mass,
+        "p": args.p,
         "u": basis.u,
         "v": basis.v,
         "residuals": {"u_max": res_u, "v_max": res_v},
@@ -256,8 +258,8 @@ def cmd_decompose(args) -> int:
     payload = {
         "command": "decompose",
         "basis": args.basis,
-        "mass": q.m,
-        "p": q.p,
+        "mass": args.mass,
+        "p": args.p,
         "K": result.K,
         "Xi": result.Xi,
         "residual": result.residual,
@@ -273,9 +275,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_check_kinematic(args) -> int:
-    tol = args.tol if args.tol is not None else float(os.environ.get("SPINKIN_TOL", 1e-7))
     rep = rep_generators(HalfInt(args.spin))
-    report = is_fully_kinematic(parity_family(rep), samples=args.samples, tol=tol, seed=args.seed)
+    report = is_fully_kinematic(parity_family(rep), samples=args.samples, tol=args.tol, seed=args.seed)
     payload = {
         "command": "check kinematic",
         "spin_twice": args.spin,
@@ -376,8 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk = csub.add_parser("kinematic", help="Definition-level checks for the parity family")
     add_spin(pk)
     pk.add_argument("--samples", type=int, default=50)
-    pk.add_argument("--tol", type=float, default=None,
-                    help="residual tolerance (overrides SPINKIN_TOL and defaults)")
+    pk.add_argument("--tol", type=float, default=1e-7, help="residual tolerance")
     pk.add_argument("--seed", type=int, default=0)
     pk.set_defaults(fn=cmd_check_kinematic)
     pa = csub.add_parser("all", help="every module's residual suite")

@@ -2,8 +2,8 @@
 spinor-defined involution K(p), and the decomposition gamma^mu p_mu = m K Xi.
 
 For spin j > 1/2 the comparison target is m P_j(q) (the spin-j parity
-operator); the gamma^mu p_mu identity itself is the j = 1/2 case. A batch of
-rest bases (an (N,) mass array) with a MomentumBatch of the same masses is
+operator); the gamma^mu p_mu identity itself is the j = 1/2 case. A stack of
+rest bases (a mass array) with a FourMomentum stack of the same masses is
 decomposed in one stacked call.
 """
 
@@ -18,7 +18,6 @@ from .elko import Cx2Basis, elko_basis, helicity_spinors
 from .kinematics import (
     FourMomentum,
     KinematicOperatorFamily,
-    MomentumBatch,
     boost_matrix,
     parity_operator,
     rapidity_from_momentum,
@@ -63,43 +62,40 @@ def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:
     The unknown X = tilde-Xi(0)^dagger satisfies, over all basis labels,
         u^dag X eta u' = 2m delta,   u^dag X eta v' = 0,
         v^dag X eta u' = 0,          v^dag X eta v' = -2m delta,
-    a dense square linear system of (2 (2j+1))^2 = d^2 rows in the d^2
-    unknowns. A batch of N bases is solved as one (N, d^2, d^2) stack. Full
-    rank, with the smallest singular value above 1e-10 of the largest, is
-    asserted for every basis (the operator is unique), and so is a solution
-    residual within 1e-8 of the right-hand side; returns tilde-Xi(0) = X^dagger
-    ((N, d, d) for a batch).
+    that is W^dag X eta W = 2m S with W the basis as columns and
+    S = diag(+1 on u, -1 on v). For a square W of full rank the solution is
+    unique: tilde-Xi(0) = eta W^-dag (2m S) W^-1. As a linear system in the
+    d^2 entries of X the relations have the matrix W^dag kron (eta W)^T,
+    whose singular values are the products of two of W's; the smallest of
+    them, sigma_min(W)^2, is asserted above 1e-10 of the largest for every
+    basis, and so is a solution residual within 1e-8 of 2m S. A stack of
+    bases is solved in one stacked call; returns tilde-Xi(0) (S + (d, d) for
+    a stack of shape S).
     """
     if basis.mass is None:
         raise ValueError("basis must carry a mass (norms sqrt(2m))")
     eta = rep_generators(basis.j).eta
     m = np.asarray(basis.mass)
-    W = np.stack(basis.spinors, axis=-2)
-    n_w, d = W.shape[-2:]
+    W = basis.stack()
+    d, n_w = W.shape[-2:]
     if n_w != d:
         raise ValueError(f"degenerate spinor basis: {n_w} spinors in dimension {d}")
-    signs = np.array([1.0] * len(basis.u) + [-1.0] * len(basis.v))
-    eta_W = (eta @ W[..., None])[..., 0]
-    # w_a^dag X (eta w_b) is linear in X: row (a, b) = conj(w_a) kron (eta w_b),
-    # formed for all pairs by the broadcast multiply np.kron does for one
-    system = np.conj(W)[..., :, None, :, None] * eta_W[..., None, :, None, :]
-    system = system.reshape(m.shape + (n_w * n_w, d * d))
-    rhs = np.zeros(m.shape + (n_w, n_w), dtype=complex)
-    rhs[..., np.arange(n_w), np.arange(n_w)] = 2.0 * m[..., None] * signs
-    rhs = rhs.reshape(m.shape + (n_w * n_w, 1))
-    sv = np.linalg.svd(system, compute_uv=False)
+    sv = np.linalg.svd(W, compute_uv=False) ** 2
     if not (sv[..., -1] > 1e-10 * sv[..., 0]).all():
         raise ValueError("degenerate spinor basis: constraint system is singular")
-    solution = np.linalg.solve(system, rhs)
-    residual = stack_norm(system @ solution - rhs, 2)
+    rhs = (2.0 * m)[..., None, None] * np.diag([1.0] * len(basis.u) + [-1.0] * len(basis.v))
+    W_inv = np.linalg.solve(W, np.eye(d))
+    # X eta = W^-dag (2m S) W^-1, and eta^2 = I
+    X_eta = W_inv.conj().swapaxes(-1, -2) @ rhs @ W_inv
+    residual = stack_norm(W.conj().swapaxes(-1, -2) @ X_eta @ W - rhs, 2)
     bound = 1e-8 * np.maximum(1.0, stack_norm(rhs, 2))
     if (residual > bound).any():
         worst = residual[residual > bound].flat[0]
         raise ValueError(f"orthogonality constraints are inconsistent (residual {worst:.3e})")
-    return np.conj(np.swapaxes(solution.reshape(m.shape + (d, d)), -1, -2))
+    return eta @ X_eta
 
 
-def k_operator(basis: SpinorBasis, q: FourMomentum | MomentumBatch) -> np.ndarray:
+def k_operator(basis: SpinorBasis, q: FourMomentum) -> np.ndarray:
     """The unique linear operator with K u_s(q) = u_s(q), K v_s(q) = -v_s(q),
     built from the boosted basis; K^2 = I and trace K = 0."""
     boosted = boost_basis(basis, q)
@@ -142,7 +138,7 @@ class Decomposition:
     residual: float | np.ndarray
 
 
-def decomposition_residual(basis: SpinorBasis, q: FourMomentum | MomentumBatch) -> Decomposition:
+def decomposition_residual(basis: SpinorBasis, q: FourMomentum) -> Decomposition:
     """Factors and relative residual of gamma^mu p_mu = m K(q) Xi(q) for a
     Hermitian rest basis, with Xi(q) = B tilde-Xi(0)^dagger B^-1.
 
@@ -160,7 +156,7 @@ def decomposition_residual(basis: SpinorBasis, q: FourMomentum | MomentumBatch) 
     B = boost_matrix(rep, rapidity_from_momentum(q))
     Xi_q = KinematicOperatorFamily(rep, xi0).conjugated(B, xi0)
     K_q = k_operator(basis, q)
-    m = np.asarray(q.m)[..., None, None]
+    m = q.m[..., None, None]
     if basis.j == HalfInt(1):
         target = dirac_operator(q)
     else:

@@ -4,6 +4,10 @@ eigenspinor bases (built for any spin; the gamma matrices are the j = 1/2 case).
 Gamma convention: chiral basis fixed by the boost block ordering, gamma^0 =
 offdiag(I, I) and gamma^i = [[0, -sigma_i], [sigma_i, 0]], which makes
 gamma^mu p_mu equal m times the parity operator.
+
+A FourMomentum of stack shape S gives S-shaped stacks of operators and
+bases, and a mass array of shape S the S-shaped stack of rest bases; one
+momentum or one mass is the stack with no leading axis.
 """
 
 from __future__ import annotations
@@ -13,14 +17,7 @@ from functools import cache
 
 import numpy as np
 
-from .kinematics import (
-    FourMomentum,
-    MomentumBatch,
-    boost_matrix,
-    check_mass,
-    check_masses,
-    rapidity_from_momentum,
-)
+from .kinematics import FourMomentum, boost_matrix, check_mass, rapidity_from_momentum
 from .reps import HalfInt, pauli_matrices, rep_generators
 
 __all__ = [
@@ -42,8 +39,9 @@ class GammaSet:
 
     gamma: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-    def slash(self, q: FourMomentum | MomentumBatch) -> np.ndarray:
-        """gamma^mu p_mu = gamma^0 E - sum_i gamma^i p^i; (N, 4, 4) for a batch.
+    def slash(self, q: FourMomentum) -> np.ndarray:
+        """gamma^mu p_mu = gamma^0 E - sum_i gamma^i p^i; S + (4, 4) for a
+        stack of momenta of shape S.
 
         One product of the lower-index momenta with the real view of the
         stacked gammas: each entry of the result has at most two non-zero
@@ -71,7 +69,7 @@ def _gamma_set() -> GammaSet:
     return GammaSet(gamma=(g0, *gi))
 
 
-def dirac_operator(q: FourMomentum | MomentumBatch) -> np.ndarray:
+def dirac_operator(q: FourMomentum) -> np.ndarray:
     """gamma^mu p_mu; equals m * parity_operator(j=1/2, q)."""
     return gamma_matrices().slash(q)
 
@@ -81,8 +79,8 @@ class SpinorBasis:
     """Labeled u/v spinor sets of the (j,0)+(0,j) space.
 
     When mass is set, every spinor has norm sqrt(2m); the full set of 2(2j+1)
-    spinors is linearly independent. A batch of N bases has an (N,) mass
-    array and spinors of shape (N, dim).
+    spinors is linearly independent. A stack of bases has a mass array of
+    its stack shape S and spinors of shape S + (dim,).
     """
 
     j: HalfInt
@@ -95,22 +93,18 @@ class SpinorBasis:
         return self.u + self.v
 
     def stack(self) -> np.ndarray:
-        """Matrix with the u then v spinors as columns ((N, dim, dim) for a batch)."""
+        """Matrix with the u then v spinors as columns, S + (dim, dim) for a stack."""
         return np.stack(self.spinors, axis=-1)
 
     def at_mass(self, mass) -> "SpinorBasis":
         """This basis without a mass (spinors of norm sqrt 2) scaled by
-        sqrt(mass) to spinor norms sqrt(2m). A 1-d array of N masses gives
-        the batch of N bases."""
+        sqrt(mass) to spinor norms sqrt(2m). An array of masses gives the
+        stack of bases of its shape."""
         if self.mass is not None:
             raise ValueError("basis already carries a mass")
+        mass = check_mass(mass)
         W = np.array(self.spinors)
-        if isinstance(mass, np.ndarray) and mass.ndim > 0:
-            mass = check_masses(mass)
-            W = W[:, None, :] * np.sqrt(mass)[:, None]
-        else:
-            check_mass(mass)
-            W = float(np.sqrt(mass)) * W
+        W = np.sqrt(mass)[..., None] * W.reshape(W.shape[:1] + (1,) * mass.ndim + W.shape[1:])
         n_u = len(self.u)
         return SpinorBasis(j=self.j, mass=mass, u=tuple(W[:n_u]), v=tuple(W[n_u:]))
 
@@ -121,8 +115,8 @@ def rest_spinors(j, mass: float | np.ndarray | None = None) -> SpinorBasis:
 
     theta_s runs over the J_z eigenbasis; c = sqrt(mass) gives norm sqrt(2m)
     (c = 1 when no mass is supplied). Any rest spinor (theta, lambda) splits as
-    the half-sum of a u and a v spinor. A 1-d array of N masses gives the
-    batch of N bases.
+    the half-sum of a u and a v spinor. An array of masses gives the stack
+    of bases of its shape.
     """
     j = HalfInt.coerce(j)
     eye = np.eye(j.block_dim, dtype=complex)
@@ -132,21 +126,21 @@ def rest_spinors(j, mass: float | np.ndarray | None = None) -> SpinorBasis:
     return basis if mass is None else basis.at_mass(mass)
 
 
-def boost_basis(basis: SpinorBasis, q: FourMomentum | MomentumBatch) -> SpinorBasis:
+def boost_basis(basis: SpinorBasis, q: FourMomentum) -> SpinorBasis:
     """Boost every spinor of a rest basis to momentum q: w(q) = B(phi) w(0).
-    A batch of momenta takes the batch of rest bases with the same masses."""
+    A stack of momenta takes the stack of rest bases with the same masses."""
     if basis.mass is None:
         raise ValueError("basis must carry a mass")
     if (np.abs(basis.mass - q.m) > 1e-12 * np.maximum(1.0, q.m)).any():
         raise ValueError(f"basis mass {basis.mass} does not match momentum mass {q.m}")
     B = boost_matrix(rep_generators(basis.j), rapidity_from_momentum(q))
-    # every spinor in one product: W[k] = B w_k, for all momenta of a batch
+    # every spinor in one product: W[k] = B w_k, for all momenta of a stack
     W = (B @ np.array(basis.spinors)[..., None])[..., 0]
     n_u = len(basis.u)
     return SpinorBasis(j=basis.j, mass=basis.mass, u=tuple(W[:n_u]), v=tuple(W[n_u:]))
 
 
-def boosted_spinors(j, q: FourMomentum | MomentumBatch) -> SpinorBasis:
+def boosted_spinors(j, q: FourMomentum) -> SpinorBasis:
     """u_s(q) = B(phi) u_s(0), v_s(q) = B(phi) v_s(0); each is a +-1 eigenvector
     of the parity operator at q."""
     return boost_basis(rest_spinors(j, mass=q.m), q)

@@ -13,11 +13,11 @@ from functools import lru_cache
 import numpy as np
 
 from .kinematics import (
+    FourMomentum,
     KinematicOperatorFamily,
     _check_rest_norms,
     _family_scales,
     _random_vectors,
-    check_mass,
     rotation_matrix,
 )
 from .linalg import AntiLinearMap, nullspace, stack_norm
@@ -451,7 +451,8 @@ def helicity_origin_discontinuity(
     distance apart: the operator has no limit at the origin. The mass is
     validated and reported; G itself is mass-independent.
     """
-    check_mass(mass)
+    # one mass, held to the mass rule as the mass of a particle at rest
+    mass = float(FourMomentum(mass, (0.0, 0.0, 0.0)).m)
     eps_large, eps_small = max(epsilons), min(epsilons)
     dirs = [np.asarray(d, dtype=float) for d in directions]
     # helicity_g at eps_large * n and eps_small * n for every n, in one call
@@ -472,7 +473,7 @@ def helicity_origin_discontinuity(
                 np.linalg.norm(limits[keys[i]] - limits[keys[k]])
             )
     return {
-        "mass": float(mass),
+        "mass": mass,
         "epsilons": [float(eps_large), float(eps_small)],
         "ray_cauchy": ray_cauchy,
         "pairwise_distance": pairwise,

@@ -15,14 +15,7 @@ from math import factorial
 
 import numpy as np
 
-from .kinematics import (
-    FourMomentum,
-    MomentumBatch,
-    boost_matrix,
-    parity_operator,
-    rapidity_from_momentum,
-    sample_momenta,
-)
+from .kinematics import FourMomentum, boost_matrix, parity_operator, rapidity_from_momentum, sample_momenta
 from .linalg import stack_norm
 from .reps import HalfInt, rep_generators, tensor_rep_generators
 
@@ -39,9 +32,7 @@ __all__ = [
 ]
 
 
-def field_equation_residual(
-    j, psi: np.ndarray, q: FourMomentum | MomentumBatch, sign: int
-) -> float | np.ndarray:
+def field_equation_residual(j, psi: np.ndarray, q: FourMomentum, sign: int) -> float | np.ndarray:
     """|| (P_j(q) - sign) psi || / ||psi|| with P_j the spin-j parity operator;
     boosted u (sign +1) and v (sign -1) spinors are exact solutions. For a
     batch of N momenta psi is one spinor, N of them (N, dim), or k sets of N
@@ -59,7 +50,7 @@ def field_equation_residual(
     return float(r) if r.ndim == 0 else r
 
 
-def contraction_identity_residual(j, q: FourMomentum | MomentumBatch) -> float | np.ndarray:
+def contraction_identity_residual(j, q: FourMomentum) -> float | np.ndarray:
     """|| P_j(q)^2 - I ||_F / dim; certifies the on-shell contraction identity
     (the squared operator is (p.p)^{2j}/m^{4j} = 1) without the tensor. One
     residual per momentum of a batch."""
@@ -69,7 +60,7 @@ def contraction_identity_residual(j, q: FourMomentum | MomentumBatch) -> float |
     return float(r) if r.ndim == 0 else r
 
 
-def parity_spectrum(j, q: FourMomentum | MomentumBatch) -> dict:
+def parity_spectrum(j, q: FourMomentum) -> dict:
     """Eigenvalues (sorted by real part, then imaginary part) and determinant
     of P_j(q); for a batch of N momenta, (N, dim) eigenvalues and N
     determinants.
@@ -129,12 +120,12 @@ class GammaTensor:
             out = out + index_multiplicity(idx) * np.prod(plow[list(idx)]) * mat
         return out
 
-    def reconstruction_residual(self, momenta: list[FourMomentum]) -> float:
+    def reconstruction_residual(self, momenta: FourMomentum) -> float:
         """max over momenta of the relative error against m^{2j} P_j(q)."""
         rep = rep_generators(self.j)
         worst = 0.0
         for q in momenta:
-            target = q.m ** self.j.twice * parity_operator(rep, q)
+            target = float(q.m) ** self.j.twice * parity_operator(rep, q)
             r = np.linalg.norm(self.contract(q) - target) / np.linalg.norm(target)
             worst = max(worst, float(r))
         return worst
@@ -159,7 +150,9 @@ def extract_gamma_tensor(j, sample_count: int, seed: int = 0) -> GammaTensor:
     design = np.zeros((sample_count, len(idxs)))
     for s, q in enumerate(momenta):
         plow = q.lower
-        scale = q.m ** (-j.twice)  # fit P itself to keep rows well scaled
+        # fit P itself to keep rows well scaled; a Python float power (libm
+        # pow), which numpy's power of an array does not match bit for bit
+        scale = float(q.m) ** (-j.twice)
         for k, idx in enumerate(idxs):
             design[s, k] = index_multiplicity(idx) * np.prod(plow[list(idx)]) * scale
     targets = parity_operator(rep, momenta).reshape(sample_count, -1)
@@ -182,7 +175,7 @@ def tensor_boost_matrix(j, phi) -> np.ndarray:
     return boost_matrix(tensor_rep_generators(j), phi)
 
 
-def swap_operator_at(j, q: FourMomentum | MomentumBatch) -> np.ndarray:
+def swap_operator_at(j, q: FourMomentum) -> np.ndarray:
     """The boosted swap family A(q) = B(phi) S B(phi)^-1 = B(2 phi) S on
     (j,0)x(0,j), since S anti-commutes with the boost generators.
 

@@ -15,10 +15,10 @@ anti-commutes with K and commutes with J, so every D = exp(i K.phi) or
 exp(i J.theta) has D^-1 = eta D^dagger eta (eta B eta for a boost, which is
 Hermitian, and D^dagger for a rotation, which is unitary).
 
-The functions here that take a momentum also take a MomentumBatch and then
-evaluate all of its momenta in one stacked call: matrices come back as
-(N, n, n) stacks and residuals as (N,) arrays. A single FourMomentum is the
-same computation on a stack with no leading axis.
+A FourMomentum holds a stack of momenta of any shape S, and the functions here
+evaluate all of them in one stacked call: matrices come back as S + (n, n)
+stacks and residuals as arrays of shape S. A single momentum is the same
+computation on a stack with no leading axis.
 
 Two more stack axes ride on top of the momentum axis, and both lead it:
 
@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,9 +55,7 @@ from .reps import (
 
 __all__ = [
     "check_mass",
-    "check_masses",
     "FourMomentum",
-    "MomentumBatch",
     "rapidity_from_momentum",
     "boost_matrix",
     "rotation_matrix",
@@ -77,118 +74,60 @@ __all__ = [
 ]
 
 
-def check_mass(m) -> None:
-    """The library's one mass rule: a real scalar, positive and finite (a rest
-    frame exists)."""
-    # math.isfinite gives np.isfinite's answer on a float at a fraction of the
-    # cost; other types (ints, 0-d arrays, ...) keep numpy's rule
-    if isinstance(m, float):
-        ok = math.isfinite(m) and m > 0.0
-    else:
-        if np.ndim(m) != 0 or np.iscomplexobj(m):
-            raise ValueError(f"mass must be a real scalar, got {m!r}")
-        ok = np.isfinite(m) and m > 0.0
-    if not ok:
-        raise ValueError(f"mass must be positive and finite, got {m}")
-
-
-def check_masses(m) -> np.ndarray:
-    """The mass rule for every entry of a 1-d array of masses; returns them as
+def check_mass(m) -> np.ndarray:
+    """The library's one mass rule, for a single mass or an array of them:
+    real, positive and finite (a rest frame exists); returns the masses as
     a float array."""
-    if np.iscomplexobj(m) or np.ndim(m) != 1:
-        raise ValueError(f"masses must be a 1-d real array, got shape {np.shape(m)}")
+    if np.iscomplexobj(m):
+        raise ValueError(f"mass must be real, got {m!r}")
     m = np.asarray(m, dtype=float)
-    if not (np.isfinite(m).all() and (m > 0.0).all()):
-        raise ValueError("masses must be positive and finite")
+    # nan fails both comparisons
+    ok = (m > 0.0) & (m < np.inf)
+    if not ok.all():
+        raise ValueError(f"mass must be positive and finite, got {m[~ok][0]}")
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourMomentum:
-    """On-shell momentum of a massive particle: mass m > 0 plus 3-momentum p.
+    """On-shell momenta of massive particles as read-only arrays: masses m of
+    any stack shape S and 3-momenta p of shape S + (3,), validated once by
+    the mass rule. S = () is one momentum; a stack of N is what
+    sample_momenta returns, and transform keeps the leading axes of a pair
+    stack.
 
     The energy is derived, E = sqrt(m^2 + |p|^2), so the mass shell holds by
-    construction (natural units).
-    """
-
-    m: float
-    p: tuple[float, float, float]
-
-    def __post_init__(self):
-        check_mass(self.m)
-        p = tuple(np.asarray(self.p, dtype=float).reshape(3).tolist())
-        if not all(map(math.isfinite, p)):
-            raise ValueError("momentum components must be finite")
-        object.__setattr__(self, "p", p)
-
-    @property
-    def p_vec(self) -> np.ndarray:
-        return np.asarray(self.p, dtype=float)
-
-    @property
-    def E(self) -> float:
-        return float(np.sqrt(self.m**2 + self.p_vec @ self.p_vec))
-
-    @property
-    def four_vector(self) -> np.ndarray:
-        """(E, p1, p2, p3) with upper index."""
-        return np.concatenate([[self.E], self.p_vec])
-
-    @property
-    def lower(self) -> np.ndarray:
-        """p_mu = (E, -p1, -p2, -p3) in the (+,-,-,-) metric."""
-        return np.concatenate([[self.E], -self.p_vec])
-
-    def transform(self, L: LorentzTransform) -> "FourMomentum":
-        """Apply a Lorentz transform; raises if the image is off-shell by more
-        than 1e-9 relative to its energy."""
-        v = L.apply(self.four_vector)
-        out = FourMomentum(self.m, tuple(v[1:]))
-        if abs(out.E - v[0]) > 1e-9 * max(1.0, abs(v[0])):
-            raise ValueError("transformed momentum is off-shell; inconsistent inputs")
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class MomentumBatch:
-    """N on-shell momenta as read-only arrays: masses m (N,) and 3-momenta
-    p (N, 3), validated once for the whole batch by the mass rule.
-
-    len(), iteration and integer indexing give FourMomentum values, so a batch
-    reads like the list of its momenta; the library functions that take a
-    momentum evaluate a batch in one stacked call.
+    construction (natural units). len(), iteration and q[k] run over the
+    leading axis, so a stack reads like the list of its momenta.
     """
 
     m: np.ndarray
     p: np.ndarray
 
     def __post_init__(self):
-        m = np.array(check_masses(self.m))
+        m = np.array(check_mass(self.m))
         p = np.array(self.p, dtype=float)
-        if p.shape != (m.size, 3):
-            raise ValueError(f"expected {m.size} 3-momenta, got shape {p.shape}")
+        if p.shape != m.shape + (3,):
+            raise ValueError(f"expected 3-momenta of shape {m.shape + (3,)} for the masses, got {p.shape}")
         if not np.isfinite(p).all():
             raise ValueError("momentum components must be finite")
         m.flags.writeable = p.flags.writeable = False
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "p", p)
 
-    @cached_property
-    def _momenta(self) -> tuple[FourMomentum, ...]:
-        return tuple(FourMomentum(m, p) for m, p in zip(self.m.tolist(), self.p.tolist()))
-
     def __len__(self) -> int:
-        return self.m.size
+        return len(self.m)
 
     def __iter__(self):
-        return iter(self._momenta)
+        return map(self.__getitem__, range(len(self)))
 
-    def __getitem__(self, k) -> FourMomentum:
-        return self._momenta[k]
-
-    @property
-    def p_vec(self) -> np.ndarray:
-        return self.p
+    def __getitem__(self, k) -> "FourMomentum":
+        # views of a validated stack, which are read-only as it is: no
+        # second validation
+        q = object.__new__(FourMomentum)
+        object.__setattr__(q, "m", self.m[k, ...])
+        object.__setattr__(q, "p", self.p[k, ...])
+        return q
 
     @property
     def E(self) -> np.ndarray:
@@ -196,24 +135,22 @@ class MomentumBatch:
 
     @property
     def four_vector(self) -> np.ndarray:
-        """(N, 4) rows (E, p1, p2, p3) with upper index."""
-        return np.concatenate([self.E[:, None], self.p], axis=1)
+        """(E, p1, p2, p3) with upper index, on a trailing axis."""
+        return np.concatenate([self.E[..., None], self.p], axis=-1)
 
     @property
     def lower(self) -> np.ndarray:
-        """(N, 4) rows p_mu = (E, -p1, -p2, -p3) in the (+,-,-,-) metric."""
-        return np.concatenate([self.E[:, None], -self.p], axis=1)
+        """p_mu = (E, -p1, -p2, -p3) in the (+,-,-,-) metric, on a trailing axis."""
+        return np.concatenate([self.E[..., None], -self.p], axis=-1)
 
-    def transform(self, L: LorentzTransform) -> "MomentumBatch":
-        """Apply one Lorentz transform, a stack of N (one per momentum), or a
-        stack (..., N) of such stacks, whose images come back as one batch in
-        C order; raises if any image is off-shell by more than 1e-9 relative
+    def transform(self, L: LorentzTransform) -> "FourMomentum":
+        """Apply one Lorentz transform or a stack of them, broadcast against
+        the momenta: a stack (k, N) of transforms maps N momenta to (k, N)
+        images. Raises if any image is off-shell by more than 1e-9 relative
         to its energy."""
         v = L.apply(self.four_vector)
-        m = np.broadcast_to(self.m, v.shape[:-1]).reshape(-1)
-        v = v.reshape(-1, 4)
-        out = MomentumBatch(m, v[:, 1:])
-        if (np.abs(out.E - v[:, 0]) > 1e-9 * np.maximum(1.0, np.abs(v[:, 0]))).any():
+        out = FourMomentum(np.broadcast_to(self.m, v.shape[:-1]), v[..., 1:])
+        if (np.abs(out.E - v[..., 0]) > 1e-9 * np.maximum(1.0, np.abs(v[..., 0]))).any():
             raise ValueError("transformed momentum is off-shell; inconsistent inputs")
         return out
 
@@ -221,12 +158,12 @@ class MomentumBatch:
 _FLOAT_TINY = sys.float_info.min
 
 
-def rapidity_from_momentum(q: FourMomentum | MomentumBatch) -> np.ndarray:
-    """Rapidity vector phi = asinh(|p|/m) p-hat, so cosh|phi| = E/m; (N, 3)
-    for a batch."""
-    p = q.p_vec
+def rapidity_from_momentum(q: FourMomentum) -> np.ndarray:
+    """Rapidity vector phi = asinh(|p|/m) p-hat, so cosh|phi| = E/m, on a
+    trailing axis of 3 after the stack axes of q."""
+    p = q.p
     pn = np.sqrt(np.vecdot(p, p, keepdims=True))
-    phi = np.arcsinh(pn / np.asarray(q.m)[..., None])
+    phi = np.arcsinh(pn / q.m[..., None])
     if phi.max(initial=0.0) > RAPIDITY_MAX:
         raise ValueError(f"rapidity {phi.max():.3f} exceeds the overflow cap {RAPIDITY_MAX}")
     # p-hat, and 0 at rest: a non-zero |p| is at least 1e-162, far above the
@@ -278,7 +215,7 @@ def rotation_matrix(rep: RepGenerators, theta) -> np.ndarray:
     return rep.lift(S, S)
 
 
-def parity_operator(rep: RepGenerators, q: FourMomentum | MomentumBatch) -> np.ndarray:
+def parity_operator(rep: RepGenerators, q: FourMomentum) -> np.ndarray:
     """P(q) = exp(2i K.phi) eta = B(phi) eta B(phi)^-1; squares to the identity
     with eigenvalues +-1, each of multiplicity 2j+1.
 
@@ -287,7 +224,7 @@ def parity_operator(rep: RepGenerators, q: FourMomentum | MomentumBatch) -> np.n
     on (j,0)+(0,j). It refuses the momenta boost_matrix(rep, 2 phi) refuses.
     """
     _checked_rapidity(2.0 * rapidity_from_momentum(q))
-    u = q.p_vec / np.asarray(q.m)[..., None]
+    u = q.p / q.m[..., None]
     e = np.sqrt(1.0 + np.vecdot(u, u, keepdims=True))
     S = symmetric_power(_pauli_dot(np.concatenate([e, u], axis=-1), _ONE_SIGMA), rep.j)
     return rep.lift(S, adjugate_power(S), swap=True)
@@ -332,11 +269,11 @@ class KinematicOperatorFamily:
         f = self.rest_matrix.ndim - 2
         return M.reshape(M.shape[:f] + (1,) * axes + M.shape[f:])
 
-    def matrix_at(self, q: FourMomentum | MomentumBatch) -> np.ndarray:
+    def matrix_at(self, q: FourMomentum) -> np.ndarray:
         B = boost_matrix(self.rep, rapidity_from_momentum(q))
         return self.conjugated(B, self._spread(self.rest_matrix, B.ndim - 2))
 
-    def squared_at(self, q: FourMomentum | MomentumBatch) -> np.ndarray:
+    def squared_at(self, q: FourMomentum) -> np.ndarray:
         return _squared(self.matrix_at(q), self.antilinear)
 
     def anticommutator_residual(self) -> float:
@@ -432,7 +369,7 @@ def scaled_swap_family(rep: RepGenerators, a) -> KinematicOperatorFamily:
 
 def covariance_residual(
     fam: KinematicOperatorFamily,
-    q: FourMomentum | MomentumBatch,
+    q: FourMomentum,
     L: LorentzTransform,
     D: np.ndarray,
 ) -> float | np.ndarray:
@@ -455,10 +392,7 @@ def covariance_residual(
 def _covariance_residual(fam, A1, q, L, D) -> float | np.ndarray:
     """covariance_residual with A1 = fam.matrix_at(q) already evaluated."""
     A2 = fam.matrix_at(q.transform(L))
-    # the images of a pair stack come back as one batch: give them its axes
-    lead = np.broadcast_shapes(L.matrix.shape[:-2], np.shape(q.m))
-    A2 = A2.reshape(A2.shape[: fam.rest_matrix.ndim - 2] + lead + A2.shape[-2:])
-    A1 = fam._spread(A1, len(lead) - np.ndim(q.m))
+    A1 = fam._spread(A1, A2.ndim - A1.ndim)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = stack_norm(A1, 2)
         # the difference overwrites the conjugated stack, a fresh array
@@ -481,7 +415,7 @@ def sample_momenta(
     n: int,
     mass_range: tuple[float, float] = (0.1, 10.0),
     momentum_factor: float = 5.0,
-) -> MomentumBatch:
+) -> FourMomentum:
     """Reproducible random on-shell momenta: m log-uniform in mass_range,
     |p| uniform in [0, momentum_factor*m], direction uniform on the sphere."""
     u = np.empty((n, 2))
@@ -497,7 +431,7 @@ def sample_momenta(
     lo, hi = np.log(mass_range[0]), np.log(mass_range[1])
     m = np.exp(lo + (hi - lo) * u[:, 0])
     d /= np.sqrt(np.vecdot(d, d))[:, None]
-    return MomentumBatch(m, ((momentum_factor * m) * u[:, 1])[:, None] * d)
+    return FourMomentum(m, ((momentum_factor * m) * u[:, 1])[:, None] * d)
 
 
 # largest rapidity of the random boosts drawn for the covariance checks

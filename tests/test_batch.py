@@ -1,7 +1,7 @@
-"""A momentum batch is evaluated in one stacked call that equals the loop over
-its single momenta, and the inverse of every boost is eta B eta. Family, pair
-and spinor stacks equal their single calls, and the suites built on them
-equal the one-at-a-time suites."""
+"""A momentum batch (a FourMomentum stack of shape (N,)) is evaluated in one
+stacked call that equals the loop over its single momenta, and the inverse of
+every boost is eta B eta. Family, pair and spinor stacks equal their single
+calls, and the suites built on them equal the one-at-a-time suites."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from spinkin.higherspin import contraction_identity_residual, field_equation_res
 from spinkin.kinematics import (
     FourMomentum,
     KinematicOperatorFamily,
-    MomentumBatch,
     boost_matrix,
     covariance_residual,
     is_fully_kinematic,
@@ -80,6 +79,8 @@ def old_conjugated(fam, q):
 
 
 class TestMomentumBatch:
+    """FourMomentum stacks of shape (N,), as sample_momenta draws them."""
+
     @pytest.mark.parametrize(
         "seed, n, kwargs",
         [(0, 1, {}), (7, 40, {}), (11, 25, {"mass_range": (0.5, 2.0), "momentum_factor": 2.0}), (3, 0, {})],
@@ -88,9 +89,9 @@ class TestMomentumBatch:
         rng_batch, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
         batch = sample_momenta(rng_batch, n, **kwargs)
         ref = sample_momenta_loop(rng_loop, n, **kwargs)
-        assert isinstance(batch, MomentumBatch) and len(batch) == n
-        assert list(batch) == ref
-        assert all(batch[k] == ref[k] for k in range(n))
+        assert batch.m.shape == (n,) and len(batch) == n
+        for k, q in enumerate(batch):
+            assert q.m.shape == () and q.m == ref[k].m and np.array_equal(q.p, ref[k].p)
         assert np.array_equal(batch.m, [q.m for q in ref])
         assert np.array_equal(batch.p, np.reshape([q.p for q in ref], (n, 3)))
         # the stream is left where the loop leaves it
@@ -103,21 +104,6 @@ class TestMomentumBatch:
             batch.p[0, 0] = 1.0
         with pytest.raises(ValueError):
             batch.m[0] = 1.0
-
-    @pytest.mark.parametrize(
-        "m, p",
-        [
-            ([1.0, -1.0], [[0, 0, 0], [0, 0, 0]]),
-            ([1.0, np.nan], [[0, 0, 0], [0, 0, 0]]),
-            ([1.0, 2.0], [[0, 0, 0], [0, np.inf, 0]]),
-            ([1.0, 2.0], [[0, 0, 0]]),
-            ([[1.0]], [[0, 0, 0]]),
-            ([1.0 + 0j], [[0, 0, 0]]),
-        ],
-    )
-    def test_mass_rule_and_finiteness_over_the_batch(self, m, p):
-        with pytest.raises(ValueError):
-            MomentumBatch(np.array(m), np.array(p))
 
 
 @pytest.mark.parametrize("twice", SPINS)
@@ -212,6 +198,38 @@ def test_single_pairs_match_scalar_draw_loop():
         assert np.array_equal(L.matrix, vector_rotation(-theta).matrix)
 
 
+@pytest.mark.parametrize("twice", SPINS)
+def test_one_type_for_every_stack_shape(twice):
+    """One momentum (shape ()), a stack (N,) and a stack (k, N) of the same
+    momenta give E, lower, the rapidity and P(q) bit for bit entry for
+    entry, and transform by a (k, N) pair stack returns a (k, N) stack."""
+    rep = rep_generators(HalfInt(twice))
+    batch = momenta(180 + twice, 6)
+    grid = FourMomentum(np.stack([batch.m, batch.m[::-1]]), np.stack([batch.p, batch.p[::-1]]))
+    assert grid.m.shape == (2, 6) and len(grid) == 2 and grid[1].m.shape == (6,)
+
+    def values(q):
+        return q.E, q.lower, rapidity_from_momentum(q), parity_operator(rep, q)
+
+    at_grid = values(grid)
+    for k, row in enumerate(grid):
+        at_row = values(row)
+        for n in range(6):
+            single = FourMomentum(float(grid.m[k, n]), tuple(grid.p[k, n].tolist()))
+            for g, r, s in zip(at_grid, at_row, values(single)):
+                assert np.array_equal(g[k, n], s) and np.array_equal(r[n], s)
+
+    L = stack_pairs(random_transform_pairs(rep, np.random.default_rng(twice), 6))[0]
+    images = batch.transform(L)
+    assert images.m.shape == (2, 6) and images.p.shape == (2, 6, 3)
+    for k in range(2):
+        for n in range(6):
+            one = batch[n].transform(LorentzTransform(L.matrix[k, n]))
+            assert images[k][n].m == one.m and np.array_equal(images[k][n].p, one.p)
+    with pytest.raises(TypeError):
+        len(batch[0])
+
+
 def test_transform_pairs_draw_as_alternating_pair_calls():
     rep = rep_generators(HalfInt(2))
     boosts, rotations = random_transform_pairs(rep, np.random.default_rng(5), 12)
@@ -225,7 +243,7 @@ def test_transform_pairs_draw_as_alternating_pair_calls():
 class TestStackValidation:
     def test_one_momentum_above_the_cap(self):
         single = FourMomentum(1e-12, (0.0, 0.0, 1e3))
-        batch = MomentumBatch(np.array([1.0, single.m]), np.array([[0.0, 0.0, 0.5], single.p]))
+        batch = FourMomentum(np.array([1.0, single.m]), np.array([[0.0, 0.0, 0.5], single.p]))
         rep = rep_generators(HalfInt(1))
         for call in (rapidity_from_momentum, lambda q: parity_operator(rep, q), lambda q: swap_operator_at(1, q)):
             with pytest.raises(ValueError, match="cap"):
@@ -236,8 +254,9 @@ class TestStackValidation:
     def test_one_non_finite_momentum(self):
         with pytest.raises(ValueError, match="finite"):
             FourMomentum(1.0, (0.0, np.nan, 0.0))
-        with pytest.raises(ValueError, match="finite"):
-            MomentumBatch(np.array([1.0, 1.0]), np.array([[0.0, 0.0, 0.5], [0.0, np.nan, 0.0]]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                FourMomentum(np.array([1.0, 2.0]), np.array([[0.0, 0.0, 0.5], [0.0, bad, 0.0]]))
 
     @pytest.mark.parametrize("bad, match", [(np.nan, "finite"), (np.inf, "finite"), (RAPIDITY_MAX + 1.0, "cap")])
     def test_boost_stack_with_one_bad_rapidity(self, bad, match):
@@ -384,11 +403,11 @@ class TestFamilyStack:
         batch = momenta(150 + twice, 12)
         pairs = random_transform_pairs(rep_generators(HalfInt(twice)), np.random.default_rng(twice), 12)
         images = batch.transform(stack_pairs(pairs)[0])
-        assert len(images) == 24
+        assert images.m.shape == (2, 12) and images.p.shape == (2, 12, 3)
         for k, (L, _) in enumerate(pairs):
             one = batch.transform(L)
-            assert np.array_equal(images.m[12 * k : 12 * (k + 1)], one.m)
-            assert np.array_equal(images.p[12 * k : 12 * (k + 1)], one.p)
+            assert np.array_equal(images[k].m, one.m)
+            assert np.array_equal(images[k].p, one.p)
 
     def test_field_equation_spinor_stack(self, twice):
         j = HalfInt(twice)

@@ -116,6 +116,19 @@ class TestBasicCommands:
             K = matrix_from_json(obj["K"])
             assert np.linalg.norm(K @ K - np.eye(4)) < 1e-10
 
+    @pytest.mark.parametrize("command", ["parity", "spinors", "decompose"])
+    def test_momentum_echoed_as_parsed(self, capsys, command):
+        """--mass and --p are printed as the parser read them, Python floats
+        in JSON and in text."""
+        spin = () if command == "decompose" else ("--spin", "1")
+        argv = (command, *spin, "--mass", "1", "--p", "0.3,0,0.5")
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        assert '"mass": 1.0' in out and '"p": [0.3, 0.0, 0.5]' in out
+        if command == "parity":
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and "m=1.0, p=(0.3, 0.0, 0.5):" in out.splitlines()[0]
+
     def test_human_readable_default(self, capsys):
         code, out, _ = run_cli(capsys, "parity", "--spin", "1", "--mass", "1", "--p", "0,0,0")
         assert code == 0
@@ -138,30 +151,17 @@ class TestCheckCommands:
         assert code == 1
         assert obj["pass"] is False
 
-    def test_tol_env_override_flag_wins(self, capsys, monkeypatch):
-        monkeypatch.delenv("SPINKIN_TOL", raising=False)
+    def test_tol_env_override_flag_wins(self, capsys):
         code, obj = run_json(capsys, "check", "kinematic", "--spin", "1", "--samples", "5")
         assert code == 0 and obj["tol"] == 1e-7  # the default
-        monkeypatch.setenv("SPINKIN_TOL", "1e-30")
-        code, obj = run_json(capsys, "check", "kinematic", "--spin", "1", "--samples", "5")
-        assert code == 1 and obj["tol"] == 1e-30  # env tightened the tolerance
         code, obj = run_json(
-            capsys, "check", "kinematic", "--spin", "1", "--samples", "5", "--tol", "1e-7"
+            capsys, "check", "kinematic", "--spin", "1", "--samples", "5", "--tol", "1e-30"
         )
-        assert code == 0  # flag wins over the environment
+        assert code == 1 and obj["tol"] == 1e-30  # the flag tightened the tolerance
 
-    @pytest.mark.parametrize(
-        "flag, env",
-        [("nan", None), ("inf", None), ("-1", None), ("0", None), (None, "0"), (None, "-1e-9"), (None, "nan")],
-    )
-    def test_invalid_tol_exits_2(self, capsys, monkeypatch, flag, env):
-        monkeypatch.delenv("SPINKIN_TOL", raising=False)
-        if env is not None:
-            monkeypatch.setenv("SPINKIN_TOL", env)
-        argv = ["check", "kinematic", "--spin", "1", "--samples", "5"]
-        if flag is not None:
-            argv += ["--tol", flag]
-        code, out, err = run_cli(capsys, *argv)
+    @pytest.mark.parametrize("flag", ["nan", "inf", "-1", "0"])
+    def test_invalid_tol_exits_2(self, capsys, flag):
+        code, out, err = run_cli(capsys, "check", "kinematic", "--spin", "1", "--samples", "5", "--tol", flag)
         assert code == 2
         assert out == "" and "tol" in err
 

@@ -666,3 +666,5 @@ class TestHelicityOrigin:
             helicity_spinors((0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             helicity_origin_discontinuity(-1.0)
+        with pytest.raises(ValueError, match="mass"):
+            helicity_origin_discontinuity(np.array([1.0, 2.0]))

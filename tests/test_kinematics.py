@@ -27,7 +27,7 @@ class TestFourMomentum:
     def test_on_shell_by_construction(self):
         q = FourMomentum(1.0, (0.0, 0.0, 0.75))
         assert q.E == pytest.approx(1.25, rel=1e-15)
-        assert q.E**2 - np.dot(q.p_vec, q.p_vec) == pytest.approx(q.m**2, rel=1e-12)
+        assert q.E**2 - np.dot(q.p, q.p) == pytest.approx(q.m**2, rel=1e-12)
 
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(ValueError):
@@ -35,23 +35,39 @@ class TestFourMomentum:
         with pytest.raises(ValueError):
             FourMomentum(-1.0, (0, 0, 0))
 
-    @pytest.mark.parametrize("m", [1.0, 2, np.float64(1.5), np.float32(2.0), np.int64(3), np.array(0.5), True])
+    # one mass rule for a single momentum and for a stack: the masses of a
+    # stack, of any shape, come after the scalar masses
+    @pytest.mark.parametrize(
+        "m",
+        [
+            1.0, 2, np.float64(1.5), np.float32(2.0), np.int64(3), np.array(0.5), True,
+            np.array([1.0, 2.0]), np.full((2, 3), 0.5), np.array([1, 3]),
+        ],
+    )
     def test_mass_rule_accepts(self, m):
-        check_mass(m)
-        FourMomentum(m, (0.1, 0.2, 0.3))
+        assert np.array_equal(check_mass(m), m) and check_mass(m).dtype == float
+        q = FourMomentum(m, np.broadcast_to((0.1, 0.2, 0.3), np.shape(m) + (3,)))
+        assert q.m.shape == np.shape(m) and np.array_equal(q.m, m)
 
     @pytest.mark.parametrize(
         "m",
         [
             0.0, 0, -1.0, np.nan, np.inf, -np.inf, np.float64(np.nan), np.float32(np.inf), np.array(-1.0), False,
             np.array([1.0]), np.array([1.0, 2.0]), 1.0 + 0j, np.complex128(2.0),
+            np.array([1.0, -1.0]), np.array([1.0, np.nan]), np.array([[1.0]]), np.array([1.0 + 0j]),
         ],
     )
     def test_mass_rule_rejects(self, m):
-        with pytest.raises(ValueError, match="mass"):
-            check_mass(m)
+        """A mass that is not real, positive and finite, in any entry of a
+        stack, is refused by the rule; FourMomentum also refuses masses whose
+        shape is not that of the 3-momenta less their trailing axis."""
         with pytest.raises(ValueError, match="mass"):
             FourMomentum(m, (0.0, 0.0, 0.0))
+        # [1], [1, 2] and [[1]] are valid masses of a stack, refused above for
+        # the shape of p alone
+        if not (np.ndim(m) and np.isrealobj(m) and np.all(np.asarray(m) > 0)):
+            with pytest.raises(ValueError, match="mass"):
+                check_mass(m)
 
     @pytest.mark.parametrize("p", [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, -np.inf)])
     def test_rejects_non_finite_momentum(self, p):
@@ -280,9 +296,9 @@ class TestSampling:
     def test_deterministic_for_seed(self):
         a = momenta(42, 10)
         b = momenta(42, 10)
-        assert all(x.m == y.m and x.p == y.p for x, y in zip(a, b))
+        assert all(x.m == y.m and np.array_equal(x.p, y.p) for x, y in zip(a, b))
 
     def test_distribution_bounds(self):
         for q in momenta(13, 200):
             assert 0.1 <= q.m <= 10.0
-            assert np.linalg.norm(q.p_vec) <= 5.0 * q.m
+            assert np.linalg.norm(q.p) <= 5.0 * q.m

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from spinkin.kinematics import (
-    MomentumBatch,
+    FourMomentum,
     boost_matrix,
     parity_operator,
     rapidity_from_momentum,
@@ -270,7 +270,7 @@ def kernel_momenta(seed, n=6):
     q = sample_momenta(np.random.default_rng(seed), n - 1)
     m = np.append(q.m, 1.3)
     p = np.vstack([q.p, 5.0 * 1.3 * np.array([0.48, -0.6, 0.64])])
-    return MomentumBatch(m, p)
+    return FourMomentum(m, p)
 
 
 def generator_dot(gens, v):
@@ -337,7 +337,7 @@ class DuckMomentum:
     values no validated momentum can hold."""
 
     def __init__(self, m, p):
-        self.m, self.p_vec = m, np.asarray(p, dtype=float)
+        self.m, self.p = np.asarray(m, dtype=float), np.asarray(p, dtype=float)
 
 
 @pytest.mark.parametrize(

@@ -90,3 +90,25 @@ def test_kernel_sweep_reaches_every_required_span():
         wl.trace(False)
     counts = run.spans.summarize(wl.take_spans())
     assert [n for n in run.REQUIRED["kernel_sweep"] if not counts.get(f"{n}.calls")] == []
+
+
+def test_cli_oneshot_reaches_every_required_span(capsys):
+    """The coverage guard of the traced cli_oneshot workload: its fixed
+    commands, run in this process through spinkin.cli.main with the tracer
+    installed, exit 0, print schema_version 1 where they print JSON, and
+    reach every counter that perfbench/run.py requires of the workload."""
+    import spinkin.cli
+
+    run = load_run()
+    tracer = run.spans.Tracer()
+    tracer.install()
+    try:
+        for argv in run.workloads.CLI_COMMANDS:
+            assert spinkin.cli.main(list(argv)) == 0, argv
+            out = capsys.readouterr().out
+            if "--json" in argv:
+                assert json.loads(out)["schema_version"] == 1, argv
+    finally:
+        tracer.remove()
+    counts = run.spans.summarize(tracer.take())
+    assert [n for n in run.REQUIRED["cli_oneshot"] if not counts.get(f"{n}.calls")] == []
