@@ -105,6 +105,21 @@ class TestMomentumBatch:
         with pytest.raises(ValueError):
             batch.m[0] = 1.0
 
+    @pytest.mark.parametrize(
+        "m, p",
+        [
+            ([1.0, -1.0], [[0, 0, 0], [0, 0, 0]]),
+            ([1.0, np.nan], [[0, 0, 0], [0, 0, 0]]),
+            ([1.0, 2.0], [[0, 0, 0], [0, np.inf, 0]]),
+            ([1.0, 2.0], [[0, 0, 0]]),
+            ([[1.0]], [[0, 0, 0]]),
+            ([1.0 + 0j], [[0, 0, 0]]),
+        ],
+    )
+    def test_mass_rule_and_finiteness_over_the_batch(self, m, p):
+        with pytest.raises(ValueError):
+            FourMomentum(np.array(m), np.array(p))
+
 
 @pytest.mark.parametrize("twice", SPINS)
 class TestStackedEqualsLoop:
