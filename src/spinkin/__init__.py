@@ -40,8 +40,8 @@ from .elko import (
 from .higherspin import (
     GammaTensor,
     contraction_identity_residual,
-    extract_gamma_tensor,
     field_equation_residual,
+    gamma_tensor,
     parity_spectrum,
 )
 from .kinematics import (

@@ -25,7 +25,7 @@ from . import checks
 from . import decomposition as dec
 from . import elko
 from .dirac import boosted_spinors, rest_spinors
-from .higherspin import extract_gamma_tensor, field_equation_residual, parity_spectrum
+from .higherspin import field_equation_residual, gamma_tensor, parity_spectrum
 from .kinematics import FourMomentum, is_fully_kinematic, parity_family, parity_operator
 from .linalg import matrix_to_json, vector_to_json
 from .reps import HalfInt, rep_generators
@@ -187,20 +187,16 @@ def cmd_spinors(args) -> int:
 
 def cmd_gammatensor(args) -> int:
     j = _spin(args)
-    tensor = extract_gamma_tensor(j, args.samples, seed=args.seed)
+    tensor = gamma_tensor(j)
     payload = {
         "command": "gammatensor",
         "spin": str(j),
         "spin_twice": j.twice,
-        "samples": args.samples,
-        "seed": args.seed,
-        "max_residual": tensor.fit_residual,
         "components": {",".join(str(i) for i in idx): mat for idx, mat in tensor.components.items()},
     }
 
     def render():
         print(f"gamma tensor, spin {j}: {len(tensor.components)} symmetric components")
-        print(f"max reconstruction residual: {tensor.fit_residual:.3e}")
         for idx, mat in tensor.components.items():
             print(f"component {idx}:\n{np.array_str(mat, precision=8, suppress_small=True)}")
 
@@ -341,10 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(fn=cmd_parity)
 
-    p = sub.add_parser("gammatensor", help="least-squares symmetric gamma tensor")
+    p = sub.add_parser("gammatensor", help="exact symmetric gamma tensor")
     add_spin(p)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     add_json(p)
     p.set_defaults(fn=cmd_gammatensor)
 

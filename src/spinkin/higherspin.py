@@ -1,23 +1,24 @@
 """Spin-j field equation, the on-shell involution identity, parity spectra,
-least-squares gamma-tensor extraction, and the boosted tensor swap on
+the exact symmetric gamma tensor, and the boosted tensor swap on
 (j,0)x(0,j).
 
 Field-equation evaluation always goes through parity_operator, the
 polynomial offdiag(Sym^{2j}((E + sigma.p)/m), Sym^{2j}((E - sigma.p)/m)) =
-exp(2i K.phi) eta, never the extracted tensor.
+exp(2i K.phi) eta, never the gamma tensor. The tensor's components are
+that polynomial's coefficients, read off the same Sym^{2j} table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from math import factorial
+from itertools import combinations_with_replacement, product
+from math import comb, factorial, prod
 
 import numpy as np
 
-from .kinematics import FourMomentum, boost_matrix, parity_operator, rapidity_from_momentum, sample_momenta
+from .kinematics import FourMomentum, boost_matrix, parity_operator, rapidity_from_momentum
 from .linalg import stack_norm
-from .reps import HalfInt, rep_generators, tensor_rep_generators
+from .reps import HalfInt, _symmetric_power_table, adjugate_power, rep_generators, tensor_rep_generators
 
 __all__ = [
     "field_equation_residual",
@@ -26,7 +27,7 @@ __all__ = [
     "GammaTensor",
     "symmetric_multi_indices",
     "index_multiplicity",
-    "extract_gamma_tensor",
+    "gamma_tensor",
     "tensor_boost_matrix",
     "swap_operator_at",
 ]
@@ -99,73 +100,72 @@ def index_multiplicity(idx: tuple[int, ...]) -> int:
 class GammaTensor:
     """Symmetric rank-2j tensor of matrices, stored on sorted multi-indices.
 
-    Contracting with p_mu ... p_mu on shell reproduces m^{2j} P_j(q) up to the
-    recorded fit residual.
+    Contracting with p_mu ... p_mu on shell gives m^{2j} P_j(q).
     """
 
     j: HalfInt
     components: dict[tuple[int, ...], np.ndarray]
-    fit_residual: float
 
     def component(self, *index: int) -> np.ndarray:
         """Component for any index ordering (symmetric by construction)."""
         return self.components[tuple(sorted(index))]
 
     def contract(self, q: FourMomentum) -> np.ndarray:
-        """gamma^{mu_1...mu_2j} p_{mu_1} ... p_{mu_2j} (lower-index momenta)."""
+        """gamma^{mu_1...mu_2j} p_{mu_1} ... p_{mu_2j} (lower-index momenta);
+        a stack of momenta of shape S gives S + (dim, dim). Each monomial is
+        a chain of elementwise products, so a stacked entry equals its single
+        call bit for bit."""
         plow = q.lower
         dim = self.j.dim
-        out = np.zeros((dim, dim), dtype=complex)
+        out = np.zeros(plow.shape[:-1] + (dim, dim), dtype=complex)
         for idx, mat in self.components.items():
-            out = out + index_multiplicity(idx) * np.prod(plow[list(idx)]) * mat
+            monomial = float(index_multiplicity(idx))
+            for mu in idx:
+                monomial = monomial * plow[..., mu]
+            out = out + monomial[..., None, None] * mat
         return out
 
-    def reconstruction_residual(self, momenta: FourMomentum) -> float:
-        """max over momenta of the relative error against m^{2j} P_j(q)."""
-        rep = rep_generators(self.j)
-        worst = 0.0
-        for q in momenta:
-            target = float(q.m) ** self.j.twice * parity_operator(rep, q)
-            r = np.linalg.norm(self.contract(q) - target) / np.linalg.norm(target)
-            worst = max(worst, float(r))
-        return worst
+
+# the entries g11, g12, g21, g22 of g = E + sigma.p in the lower-index
+# momentum, each as its two terms (mu, coefficient of p_mu)
+_G_LOWER = (((0, 1), (3, -1)), ((1, -1), (2, 1j)), ((1, -1), (2, -1j)), ((0, 1), (3, 1)))
 
 
-def extract_gamma_tensor(j, sample_count: int, seed: int = 0) -> GammaTensor:
-    """Least-squares fit of the degree-2j symmetric tensor to m^{2j} P_j(q).
+def _binomial_terms(entry, k: int) -> list:
+    """The k + 1 terms (multi-index, weight) of (c_x p_x + c_y p_y)^k."""
+    (x, cx), (y, cy) = entry
+    return [((x,) * (k - i) + (y,) * i, comb(k, i) * cx ** (k - i) * cy**i) for i in range(k + 1)]
 
-    On-shell samples at random masses in [0.5, 2] with |p| <= 2m pin the
-    tensor up to numerical rank; the minimum-Frobenius-norm solution is taken
-    (lstsq). Raises if the sampled design matrix is rank-deficient (resample
-    with a new seed).
+
+def gamma_tensor(j) -> GammaTensor:
+    """The exact symmetric tensor with gamma^{mu_1...mu_2j} p_{mu_1} ...
+    p_{mu_2j} = m^{2j} P_j(q), read off the Sym^{2j} monomial table of
+    reps.symmetric_power.
+
+    m^{2j} P_j(q) is parity_operator's lift of Sym^{2j}(g), g = E + sigma.p.
+    Each monomial g11^a g12^b g21^c g22^e of the table expands binomially
+    into monomials of p_mu with Gaussian-integer weights; a component is
+    its weights times the table, over the multiplicity of its multi-index,
+    lifted as parity_operator lifts. At 2j = 1 the components are
+    gamma_matrices().gamma.
     """
     j = HalfInt.coerce(j)
+    d = j.block_dim
+    index, _, table, _ = _symmetric_power_table(j.twice)
     idxs = symmetric_multi_indices(j.twice)
-    if sample_count < 3 * len(idxs):
-        raise ValueError(f"sample_count must be >= {3 * len(idxs)} for 2j = {j.twice}")
-    rep = rep_generators(j)
-    rng = np.random.default_rng(seed)
-    momenta = sample_momenta(rng, sample_count, mass_range=(0.5, 2.0), momentum_factor=2.0)
-
-    design = np.zeros((sample_count, len(idxs)))
-    for s, q in enumerate(momenta):
-        plow = q.lower
-        # fit P itself to keep rows well scaled; a Python float power (libm
-        # pow), which numpy's power of an array does not match bit for bit
-        scale = float(q.m) ** (-j.twice)
-        for k, idx in enumerate(idxs):
-            design[s, k] = index_multiplicity(idx) * np.prod(plow[list(idx)]) * scale
-    targets = parity_operator(rep, momenta).reshape(sample_count, -1)
-
-    solution, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
-    if rank < len(idxs):
-        raise ValueError(
-            f"rank-deficient sample set ({rank} < {len(idxs)}); resample with a new seed"
-        )
-    components = {idx: solution[k].reshape(j.dim, j.dim) for k, idx in enumerate(idxs)}
-    tensor = GammaTensor(j=j, components=components, fit_residual=0.0)
-    residual = tensor.reconstruction_residual(momenta)
-    return GammaTensor(j=j, components=components, fit_residual=residual)
+    position = {idx: k for k, idx in enumerate(idxs)}
+    weights = np.zeros((len(idxs), len(table)), dtype=complex)
+    # row r of the table is g11^a g12^b g21^c g22^e, with index[:, r] =
+    # (a d + b, d^2 + c d + e)
+    for r, (ab, ce) in enumerate(index.T):
+        powers = divmod(int(ab), d) + divmod(int(ce) - d * d, d)
+        for terms in product(*map(_binomial_terms, _G_LOWER, powers)):
+            mus, w = zip(*terms)
+            weights[position[tuple(sorted(sum(mus, ())))], r] += prod(w)
+    multiplicity = np.array([index_multiplicity(idx) for idx in idxs], dtype=float)
+    S = (weights @ table).reshape(-1, d, d) / multiplicity[:, None, None]
+    gammas = rep_generators(j).lift(S, adjugate_power(S), swap=True)
+    return GammaTensor(j=j, components=dict(zip(idxs, gammas)))
 
 
 def tensor_boost_matrix(j, phi) -> np.ndarray:

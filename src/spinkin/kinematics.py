@@ -162,8 +162,10 @@ def rapidity_from_momentum(q: FourMomentum) -> np.ndarray:
     """Rapidity vector phi = asinh(|p|/m) p-hat, so cosh|phi| = E/m, on a
     trailing axis of 3 after the stack axes of q."""
     p = q.p
-    pn = np.sqrt(np.vecdot(p, p, keepdims=True))
-    phi = np.arcsinh(pn / q.m[..., None])
+    # |p| or |p|/m may overflow to inf, which the cap below refuses
+    with np.errstate(over="ignore"):
+        pn = np.sqrt(np.vecdot(p, p, keepdims=True))
+        phi = np.arcsinh(pn / q.m[..., None])
     if phi.max(initial=0.0) > RAPIDITY_MAX:
         raise ValueError(f"rapidity {phi.max():.3f} exceeds the overflow cap {RAPIDITY_MAX}")
     # p-hat, and 0 at rest: a non-zero |p| is at least 1e-162, far above the
@@ -410,14 +412,13 @@ def stack_pairs(pairs) -> tuple[LorentzTransform, np.ndarray]:
     return LorentzTransform(np.stack([L.matrix for L in Ls])), np.stack(Ds)
 
 
-def sample_momenta(
-    rng: np.random.Generator,
-    n: int,
-    mass_range: tuple[float, float] = (0.1, 10.0),
-    momentum_factor: float = 5.0,
-) -> FourMomentum:
-    """Reproducible random on-shell momenta: m log-uniform in mass_range,
-    |p| uniform in [0, momentum_factor*m], direction uniform on the sphere."""
+_MASS_RANGE = (0.1, 10.0)
+_MOMENTUM_FACTOR = 5.0
+
+
+def sample_momenta(rng: np.random.Generator, n: int) -> FourMomentum:
+    """Reproducible random on-shell momenta: m log-uniform in [0.1, 10],
+    |p| uniform in [0, 5m], direction uniform on the sphere."""
     u = np.empty((n, 2))
     d = np.empty((n, 3))
     # one momentum at a time: a normal draw takes a variable share of the
@@ -428,10 +429,10 @@ def sample_momenta(
         u[k, 0] = rng.random()
         rng.standard_normal(out=d[k])
         u[k, 1] = rng.random()
-    lo, hi = np.log(mass_range[0]), np.log(mass_range[1])
+    lo, hi = np.log(_MASS_RANGE[0]), np.log(_MASS_RANGE[1])
     m = np.exp(lo + (hi - lo) * u[:, 0])
     d /= np.sqrt(np.vecdot(d, d))[:, None]
-    return FourMomentum(m, ((momentum_factor * m) * u[:, 1])[:, None] * d)
+    return FourMomentum(m, ((_MOMENTUM_FACTOR * m) * u[:, 1])[:, None] * d)
 
 
 # largest rapidity of the random boosts drawn for the covariance checks

@@ -200,8 +200,8 @@ def adjugate_power(S: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _symmetric_power_table(twice: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(index, exponents, table, sign) of symmetric_power and adjugate_power,
-    built once per spin from binomials and read-only.
+    """(index, exponents, table, sign) of symmetric_power, adjugate_power and
+    higherspin.gamma_tensor, built once per spin from binomials, read-only.
 
     In the basis e_1^a e_2^(2j-a) / sqrt(a! (2j-a)!), index a descending, g
     sends e_1 to g11 e_1 + g21 e_2 and e_2 to g12 e_1 + g22 e_2. The

@@ -9,6 +9,6 @@ def rng():
     return np.random.default_rng(20240810)
 
 
-def momenta(seed: int, n: int, **kwargs):
+def momenta(seed: int, n: int):
     """Seeded on-shell momenta with the standard sampling distribution."""
-    return sample_momenta(np.random.default_rng(seed), n, **kwargs)
+    return sample_momenta(np.random.default_rng(seed), n)

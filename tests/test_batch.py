@@ -43,15 +43,16 @@ SPINS = (1, 2, 3, 4)
 REPS = (rep_generators, tensor_rep_generators)
 
 
-def sample_momenta_loop(rng, n, mass_range=(0.1, 10.0), momentum_factor=5.0):
-    """Reference for sample_momenta: the draws one FourMomentum at a time."""
+def sample_momenta_loop(rng, n):
+    """Reference for sample_momenta: the draws one FourMomentum at a time,
+    with m log-uniform in [0.1, 10] and |p| uniform in [0, 5m]."""
     out = []
-    lo, hi = np.log(mass_range[0]), np.log(mass_range[1])
+    lo, hi = np.log(0.1), np.log(10.0)
     for _ in range(n):
         m = float(np.exp(rng.uniform(lo, hi)))
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
-        pn = rng.uniform(0.0, momentum_factor * m)
+        pn = rng.uniform(0.0, 5.0 * m)
         out.append(FourMomentum(m, tuple(pn * d)))
     return out
 
@@ -81,14 +82,11 @@ def old_conjugated(fam, q):
 class TestMomentumBatch:
     """FourMomentum stacks of shape (N,), as sample_momenta draws them."""
 
-    @pytest.mark.parametrize(
-        "seed, n, kwargs",
-        [(0, 1, {}), (7, 40, {}), (11, 25, {"mass_range": (0.5, 2.0), "momentum_factor": 2.0}), (3, 0, {})],
-    )
-    def test_same_draws_as_per_momentum_loop(self, seed, n, kwargs):
+    @pytest.mark.parametrize("seed, n", [(0, 1), (7, 40), (3, 0)])
+    def test_same_draws_as_per_momentum_loop(self, seed, n):
         rng_batch, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
-        batch = sample_momenta(rng_batch, n, **kwargs)
-        ref = sample_momenta_loop(rng_loop, n, **kwargs)
+        batch = sample_momenta(rng_batch, n)
+        ref = sample_momenta_loop(rng_loop, n)
         assert batch.m.shape == (n,) and len(batch) == n
         for k, q in enumerate(batch):
             assert q.m.shape == () and q.m == ref[k].m and np.array_equal(q.p, ref[k].p)

@@ -1,7 +1,9 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,16 +70,15 @@ class TestBasicCommands:
         assert obj == parity
 
     def test_gammatensor(self, capsys):
-        code, obj = run_json(
-            capsys, "gammatensor", "--spin", "1", "--samples", "52", "--seed", "3", "--json"
-        )
+        code, obj = run_json(capsys, "gammatensor", "--spin", "1", "--json")
         assert code == 0
-        assert obj["max_residual"] < 1e-10
+        assert set(obj) == {"schema_version", "command", "spin", "spin_twice", "components"}
+        assert list(obj["components"]) == ["0", "1", "2", "3"]
         g0 = matrix_from_json(obj["components"]["0"])
         eta = np.zeros((4, 4), dtype=complex)
         eta[:2, 2:] = np.eye(2)
         eta[2:, :2] = np.eye(2)
-        assert np.allclose(g0, eta, atol=1e-10)
+        assert np.array_equal(g0, eta)
 
     def test_elko_g_matches_derived_matrix(self, capsys):
         code, obj = run_json(capsys, "elko", "g", "--u", "1,0", "--v", "0,1", "--json")
@@ -213,6 +214,14 @@ class TestUsageErrors:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("mass, p", [("1", "1e200,0,0"), ("1e-300", "1e10,0,0")])
+    def test_overflowing_momentum_exits_2_with_one_error_line(self, capsys, mass, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "parity", "--spin", "1", "--mass", mass, "--p", p)
+        assert code == 2 and out == ""
+        assert err == "error: rapidity inf exceeds the overflow cap 30.0\n"
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -228,3 +237,18 @@ class TestEntryPoint:
         assert out.returncode == 0
         obj = json.loads(out.stdout)
         assert obj["command"] == "parity"
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The arguments of each `spinkin ...` line of the README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in lines if argv[:1] == ["spinkin"]]
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+def test_readme_cli_example_runs(capsys, argv):
+    """Every documented command runs and exits 0."""
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err

@@ -5,15 +5,15 @@ from conftest import momenta
 from spinkin.dirac import boosted_spinors, gamma_matrices, rest_spinors
 from spinkin.higherspin import (
     contraction_identity_residual,
-    extract_gamma_tensor,
     field_equation_residual,
+    gamma_tensor,
     index_multiplicity,
     parity_spectrum,
     swap_operator_at,
     symmetric_multi_indices,
     tensor_boost_matrix,
 )
-from spinkin.kinematics import FourMomentum, parity_operator, sample_momenta
+from spinkin.kinematics import FourMomentum, parity_operator
 from spinkin.linalg import anticommutator
 from spinkin.reps import HalfInt, rep_generators, tensor_rep_generators
 
@@ -106,31 +106,51 @@ class TestGammaTensorExtraction:
         assert index_multiplicity((0, 1, 2)) == 6
 
     def test_spin_half_recovers_gammas(self):
-        tensor = extract_gamma_tensor(HalfInt(1), 52, seed=11)
+        tensor = gamma_tensor(HalfInt(1))
         g = gamma_matrices().gamma
         for mu in range(4):
-            assert np.max(np.abs(tensor.components[(mu,)] - g[mu])) < 1e-8
+            assert np.array_equal(tensor.components[(mu,)], g[mu])
 
     def test_symmetric_storage(self):
-        tensor = extract_gamma_tensor(HalfInt(2), 70, seed=12)
+        tensor = gamma_tensor(HalfInt(2))
         assert tensor.component(0, 1) is tensor.component(1, 0)
+        tensor = gamma_tensor(HalfInt(3))
+        assert tensor.component(3, 0, 2) is tensor.component(2, 3, 0) is tensor.components[(0, 2, 3)]
 
-    def test_spin_one_heldout_reconstruction(self):
-        tensor = extract_gamma_tensor(HalfInt(2), 70, seed=13)
-        heldout = sample_momenta(np.random.default_rng(14), 40, (0.5, 2.0), 2.0)
-        assert tensor.reconstruction_residual(heldout) <= 1e-7
-        assert tensor.fit_residual <= 1e-7
+    @pytest.mark.parametrize("twice", [1, 2, 3, 8])
+    def test_components_in_multi_index_order(self, twice):
+        tensor = gamma_tensor(HalfInt(twice))
+        assert list(tensor.components) == symmetric_multi_indices(twice)
+        assert all(mat.shape == (HalfInt(twice).dim,) * 2 for mat in tensor.components.values())
 
     def test_contract_matches_operator(self):
-        tensor = extract_gamma_tensor(HalfInt(2), 70, seed=15)
+        tensor = gamma_tensor(HalfInt(2))
         rep = rep_generators(HalfInt(2))
         q = FourMomentum(1.2, (0.3, -0.5, 0.8))
         target = q.m**2 * parity_operator(rep, q)
-        assert np.linalg.norm(tensor.contract(q) - target) < 1e-8 * np.linalg.norm(target)
+        assert np.linalg.norm(tensor.contract(q) - target) < 1e-13 * np.linalg.norm(target)
 
-    def test_sample_count_precondition(self):
-        with pytest.raises(ValueError):
-            extract_gamma_tensor(HalfInt(2), 29, seed=0)
+    @pytest.mark.parametrize("twice", range(1, 9))
+    def test_stacked_contraction_matches_operator(self, twice):
+        """m^{2j} P_j(q) over seeded momenta up to |p| = 5m, each entry of the
+        stacked contraction equal to its single call bit for bit."""
+        j = HalfInt(twice)
+        batch = momenta(140 + twice, 50)
+        tensor = gamma_tensor(j)
+        contracted = tensor.contract(batch)
+        assert contracted.shape == (50, j.dim, j.dim)
+        target = batch.m[:, None, None] ** twice * parity_operator(rep_generators(j), batch)
+        r = np.linalg.norm(contracted - target, axis=(-2, -1)) / np.linalg.norm(target, axis=(-2, -1))
+        assert r.max() <= 1e-13
+        for k, q in enumerate(batch):
+            assert np.array_equal(contracted[k], tensor.contract(q))
+
+    def test_contract_keeps_the_stack_shape(self):
+        batch = momenta(149, 6)
+        tensor = gamma_tensor(HalfInt(3))
+        stacked = tensor.contract(FourMomentum(batch.m.reshape(2, 3), batch.p.reshape(2, 3, 3)))
+        assert stacked.shape == (2, 3, 8, 8)
+        assert np.array_equal(stacked.reshape(6, 8, 8), tensor.contract(batch))
 
 
 class TestTensorSwap:

@@ -1,9 +1,11 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from conftest import momenta
+from spinkin.dirac import boosted_spinors
 from spinkin.elko import antilinear_family
 from spinkin.kinematics import (
     FourMomentum,
@@ -107,6 +109,15 @@ class TestRapidity:
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             rapidity_from_momentum(FourMomentum(1e-12, (0.0, 0.0, 1e3)))
+
+    @pytest.mark.parametrize("m, p", [(1.0, (1e200, 0.0, 0.0)), (1e-300, (1e10, 0.0, 0.0))])
+    def test_overflowing_momentum_raises_without_warning(self, m, p):
+        """|p| overflows in the first case and |p|/m in the second; the cap
+        refuses the infinite rapidity, with no warning on the way."""
+        q = FourMomentum(m, p)
+        j = HalfInt(2)
+        for call in (rapidity_from_momentum, partial(parity_operator, rep_generators(j)), partial(boosted_spinors, j)):
+            raises_without_warning(lambda: call(q), "rapidity inf exceeds the overflow cap")
 
 
 class TestBoostMatrix:

@@ -261,7 +261,7 @@ class TestCacheContract:
 
 # every spin the kernel is tested at; the checks use 2j <= 4
 KERNEL_SPINS = range(1, 9)
-# sample_momenta's default draws: |p| <= 5 m, so |phi| <= asinh 5 = 2.31
+# sample_momenta's draws: |p| <= 5 m, so |phi| <= asinh 5 = 2.31
 PHI_MAX = np.arcsinh(5.0)
 
 
