@@ -21,7 +21,6 @@ from .dirac import (
     SpinorBasis,
     boosted_spinors,
     dirac_operator,
-    dirac_residual,
     gamma_matrices,
     rest_spinors,
 )
@@ -33,13 +32,11 @@ from .elko import (
     charge_conjugation,
     elko_basis,
     g_operator,
-    helicity_g,
     helicity_origin_discontinuity,
     schur_conditions,
 )
 from .higherspin import (
     GammaTensor,
-    contraction_identity_residual,
     field_equation_residual,
     gamma_tensor,
     parity_spectrum,
@@ -57,7 +54,7 @@ from .kinematics import (
     sample_momenta,
     scaled_swap_family,
 )
-from .linalg import AntiLinearMap, antilinear_compose, matrix_from_json, matrix_to_json, nullspace
+from .linalg import AntiLinearMap, matrix_from_json, matrix_to_json, nullspace
 from .reps import (
     HalfInt,
     LorentzTransform,

@@ -133,7 +133,7 @@ def cmd_parity(args) -> int:
     j = _spin(args)
     q = _momentum(args)
     P = parity_operator(rep_generators(j), q)
-    spectrum = parity_spectrum(j, q)
+    spectrum = parity_spectrum(P)
     key, title = _PARITY_VIEWS[args.command]
     payload = {
         "command": args.command,

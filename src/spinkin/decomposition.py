@@ -31,7 +31,6 @@ __all__ = [
     "xi_tilde_at_rest",
     "k_operator",
     "hermiticity_condition",
-    "completeness_residual",
     "Decomposition",
     "decomposition_residual",
 ]
@@ -111,20 +110,6 @@ def hermiticity_condition(basis: SpinorBasis) -> bool:
         raise ValueError("basis must carry a mass")
     overlaps = np.abs([np.vecdot(a, b) for a in basis.u for b in basis.v])
     return bool(np.all(overlaps <= 1e-10 * 2.0 * np.asarray(basis.mass)))
-
-
-def completeness_residual(basis: SpinorBasis) -> float | np.ndarray:
-    """|| sum_s (u u^dag + v v^dag) - 2m I ||_F; zero in the Hermitian case.
-    One residual per basis of a batch."""
-    if basis.mass is None:
-        raise ValueError("basis must carry a mass")
-    d = basis.j.dim
-    m = np.asarray(basis.mass)
-    acc = np.zeros(m.shape + (d, d), dtype=complex)
-    for w in basis.spinors:
-        acc += w[..., :, None] * np.conj(w)[..., None, :]
-    r = stack_norm(acc - (2.0 * m)[..., None, None] * np.eye(d), 2)
-    return float(r) if r.ndim == 0 else r
 
 
 @dataclass(frozen=True)

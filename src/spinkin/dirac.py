@@ -28,7 +28,6 @@ __all__ = [
     "rest_spinors",
     "boost_basis",
     "boosted_spinors",
-    "dirac_residual",
 ]
 
 
@@ -145,15 +144,3 @@ def boosted_spinors(j, q: FourMomentum) -> SpinorBasis:
     of the parity operator at q."""
     return boost_basis(rest_spinors(j, mass=q.m), q)
 
-
-def dirac_residual(psi: np.ndarray, q: FourMomentum, sign: int) -> float:
-    """|| (gamma^mu p_mu - sign*m) psi || / (m ||psi||); zero exactly when psi
-    solves its sign's Dirac equation."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    psi = np.asarray(psi, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if norm == 0.0:
-        raise ValueError("spinor must be non-zero")
-    op = dirac_operator(q) - sign * q.m * np.eye(4, dtype=complex)
-    return float(np.linalg.norm(op @ psi) / (q.m * norm))

@@ -35,12 +35,10 @@ __all__ = [
     "schur_condition_family",
     "rotation_commutant_residual",
     "nogo_monte_carlo",
-    "antilinear_rest_map",
     "antilinear_family",
     "antilinear_kinematic_solutions",
     "AntilinearSolutionSpace",
     "helicity_spinors",
-    "helicity_g",
     "helicity_origin_discontinuity",
 ]
 
@@ -148,10 +146,6 @@ class ElkoBasis:
     u_minus: np.ndarray
     v_plus: np.ndarray
     v_minus: np.ndarray
-
-    def stack(self) -> np.ndarray:
-        """Columns ordered (u+, v+, u-, v-), matching diag(1, 1, -1, -1)."""
-        return np.stack([self.u_plus, self.v_plus, self.u_minus, self.v_minus], axis=-1)
 
 
 def elko_pair(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,11 +333,6 @@ def _antilinear_rest(a, b) -> np.ndarray:
     return rest
 
 
-def antilinear_rest_map(a: complex, b: complex) -> AntiLinearMap:
-    """The rest-frame anti-linear family diag(a Theta, b Theta) o K."""
-    return AntiLinearMap(_antilinear_rest(a, b))
-
-
 def antilinear_family(rep: RepGenerators, a, b) -> KinematicOperatorFamily:
     """The anti-linear candidate family; satisfies the anticommutation
     condition but its square is -diag(|a|^2 I, |b|^2 I), never the identity.
@@ -433,12 +422,6 @@ def helicity_spinors(p_vec) -> tuple[np.ndarray, np.ndarray]:
     return _fix_phase(U[:, 1], _REF_PLUS), _fix_phase(U[:, 0], _REF_MINUS)
 
 
-def helicity_g(p_vec) -> np.ndarray:
-    """G built from the helicity eigenvectors at momentum p (direction only)."""
-    u, v = helicity_spinors(p_vec)
-    return g_operator(Cx2Basis(u=u, v=v))
-
-
 def helicity_origin_discontinuity(
     mass: float,
     epsilons: tuple[float, float] = (1e-3, 1e-6),
@@ -455,7 +438,8 @@ def helicity_origin_discontinuity(
     mass = float(FourMomentum(mass, (0.0, 0.0, 0.0)).m)
     eps_large, eps_small = max(epsilons), min(epsilons)
     dirs = [np.asarray(d, dtype=float) for d in directions]
-    # helicity_g at eps_large * n and eps_small * n for every n, in one call
+    # G from the helicity spinors at eps_large * n and eps_small * n for
+    # every n, in one call
     spinors = [helicity_spinors(eps * n) for n in dirs for eps in (eps_large, eps_small)]
     u, v = (np.reshape([pair[k] for pair in spinors], (-1, 2)) for k in (0, 1))
     G = g_operator(Cx2Basis(u=u, v=v)).reshape(len(dirs), 2, 4, 4)

@@ -1,6 +1,5 @@
-"""Spin-j field equation, the on-shell involution identity, parity spectra,
-the exact symmetric gamma tensor, and the boosted tensor swap on
-(j,0)x(0,j).
+"""Spin-j field equation, parity spectra, the exact symmetric gamma tensor,
+and the boosted tensor swap on (j,0)x(0,j).
 
 Field-equation evaluation always goes through parity_operator, the
 polynomial offdiag(Sym^{2j}((E + sigma.p)/m), Sym^{2j}((E - sigma.p)/m)) =
@@ -22,7 +21,6 @@ from .reps import HalfInt, _symmetric_power_table, adjugate_power, rep_generator
 
 __all__ = [
     "field_equation_residual",
-    "contraction_identity_residual",
     "parity_spectrum",
     "GammaTensor",
     "symmetric_multi_indices",
@@ -51,26 +49,14 @@ def field_equation_residual(j, psi: np.ndarray, q: FourMomentum, sign: int) -> f
     return float(r) if r.ndim == 0 else r
 
 
-def contraction_identity_residual(j, q: FourMomentum) -> float | np.ndarray:
-    """|| P_j(q)^2 - I ||_F / dim; certifies the on-shell contraction identity
-    (the squared operator is (p.p)^{2j}/m^{4j} = 1) without the tensor. One
-    residual per momentum of a batch."""
-    j = HalfInt.coerce(j)
-    P = parity_operator(rep_generators(j), q)
-    r = stack_norm(P @ P - np.eye(j.dim), 2) / j.dim
-    return float(r) if r.ndim == 0 else r
-
-
-def parity_spectrum(j, q: FourMomentum) -> dict:
+def parity_spectrum(P: np.ndarray) -> dict:
     """Eigenvalues (sorted by real part, then imaginary part) and determinant
-    of P_j(q); for a batch of N momenta, (N, dim) eigenvalues and N
-    determinants.
+    of a parity operator P_j(q), or of each operator of a stack: for N
+    operators, (N, dim) eigenvalues and N determinants.
 
     The spectrum is +-1 with multiplicities (2j+1, 2j+1); the determinant is
     the momentum-independent sign of the block-swap permutation, (-1)^(2j+1).
     """
-    j = HalfInt.coerce(j)
-    P = parity_operator(rep_generators(j), q)
     ev = np.linalg.eigvals(P)
     order = np.lexsort((ev.imag, ev.real), axis=-1)
     det = np.linalg.det(P)

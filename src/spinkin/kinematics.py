@@ -68,8 +68,6 @@ __all__ = [
     "is_fully_kinematic",
     "KinematicCheckReport",
     "sample_momenta",
-    "random_boost_pair",
-    "random_rotation_pair",
     "random_transform_pairs",
 ]
 
@@ -456,39 +454,21 @@ def _random_vectors(rng: np.random.Generator, max_lengths) -> np.ndarray:
     return (max_lengths * u)[..., None] * d
 
 
-def _boost_pair(rep: RepGenerators, phi) -> tuple[LorentzTransform, np.ndarray]:
-    return vector_boost(phi), boost_matrix(rep, phi)
-
-
-def _rotation_pair(rep: RepGenerators, theta: np.ndarray) -> tuple[LorentzTransform, np.ndarray]:
-    # exp(iJ.theta) A(p) exp(-iJ.theta) = A(R(-theta)p): the vector transform
-    # paired with D = exp(i J.theta) is the rotation by -theta
-    return vector_rotation(-theta), rotation_matrix(rep, theta)
-
-
-def random_boost_pair(
-    rep: RepGenerators, rng: np.random.Generator, max_rapidity: float = _PAIR_RAPIDITY_MAX
-) -> tuple[LorentzTransform, np.ndarray]:
-    """A random pure boost and its spinor representative exp(i K.phi)."""
-    return _boost_pair(rep, _random_vectors(rng, max_rapidity))
-
-
-def random_rotation_pair(
-    rep: RepGenerators, rng: np.random.Generator
-) -> tuple[LorentzTransform, np.ndarray]:
-    """A random rotation and its matched spinor representative: D =
-    exp(i J.theta) with the vector rotation by -theta."""
-    return _rotation_pair(rep, _random_vectors(rng, np.pi))
-
-
 def random_transform_pairs(
     rep: RepGenerators, rng: np.random.Generator, n: int
 ) -> tuple[tuple[LorentzTransform, np.ndarray], tuple[LorentzTransform, np.ndarray]]:
     """n random boost pairs and n random rotation pairs as two stacked pairs,
-    drawn from rng as n alternating random_boost_pair / random_rotation_pair
-    calls would draw them, then evaluated in one stacked call each."""
+    each evaluated in one stacked call.
+
+    Pair k draws a rapidity phi of length below 1.5, then a rotation vector
+    theta of length below pi (as _random_vectors draws them), so n calls
+    with n = 1 draw the same stream as one call with n. A boost pair is
+    (vector_boost(phi), exp(i K.phi)); a rotation pair is D = exp(i J.theta)
+    with the vector rotation by -theta, since exp(iJ.theta) A(p)
+    exp(-iJ.theta) = A(R(-theta)p)."""
     draws = _random_vectors(rng, np.broadcast_to((_PAIR_RAPIDITY_MAX, np.pi), (n, 2)))
-    return _boost_pair(rep, draws[:, 0]), _rotation_pair(rep, draws[:, 1])
+    phi, theta = draws[:, 0], draws[:, 1]
+    return (vector_boost(phi), boost_matrix(rep, phi)), (vector_rotation(-theta), rotation_matrix(rep, theta))
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,6 @@ __all__ = [
     "stack_norm",
     "nullspace",
     "AntiLinearMap",
-    "antilinear_compose",
-    "commutator",
     "anticommutator",
     "matrix_to_json",
     "matrix_from_json",
@@ -129,27 +127,9 @@ class AntiLinearMap:
             raise ValueError(f"linear part must be one matrix, got shape {M.shape}")
         object.__setattr__(self, "matrix", M)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def __call__(self, psi: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.conj(np.asarray(psi, dtype=complex))
-
-    def squared(self) -> np.ndarray:
-        """The linear map A o A, with matrix M conj(M)."""
-        return antilinear_compose(self, self)
-
-
-def antilinear_compose(A: AntiLinearMap, B: AntiLinearMap) -> np.ndarray:
-    """Linear part of the composition A o B, i.e. M_A conj(M_B)."""
-    if A.dim != B.dim:
-        raise ValueError(f"dimension mismatch: {A.dim} vs {B.dim}")
-    return A.matrix @ np.conj(B.matrix)
-
-
-def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return A @ B - B @ A
+        """M conj(psi) for one spinor, or for each spinor of a stack (..., n)."""
+        return (self.matrix @ np.conj(np.asarray(psi, dtype=complex))[..., None])[..., 0]
 
 
 def anticommutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -169,6 +149,8 @@ def matrix_to_json(M: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
+    """The inverse of matrix_to_json: the decoder a reader of the JSON output
+    uses; the library itself only writes the schema."""
     rows, cols = int(obj["rows"]), int(obj["cols"])
     data = obj["data"]
     if len(data) != rows * cols:

@@ -27,10 +27,7 @@ __all__ = [
     "vector_boost",
     "vector_rotation",
     "tensor_rep_generators",
-    "MINKOWSKI_METRIC",
 ]
-
-MINKOWSKI_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True, order=True)
@@ -195,7 +192,11 @@ def adjugate_power(S: np.ndarray) -> np.ndarray:
     this is Sym^{2j}(g^-1).
     """
     _, _, _, sign = _symmetric_power_table(S.shape[-1] - 1)
-    return S[..., ::-1, ::-1].swapaxes(-1, -2) * sign
+    out = S[..., ::-1, ::-1].swapaxes(-1, -2) * sign
+    # adding 0.0 turns the -0.0 of a negated zero into 0.0 and leaves every
+    # other value as it is
+    out += 0.0
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -265,18 +266,8 @@ class LorentzTransform:
             raise ValueError(f"expected a 4x4 matrix, got shape {M.shape}")
         object.__setattr__(self, "matrix", M)
 
-    def metric_residual(self) -> float:
-        """|| Lambda^T g Lambda - g ||, zero for a true Lorentz transform (the
-        largest over a stack)."""
-        g = MINKOWSKI_METRIC
-        M = self.matrix
-        return float(np.max(np.linalg.norm(M.swapaxes(-1, -2) @ g @ M - g, axis=(-2, -1))))
-
     def apply(self, fourvec: np.ndarray) -> np.ndarray:
         return (self.matrix @ np.asarray(fourvec, dtype=float)[..., None])[..., 0]
-
-    def compose(self, other: "LorentzTransform") -> "LorentzTransform":
-        return LorentzTransform(self.matrix @ other.matrix)
 
 
 RAPIDITY_MAX = 30.0

@@ -32,8 +32,7 @@ from spinkin.kinematics import (
     is_fully_kinematic,
     parity_family,
     parity_operator,
-    random_boost_pair,
-    random_rotation_pair,
+    random_transform_pairs,
     sample_momenta,
     scaled_swap_family,
 )
@@ -111,10 +110,9 @@ def test_criterion_04_covariance():
         rep = rep_generators(HalfInt(twice))
         fam = parity_family(rep)
         for q in sample_momenta(rng, 100):
-            L, D = random_boost_pair(rep, rng)
-            worst = max(worst, covariance_residual(fam, q, L, D))
-            L, D = random_rotation_pair(rep, rng)
-            worst = max(worst, covariance_residual(fam, q, L, D))
+            # one boost pair, then one rotation pair, each a stack of one
+            for L, D in random_transform_pairs(rep, rng, 1):
+                worst = max(worst, float(covariance_residual(fam, q, L, D)[0]))
     ok = worst <= 1e-8
     report(4, ok, f"parity covariance residual max {worst:.3e} <= 1e-8 under 100 boosts+rotations, j <= 3/2")
 

@@ -10,7 +10,7 @@ from conftest import momenta
 from spinkin import checks, elko
 from spinkin.dirac import boosted_spinors, dirac_operator
 from spinkin.elko import antilinear_family
-from spinkin.higherspin import contraction_identity_residual, field_equation_residual, swap_operator_at
+from spinkin.higherspin import field_equation_residual, swap_operator_at
 from spinkin.kinematics import (
     FourMomentum,
     KinematicOperatorFamily,
@@ -19,8 +19,6 @@ from spinkin.kinematics import (
     is_fully_kinematic,
     parity_family,
     parity_operator,
-    random_boost_pair,
-    random_rotation_pair,
     random_transform_pairs,
     rapidity_from_momentum,
     rotation_matrix,
@@ -58,8 +56,8 @@ def sample_momenta_loop(rng, n):
 
 
 def random_vector_loop(rng, max_length):
-    """Reference for the draws of random_boost_pair, random_rotation_pair and
-    random_transform_pairs: one vector at a time."""
+    """Reference for the draws of random_transform_pairs: one vector at a
+    time."""
     d = rng.normal(size=3)
     d /= np.linalg.norm(d)
     return rng.uniform(0.0, max_length) * d
@@ -157,9 +155,15 @@ class TestStackedEqualsLoop:
             assert r_u.max() <= 1e-9 and r_v.max() <= 1e-9
 
     def test_contraction_identity(self, twice):
+        """||P^2 - I||_F, the on-shell contraction identity, on a stack."""
+        rep = rep_generators(HalfInt(twice))
         batch = momenta(75 + twice, 30)
-        stacked = contraction_identity_residual(twice, batch)
-        assert_rows_equal(stacked, [contraction_identity_residual(twice, q) for q in batch])
+
+        def residual(q):
+            P = parity_operator(rep, q)
+            return stack_norm(P @ P - np.eye(rep.dim), 2)
+
+        assert_rows_equal(residual(batch), [residual(q) for q in batch])
 
     def test_swap_operator(self, twice):
         j = HalfInt(twice)
@@ -202,13 +206,13 @@ def test_single_pairs_match_scalar_draw_loop():
     rep = rep_generators(HalfInt(1))
     rng, rng_loop = np.random.default_rng(8), np.random.default_rng(8)
     for _ in range(20):
-        L, D = random_boost_pair(rep, rng, 0.7)
-        phi = random_vector_loop(rng_loop, 0.7)
-        assert np.array_equal(D, boost_matrix(rep, phi)) and np.array_equal(L.matrix, vector_boost(phi).matrix)
-        L, D = random_rotation_pair(rep, rng)
+        (Lb, Db), (Lr, Dr) = random_transform_pairs(rep, rng, 1)
+        phi = random_vector_loop(rng_loop, 1.5)
+        assert np.array_equal(Db[0], boost_matrix(rep, phi))
+        assert np.array_equal(Lb.matrix[0], vector_boost(phi).matrix)
         theta = random_vector_loop(rng_loop, np.pi)
-        assert np.array_equal(D, rotation_matrix(rep, theta))
-        assert np.array_equal(L.matrix, vector_rotation(-theta).matrix)
+        assert np.array_equal(Dr[0], rotation_matrix(rep, theta))
+        assert np.array_equal(Lr.matrix[0], vector_rotation(-theta).matrix)
 
 
 @pytest.mark.parametrize("twice", SPINS)
@@ -244,13 +248,14 @@ def test_one_type_for_every_stack_shape(twice):
 
 
 def test_transform_pairs_draw_as_alternating_pair_calls():
+    """One call with n = 12 draws the stream of twelve calls with n = 1."""
     rep = rep_generators(HalfInt(2))
     boosts, rotations = random_transform_pairs(rep, np.random.default_rng(5), 12)
     rng = np.random.default_rng(5)
     for k in range(12):
-        for (L, D), (L1, D1) in ((boosts, random_boost_pair(rep, rng)), (rotations, random_rotation_pair(rep, rng))):
-            assert np.array_equal(D[k], D1)
-            assert np.allclose(L.matrix[k], L1.matrix, rtol=1e-14, atol=1e-15)
+        for (L, D), (L1, D1) in zip((boosts, rotations), random_transform_pairs(rep, rng, 1)):
+            assert np.array_equal(D[k], D1[0])
+            assert np.allclose(L.matrix[k], L1.matrix[0], rtol=1e-14, atol=1e-15)
 
 
 class TestStackValidation:

@@ -1,5 +1,8 @@
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -134,6 +137,8 @@ class TestBasicCommands:
         code, out, _ = run_cli(capsys, "parity", "--spin", "1", "--mass", "1", "--p", "0,0,0")
         assert code == 0
         assert "eigenvalues" in out and "{" not in out.splitlines()[0]
+        # eta at rest prints as generators prints it: no negative zeros
+        assert "-0." not in out
 
 
 class TestCheckCommands:
@@ -252,3 +257,69 @@ def test_readme_cli_example_runs(capsys, argv):
     """Every documented command runs and exits 0."""
     code, _, err = run_cli(capsys, *argv)
     assert code == 0, err
+
+
+# public functions that no README command reaches, each with the reason it stays
+REACH_ALLOWLIST = {
+    "linalg.matrix_from_json": "the decoder of the JSON schema the CLI writes, for its readers",
+    "higherspin.GammaTensor.contract": "the contraction a gamma_tensor suite of check all is to certify",
+    "higherspin.GammaTensor.component": "the symmetric index lookup of that suite",
+}
+
+
+def spinkin_modules() -> list:
+    return [
+        importlib.import_module(f"spinkin.{info.name}")
+        for info in pkgutil.iter_modules(spinkin.__path__)
+        if not info.name.startswith("_")
+    ]
+
+
+def public_functions() -> dict:
+    """Code object -> "module.name" (or "module.Class.name") of every public
+    function, method, classmethod and property defined in src/spinkin."""
+    out = {}
+    for module in spinkin_modules():
+        short = module.__name__.rpartition(".")[2]
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                out[obj.__code__] = f"{short}.{name}"
+                continue
+            if not inspect.isclass(obj):
+                continue
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    out[member.__code__] = f"{short}.{name}.{attr}"
+    return out
+
+
+def test_readme_cli_reaches_every_public_function(capsys):
+    """One path per claim: the README's CLI lines, `check all` among them,
+    call every public function of the library, bar the allowlist."""
+    functions = public_functions()
+    assert set(REACH_ALLOWLIST) <= set(functions.values())
+    # run as a fresh process would: a builder behind a cache that earlier
+    # tests filled would otherwise not be called
+    for module in spinkin_modules():
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        for argv in readme_cli_examples():
+            main(argv)
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    reached = {functions[code] for code in functions.keys() & called}
+    unreached = sorted(set(functions.values()) - reached - REACH_ALLOWLIST.keys())
+    assert not unreached, f"public functions no README CLI line reaches: {unreached}"

@@ -6,7 +6,6 @@ import pytest
 from conftest import momenta
 from spinkin.decomposition import (
     NonHermitianBasisError,
-    completeness_residual,
     decomposition_residual,
     elko_rest_basis,
     hermiticity_condition,
@@ -16,6 +15,13 @@ from spinkin.decomposition import (
 from spinkin.dirac import SpinorBasis, boost_basis, dirac_operator, rest_spinors
 from spinkin.kinematics import FourMomentum, boost_matrix, parity_operator, rapidity_from_momentum
 from spinkin.reps import HalfInt, rep_generators
+
+
+def completeness_residual(basis: SpinorBasis) -> float:
+    """||sum_s (u u^dag + v v^dag) - 2m I||_F of one basis, from np.outer;
+    zero in the Hermitian case."""
+    acc = sum(np.outer(w, np.conj(w)) for w in basis.spinors)
+    return float(np.linalg.norm(acc - 2.0 * basis.mass * np.eye(basis.j.dim)))
 
 
 def xi_closed_form(basis: SpinorBasis) -> np.ndarray:
@@ -205,18 +211,23 @@ class TestHermiticity:
 
     @pytest.mark.parametrize("make", [lambda m: rest_spinors(HalfInt(1), mass=m), elko_rest_basis])
     def test_completeness_batch_matches_single_bases(self, make):
+        """Each basis of a mass array is its single basis bit for bit, so it
+        is complete as the single one is."""
         masses = np.array([1.0, 2.0, 3.0, 0.37])
-        got = completeness_residual(make(masses))
-        assert got.shape == (4,)
+        batch = make(masses)
+        assert hermiticity_condition(batch)
         for k, mass in enumerate(masses):
-            single = completeness_residual(make(float(mass)))
-            assert got[k] == single and type(single) is float
+            single = make(float(mass))
+            assert all(np.array_equal(w[k], w1) for w, w1 in zip(batch.spinors, single.spinors))
+            assert completeness_residual(single) < 1e-10 * 2 * mass
 
     def test_completeness_per_spinor_outer_products(self):
-        # reference: the np.outer sum of one basis
-        basis = elko_rest_basis(0.9)
-        acc = sum(np.outer(w, np.conj(w)) for w in basis.spinors)
-        assert completeness_residual(basis) == float(np.linalg.norm(acc - 2.0 * 0.9 * np.eye(4)))
+        """The completeness relation holds exactly when hermiticity_condition
+        does: a u-v overlap breaks both."""
+        good = elko_rest_basis(0.9)
+        bad = SpinorBasis(j=good.j, mass=good.mass, u=good.u, v=(good.v[0] + 0.5 * good.u[0], good.v[1]))
+        assert hermiticity_condition(good) and completeness_residual(good) < 1e-10 * 2 * 0.9
+        assert not hermiticity_condition(bad) and completeness_residual(bad) > 0.1
 
 
 class TestDecomposition:

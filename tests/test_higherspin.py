@@ -4,7 +4,6 @@ import pytest
 from conftest import momenta
 from spinkin.dirac import boosted_spinors, gamma_matrices, rest_spinors
 from spinkin.higherspin import (
-    contraction_identity_residual,
     field_equation_residual,
     gamma_tensor,
     index_multiplicity,
@@ -41,11 +40,23 @@ class TestFieldEquation:
         with pytest.raises(ValueError):
             field_equation_residual(HalfInt(1), np.zeros(4), FourMomentum(1.0, (0, 0, 0)), +1)
 
+    def test_bad_sign_rejected(self):
+        with pytest.raises(ValueError, match="sign"):
+            field_equation_residual(HalfInt(1), np.ones(4), FourMomentum(1.0, (0, 0, 0)), 2)
+
+
+def involution_residual(twice: int, q: FourMomentum) -> float:
+    """||P_j(q)^2 - I||_F / dim: the on-shell contraction identity, the
+    square (p.p)^{2j}/m^{4j} = 1, as involution_suite forms it."""
+    j = HalfInt(twice)
+    P = parity_operator(rep_generators(j), q)
+    return float(np.linalg.norm(P @ P - np.eye(j.dim)) / j.dim)
+
 
 class TestContractionIdentity:
     def test_spin_half_tight(self):
         for q in momenta(107, 25):
-            assert contraction_identity_residual(HalfInt(1), q) <= 1e-11
+            assert involution_residual(1, q) <= 1e-11
 
     def test_spin_two_at_five_m(self):
         # worst conditioning: 8th-power products in the square
@@ -55,28 +66,30 @@ class TestContractionIdentity:
             d /= np.linalg.norm(d)
             m = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
             q = FourMomentum(m, tuple(5.0 * m * d))
-            assert contraction_identity_residual(HalfInt(4), q) <= 1e-7
+            assert involution_residual(4, q) <= 1e-7
 
     def test_rest_exact_zero(self):
         for twice in (1, 2, 3, 4):
             q = FourMomentum(2.5, (0, 0, 0))
-            assert contraction_identity_residual(HalfInt(twice), q) == 0.0
+            assert involution_residual(twice, q) == 0.0
 
 
 class TestParitySpectrum:
     # block-swap permutation sign: +1, -1, +1, -1 for 2j = 1..4
     @pytest.mark.parametrize("twice,det", [(1, 1.0), (2, -1.0), (3, 1.0), (4, -1.0)])
     def test_det_momentum_independent(self, twice, det):
+        rep = rep_generators(HalfInt(twice))
         for q in momenta(113 + twice, 10):
-            out = parity_spectrum(HalfInt(twice), q)
+            out = parity_spectrum(parity_operator(rep, q))
             assert out["det"].real == pytest.approx(det, abs=1e-8)
             assert abs(out["det"].imag) < 1e-8
 
     @pytest.mark.parametrize("twice", [1, 2, 3, 4])
     def test_eigenvalue_multiplicities(self, twice):
         j = HalfInt(twice)
+        rep = rep_generators(j)
         for q in momenta(127 + twice, 10):
-            ev = parity_spectrum(j, q)["eigenvalues"]
+            ev = parity_spectrum(parity_operator(rep, q))["eigenvalues"]
             assert np.all(np.abs(np.abs(ev.real) - 1.0) < 1e-7)
             assert np.all(np.abs(ev.imag) < 1e-7)
             assert int(np.sum(ev.real > 0)) == j.block_dim
@@ -85,11 +98,12 @@ class TestParitySpectrum:
 
     @pytest.mark.parametrize("twice", [1, 2, 3, 4])
     def test_batch_matches_per_momentum_loop(self, twice):
+        rep = rep_generators(HalfInt(twice))
         batch = momenta(131 + twice, 12)
-        out = parity_spectrum(HalfInt(twice), batch)
+        out = parity_spectrum(parity_operator(rep, batch))
         assert out["eigenvalues"].shape == (12, 2 * (twice + 1)) and out["det"].shape == (12,)
         for k, q in enumerate(batch):
-            single = parity_spectrum(HalfInt(twice), q)
+            single = parity_spectrum(parity_operator(rep, q))
             assert np.array_equal(out["eigenvalues"][k], single["eigenvalues"])
             assert out["det"][k] == single["det"] and type(single["det"]) is complex
             # sorted by real part, then imaginary part

@@ -15,8 +15,7 @@ from spinkin.kinematics import (
     is_fully_kinematic,
     parity_family,
     parity_operator,
-    random_boost_pair,
-    random_rotation_pair,
+    random_transform_pairs,
     rapidity_from_momentum,
     scaled_swap_family,
 )
@@ -206,10 +205,9 @@ class TestCovariance:
         rep = rep_generators(HalfInt(twice))
         fam = parity_family(rep)
         for q in momenta(23 + twice, 20):
-            L, D = random_boost_pair(rep, rng)
-            assert covariance_residual(fam, q, L, D) < 1e-9
-            L, D = random_rotation_pair(rep, rng)
-            assert covariance_residual(fam, q, L, D) < 1e-9
+            # one boost pair, then one rotation pair, each a stack of one
+            for L, D in random_transform_pairs(rep, rng, 1):
+                assert covariance_residual(fam, q, L, D)[0] < 1e-9
 
 
 class TestFullyKinematicChecker:

@@ -6,7 +6,6 @@ import scipy.linalg
 
 from spinkin.linalg import (
     AntiLinearMap,
-    antilinear_compose,
     expm_hermitian,
     expm_i_hermitian,
     matrix_from_json,
@@ -16,6 +15,11 @@ from spinkin.linalg import (
 )
 
 THETA = np.array([[0, -1], [1, 0]], dtype=complex)
+
+
+def squared(A: AntiLinearMap) -> np.ndarray:
+    """The linear map A o A, with matrix M conj(M)."""
+    return A.matrix @ np.conj(A.matrix)
 
 
 class TestHermitianExpm:
@@ -101,11 +105,13 @@ class TestNullspace:
 class TestAntiLinearMap:
     def test_plain_conjugation_squares_to_identity(self):
         K = AntiLinearMap(np.eye(2, dtype=complex))
-        assert np.allclose(antilinear_compose(K, K), np.eye(2))
+        assert np.allclose(squared(K), np.eye(2))
+        psi = np.array([1.0 + 2.0j, -0.5j])
+        assert np.array_equal(K(K(psi)), psi)
 
     def test_i_times_identity(self):
         A = AntiLinearMap(1j * np.eye(2))
-        assert np.allclose(antilinear_compose(A, A), np.eye(2))
+        assert np.allclose(squared(A), np.eye(2))
 
     def test_block_theta_composition(self, rng):
         a, b = 1.3 - 0.4j, -0.7 + 2.1j
@@ -113,7 +119,7 @@ class TestAntiLinearMap:
         M = np.block([[a * THETA, Z], [Z, b * THETA]])
         A = AntiLinearMap(M)
         expected = -np.diag([abs(a) ** 2, abs(a) ** 2, abs(b) ** 2, abs(b) ** 2])
-        assert np.allclose(A.squared(), expected, atol=1e-14)
+        assert np.allclose(squared(A), expected, atol=1e-14)
 
     def test_antilinearity(self, rng):
         A = AntiLinearMap(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
@@ -123,15 +129,23 @@ class TestAntiLinearMap:
 
     def test_compose_twice_equals_iterated_action(self, rng):
         A = AntiLinearMap(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        A2 = A.squared()          # linear
+        A2 = squared(A)          # linear
         A4 = A2 @ A2
         for _ in range(5):
             psi = rng.normal(size=3) + 1j * rng.normal(size=3)
             assert np.allclose(A4 @ psi, A(A(A(A(psi)))), rtol=1e-10, atol=1e-10)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            antilinear_compose(AntiLinearMap(np.eye(2)), AntiLinearMap(np.eye(3)))
+    @pytest.mark.parametrize("shape", [(4,), (3,), (2, 5)])
+    def test_stacked_call_equals_row_calls(self, rng, shape):
+        """A stack (..., n) of spinors maps spinor by spinor; a (4, 4) stack
+        is not read as one matrix."""
+        A = AntiLinearMap(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        psi = rng.normal(size=shape + (4,)) + 1j * rng.normal(size=shape + (4,))
+        got = A(psi)
+        assert got.shape == psi.shape
+        for k in np.ndindex(shape):
+            assert np.array_equal(got[k], A(psi[k]))
+            assert np.allclose(got[k], A.matrix @ np.conj(psi[k]), rtol=1e-14, atol=1e-14)
 
 
 class TestMatrixJson:

@@ -10,7 +10,8 @@ from spinkin.kinematics import (
     rotation_matrix,
     sample_momenta,
 )
-from spinkin.linalg import anticommutator, commutator
+from spinkin.higherspin import gamma_tensor
+from spinkin.linalg import anticommutator
 from spinkin.reps import (
     HalfInt,
     LorentzTransform,
@@ -27,6 +28,11 @@ from spinkin.reps import (
 )
 
 ABS_TOL = 1e-10
+METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+
+
+def commutator(A, B):
+    return A @ B - B @ A
 
 
 class TestHalfInt:
@@ -130,13 +136,14 @@ class TestVectorTransforms:
 
     def test_inverse_boost(self, rng):
         phi = rng.normal(size=3)
-        L = vector_boost(phi).compose(vector_boost(-phi))
-        assert np.allclose(L.matrix, np.eye(4), atol=1e-12)
+        L = vector_boost(phi).matrix @ vector_boost(-phi).matrix
+        assert np.allclose(L, np.eye(4), atol=1e-12)
 
     def test_metric_invariance(self, rng):
         for _ in range(20):
-            L = vector_boost(rng.normal(size=3)).compose(vector_rotation(rng.normal(size=3)))
-            assert L.metric_residual() < 1e-10
+            L = vector_boost(rng.normal(size=3)).matrix @ vector_rotation(rng.normal(size=3)).matrix
+            # Lambda^T g Lambda = g
+            assert np.linalg.norm(L.T @ METRIC @ L - METRIC) < 1e-10
 
     def test_rotation_rodrigues(self):
         L = vector_rotation((0.0, 0.0, np.pi / 2))
@@ -317,6 +324,18 @@ def test_symmetric_power_is_a_homomorphism(twice, rng):
     assert rel_err(SA @ SB, symmetric_power(A @ B, j)) <= 1e-13
     adj = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]])
     assert rel_err(adjugate_power(SA), symmetric_power(adj, j)) <= 1e-13
+
+
+def test_no_negative_zero_at_rest():
+    """No zero entry of eta = P(0), or of the gamma tensor's gamma^0 at
+    2j = 1, carries a sign bit: the printed matrices read 0., never -0."""
+    gammas = [gamma_tensor(HalfInt(1)).components[(0,)]]
+    for twice in KERNEL_SPINS:
+        for build in (rep_generators, tensor_rep_generators):
+            gammas.append(parity_operator(build(HalfInt(twice)), FourMomentum(1.0, (0.0, 0.0, 0.0))))
+    for M in gammas:
+        for part in (M.real, M.imag):
+            assert not np.signbit(part[part == 0.0]).any()
 
 
 @pytest.mark.parametrize("build", [rep_generators, tensor_rep_generators])
