@@ -101,11 +101,15 @@ class SpinorBasis:
         stack of bases of its shape."""
         if self.mass is not None:
             raise ValueError("basis already carries a mass")
-        mass = check_mass(mass)
-        W = np.array(self.spinors)
-        W = np.sqrt(mass)[..., None] * W.reshape(W.shape[:1] + (1,) * mass.ndim + W.shape[1:])
-        n_u = len(self.u)
-        return SpinorBasis(j=self.j, mass=mass, u=tuple(W[:n_u]), v=tuple(W[n_u:]))
+        return _basis_at_mass(self.j, np.array(self.spinors), len(self.u), mass)
+
+
+def _basis_at_mass(j: HalfInt, W: np.ndarray, n_u: int, mass) -> SpinorBasis:
+    """The basis whose spinors are the rows of W, the first n_u of them u
+    spinors, each scaled by sqrt(mass): SpinorBasis.at_mass on its spinors."""
+    mass = check_mass(mass)
+    W = np.sqrt(mass)[..., None] * W.reshape(W.shape[:1] + (1,) * mass.ndim + W.shape[1:])
+    return SpinorBasis(j=j, mass=mass, u=tuple(W[:n_u]), v=tuple(W[n_u:]))
 
 
 def rest_spinors(j, mass: float | np.ndarray | None = None) -> SpinorBasis:
@@ -118,11 +122,20 @@ def rest_spinors(j, mass: float | np.ndarray | None = None) -> SpinorBasis:
     of bases of its shape.
     """
     j = HalfInt.coerce(j)
+    W, d = _unit_rest_rows(j), j.block_dim
+    if mass is None:
+        return SpinorBasis(j=j, mass=None, u=tuple(W[:d]), v=tuple(W[d:]))
+    return _basis_at_mass(j, W, d, mass)
+
+
+@cache
+def _unit_rest_rows(j: HalfInt) -> np.ndarray:
+    """The spinors of rest_spinors(j) with no mass as rows, u then v; built
+    once per spin, read-only."""
     eye = np.eye(j.block_dim, dtype=complex)
-    u = np.concatenate([eye, eye], axis=1)
-    v = np.concatenate([eye, -eye], axis=1)
-    basis = SpinorBasis(j=j, mass=None, u=tuple(u), v=tuple(v))
-    return basis if mass is None else basis.at_mass(mass)
+    W = np.block([[eye, eye], [eye, -eye]])
+    W.flags.writeable = False
+    return W
 
 
 def boost_basis(basis: SpinorBasis, q: FourMomentum) -> SpinorBasis:

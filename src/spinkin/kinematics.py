@@ -36,12 +36,11 @@ Each entry of a stacked result equals its single call bit for bit.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import anticommutator, expm_hermitian, expm_i_hermitian, stack_norm
+from .linalg import _FLOAT_TINY, _ONE_SIGMA, anticommutator, expm_hermitian, expm_i_hermitian, stack_norm
 from .reps import (
     RAPIDITY_MAX,
     LorentzTransform,
@@ -153,9 +152,6 @@ class FourMomentum:
         return out
 
 
-_FLOAT_TINY = sys.float_info.min
-
-
 def rapidity_from_momentum(q: FourMomentum) -> np.ndarray:
     """Rapidity vector phi = asinh(|p|/m) p-hat, so cosh|phi| = E/m, on a
     trailing axis of 3 after the stack axes of q."""
@@ -171,11 +167,10 @@ def rapidity_from_momentum(q: FourMomentum) -> np.ndarray:
     return phi * (p / np.maximum(pn, _FLOAT_TINY))
 
 
-# sigma/2 (for the 2x2 generators of boosts and rotations) and (1, sigma)
-# (for E + sigma.p), each 2x2 matrix flattened to a row
+# sigma/2 (for the 2x2 generators of boosts and rotations), each 2x2 matrix
+# flattened to a row; linalg's (1, sigma) rows give E + sigma.p
 _HALF_SIGMA = np.array(pauli_matrices()).reshape(3, 4) / 2.0
-_ONE_SIGMA = np.array([np.eye(2), *pauli_matrices()]).reshape(4, 4)
-_HALF_SIGMA.flags.writeable = _ONE_SIGMA.flags.writeable = False
+_HALF_SIGMA.flags.writeable = False
 
 
 def _pauli_dot(v: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -215,17 +210,33 @@ def rotation_matrix(rep: RepGenerators, theta) -> np.ndarray:
     return rep.lift(S, S)
 
 
+# cosh of the largest |phi| parity_operator accepts: B(2 phi) is capped at
+# 2|phi| <= RAPIDITY_MAX
+_PARITY_COSH_CAP = math.cosh(RAPIDITY_MAX / 2.0)
+
+
 def parity_operator(rep: RepGenerators, q: FourMomentum) -> np.ndarray:
     """P(q) = exp(2i K.phi) eta = B(phi) eta B(phi)^-1; squares to the identity
     with eigenvalues +-1, each of multiplicity 2j+1.
 
     exp(sigma.phi) = (E + sigma.p)/m, so P(q) is a polynomial in p/m with no
     exponential: offdiag(Sym^{2j}((E + sigma.p)/m), Sym^{2j}((E - sigma.p)/m))
-    on (j,0)+(0,j). It refuses the momenta boost_matrix(rep, 2 phi) refuses.
+    on (j,0)+(0,j). It refuses the momenta boost_matrix(rep, 2 phi) refuses,
+    |phi| > RAPIDITY_MAX/2, read off cosh|phi| = E/m with no rapidity formed.
     """
-    _checked_rapidity(2.0 * rapidity_from_momentum(q))
-    u = q.p / q.m[..., None]
-    e = np.sqrt(1.0 + np.vecdot(u, u, keepdims=True))
+    # p/m or |p/m|^2 may overflow to inf, which the cap refuses
+    with np.errstate(over="ignore"):
+        u = q.p / q.m[..., None]
+        e = np.sqrt(1.0 + np.vecdot(u, u, keepdims=True))
+    # one reduction tests finiteness and the cap: a nan fails `<=`. The
+    # messages are those of rapidity_from_momentum and boost_matrix(rep, 2 phi)
+    if not e.max(initial=1.0) <= _PARITY_COSH_CAP:
+        phi = np.arccosh(e)
+        if np.isnan(phi).any():
+            raise ValueError("rapidity must be finite")
+        if phi.max() > RAPIDITY_MAX:
+            raise ValueError(f"rapidity {phi.max():.3f} exceeds the overflow cap {RAPIDITY_MAX}")
+        raise ValueError(f"rapidity norm exceeds the overflow cap {RAPIDITY_MAX}")
     S = symmetric_power(_pauli_dot(np.concatenate([e, u], axis=-1), _ONE_SIGMA), rep.j)
     return rep.lift(S, adjugate_power(S), swap=True)
 

@@ -1,8 +1,13 @@
-"""Dense complex linear-algebra kernel: matrix exponentials, nullspaces,
-anti-linear maps, and the repo-wide matrix JSON schema.
+"""Dense complex linear-algebra kernel: closed-form exponentials of 2x2
+Hermitian matrices, nullspaces, anti-linear maps, and the repo-wide matrix
+JSON schema.
 
-The exponentials and `stack_norm` take a stack: any leading axes index
-independent matrices, and a single matrix is a stack with no leading axes.
+Every Lorentz representative is the spin-j lift of a 2x2 matrix, so the
+exponentials take only 2x2 matrices, H = a I + b.sigma, and evaluate
+exp(H) and exp(iH) from cosh/sinh and cos/sin of |b|, with no
+eigendecomposition. They and `stack_norm` take a stack: any leading axes
+index independent matrices, and a single matrix is a stack with no leading
+axes.
 All operations are pure functions on immutable values (inputs are never mutated,
 outputs are fresh arrays), so everything here is safe to call concurrently.
 """
@@ -10,6 +15,7 @@ outputs are fresh arrays), so everything here is safe to call concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,39 +43,74 @@ def _as_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def _check_hermitian(H: np.ndarray) -> None:
-    """Raise unless ||H - H^dagger||_F <= 1e-10 max(1, ||H||_F) for every
-    matrix of the stack (finite entries already checked)."""
-    flat = H.shape[:-2] + (H.shape[-2] * H.shape[-1],)  # not -1: a stack may be empty
-    skew = (H - H.conj().swapaxes(-1, -2)).reshape(flat)
-    h = H.reshape(flat)
-    # the bound on squared norms: vecdot(x, x) = sum |x_k|^2
-    if (np.vecdot(skew, skew).real > 1e-20 * np.maximum(1.0, np.vecdot(h, h).real)).any():
+_FLOAT_TINY = sys.float_info.min
+
+# (I, sigma) and (I, i sigma), each 2x2 matrix flattened to a row
+_ONE_SIGMA = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]], dtype=complex)
+_ONE_I_SIGMA = _ONE_SIGMA * np.array([[1], [1j], [1j], [1j]])
+# h @ _PAULI_COEFFS = tr((I, sigma) H)/2 for a flattened 2x2 matrix h: the
+# coefficients of H = c0 I + c.sigma. Each is a half-sum of two entries, so
+# a stack rounds as its rows
+_PAULI_COEFFS = _ONE_SIGMA.conj().T / 2.0
+for _table in (_ONE_SIGMA, _ONE_I_SIGMA, _PAULI_COEFFS):
+    _table.flags.writeable = False
+
+
+def _pauli_parts(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, r, c) for H = a I + b.sigma, or for each matrix of a stack
+    (..., 2, 2): c = (a, b) on a trailing axis of 4, and r = |b| raised to
+    at least the smallest normal float.
+
+    Refused unless every matrix is 2x2 with finite entries and a finite norm,
+    and ||H - H^dagger||_F <= 1e-10 max(1, ||H||_F); the anti-Hermitian part
+    within that bound is dropped.
+    """
+    H = np.asarray(H, dtype=complex)
+    if H.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix or a stack of them, got shape {H.shape}")
+    # not -1: a stack may be empty
+    c = H.reshape(H.shape[:-2] + (4,)) @ _PAULI_COEFFS
+    # (I, sigma) is orthogonal with squared norms 2: ||H||_F^2 = 2 |c|^2, and
+    # H - H^dagger = 2i (im c0 I + im c.sigma). A norm that overflows is
+    # refused below
+    with np.errstate(over="ignore"):
+        norm2 = 2.0 * np.vecdot(c, c).real
+        skew2 = 8.0 * np.vecdot(c.imag, c.imag)
+    if not ((norm2 < np.inf) & (skew2 <= 1e-20 * np.maximum(1.0, norm2))).all():
+        if not np.isfinite(H).all():
+            raise ValueError("matrix has non-finite entries")
+        if not (norm2 < np.inf).all():
+            raise ValueError("matrix norm overflows double precision")
         raise ValueError("matrix is not Hermitian")
-
-
-def _expm_eigh(H: np.ndarray, f, max_eigenvalue: float) -> np.ndarray:
-    """U diag(f(w)) U^dagger from eigh(H) = (w, U), for H or each matrix of a
-    stack; every eigenvalue must be at most max_eigenvalue."""
-    H = _as_square(H)
-    _check_hermitian(H)
-    w, U = np.linalg.eigh(H)
-    if w.max(initial=0.0) > max_eigenvalue:
-        raise ValueError("matrix exponential overflows double precision")
-    Uf = U * f(w)[..., None, :]
-    return Uf @ np.conjugate(U, out=U).swapaxes(-1, -2)
+    c = c.real
+    # at |b| = 0, r is the smallest normal float, where sinh r = sin r = r
+    # and cosh r = cos r = 1: the closed forms need no case of their own
+    r = np.maximum(np.sqrt(np.vecdot(c[..., 1:], c[..., 1:])), _FLOAT_TINY)
+    return c[..., 0], r, c
 
 
 def expm_hermitian(H: np.ndarray) -> np.ndarray:
-    """exp(H) for Hermitian H, or for each matrix of a stack (..., n, n), via
-    eigendecomposition (exactly positive definite)."""
-    return _expm_eigh(H, np.exp, 700.0)
+    """exp(H) = e^a (cosh|b| I + (sinh|b|/|b|) b.sigma) for a Hermitian
+    H = a I + b.sigma, or for each matrix of a stack (..., 2, 2).
+
+    e^a and cosh|b| are formed apart, so besides the largest eigenvalue
+    a + |b| the norm |b| alone must be at most 700."""
+    a, r, c = _pauli_parts(H)
+    if (np.maximum(a, 0.0) + r).max(initial=0.0) > 700.0:
+        raise ValueError("matrix exponential overflows double precision")
+    ea = np.exp(a)
+    w = c * (ea * np.sinh(r) / r)[..., None]
+    w[..., 0] = ea * np.cosh(r)
+    return (w @ _ONE_SIGMA).reshape(a.shape + (2, 2))
 
 
 def expm_i_hermitian(H: np.ndarray) -> np.ndarray:
-    """exp(iH) for Hermitian H, or for each matrix of a stack (..., n, n), via
-    eigendecomposition (exactly unitary spectrum)."""
-    return _expm_eigh(H, lambda w: np.exp(1j * w), np.inf)
+    """exp(iH) = e^{ia} (cos|b| I + i (sin|b|/|b|) b.sigma) for a Hermitian
+    H = a I + b.sigma, or for each matrix of a stack (..., 2, 2); unitary."""
+    a, r, c = _pauli_parts(H)
+    w = c * (np.sin(r) / r)[..., None]
+    w[..., 0] = np.cos(r)
+    return (np.exp(1j * a)[..., None] * (w @ _ONE_I_SIGMA)).reshape(a.shape + (2, 2))
 
 
 def stack_norm(x: np.ndarray, ndim: int) -> np.ndarray:

@@ -8,7 +8,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from spinkin.cli import main
 from spinkin.decomposition import decomposition_residual, elko_rest_basis, xi_tilde_at_rest

@@ -22,13 +22,47 @@ def squared(A: AntiLinearMap) -> np.ndarray:
     return A.matrix @ np.conj(A.matrix)
 
 
+def hermitian_2x2(rng, shape=(), max_norm=None) -> np.ndarray:
+    """Seeded Hermitian 2x2 matrices of stack shape `shape`; with max_norm,
+    each is rescaled to a Frobenius norm uniform in [0, max_norm)."""
+    X = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    H = X + X.conj().swapaxes(-1, -2)
+    if max_norm is not None:
+        H *= (rng.uniform(0.0, max_norm, size=shape) / np.linalg.norm(H, axis=(-2, -1)))[..., None, None]
+    return H
+
+
 class TestHermitianExpm:
     def test_matches_generic(self, rng):
-        H = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        H = H + H.conj().T
+        H = hermitian_2x2(rng)
         assert np.allclose(expm_hermitian(H), scipy.linalg.expm(H), rtol=1e-12, atol=1e-12)
         U = expm_i_hermitian(H)
-        assert np.allclose(U @ U.conj().T, np.eye(5), atol=1e-13)
+        assert np.allclose(U, scipy.linalg.expm(1j * H), rtol=1e-12, atol=1e-12)
+        assert np.allclose(U @ U.conj().T, np.eye(2), atol=1e-13)
+
+    def test_seeded_stack_matches_scipy(self, rng):
+        """The closed forms against scipy's Pade expm, up to ||H||_F = 30
+        (eigenvalues up to 21, exp(H) up to 1e9): within 1e-13 relative."""
+        H = hermitian_2x2(rng, (400,), max_norm=30.0)
+        for f, ref in ((expm_hermitian, scipy.linalg.expm), (expm_i_hermitian, lambda h: scipy.linalg.expm(1j * h))):
+            got = f(H)
+            want = np.array([ref(h) for h in H])
+            err = np.linalg.norm(got - want, axis=(-2, -1)) / np.linalg.norm(want, axis=(-2, -1))
+            assert err.max() <= 1e-13
+
+    def test_zero_b_exact(self):
+        """At |b| = 0 the closed forms take sinh|b|/|b| = sin|b|/|b| = 1:
+        exp(a I) = e^a I and exp(i a I) = e^{ia} I exactly, with no nan."""
+        for a in (0.0, 1.5, -2.25):
+            H = a * np.eye(2, dtype=complex)
+            assert np.array_equal(expm_hermitian(H), np.exp(a) * np.eye(2))
+            assert np.array_equal(expm_i_hermitian(H), np.exp(1j * a) * np.eye(2))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (5, 3, 3), (2,)])
+    def test_rejects_non_2x2(self, shape):
+        for f in (expm_hermitian, expm_i_hermitian):
+            with pytest.raises(ValueError, match="2x2"):
+                f(np.zeros(shape))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -40,6 +74,8 @@ class TestHermitianExpm:
             np.zeros((2, 3)),  # not square
             np.array([[np.nan, 0.0], [0.0, 0.0]]),  # not finite
             np.diag([1000.0, -1000.0]),  # exp overflows
+            np.diag([-2000.0, 0.0]),  # cosh|b| overflows, though exp(H) = diag(0, 1)
+            np.diag([1e200, 1e200]),  # the norm overflows
         ],
     )
     def test_rejects_bad_input(self, H):
@@ -48,14 +84,12 @@ class TestHermitianExpm:
 
 
     def test_transposed_view_accepted(self, rng):
-        H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        H = H + H.conj().T
+        H = hermitian_2x2(rng)
         assert np.array_equal(expm_hermitian(H.T), expm_hermitian(H.T.copy()))
 
     @pytest.mark.parametrize("shape", [(6,), (150,), (3, 50)])
     def test_stack_equals_each_matrix(self, rng, shape):
-        H = rng.normal(size=shape + (3, 3)) + 1j * rng.normal(size=shape + (3, 3))
-        H = H + H.conj().swapaxes(-1, -2)
+        H = hermitian_2x2(rng, shape)
         for f in (expm_hermitian, expm_i_hermitian):
             stacked = f(H)
             assert stacked.shape == H.shape
@@ -64,7 +98,7 @@ class TestHermitianExpm:
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
     def test_empty_stack(self, shape):
         for f in (expm_hermitian, expm_i_hermitian):
-            assert f(np.zeros(shape + (3, 3))).shape == shape + (3, 3)
+            assert f(np.zeros(shape + (2, 2))).shape == shape + (2, 2)
         assert stack_norm(np.zeros(shape + (3, 3)), 2).shape == shape
         assert stack_norm(np.zeros(shape + (3,)), 1).shape == shape
 
@@ -75,7 +109,6 @@ class TestHermitianExpm:
         stack[where] = bad
         with pytest.raises(ValueError):
             expm_hermitian(stack)
-
 
 class TestNullspace:
     def test_invertible_gives_empty(self):
