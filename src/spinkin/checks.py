@@ -1,8 +1,11 @@
 """Residual suites behind `spinkin check`: every algebraic identity the library
 claims, swept over seeded random inputs with explicit tolerances.
 
-Each suite returns a plain dict (JSON-ready) with max residuals, the
-tolerances applied, and a pass flag; run_all composes them. The sweep suites
+Each suite is fn(seed) and returns a plain dict (JSON-ready) with max
+residuals, the tolerances applied, and a pass flag; run_all composes them.
+A suite's sample counts and thresholds are the module constants below: each
+one both gates the pass flag and is the value the report prints under
+`tolerances` and `samples`/`per_spin_samples`. The sweep suites
 draw their seeded momenta (and Lorentz pairs) first, then evaluate the whole
 sample in one stacked call per spin: all spinors of one sign against one
 P(q), boosts and rotations as one pair stack against one A(q), and a set of
@@ -35,11 +38,24 @@ from .reps import HalfInt, rep_generators, tensor_rep_generators
 
 __all__ = ["run_all", "SUITES"]
 
+# one line per suite: its sample counts, then its thresholds
+_DIRAC_SAMPLES, _DIRAC_TOL = 1000, 1e-10
+_INVOLUTION_PER_SPIN, _INVOLUTION_TOL = 100, 1e-7
+_FIELD_PER_SPIN, _FIELD_TOL = 25, 1e-9
+_COVARIANCE_PER_SPIN, _COVARIANCE_TOL = 100, 1e-8
+_KINEMATIC_TOL, _KINEMATIC_GAP_MIN = 1e-8, 1.0
+_SPAN_TOL = 1e-10
+_NOGO_MC_SAMPLES, _NOGO_DET_TOL, _NOGO_COMM_TOL = 10_000, 1e-10, 1e-12
+_G_SAMPLES, _G_TOL, _G_E1_E2_TOL = 100, 1e-10, 1e-14
+_DECOMPOSITION_SAMPLES, _DECOMPOSITION_TOL = 100, 1e-9
+_SWAP_PER_SPIN, _SWAP_TOL, _SWAP_ANTI_TOL = 50, 1e-9, 1e-12
+_ORIGIN_RAY_TOL, _ORIGIN_DISTANCE_MIN = 1e-6, 0.1
 
-def dirac_parity_suite(seed: int, samples: int = 1000, tol: float = 1e-10) -> dict:
+
+def dirac_parity_suite(seed: int) -> dict:
     """||m P(q) - gamma.p||_F / ||gamma.p||_F over random on-shell momenta."""
     rep = rep_generators(HalfInt(1))
-    momenta = sample_momenta(np.random.default_rng(seed), samples)
+    momenta = sample_momenta(np.random.default_rng(seed), _DIRAC_SAMPLES)
     # m P(q) - gamma.p formed in place: these stacks are the largest arrays
     # of a check all, and each copy adds to its peak memory
     diff = parity_operator(rep, momenta)
@@ -49,14 +65,14 @@ def dirac_parity_suite(seed: int, samples: int = 1000, tol: float = 1e-10) -> di
     r = stack_norm(diff, 2) / stack_norm(slash, 2)
     worst = float(r.max(initial=0.0))
     return {
-        "samples": samples,
+        "samples": _DIRAC_SAMPLES,
         "max_residuals": {"identification": worst},
-        "tolerances": {"identification": tol},
-        "pass": bool(worst <= tol),
+        "tolerances": {"identification": _DIRAC_TOL},
+        "pass": bool(worst <= _DIRAC_TOL),
     }
 
 
-def involution_suite(seed: int, per_spin: int = 100, tol: float = 1e-7) -> dict:
+def involution_suite(seed: int) -> dict:
     """P_j(q)^2 = I, eigenvalues +-1 with multiplicities (2j+1, 2j+1), and a
     momentum-independent determinant, for j in {1/2, 1, 3/2, 2}."""
     rng = np.random.default_rng(seed)
@@ -66,7 +82,7 @@ def involution_suite(seed: int, per_spin: int = 100, tol: float = 1e-7) -> dict:
         j = HalfInt(twice)
         rep = rep_generators(j)
         det_expected = (-1.0) ** j.block_dim  # sign of the block-swap permutation
-        P = parity_operator(rep, sample_momenta(rng, per_spin))
+        P = parity_operator(rep, sample_momenta(rng, _INVOLUTION_PER_SPIN))
         worst_sq = max(worst_sq, float(stack_norm(P @ P - np.eye(j.dim), 2).max(initial=0.0)))
         spectrum = parity_spectrum(P)
         # max and count do not depend on the order of the eigenvalues
@@ -76,54 +92,54 @@ def involution_suite(seed: int, per_spin: int = 100, tol: float = 1e-7) -> dict:
         mult_ok = mult_ok and bool(np.all(plus == j.block_dim) and np.all(j.dim - plus == j.block_dim))
         worst_det = max(worst_det, float(np.max(np.abs(spectrum["det"] - det_expected), initial=0.0)))
     residuals = {"square": worst_sq, "eigenvalue": worst_ev, "det": worst_det}
-    ok = mult_ok and all(v <= tol for v in residuals.values())
+    ok = mult_ok and all(v <= _INVOLUTION_TOL for v in residuals.values())
     return {
-        "per_spin_samples": per_spin,
+        "per_spin_samples": _INVOLUTION_PER_SPIN,
         "max_residuals": residuals,
         "multiplicities_ok": mult_ok,
-        "tolerances": {k: tol for k in residuals},
+        "tolerances": {k: _INVOLUTION_TOL for k in residuals},
         "pass": bool(ok),
     }
 
 
-def field_equation_suite(seed: int, per_spin: int = 25, tol: float = 1e-9) -> dict:
+def field_equation_suite(seed: int) -> dict:
     """Boosted u/v spinors solve their sign's field equation for j <= 2."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for twice in (1, 2, 3, 4):
         j = HalfInt(twice)
-        momenta = sample_momenta(rng, per_spin)
+        momenta = sample_momenta(rng, _FIELD_PER_SPIN)
         basis = boosted_spinors(j, momenta)
         for ws, sign in ((basis.u, +1), (basis.v, -1)):
             r = field_equation_residual(j, np.array(ws), momenta, sign)
             worst = max(worst, float(r.max(initial=0.0)))
     return {
-        "per_spin_samples": per_spin,
+        "per_spin_samples": _FIELD_PER_SPIN,
         "max_residuals": {"field_equation": worst},
-        "tolerances": {"field_equation": tol},
-        "pass": bool(worst <= tol),
+        "tolerances": {"field_equation": _FIELD_TOL},
+        "pass": bool(worst <= _FIELD_TOL),
     }
 
 
-def covariance_suite(seed: int, per_spin: int = 100, tol: float = 1e-8) -> dict:
+def covariance_suite(seed: int) -> dict:
     """Parity-family covariance under random pure boosts and rotations, j <= 3/2."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for twice in (1, 2, 3):
         rep = rep_generators(HalfInt(twice))
         fam = parity_family(rep)
-        momenta = sample_momenta(rng, per_spin)
-        pairs = stack_pairs(random_transform_pairs(rep, rng, per_spin))
+        momenta = sample_momenta(rng, _COVARIANCE_PER_SPIN)
+        pairs = stack_pairs(random_transform_pairs(rep, rng, _COVARIANCE_PER_SPIN))
         worst = max(worst, float(covariance_residual(fam, momenta, *pairs).max(initial=0.0)))
     return {
-        "per_spin_samples": per_spin,
+        "per_spin_samples": _COVARIANCE_PER_SPIN,
         "max_residuals": {"covariance": worst},
-        "tolerances": {"covariance": tol},
-        "pass": bool(worst <= tol),
+        "tolerances": {"covariance": _COVARIANCE_TOL},
+        "pass": bool(worst <= _COVARIANCE_TOL),
     }
 
 
-def kinematic_checker_suite(seed: int, tol: float = 1e-8) -> dict:
+def kinematic_checker_suite(seed: int) -> dict:
     """Definition-level checks: parity is fully kinematic, the off-diagonal
     scale family is for any a != 0, and the anti-linear family fails the
     involution condition by at least 1 on the |a|, |b| grid."""
@@ -133,13 +149,14 @@ def kinematic_checker_suite(seed: int, tol: float = 1e-8) -> dict:
     parity_ok = True
     for twice in (1, 2):
         rep = rep_generators(HalfInt(twice))
-        report = is_fully_kinematic(parity_family(rep), samples=25, tol=tol, seed=seed + twice)
+        report = is_fully_kinematic(parity_family(rep), samples=25, tol=_KINEMATIC_TOL, seed=seed + twice)
         parity_ok = parity_ok and report.fully_kinematic
 
     # ten scaled swaps, checked as one family stack on one draw of momenta
     # and pairs; the draws stay scalar calls, in the order of one loop
     a = [rng.uniform(0.2, 5.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)) for _ in range(10)]
-    swap_ok = is_fully_kinematic(scaled_swap_family(rep_half, a), samples=10, tol=tol, seed=seed).fully_kinematic
+    fam = scaled_swap_family(rep_half, a)
+    swap_ok = is_fully_kinematic(fam, samples=10, tol=_KINEMATIC_TOL, seed=seed).fully_kinematic
 
     # anti-linear grid: anticommutes but the square stays >= 1 away from I
     q = FourMomentum(1.0, (0.3, -0.2, 0.5))
@@ -150,27 +167,27 @@ def kinematic_checker_suite(seed: int, tol: float = 1e-8) -> dict:
         for bmag in grid
     ]
     fam = elko.antilinear_family(rep_half, *np.array(ab).T)
-    anti_ok = fam.anticommutator_residual() <= tol
+    anti_ok = fam.anticommutator_residual() <= _KINEMATIC_TOL
     min_gap = float(stack_norm(fam.squared_at(q) - np.eye(4), 2).min())
     return {
         "parity_fully_kinematic": bool(parity_ok),
         "scaled_swap_fully_kinematic": bool(swap_ok),
         "antilinear_anticommutes": bool(anti_ok),
         "max_residuals": {"antilinear_square_gap_min": float(min_gap)},
-        "tolerances": {"conditions": tol, "antilinear_square_gap_min": 1.0},
-        "pass": bool(parity_ok and swap_ok and anti_ok and min_gap >= 1.0),
+        "tolerances": {"conditions": _KINEMATIC_TOL, "antilinear_square_gap_min": _KINEMATIC_GAP_MIN},
+        "pass": bool(parity_ok and swap_ok and anti_ok and min_gap >= _KINEMATIC_GAP_MIN),
     }
 
 
-def antilinear_solutions_suite(seed: int, tol: float = 1e-10) -> dict:
+def antilinear_solutions_suite(seed: int) -> dict:
     """The anti-linear anticommutation system has a 2-complex-dimensional
     solution space spanned by diag(Theta,0) o K and diag(0,Theta) o K."""
-    space = elko.antilinear_kinematic_solutions(rep_generators(HalfInt(1)), tol=tol)
+    space = elko.antilinear_kinematic_solutions(rep_generators(HalfInt(1)))
     return {
         "dimension": space.dimension,
         "max_residuals": {"span": space.span_residual},
-        "tolerances": {"span": tol},
-        "pass": bool(space.dimension == 2 and space.span_residual <= tol),
+        "tolerances": {"span": _SPAN_TOL},
+        "pass": bool(space.dimension == 2 and space.span_residual <= _SPAN_TOL),
     }
 
 
@@ -181,12 +198,12 @@ def _complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     return x[:, 0] + 1j * x[:, 1]
 
 
-def elko_nogo_suite(seed: int, mc_samples: int = 10_000) -> dict:
+def elko_nogo_suite(seed: int) -> dict:
     """The Schur/no-go chain: random bases always violate a condition;
     exact-condition pairs are degenerate; commutant residual tracks the
     conditions in both directions."""
     rng = np.random.default_rng(seed)
-    mc = elko.nogo_monte_carlo(samples=mc_samples, seed=seed)
+    mc = elko.nogo_monte_carlo(samples=_NOGO_MC_SAMPLES, seed=seed)
 
     # 100 exact-condition pairs, each drawn as lam, b (complex) and t: d = t b
     # keeps Im(b conj(d)) = 0, so both conditions hold and det must vanish
@@ -209,23 +226,23 @@ def elko_nogo_suite(seed: int, mc_samples: int = 10_000) -> dict:
     keep = elko.Cx2Basis(u=u, v=v).abs_det >= 0.1
     basis = elko.Cx2Basis(u=u[keep], v=v[keep])
     r1, r2 = elko.schur_conditions(basis)
-    comm = elko.rotation_commutant_residual(elko.g_operator(basis), samples=20, seed=seed)
+    comm = elko.rotation_commutant_residual(elko.g_operator(basis), seed=seed)
     equivalence_ok = bool(np.all((comm <= 1e-9) == (np.maximum(r1, r2) <= 1e-10)))
     # conditions-hold side, at the operator level: block-scalar matrices
     # (the Schur commutant) do commute with every rotation
     G = np.kron(_complex_normals(rng, 5).reshape(5, 2, 2), np.eye(2))
-    scalar_comm = float(elko.rotation_commutant_residual(G, samples=20, seed=seed).max())
+    scalar_comm = float(elko.rotation_commutant_residual(G, seed=seed).max())
     # conditions-fail side: r1-only and r2-only families are detected
     fam_r1 = elko.schur_condition_family(1.0, 1.0, 1j)  # r1 = 0, r2 = 2, det = 2i
-    detect_r2 = elko.rotation_commutant_residual(elko.g_operator(fam_r1), samples=20, seed=seed)
+    detect_r2 = elko.rotation_commutant_residual(elko.g_operator(fam_r1), seed=seed)
     fam_r2 = elko.Cx2Basis(u=np.array([1.0, 0.0]), v=np.array([0.0, 1.0]))  # r2 = 0, r1 = 1
-    detect_r1 = elko.rotation_commutant_residual(elko.g_operator(fam_r2), samples=20, seed=seed)
+    detect_r1 = elko.rotation_commutant_residual(elko.g_operator(fam_r2), seed=seed)
 
     ok = (
         mc["pass"]
-        and worst_det <= 1e-10
+        and worst_det <= _NOGO_DET_TOL
         and equivalence_ok
-        and scalar_comm <= 1e-12
+        and scalar_comm <= _NOGO_COMM_TOL
         and detect_r1 > 1e-3
         and detect_r2 > 1e-3
     )
@@ -238,7 +255,7 @@ def elko_nogo_suite(seed: int, mc_samples: int = 10_000) -> dict:
         "schur_equivalence_ok": bool(equivalence_ok),
         "commutant_detects_r1": float(detect_r1),
         "commutant_detects_r2": float(detect_r2),
-        "tolerances": {"constructed_family_det": 1e-10, "block_scalar_commutant": 1e-12},
+        "tolerances": {"constructed_family_det": _NOGO_DET_TOL, "block_scalar_commutant": _NOGO_COMM_TOL},
         "pass": bool(ok),
     }
 
@@ -248,17 +265,17 @@ _G_E1_E2 = np.array(
 )
 
 
-def g_operator_suite(seed: int, samples: int = 100, tol: float = 1e-10) -> dict:
+def g_operator_suite(seed: int) -> dict:
     """G(u,v)^2 = I and the four eigenvalue relations for random bases, the
     charge-conjugation eigenvalues C lambda = +-lambda of the same Elko
     spinors, and the u=e1, v=e2 case reproduces the derived matrix
     entrywise."""
     rng = np.random.default_rng(seed)
     z = np.empty((0, 4), dtype=complex)
-    while len(z) < samples:
+    while len(z) < _G_SAMPLES:
         # never more candidates than still needed, so the accepted ones are
-        # the first `samples` of the stream and nothing is drawn past them
-        new = _complex_normals(rng, samples - len(z))
+        # the first _G_SAMPLES of the stream and nothing is drawn past them
+        new = _complex_normals(rng, _G_SAMPLES - len(z))
         z = np.concatenate([z, new[elko.Cx2Basis(u=new[:, :2], v=new[:, 2:]).abs_det >= 0.05]])
     basis = elko.Cx2Basis(u=z[:, :2], v=z[:, 2:])
     G = elko.g_operator(basis)
@@ -276,32 +293,32 @@ def g_operator_suite(seed: int, samples: int = 100, tol: float = 1e-10) -> dict:
         np.max(np.abs(elko.g_operator(elko.Cx2Basis(u=np.array([1.0, 0]), v=np.array([0, 1.0]))) - _G_E1_E2))
     )
     return {
-        "samples": samples,
+        "samples": _G_SAMPLES,
         "max_residuals": {"relations": worst, "charge_conjugation": worst_c, "e1_e2_case": explicit},
-        "tolerances": {"relations": tol, "charge_conjugation": tol, "e1_e2_case": 1e-14},
-        "pass": bool(worst <= tol and worst_c <= tol and explicit <= 1e-14),
+        "tolerances": {"relations": _G_TOL, "charge_conjugation": _G_TOL, "e1_e2_case": _G_E1_E2_TOL},
+        "pass": bool(worst <= _G_TOL and worst_c <= _G_TOL and explicit <= _G_E1_E2_TOL),
     }
 
 
-def decomposition_suite(seed: int, samples: int = 100, tol: float = 1e-9) -> dict:
+def decomposition_suite(seed: int) -> dict:
     """gamma.p = m K(q) Xi(q) for the canonical and helicity-Elko bases."""
-    momenta = sample_momenta(np.random.default_rng(seed), samples)
+    momenta = sample_momenta(np.random.default_rng(seed), _DECOMPOSITION_SAMPLES)
     worst = {}
     for name, basis in (
         ("canonical", rest_spinors(HalfInt(1), mass=momenta.m)),
         ("helicity", dec.elko_rest_basis(momenta.m)),
     ):
         worst[name] = float(dec.decomposition_residual(basis, momenta).residual.max(initial=0.0))
-    ok = all(v <= tol for v in worst.values())
+    ok = all(v <= _DECOMPOSITION_TOL for v in worst.values())
     return {
-        "samples": samples,
+        "samples": _DECOMPOSITION_SAMPLES,
         "max_residuals": worst,
-        "tolerances": {k: tol for k in worst},
+        "tolerances": {k: _DECOMPOSITION_TOL for k in worst},
         "pass": bool(ok),
     }
 
 
-def tensor_swap_suite(seed: int, per_spin: int = 50, tol: float = 1e-9) -> dict:
+def tensor_swap_suite(seed: int) -> dict:
     """S^2 = I exactly, {S, K_a} = 0, and the boosted swap fixes the tensor
     image of every +1 parity eigenspinor."""
     rng = np.random.default_rng(seed)
@@ -316,18 +333,18 @@ def tensor_swap_suite(seed: int, per_spin: int = 50, tol: float = 1e-9) -> dict:
         for Ka in rep.K:
             worst_alg = max(worst_alg, float(np.linalg.norm(anticommutator(S, Ka))))
         d = j.block_dim
-        momenta = sample_momenta(rng, per_spin)
+        momenta = sample_momenta(rng, _SWAP_PER_SPIN)
         A = swap_operator_at(j, momenta)
         for w in boosted_spinors(j, momenta).u:
             # psi_R kron psi_L for every momentum at once
-            t_psi = (w[:, :d, None] * w[:, None, d:]).reshape(per_spin, d * d)
+            t_psi = (w[:, :d, None] * w[:, None, d:]).reshape(_SWAP_PER_SPIN, d * d)
             r = stack_norm((A @ t_psi[..., None])[..., 0] - t_psi, 1) / stack_norm(t_psi, 1)
             worst_int = max(worst_int, float(r.max(initial=0.0)))
     return {
-        "per_spin_samples": per_spin,
+        "per_spin_samples": _SWAP_PER_SPIN,
         "max_residuals": {"square_exact": exact_sq, "anticommutator": worst_alg, "intertwining": worst_int},
-        "tolerances": {"square_exact": 0.0, "anticommutator": 1e-12, "intertwining": tol},
-        "pass": bool(exact_sq == 0.0 and worst_alg <= 1e-12 and worst_int <= tol),
+        "tolerances": {"square_exact": 0.0, "anticommutator": _SWAP_ANTI_TOL, "intertwining": _SWAP_TOL},
+        "pass": bool(exact_sq == 0.0 and worst_alg <= _SWAP_ANTI_TOL and worst_int <= _SWAP_TOL),
     }
 
 
@@ -338,11 +355,11 @@ def origin_suite(seed: int) -> dict:
     ray_worst = max(report["ray_cauchy"].values())
     z_x = report["pairwise_distance"]["(0,0,1) vs (1,0,0)"]
     z_nz = report["pairwise_distance"]["(0,0,1) vs (0,0,-1)"]
-    ok = ray_worst <= 1e-6 and z_x > 0.1 and z_nz > 0.1
+    ok = ray_worst <= _ORIGIN_RAY_TOL and z_x > _ORIGIN_DISTANCE_MIN and z_nz > _ORIGIN_DISTANCE_MIN
     return {
         "max_residuals": {"ray_cauchy": float(ray_worst)},
         "distances": {"z_vs_x": float(z_x), "z_vs_neg_z": float(z_nz)},
-        "tolerances": {"ray_cauchy": 1e-6, "direction_distance_min": 0.1},
+        "tolerances": {"ray_cauchy": _ORIGIN_RAY_TOL, "direction_distance_min": _ORIGIN_DISTANCE_MIN},
         "pass": bool(ok),
     }
 

@@ -112,26 +112,22 @@ def _basis_at_mass(j: HalfInt, W: np.ndarray, n_u: int, mass) -> SpinorBasis:
     return SpinorBasis(j=j, mass=mass, u=tuple(W[:n_u]), v=tuple(W[n_u:]))
 
 
-def rest_spinors(j, mass: float | np.ndarray | None = None) -> SpinorBasis:
+def rest_spinors(j, mass: float | np.ndarray) -> SpinorBasis:
     """Rest-frame parity eigenbasis: u_s(0) = c(theta_s, theta_s) with eta
     eigenvalue +1 and v_s(0) = c(theta_s, -theta_s) with eigenvalue -1.
 
-    theta_s runs over the J_z eigenbasis; c = sqrt(mass) gives norm sqrt(2m)
-    (c = 1 when no mass is supplied). Any rest spinor (theta, lambda) splits as
-    the half-sum of a u and a v spinor. An array of masses gives the stack
-    of bases of its shape.
+    theta_s runs over the J_z eigenbasis; c = sqrt(mass) gives norm sqrt(2m).
+    Any rest spinor (theta, lambda) splits as the half-sum of a u and a v
+    spinor. An array of masses gives the stack of bases of its shape.
     """
     j = HalfInt.coerce(j)
-    W, d = _unit_rest_rows(j), j.block_dim
-    if mass is None:
-        return SpinorBasis(j=j, mass=None, u=tuple(W[:d]), v=tuple(W[d:]))
-    return _basis_at_mass(j, W, d, mass)
+    return _basis_at_mass(j, _unit_rest_rows(j), j.block_dim, mass)
 
 
 @cache
 def _unit_rest_rows(j: HalfInt) -> np.ndarray:
-    """The spinors of rest_spinors(j) with no mass as rows, u then v; built
-    once per spin, read-only."""
+    """The spinors of rest_spinors(j, 1.0) as rows, u then v; built once per
+    spin, read-only."""
     eye = np.eye(j.block_dim, dtype=complex)
     W = np.block([[eye, eye], [eye, -eye]])
     W.flags.writeable = False

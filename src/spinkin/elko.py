@@ -235,28 +235,32 @@ def schur_condition_family(lam, b, d) -> Cx2Basis:
     return Cx2Basis(u=u, v=v)
 
 
-def rotation_commutant_residual(G: np.ndarray, samples: int = 20, seed: int = 0) -> float | np.ndarray:
-    """max over random rotations R of ||[G, D(R)]||_F / ||G||_F with D the
+_COMMUTANT_ROTATIONS = 20
+
+
+def rotation_commutant_residual(G: np.ndarray, seed: int = 0) -> float | np.ndarray:
+    """max over 20 random rotations R of ||[G, D(R)]||_F / ||G||_F with D the
     spin-1/2 rotation representative diag(exp(i sigma.theta/2), same); one
-    residual per matrix of a stack (..., 4, 4)."""
+    residual per matrix of a stack (..., 4, 4). The rotations are drawn from
+    the seed."""
     G = np.asarray(G)
     scale = stack_norm(G, 2)
     worst = np.zeros(G.shape[:-2])
     # integer keys only: with a None or Generator seed the cached set would
     # not be the fresh draw the seed asks for
-    D = _seeded_rotations(operator.index(samples), operator.index(seed))
+    D = _seeded_rotations(operator.index(seed))
     # one rotation at a time over the whole stack: a (stack, rotation)
-    # product would hold samples times the stack in memory
+    # product would hold 20 times the stack in memory
     for Dk in D:
         worst = np.maximum(worst, stack_norm(G @ Dk - Dk @ G, 2) / scale)
     return _scalar_or_stack(worst)
 
 
 @lru_cache(maxsize=8)
-def _seeded_rotations(samples: int, seed: int) -> np.ndarray:
+def _seeded_rotations(seed: int) -> np.ndarray:
     """The rotation representatives of rotation_commutant_residual as one
-    read-only (samples, 4, 4) stack, drawn once per (samples, seed)."""
-    theta = _random_vectors(np.random.default_rng(seed), np.full(samples, np.pi))
+    read-only (20, 4, 4) stack, drawn once per seed."""
+    theta = _random_vectors(np.random.default_rng(seed), np.full(_COMMUTANT_ROTATIONS, np.pi))
     D = rotation_matrix(rep_generators(HalfInt(1)), theta)
     D.flags.writeable = False
     return D
@@ -352,13 +356,15 @@ class AntilinearSolutionSpace:
     span_residual: float
 
 
-def antilinear_kinematic_solutions(rep: RepGenerators, tol: float = 1e-10) -> AntilinearSolutionSpace:
+def antilinear_kinematic_solutions(rep: RepGenerators) -> AntilinearSolutionSpace:
     """Solve {M o K anticommutes with each boost generator} over M.
 
     For an anti-linear map the conjugation flips the i in exp(i K.phi), so the
     matrix condition is K_a M - M conj(K_a) = 0 for each a. The solution space
     is exactly 2-complex-dimensional, spanned by diag(Theta, 0) o K and
     diag(0, Theta) o K; the span residual against that pair is reported.
+    It is the nullspace of the stacked system, with singular values at most
+    1e-10 times the largest counted as zero.
     """
     if rep.j != HalfInt(1):
         raise ValueError("the classification is stated for spin 1/2")
@@ -370,7 +376,7 @@ def antilinear_kinematic_solutions(rep: RepGenerators, tol: float = 1e-10) -> An
         rows.append(np.kron(Ka, I) - np.kron(I, np.conj(Ka).T))
     system = np.vstack(rows)
     _, sv, _ = np.linalg.svd(system)
-    ns = nullspace(system, tol=tol)
+    ns = nullspace(system)
     dim = ns.shape[1]
 
     span_residual = 0.0
@@ -422,12 +428,14 @@ def helicity_spinors(p_vec) -> tuple[np.ndarray, np.ndarray]:
     return _fix_phase(U[:, 1], _REF_PLUS), _fix_phase(U[:, 0], _REF_MINUS)
 
 
-def helicity_origin_discontinuity(
-    mass: float,
-    epsilons: tuple[float, float] = (1e-3, 1e-6),
-    directions: tuple = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, -1.0)),
-) -> dict:
-    """Compare helicity-based G at momenta eps*n for several directions n.
+# the momentum scales eps and the directions n of helicity_origin_discontinuity
+_ORIGIN_EPSILONS = (1e-3, 1e-6)
+_ORIGIN_DIRECTIONS = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, -1.0))
+
+
+def helicity_origin_discontinuity(mass: float) -> dict:
+    """Compare helicity-based G at momenta eps*n for eps = 1e-3 and 1e-6 and
+    the directions n = +z, +x and -z.
 
     Along a fixed ray G is Cauchy as eps -> 0 (it depends on the direction
     only), while the limits along different rays stay a finite Frobenius
@@ -436,8 +444,8 @@ def helicity_origin_discontinuity(
     """
     # one mass, held to the mass rule as the mass of a particle at rest
     mass = float(FourMomentum(mass, (0.0, 0.0, 0.0)).m)
-    eps_large, eps_small = max(epsilons), min(epsilons)
-    dirs = [np.asarray(d, dtype=float) for d in directions]
+    eps_large, eps_small = _ORIGIN_EPSILONS
+    dirs = np.array(_ORIGIN_DIRECTIONS)
     # G from the helicity spinors at eps_large * n and eps_small * n for
     # every n, in one call
     spinors = [helicity_spinors(eps * n) for n in dirs for eps in (eps_large, eps_small)]

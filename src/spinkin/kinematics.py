@@ -263,16 +263,15 @@ class KinematicOperatorFamily:
         of them), so D^-1 = eta D^dagger eta and nothing is inverted.
         """
         # eta is a permutation, so a product with it is a gather of columns.
-        # The linear case forms X D^dagger as conj(conj(X) D^T), with D^T a
-        # view. The stack is formed a block at a time, so that besides the
-        # result only a few blocks are held; each matrix goes through the
-        # same products as in one call over the whole stack
-        shape = np.broadcast_shapes(D.shape, M.shape)
-        D, M = np.broadcast_to(D, shape), np.broadcast_to(M, shape)
-        out = np.empty(shape, dtype=np.result_type(D, M))
-        for block in _blocks(shape[:-2]):
-            _conjugate_block(D[block], M[block], self.rep.eta_index, self.antilinear, out[block])
-        return out
+        # The linear case forms X D^dagger as conj(conj(X) D^T) in place
+        index = self.rep.eta_index
+        X = D @ M[..., index]
+        if not self.antilinear:
+            np.conjugate(X, out=X)
+        X = X @ np.swapaxes(D, -1, -2)
+        if not self.antilinear:
+            np.conjugate(X, out=X)
+        return X[..., index]
 
     def _spread(self, M: np.ndarray, axes: int) -> np.ndarray:
         """M, whose leading axes are the family axes, with `axes` unit axes
@@ -299,34 +298,6 @@ class KinematicOperatorFamily:
         K = np.array(self.rep.K).reshape((3,) + (1,) * (M.ndim - 2) + M.shape[-2:])
         r = K @ M - M @ np.conj(K) if self.antilinear else anticommutator(M, K)
         return float(stack_norm(r, 2).max(initial=0.0))
-
-
-# matrices per block of KinematicOperatorFamily.conjugated: its temporaries
-# are a few blocks, not stacks of the result's size
-_BLOCK = 32
-
-
-def _blocks(shape: tuple[int, ...]):
-    """Index tuples that split a stack of this shape into blocks of at most
-    _BLOCK matrices along its last axis."""
-    if not shape:
-        yield ()
-        return
-    for lead in np.ndindex(shape[:-1]):
-        for k in range(0, shape[-1], _BLOCK):
-            yield lead + (slice(k, k + _BLOCK),)
-
-
-def _conjugate_block(D, M, index, antilinear: bool, out: np.ndarray) -> None:
-    """out = D M eta D^dagger eta (anti-linear: D M eta D^T eta) for one
-    block, with eta the permutation `index`."""
-    X = D @ M[..., index]
-    if not antilinear:
-        np.conjugate(X, out=X)
-    X = X @ np.swapaxes(D, -1, -2)
-    if not antilinear:
-        np.conjugate(X, out=X)
-    np.take(X, index, axis=-1, out=out, mode="clip")
 
 
 def _squared(M: np.ndarray, antilinear: bool) -> np.ndarray:

@@ -131,10 +131,14 @@ def stack_norm(x: np.ndarray, ndim: int) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def nullspace(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+_NULLSPACE_RTOL = 1e-10
+
+
+def nullspace(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the numerical kernel of M, as columns.
 
-    Singular values below tol times the largest singular value count as zero.
+    Singular values at most 1e-10 times the largest singular value count as
+    zero.
     Returns an (n, k) array; k = 0 for an injective map, k = n for the zero map.
     """
     M = np.asarray(M, dtype=complex)
@@ -149,7 +153,7 @@ def nullspace(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return np.eye(n, dtype=complex)
-    rank = int(np.sum(s > tol * smax))
+    rank = int(np.sum(s > _NULLSPACE_RTOL * smax))
     return Vh[rank:].conj().T
 
 

@@ -462,9 +462,9 @@ def product_form_conjugated(fam, D, M):
 
 @pytest.mark.parametrize("twice", SPINS)
 def test_conjugated_equals_product_form(twice, rng):
-    """conjugated applies eta by index, conjugates in place and works a block
-    at a time, with results equal to the product form bit for bit: single
-    matrices, stacks longer than a block, pair stacks and family stacks."""
+    """conjugated applies eta by index and conjugates in place, with results
+    equal to the product form bit for bit: single matrices, stacks of 70,
+    pair stacks and family stacks."""
     rep = rep_generators(HalfInt(twice))
     phi = rapidity_from_momentum(momenta(170 + twice, 70))
     (_, Db), (_, Dr) = random_transform_pairs(rep, rng, 70)

@@ -76,7 +76,7 @@ class TestDiracOperator:
 
 class TestRestSpinors:
     def test_eta_eigenvectors(self):
-        basis = rest_spinors(HalfInt(1))
+        basis = rest_spinors(HalfInt(1), mass=1.0)
         eta = rep_generators(HalfInt(1)).eta
         for w in basis.u:
             assert np.allclose(eta @ w, w, atol=1e-15)

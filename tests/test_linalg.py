@@ -129,7 +129,7 @@ class TestNullspace:
             n = int(rng.integers(2, 7))
             r = int(rng.integers(1, n))
             A = rng.normal(size=(n, r)) @ rng.normal(size=(r, n))
-            ns = nullspace(A, tol=1e-10)
+            ns = nullspace(A)
             assert ns.shape[1] == n - r
             for k in range(ns.shape[1]):
                 assert np.linalg.norm(A @ ns[:, k]) <= 10 * 1e-10 * np.linalg.norm(A)
