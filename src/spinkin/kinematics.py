@@ -153,18 +153,21 @@ class FourMomentum:
 
 
 def rapidity_from_momentum(q: FourMomentum) -> np.ndarray:
-    """Rapidity vector phi = asinh(|p|/m) p-hat, so cosh|phi| = E/m, on a
-    trailing axis of 3 after the stack axes of q."""
-    p = q.p
-    # |p| or |p|/m may overflow to inf, which the cap below refuses
+    """Rapidity vector phi = asinh(|p/m|) p-hat, so cosh|phi| = E/m, on a
+    trailing axis of 3 after the stack axes of q.
+
+    u = p/m is formed before any square, as parity_operator forms it, so
+    |u|^2 neither underflows nor overflows for a momentum at the scale of its
+    mass, however small or large that scale."""
+    # p/m or |p/m| may overflow to inf, which the cap below refuses
     with np.errstate(over="ignore"):
-        pn = np.sqrt(np.vecdot(p, p, keepdims=True))
-        phi = np.arcsinh(pn / q.m[..., None])
+        u = q.p / q.m[..., None]
+        un = np.sqrt(np.vecdot(u, u, keepdims=True))
+        phi = np.arcsinh(un)
     if phi.max(initial=0.0) > RAPIDITY_MAX:
         raise ValueError(f"rapidity {phi.max():.3f} exceeds the overflow cap {RAPIDITY_MAX}")
-    # p-hat, and 0 at rest: a non-zero |p| is at least 1e-162, far above the
-    # smallest normal float, and phi = 0 wherever |p| underflows to 0
-    return phi * (p / np.maximum(pn, _FLOAT_TINY))
+    # p-hat, and 0 at rest
+    return phi * (u / np.maximum(un, _FLOAT_TINY))
 
 
 # sigma/2 (for the 2x2 generators of boosts and rotations), each 2x2 matrix

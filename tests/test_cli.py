@@ -58,6 +58,13 @@ class TestBasicCommands:
         assert obj["residuals"]["u_max"] < 1e-10
         assert obj["residuals"]["v_max"] < 1e-10
 
+    @pytest.mark.parametrize("scale", ["1e-170", "1e300"])
+    def test_spinors_with_momentum_at_the_scale_of_its_mass(self, capsys, scale):
+        # |p|^2 underflows or overflows there, p/m does not
+        code, obj = run_json(capsys, "spinors", "--spin", "1", "--mass", scale, "--p", f"0,0,{scale}", "--json")
+        assert code == 0
+        assert max(obj["residuals"].values()) <= 1e-9
+
     def test_fieldeq(self, capsys):
         args = ("--spin", "3", "--mass", "2", "--p", "1,0,0", "--json")
         code, obj = run_json(capsys, "fieldeq", *args)

@@ -105,13 +105,20 @@ class TestRapidity:
         phi2 = rapidity_from_momentum(q2)
         assert phi2[2] == pytest.approx(np.log(2.0) + extra, rel=1e-12)
 
+    @pytest.mark.parametrize("m", [1e-170, 1e300])
+    def test_momentum_at_the_scale_of_its_mass(self, m):
+        """|p|^2 underflows to 0 at 1e-170 and overflows at 1e300; p/m = z-hat
+        does neither, so both give asinh(1) z-hat."""
+        phi = rapidity_from_momentum(FourMomentum(m, (0.0, 0.0, m)))
+        assert np.allclose(phi, [0.0, 0.0, np.arcsinh(1.0)], rtol=0.0, atol=1e-15)
+
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             rapidity_from_momentum(FourMomentum(1e-12, (0.0, 0.0, 1e3)))
 
     @pytest.mark.parametrize("m, p", [(1.0, (1e200, 0.0, 0.0)), (1e-300, (1e10, 0.0, 0.0))])
     def test_overflowing_momentum_raises_without_warning(self, m, p):
-        """|p| overflows in the first case and |p|/m in the second; the cap
+        """|p/m|^2 overflows in the first case and p/m in the second; the cap
         refuses the infinite rapidity, with no warning on the way."""
         q = FourMomentum(m, p)
         j = HalfInt(2)
