@@ -155,8 +155,8 @@ def kinematic_checker_suite(seed: int) -> dict:
     # ten scaled swaps, checked as one family stack on one draw of momenta
     # and pairs; the draws stay scalar calls, in the order of one loop
     a = [rng.uniform(0.2, 5.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)) for _ in range(10)]
-    fam = scaled_swap_family(rep_half, a)
-    swap_ok = is_fully_kinematic(fam, samples=10, tol=_KINEMATIC_TOL, seed=seed).fully_kinematic
+    swaps = scaled_swap_family(rep_half, a)
+    swap_ok = is_fully_kinematic(swaps, samples=10, tol=_KINEMATIC_TOL, seed=seed).fully_kinematic
 
     # anti-linear grid: anticommutes but the square stays >= 1 away from I
     q = FourMomentum(1.0, (0.3, -0.2, 0.5))
