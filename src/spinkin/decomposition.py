@@ -127,8 +127,9 @@ def decomposition_residual(basis: SpinorBasis, q: FourMomentum) -> Decomposition
     """Factors and relative residual of gamma^mu p_mu = m K(q) Xi(q) for a
     Hermitian rest basis, with Xi(q) = B tilde-Xi(0)^dagger B^-1.
 
-    Raises NonHermitianBasisError outside the Hermitian case. For j > 1/2 the
-    left side is m P_j(q) instead of gamma^mu p_mu.
+    Raises NonHermitianBasisError outside the Hermitian case, and ValueError
+    where |gamma.p|^2 leaves the float range and the residual is not finite.
+    For j > 1/2 the left side is m P_j(q) instead of gamma^mu p_mu.
     """
     if not hermiticity_condition(basis):
         raise NonHermitianBasisError(
@@ -146,5 +147,8 @@ def decomposition_residual(basis: SpinorBasis, q: FourMomentum) -> Decomposition
         target = dirac_operator(q)
     else:
         target = m * parity_operator(rep, q)
-    r = stack_norm(target - m * K_q @ Xi_q, 2) / stack_norm(target, 2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = stack_norm(target - m * K_q @ Xi_q, 2) / stack_norm(target, 2)
+    if not np.isfinite(r).all():
+        raise ValueError("the decomposition residual is not finite in double precision; rescale the momentum")
     return Decomposition(K=K_q, Xi=Xi_q, residual=float(r) if r.ndim == 0 else r)

@@ -428,7 +428,6 @@ def helicity_spinors(p_vec) -> tuple[np.ndarray, np.ndarray]:
     return _fix_phase(U[:, 1], _REF_PLUS), _fix_phase(U[:, 0], _REF_MINUS)
 
 
-# the momentum scales eps and the directions n of helicity_origin_discontinuity
 _ORIGIN_EPSILONS = (1e-3, 1e-6)
 _ORIGIN_DIRECTIONS = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, -1.0))
 

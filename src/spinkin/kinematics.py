@@ -157,8 +157,7 @@ def rapidity_from_momentum(q: FourMomentum) -> np.ndarray:
     trailing axis of 3 after the stack axes of q.
 
     u = p/m is formed before any square, as parity_operator forms it, so
-    |u|^2 neither underflows nor overflows for a momentum at the scale of its
-    mass, however small or large that scale."""
+    |u|^2 stays in range at any common scale of p and m."""
     # p/m or |p/m| may overflow to inf, which the cap below refuses
     with np.errstate(over="ignore"):
         u = q.p / q.m[..., None]

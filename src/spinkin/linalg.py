@@ -131,9 +131,6 @@ def stack_norm(x: np.ndarray, ndim: int) -> np.ndarray:
     return np.sqrt(sq)
 
 
-_NULLSPACE_RTOL = 1e-10
-
-
 def nullspace(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the numerical kernel of M, as columns.
 
@@ -153,7 +150,7 @@ def nullspace(M: np.ndarray) -> np.ndarray:
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return np.eye(n, dtype=complex)
-    rank = int(np.sum(s > _NULLSPACE_RTOL * smax))
+    rank = int(np.sum(s > 1e-10 * smax))
     return Vh[rank:].conj().T
 
 

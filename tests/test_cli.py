@@ -127,6 +127,13 @@ class TestBasicCommands:
             K = matrix_from_json(obj["K"])
             assert np.linalg.norm(K @ K - np.eye(4)) < 1e-10
 
+    @pytest.mark.parametrize("fmt", [(), ("--json",)])
+    def test_decompose_refuses_a_residual_that_is_not_finite(self, capsys, fmt):
+        # |gamma.p|^2 underflows to 0 at this scale: exit 2, not a nan residual
+        code, out, err = run_cli(capsys, "decompose", "--mass", "1e-170", "--p", "1e-170,0,0", *fmt)
+        assert code == 2
+        assert out == "" and "residual is not finite" in err
+
     @pytest.mark.parametrize("command", ["parity", "spinors", "decompose"])
     def test_momentum_echoed_as_parsed(self, capsys, command):
         """--mass and --p are printed as the parser read them, Python floats
