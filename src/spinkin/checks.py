@@ -191,17 +191,14 @@ def antilinear_solutions_suite(seed: int) -> dict:
     }
 
 
-def _complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """(n, 4) draws z, row k as one normal(4) + 1j * normal(4) call pair
-    draws it."""
-    x = rng.normal(size=(n, 2, 4))
-    return x[:, 0] + 1j * x[:, 1]
-
-
 def elko_nogo_suite(seed: int) -> dict:
     """The Schur/no-go chain: random bases always violate a condition;
     exact-condition pairs are degenerate; commutant residual tracks the
-    conditions in both directions."""
+    conditions in both directions.
+
+    The random bases are elko.nogo_monte_carlo's sweep, gated by its own
+    threshold constant in `elko` and printed under monte_carlo; the
+    equivalence pairs are unit pairs drawn as that sweep draws them."""
     rng = np.random.default_rng(seed)
     mc = elko.nogo_monte_carlo(samples=_NOGO_MC_SAMPLES, seed=seed)
 
@@ -221,16 +218,13 @@ def elko_nogo_suite(seed: int) -> dict:
 
     # both directions of the Schur equivalence, over the candidates with
     # |det| >= 0.1 among 200 random unit pairs
-    z = _complex_normals(rng, 200)
-    u, v = z[:, :2] / stack_norm(z[:, :2], 1)[:, None], z[:, 2:] / stack_norm(z[:, 2:], 1)[:, None]
-    keep = elko.Cx2Basis(u=u, v=v).abs_det >= 0.1
-    basis = elko.Cx2Basis(u=u[keep], v=v[keep])
+    basis = elko._unit_pairs(rng, 200)
     r1, r2 = elko.schur_conditions(basis)
     comm = elko.rotation_commutant_residual(elko.g_operator(basis), seed=seed)
     equivalence_ok = bool(np.all((comm <= 1e-9) == (np.maximum(r1, r2) <= 1e-10)))
     # conditions-hold side, at the operator level: block-scalar matrices
     # (the Schur commutant) do commute with every rotation
-    G = np.kron(_complex_normals(rng, 5).reshape(5, 2, 2), np.eye(2))
+    G = np.kron(elko._complex_normals(rng, 5).reshape(5, 2, 2), np.eye(2))
     scalar_comm = float(elko.rotation_commutant_residual(G, seed=seed).max())
     # conditions-fail side: r1-only and r2-only families are detected
     fam_r1 = elko.schur_condition_family(1.0, 1.0, 1j)  # r1 = 0, r2 = 2, det = 2i
@@ -275,7 +269,7 @@ def g_operator_suite(seed: int) -> dict:
     while len(z) < _G_SAMPLES:
         # never more candidates than still needed, so the accepted ones are
         # the first _G_SAMPLES of the stream and nothing is drawn past them
-        new = _complex_normals(rng, _G_SAMPLES - len(z))
+        new = elko._complex_normals(rng, _G_SAMPLES - len(z))
         z = np.concatenate([z, new[elko.Cx2Basis(u=new[:, :2], v=new[:, 2:]).abs_det >= 0.05]])
     basis = elko.Cx2Basis(u=z[:, :2], v=z[:, 2:])
     G = elko.g_operator(basis)

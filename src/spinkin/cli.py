@@ -227,7 +227,7 @@ def cmd_elko_g(args) -> int:
 
 
 def cmd_elko_nogo(args) -> int:
-    report = elko.nogo_monte_carlo(samples=args.samples, seed=args.seed, threshold=args.threshold)
+    report = elko.nogo_monte_carlo(samples=args.samples, seed=args.seed)
     _emit({"command": "elko nogo", **report})
     return 0 if report["pass"] else 1
 
@@ -352,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     pn = esub.add_parser("nogo", help="Monte-Carlo no-go sweep")
     pn.add_argument("--samples", type=int, default=10000)
     pn.add_argument("--seed", type=int, default=20240811)
-    pn.add_argument("--threshold", type=float, default=0.01)
     pn.set_defaults(fn=cmd_elko_nogo)
     po = esub.add_parser("origin", help="direction dependence of G at the origin")
     po.add_argument("--mass", type=float, required=True)

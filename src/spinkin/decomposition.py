@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import SpinorBasis, boost_basis, dirac_operator
+from .dirac import SpinorBasis, _basis_at_mass, boost_basis, dirac_operator
 from .elko import Cx2Basis, elko_basis, helicity_spinors
 from .kinematics import (
     FourMomentum,
@@ -51,8 +51,7 @@ def elko_rest_basis(mass: float, direction=(0.0, 0.0, 1.0)) -> SpinorBasis:
     u2, v2 = helicity_spinors(np.asarray(direction, dtype=float))
     eb = elko_basis(Cx2Basis(u=u2, v=v2))
     # each Elko spinor has norm sqrt(2) for unit u
-    unit = SpinorBasis(j=HalfInt(1), mass=None, u=(eb.u_plus, eb.v_plus), v=(eb.u_minus, eb.v_minus))
-    return unit.at_mass(mass)
+    return _basis_at_mass(HalfInt(1), np.array([eb.u_plus, eb.v_plus, eb.u_minus, eb.v_minus]), 2, mass)
 
 
 def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:

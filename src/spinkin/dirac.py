@@ -95,18 +95,12 @@ class SpinorBasis:
         """Matrix with the u then v spinors as columns, S + (dim, dim) for a stack."""
         return np.stack(self.spinors, axis=-1)
 
-    def at_mass(self, mass) -> "SpinorBasis":
-        """This basis without a mass (spinors of norm sqrt 2) scaled by
-        sqrt(mass) to spinor norms sqrt(2m). An array of masses gives the
-        stack of bases of its shape."""
-        if self.mass is not None:
-            raise ValueError("basis already carries a mass")
-        return _basis_at_mass(self.j, np.array(self.spinors), len(self.u), mass)
-
 
 def _basis_at_mass(j: HalfInt, W: np.ndarray, n_u: int, mass) -> SpinorBasis:
     """The basis whose spinors are the rows of W, the first n_u of them u
-    spinors, each scaled by sqrt(mass): SpinorBasis.at_mass on its spinors."""
+    spinors, each scaled by sqrt(mass): rows of norm sqrt 2 give spinor
+    norms sqrt(2m). An array of masses gives the stack of bases of its
+    shape."""
     mass = check_mass(mass)
     W = np.sqrt(mass)[..., None] * W.reshape(W.shape[:1] + (1,) * mass.ndim + W.shape[1:])
     return SpinorBasis(j=j, mass=mass, u=tuple(W[:n_u]), v=tuple(W[n_u:]))

@@ -266,62 +266,62 @@ def _seeded_rotations(seed: int) -> np.ndarray:
     return D
 
 
+def _complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 4) draws z, row k as one normal(4) + 1j * normal(4) call pair
+    draws it."""
+    x = rng.normal(size=(n, 2, 4))
+    return x[:, 0] + 1j * x[:, 1]
+
+
 # candidates per array pass of the no-go sweep; bounds its working set
 _NOGO_CHUNK = 1024
+# the |det [u v]| a candidate of the no-go sweep must reach
+_NOGO_DET_MIN = 0.1
+# the floor of max(r1, r2) that the no-go sweep must stay above
+_NOGO_THRESHOLD = 0.01
 
 
-def nogo_monte_carlo(samples: int = 10_000, seed: int = 20240811, threshold: float = 0.01) -> dict:
+def _unit_pairs(rng: np.random.Generator, n: int) -> Cx2Basis:
+    """The no-go candidates among n pairs drawn as u = z[:2] and v = z[2:]
+    of one row of _complex_normals, each normalised by its norm: those with
+    |det [u v]| >= _NOGO_DET_MIN, in the order drawn."""
+    z = _complex_normals(rng, n)
+    u, v = z[:, :2] / stack_norm(z[:, :2], 1)[:, None], z[:, 2:] / stack_norm(z[:, 2:], 1)[:, None]
+    keep = Cx2Basis(u=u, v=v).abs_det >= _NOGO_DET_MIN
+    return Cx2Basis(u=u[keep], v=v[keep])
+
+
+def nogo_monte_carlo(samples: int = 10_000, seed: int = 20240811) -> dict:
     """Sweep random unit-norm pairs with |det| >= 0.1 and record the smallest
-    max(r1, r2) seen; the no-go predicts it stays above threshold.
+    max(r1, r2) seen; the no-go predicts it stays above the threshold 0.01.
 
     The threshold is empirical (from the observed distribution at this seed),
     not a theorem constant; it is recorded in the report alongside the seed
     and the |det| floor.
 
-    Candidate k is z = x[k, 0] + i x[k, 1] for x = normal(size=(n, 2, 4)),
-    the stream of one normal(4) + 1j*normal(4) per candidate, with u = z[:2]
-    and v = z[2:] normalised. The sweep is array code that rounds as the
-    per-candidate scalar path does (Cx2Basis, |det|, schur_conditions):
-    norms as np.linalg.norm forms them, complex products in explicit real
-    arithmetic, moduli by np.hypot; numpy's vectorised complex multiply and
-    complex abs round differently in the last bit.
+    The candidates are the stream of one normal(4) + 1j*normal(4) per
+    candidate, with u = z[:2] and v = z[2:] normalised, drawn at most 1024
+    at a time and never more than still needed, so the accepted ones are the
+    first `samples` of the stream. Each draw is one Cx2Basis stack, and
+    |det| and (r1, r2) come from Cx2Basis.abs_det and schur_conditions, so
+    the floor is that of the one-candidate loop bit for bit.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if not np.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
-    det_min = 0.1
     rng = np.random.default_rng(seed)
     floor = np.inf
     count = 0
     while count < samples:
-        # never more candidates than still needed, so the accepted ones are
-        # the first `samples` of the stream
-        n = min(samples - count, _NOGO_CHUNK)
-        # axes: candidate, re/im, u/v, component
-        x = rng.normal(size=(n, 2, 4)).reshape(n, 2, 2, 2)
-        # z[:2] / np.linalg.norm(z[:2]): the norm is sqrt(re.re + im.im), and
-        # the division by it as a complex number is a multiply by 1 / norm
-        inv = 1.0 / np.sqrt(np.vecdot(x[:, 0], x[:, 0]) + np.vecdot(x[:, 1], x[:, 1]))
-        w = x * inv[:, None, :, None]
-        (ar, br), (cr, dr) = w[:, 0].transpose(1, 2, 0)
-        (ai, bi), (ci, di) = w[:, 1].transpose(1, 2, 0)
-        det = np.hypot((ar * dr - ai * di) - (br * cr - bi * ci), (ar * di + ai * dr) - (br * ci + bi * cr))
-        keep = det >= det_min
-        if not keep.any():
-            continue
-        count += int(keep.sum())
-        # r1 = |a conj(d) - c conj(b)|, r2 = |Im(a conj(c)) - Im(b conj(d))|
-        r1 = np.hypot((ar * dr + ai * di) - (cr * br + ci * bi), (ai * dr - ar * di) - (ci * br - cr * bi))
-        r2 = np.abs((ai * cr - ar * ci) - (bi * dr - br * di))
-        floor = min(floor, float(np.maximum(r1, r2)[keep].min()))
+        r1, r2 = schur_conditions(_unit_pairs(rng, min(samples - count, _NOGO_CHUNK)))
+        count += len(r1)
+        floor = min(floor, float(np.maximum(r1, r2).min(initial=np.inf)))
     return {
         "samples": samples,
         "seed": seed,
-        "det_min": det_min,
-        "threshold": threshold,
+        "det_min": _NOGO_DET_MIN,
+        "threshold": _NOGO_THRESHOLD,
         "min_max_r": float(floor),
-        "pass": bool(floor > threshold),
+        "pass": bool(floor > _NOGO_THRESHOLD),
     }
 
 
@@ -352,7 +352,6 @@ class AntilinearSolutionSpace:
 
     basis: tuple[AntiLinearMap, ...]
     dimension: int
-    singular_values: np.ndarray
     span_residual: float
 
 
@@ -374,9 +373,7 @@ def antilinear_kinematic_solutions(rep: RepGenerators) -> AntilinearSolutionSpac
     for Ka in rep.K:
         # row-major vec: vec(Ka M) = (Ka kron I) vec(M), vec(M Kc) = (I kron Kc^T) vec(M)
         rows.append(np.kron(Ka, I) - np.kron(I, np.conj(Ka).T))
-    system = np.vstack(rows)
-    _, sv, _ = np.linalg.svd(system)
-    ns = nullspace(system)
+    ns = nullspace(np.vstack(rows))
     dim = ns.shape[1]
 
     span_residual = 0.0
@@ -387,9 +384,7 @@ def antilinear_kinematic_solutions(rep: RepGenerators) -> AntilinearSolutionSpac
         span_residual = max(span_residual, float(np.linalg.norm(proj - vec) / np.linalg.norm(vec)))
 
     maps = tuple(AntiLinearMap(ns[:, k].reshape(n, n)) for k in range(dim))
-    return AntilinearSolutionSpace(
-        basis=maps, dimension=dim, singular_values=sv, span_residual=span_residual
-    )
+    return AntilinearSolutionSpace(basis=maps, dimension=dim, span_residual=span_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +411,15 @@ def helicity_spinors(p_vec) -> tuple[np.ndarray, np.ndarray]:
 
     The eigenvectors depend only on the direction of p (any |p| > 0 gives the
     same pair), which is what makes the origin limit direction-dependent.
+    p is divided by its largest |p_i| before its norm is taken, so no finite
+    non-zero p overflows or underflows to a zero direction.
     """
     p = np.asarray(p_vec, dtype=float).reshape(3)
-    pn = np.linalg.norm(p)
-    if pn == 0.0 or not np.all(np.isfinite(p)):
+    scale = np.max(np.abs(p))
+    if not 0.0 < scale < np.inf:
         raise ValueError("helicity needs a non-zero finite momentum direction")
-    n = p / pn
+    p = p / scale
+    n = p / np.linalg.norm(p)
     sx, sy, sz = pauli_matrices()
     H = sx * n[0] + sy * n[1] + sz * n[2]
     _, U = np.linalg.eigh(H)  # eigenvalues ascending: (-1, +1)

@@ -3,10 +3,12 @@ counts and thresholds is one constant of `spinkin.checks` that both drives
 the suite and is the value its report prints."""
 
 import inspect
+import json
 
 import pytest
 
-from spinkin import checks
+from spinkin import checks, elko
+from spinkin.cli import main
 
 SUITE = dict(checks.SUITES)
 
@@ -70,3 +72,27 @@ def test_sample_constant_is_the_printed_count(monkeypatch, suite, constant, path
     for key in path:
         report = report[key]
     assert report == 3
+
+
+def test_nogo_threshold_constant_gates_pass_and_is_printed(monkeypatch, capsys):
+    """The no-go sweep's threshold is one constant of `spinkin.elko`: it gates
+    `elko nogo` and the `check all` no-go suite, and both print it."""
+
+    def run(*argv):
+        code = main(list(argv))
+        return code, json.loads(capsys.readouterr().out)
+
+    code, nogo = run("elko", "nogo")
+    assert code == 0 and nogo["threshold"] == elko._NOGO_THRESHOLD
+    code, report = run("check", "all", "--seed", "0")
+    mc = report["suites"]["elko_nogo"]["monte_carlo"]
+    assert code == 0 and mc["pass"] and mc["threshold"] == elko._NOGO_THRESHOLD
+    # above the floor that either sweep reaches
+    patched = 2 * max(nogo["min_max_r"], mc["min_max_r"])
+    monkeypatch.setattr(elko, "_NOGO_THRESHOLD", patched)
+    code, nogo = run("elko", "nogo")
+    assert code == 1 and nogo["pass"] is False and nogo["threshold"] == patched
+    code, report = run("check", "all", "--seed", "0")
+    mc = report["suites"]["elko_nogo"]["monte_carlo"]
+    assert code == 1 and mc["pass"] is False and mc["threshold"] == patched
+    assert [name for name, suite in report["suites"].items() if not suite["pass"]] == ["elko_nogo"]

@@ -220,7 +220,6 @@ class TestUsageErrors:
             ("elko", "g", "--u", "nan,0", "--v", "0,1", "--json"),
             ("elko", "g", "--u", "1e200,1e200", "--v", "1e200,-1e200", "--json"),
             ("elko", "origin", "--mass", "inf", "--json"),
-            ("elko", "nogo", "--samples", "10", "--threshold", "nan"),
         ],
     )
     def test_non_finite_input_exits_2(self, capsys, argv):

@@ -5,6 +5,8 @@ import pytest
 
 from spinkin import checks
 from spinkin.elko import (
+    _REF_MINUS,
+    _REF_PLUS,
     THETA,
     _seeded_rotations,
     Cx2Basis,
@@ -23,7 +25,7 @@ from spinkin.elko import (
 )
 from spinkin.kinematics import rotation_matrix
 from spinkin.linalg import nullspace
-from spinkin.reps import HalfInt, rep_generators, spin_matrices
+from spinkin.reps import HalfInt, pauli_matrices, rep_generators, spin_matrices
 
 G_E1_E2 = np.array([[0, 0, 0, -1j], [0, 0, 1j, 0], [0, -1j, 0, 0], [1j, 0, 0, 0]], dtype=complex)
 
@@ -650,6 +652,36 @@ class TestHelicityOrigin:
         sz = np.diag([1.0, -1.0]).astype(complex)
         assert np.linalg.norm(sz @ u - u) < 1e-14
         assert np.linalg.norm(sz @ v + v) < 1e-14
+
+    @pytest.mark.parametrize(
+        "p, direction",
+        [
+            ((1e200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+            ((1e-170, 0.0, 0.0), (1.0, 0.0, 0.0)),
+            ((0.0, -1e300, 1e300), (0.0, -1.0, 1.0)),
+        ],
+    )
+    def test_helicity_spinors_at_extreme_momenta(self, p, direction):
+        # |p| would overflow or underflow: the pair is that of the direction
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, v = helicity_spinors(p)
+        want_u, want_v = helicity_spinors(direction)
+        assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+        n = np.array(direction) / np.linalg.norm(direction)
+        H = sum(x * s for x, s in zip(n, pauli_matrices()))
+        assert np.linalg.norm(H @ u - u) < 1e-15 and np.linalg.norm(H @ v + v) < 1e-15
+
+    @pytest.mark.parametrize("p, k, ref", [((0.0, -1.0, 0.0), 0, _REF_PLUS), ((0.8, 0.0, 0.6), 1, _REF_MINUS)])
+    def test_phase_fallback_when_reference_is_orthogonal(self, p, k, ref):
+        """Where the phase reference is orthogonal to the eigenvector, a
+        component of largest modulus is made real and positive."""
+        w = helicity_spinors(p)[k]
+        H = sum(x * s for x, s in zip(p, pauli_matrices()))
+        assert np.linalg.norm(H @ w - (1 - 2 * k) * w) < 1e-15
+        assert abs(np.vdot(ref, w)) < 1e-12
+        top = w[np.abs(w) >= np.abs(w).max() * (1 - 1e-12)]
+        assert any(c.imag == 0 and c.real > 0 for c in top)
 
     def test_direction_only_dependence(self):
         # G at eps n depends on n alone: along each ray it is the same at

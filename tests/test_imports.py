@@ -1,5 +1,6 @@
 """Every module of the package and of the test suite reads each name it
-imports: an `ast` scan, since no linter is a dependency."""
+imports, and every private module-level name of the package is read by the
+package: `ast` scans, since no linter is a dependency."""
 
 import ast
 from pathlib import Path
@@ -8,9 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 # a package's __init__ imports to re-export, as pyflakes reads it too
-MODULES = sorted(
-    p for p in [*(ROOT / "src" / "spinkin").glob("*.py"), *(ROOT / "tests").glob("*.py")] if p.name != "__init__.py"
-)
+SRC_MODULES = sorted((ROOT / "src" / "spinkin").glob("*.py"))
+MODULES = sorted(p for p in [*SRC_MODULES, *(ROOT / "tests").glob("*.py")] if p.name != "__init__.py")
 
 
 def _names_in_annotation(node: ast.expr | None) -> set[str]:
@@ -65,3 +65,55 @@ def test_scan_flags_an_unused_import():
         "    return np.zeros(spinkin.dirac.X)\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 5: tau"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private names (one leading underscore, not dunder) that the top
+    level of a module of `sources` binds by def, class, assignment or loop,
+    and that no module of `sources` reads: as a name, or as an attribute
+    such as `elko._name`."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.For)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.setdefault(name, f"{module}:{node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{where}: {name}" for name, where in defined.items() if name not in read]
+
+
+def test_every_private_name_is_read_by_the_package():
+    # a helper left behind by a move, or one only the tests call, fails here
+    assert unread_private_names({p.name: p.read_text() for p in SRC_MODULES}) == []
+
+
+def test_scan_flags_an_unread_private_name():
+    sources = {
+        "a.py": (
+            "import b\n"
+            "__all__ = ['f']\n"
+            "_TABLE, _UNUSED = 1, 2\n"
+            "def _helper():\n"
+            "    return _TABLE\n"
+            "def _left_behind():\n"
+            "    return 0\n"
+            "class _Kept:\n"
+            "    pass\n"
+            "def f():\n"
+            "    return _helper() + b._from_a()\n"
+        ),
+        "b.py": "import a\ndef _from_a():\n    return a._Kept\n",
+    }
+    assert unread_private_names(sources) == ["a.py:3: _UNUSED", "a.py:6: _left_behind"]
