@@ -285,10 +285,10 @@ def _unit_pairs(rng: np.random.Generator, n: int) -> Cx2Basis:
     """The no-go candidates among n pairs drawn as u = z[:2] and v = z[2:]
     of one row of _complex_normals, each normalised by its norm: those with
     |det [u v]| >= _NOGO_DET_MIN, in the order drawn."""
-    z = _complex_normals(rng, n)
-    u, v = z[:, :2] / stack_norm(z[:, :2], 1)[:, None], z[:, 2:] / stack_norm(z[:, 2:], 1)[:, None]
-    keep = Cx2Basis(u=u, v=v).abs_det >= _NOGO_DET_MIN
-    return Cx2Basis(u=u[keep], v=v[keep])
+    w = _complex_normals(rng, n).reshape(n, 2, 2)
+    w = w / stack_norm(w, 1)[..., None]
+    w = w[Cx2Basis(u=w[:, 0], v=w[:, 1]).abs_det >= _NOGO_DET_MIN]
+    return Cx2Basis(u=w[:, 0], v=w[:, 1])
 
 
 def nogo_monte_carlo(samples: int = 10_000, seed: int = 20240811) -> dict:
