@@ -56,10 +56,10 @@ def dirac_parity_suite(seed: int) -> dict:
     """||m P(q) - gamma.p||_F / ||gamma.p||_F over random on-shell momenta."""
     rep = rep_generators(HalfInt(1))
     momenta = sample_momenta(np.random.default_rng(seed), _DIRAC_SAMPLES)
-    # m P(q) - gamma.p formed in place: these stacks are the largest arrays
-    # of a check all, and each copy adds to its peak memory
-    diff = parity_operator(rep, momenta)
-    diff *= momenta.m[:, None, None]
+    # m P(q) - gamma.p formed in one fresh stack: these stacks are the
+    # largest arrays of a check all, and each copy adds to its peak memory.
+    # P(q) itself is read-only, memoised on the momenta
+    diff = parity_operator(rep, momenta) * momenta.m[:, None, None]
     slash = dirac_operator(momenta)
     diff -= slash
     r = stack_norm(diff, 2) / stack_norm(slash, 2)

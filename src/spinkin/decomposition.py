@@ -15,13 +15,7 @@ import numpy as np
 
 from .dirac import SpinorBasis, _basis_at_mass, boost_basis, dirac_operator
 from .elko import Cx2Basis, elko_basis, helicity_spinors
-from .kinematics import (
-    FourMomentum,
-    KinematicOperatorFamily,
-    boost_matrix,
-    parity_operator,
-    rapidity_from_momentum,
-)
+from .kinematics import FourMomentum, KinematicOperatorFamily, _boost_at, parity_operator
 from .linalg import stack_norm
 from .reps import HalfInt, rep_generators
 
@@ -137,9 +131,9 @@ def decomposition_residual(basis: SpinorBasis, q: FourMomentum) -> Decomposition
     rep = rep_generators(basis.j)
     xi0 = np.conj(np.swapaxes(xi_tilde_at_rest(basis), -1, -2))  # Xi(0) = tilde-Xi(0)^dagger
     # a batch has one rest matrix per momentum, conjugated by that momentum's
-    # boost (matrix_at would take the rest matrices for a family stack)
-    B = boost_matrix(rep, rapidity_from_momentum(q))
-    Xi_q = KinematicOperatorFamily(rep, xi0).conjugated(B, xi0)
+    # boost (matrix_at would take the rest matrices for a family stack); the
+    # boost is memoised on q, and k_operator's boost_basis reads it back
+    Xi_q = KinematicOperatorFamily(rep, xi0).conjugated(_boost_at(rep, q), xi0)
     K_q = k_operator(basis, q)
     m = q.m[..., None, None]
     if basis.j == HalfInt(1):

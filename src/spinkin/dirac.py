@@ -17,7 +17,7 @@ from functools import cache
 
 import numpy as np
 
-from .kinematics import FourMomentum, boost_matrix, check_mass, rapidity_from_momentum
+from .kinematics import FourMomentum, _boost_at, check_mass
 from .reps import HalfInt, pauli_matrices, rep_generators
 
 __all__ = [
@@ -130,12 +130,13 @@ def _unit_rest_rows(j: HalfInt) -> np.ndarray:
 
 def boost_basis(basis: SpinorBasis, q: FourMomentum) -> SpinorBasis:
     """Boost every spinor of a rest basis to momentum q: w(q) = B(phi) w(0).
-    A stack of momenta takes the stack of rest bases with the same masses."""
+    A stack of momenta takes the stack of rest bases with the same masses.
+    B(phi) is the one memoised on q."""
     if basis.mass is None:
         raise ValueError("basis must carry a mass")
     if (np.abs(basis.mass - q.m) > 1e-12 * np.maximum(1.0, q.m)).any():
         raise ValueError(f"basis mass {basis.mass} does not match momentum mass {q.m}")
-    B = boost_matrix(rep_generators(basis.j), rapidity_from_momentum(q))
+    B = _boost_at(rep_generators(basis.j), q)
     # every spinor in one product: W[k] = B w_k, for all momenta of a stack
     W = (B @ np.array(basis.spinors)[..., None])[..., 0]
     n_u = len(basis.u)

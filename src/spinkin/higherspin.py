@@ -5,6 +5,11 @@ Field-equation evaluation always goes through parity_operator, the
 polynomial offdiag(Sym^{2j}((E + sigma.p)/m), Sym^{2j}((E - sigma.p)/m)) =
 exp(2i K.phi) eta, never the gamma tensor. The tensor's components are
 that polynomial's coefficients, read off the same Sym^{2j} table.
+
+P_j(q) is memoised read-only on the FourMomentum it was evaluated at and
+freed with it, so the u (+1) and v (-1) field equations at one momentum
+object share one operator: field_equation_residual reads it from the memo
+before it builds the generators, and on a hit builds nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .kinematics import FourMomentum, boost_matrix, parity_operator, rapidity_from_momentum
+from .kinematics import FourMomentum, _recall, boost_matrix, parity_operator, rapidity_from_momentum
 from .linalg import stack_norm
 from .reps import HalfInt, _symmetric_power_table, adjugate_power, rep_generators, tensor_rep_generators
 
@@ -36,7 +41,8 @@ def field_equation_residual(j, psi: np.ndarray, q: FourMomentum, sign: int) -> f
     boosted u (sign +1) and v (sign -1) spinors are exact solutions. For a
     batch of N momenta psi is one spinor, N of them (N, dim), or k sets of N
     (k, N, dim); P_j(q) is evaluated once and the (N,) or (k, N) residuals
-    come back as an array."""
+    come back as an array. A P_j(q) already memoised on q is reused, with
+    no generators built."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     j = HalfInt.coerce(j)
@@ -44,7 +50,9 @@ def field_equation_residual(j, psi: np.ndarray, q: FourMomentum, sign: int) -> f
     norm = stack_norm(psi, 1)
     if (norm == 0.0).any():
         raise ValueError("spinor must be non-zero")
-    P = parity_operator(rep_generators(j), q)
+    P = _recall(q, "parity", j, False)
+    if P is None:
+        P = parity_operator(rep_generators(j), q)
     r = stack_norm((P @ psi[..., None])[..., 0] - sign * psi, 1) / norm
     return float(r) if r.ndim == 0 else r
 

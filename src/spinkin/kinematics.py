@@ -31,6 +31,14 @@ Two more stack axes ride on top of the momentum axis, and both lead it:
   axes).
 
 Each entry of a stacked result equals its single call bit for bit.
+
+A FourMomentum memoises the operators evaluated at it: parity_operator's
+P(q) and the boost B(phi(q)) that boost_basis and the decomposition share
+are built once per momentum object and representation (spin and tensor
+flag), stored read-only on the object only after every refusal has passed,
+and freed with it. A view q[k] and an image q.transform(L) are new objects
+and start with an empty memo; an object without one (not a FourMomentum) is
+computed on every call and not cached.
 """
 
 from __future__ import annotations
@@ -96,6 +104,9 @@ class FourMomentum:
     The energy is derived, E = sqrt(m^2 + |p|^2), so the mass shell holds by
     construction (natural units). len(), iteration and q[k] run over the
     leading axis, so a stack reads like the list of its momenta.
+
+    Each object carries a private memo of the read-only operators evaluated
+    at it (see the module docstring); views and transforms start empty.
     """
 
     m: np.ndarray
@@ -111,6 +122,7 @@ class FourMomentum:
         m.flags.writeable = p.flags.writeable = False
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_derived", {})
 
     def __len__(self) -> int:
         return len(self.m)
@@ -124,6 +136,7 @@ class FourMomentum:
         q = object.__new__(FourMomentum)
         object.__setattr__(q, "m", self.m[k, ...])
         object.__setattr__(q, "p", self.p[k, ...])
+        object.__setattr__(q, "_derived", {})
         return q
 
     @property
@@ -150,6 +163,23 @@ class FourMomentum:
         if (np.abs(out.E - v[..., 0]) > 1e-9 * np.maximum(1.0, np.abs(v[..., 0]))).any():
             raise ValueError("transformed momentum is off-shell; inconsistent inputs")
         return out
+
+
+def _recall(q, kind: str, j, tensor: bool) -> np.ndarray | None:
+    """The operator of this kind memoised on q for the spin-j representation
+    (the tensor one if tensor), or None: not evaluated yet, or q carries no
+    memo."""
+    memo = getattr(q, "_derived", None)
+    return None if memo is None else memo.get((kind, j, tensor))
+
+
+def _remember(q, kind: str, rep: RepGenerators, X: np.ndarray) -> np.ndarray:
+    """X made read-only and, where q carries a memo, memoised on it for rep."""
+    X.flags.writeable = False
+    memo = getattr(q, "_derived", None)
+    if memo is not None:
+        memo[(kind, rep.j, rep.tensor)] = X
+    return X
 
 
 def rapidity_from_momentum(q: FourMomentum) -> np.ndarray:
@@ -204,6 +234,15 @@ def boost_matrix(rep: RepGenerators, phi) -> np.ndarray:
     return rep.lift(S, adjugate_power(S))
 
 
+def _boost_at(rep: RepGenerators, q: FourMomentum) -> np.ndarray:
+    """B(phi(q)) = boost_matrix(rep, rapidity_from_momentum(q)), read-only and
+    memoised on q."""
+    B = _recall(q, "boost", rep.j, rep.tensor)
+    if B is None:
+        B = _remember(q, "boost", rep, boost_matrix(rep, rapidity_from_momentum(q)))
+    return B
+
+
 def rotation_matrix(rep: RepGenerators, theta) -> np.ndarray:
     """exp(i J.theta), unitary: the lift of R = exp(i sigma.theta/2) as
     Sym^{2j}(R) on both factors; a stack (..., 3) of rotation vectors gives
@@ -225,7 +264,13 @@ def parity_operator(rep: RepGenerators, q: FourMomentum) -> np.ndarray:
     exponential: offdiag(Sym^{2j}((E + sigma.p)/m), Sym^{2j}((E - sigma.p)/m))
     on (j,0)+(0,j). It refuses the momenta boost_matrix(rep, 2 phi) refuses,
     |phi| > RAPIDITY_MAX/2, read off cosh|phi| = E/m with no rapidity formed.
+
+    The result is read-only and memoised on q: a repeat call at the same
+    FourMomentum object returns the same array.
     """
+    P = _recall(q, "parity", rep.j, rep.tensor)
+    if P is not None:
+        return P
     # p/m or |p/m|^2 may overflow to inf, which the cap refuses
     with np.errstate(over="ignore"):
         u = q.p / q.m[..., None]
@@ -240,7 +285,7 @@ def parity_operator(rep: RepGenerators, q: FourMomentum) -> np.ndarray:
             raise ValueError(f"rapidity {phi.max():.3f} exceeds the overflow cap {RAPIDITY_MAX}")
         raise ValueError(f"rapidity norm exceeds the overflow cap {RAPIDITY_MAX}")
     S = symmetric_power(_pauli_dot(np.concatenate([e, u], axis=-1), _ONE_SIGMA), rep.j)
-    return rep.lift(S, adjugate_power(S), swap=True)
+    return _remember(q, "parity", rep, rep.lift(S, adjugate_power(S), swap=True))
 
 
 @dataclass(frozen=True)

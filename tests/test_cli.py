@@ -156,6 +156,12 @@ class TestBasicCommands:
 
 
 class TestCheckCommands:
+    def test_check_all_leaks_no_state_across_runs(self, capsys):
+        """A run after another seed's run prints what it printed first: no
+        operator memoised during one run reaches the next."""
+        outs = [run_cli(capsys, "check", "all", "--seed", seed)[:2] for seed in ("42", "7", "42")]
+        assert outs[0] == outs[2] and outs[0][0] == 0 and outs[0][1] != outs[1][1]
+
     def test_check_kinematic_passes(self, capsys):
         code, obj = run_json(
             capsys, "check", "kinematic", "--spin", "2", "--samples", "10", "--tol", "1e-7"

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import spinkin.kinematics
 from conftest import momenta
 from spinkin.decomposition import (
     NonHermitianBasisError,
@@ -251,6 +252,25 @@ class TestDecomposition:
         eta = rep_generators(HalfInt(1)).eta
         assert np.allclose(2.0 * K @ xi0, dirac_operator(q), atol=1e-10)
         assert np.allclose(dirac_operator(q), 2.0 * eta, atol=1e-15)
+
+    def test_one_boost_per_momentum(self, monkeypatch):
+        """Xi(q) and k_operator's boosted basis share the boost memoised on q,
+        and so does a second basis decomposed at the same momenta; the result
+        equals that of a new momentum object bit for bit."""
+        q = momenta(231, 12)
+        canonical, helicity = rest_spinors(HalfInt(1), mass=q.m), elko_rest_basis(q.m)
+        calls = []
+        original = spinkin.kinematics.boost_matrix
+        monkeypatch.setattr(spinkin.kinematics, "boost_matrix", lambda *a: calls.append(1) or original(*a))
+        first = decomposition_residual(canonical, q)
+        assert len(calls) == 1
+        second = decomposition_residual(helicity, q)
+        assert len(calls) == 1
+        for basis, got in ((canonical, first), (helicity, second)):
+            want = decomposition_residual(basis, FourMomentum(q.m, q.p))
+            assert np.array_equal(got.residual, want.residual) and np.array_equal(got.Xi, want.Xi)
+        # one boost for each new momentum object
+        assert len(calls) == 3
 
     def test_general_spin_against_parity(self):
         basis = rest_spinors(HalfInt(2), mass=1.0)

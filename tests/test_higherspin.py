@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spinkin.higherspin
 from conftest import momenta
 from spinkin.dirac import boosted_spinors, gamma_matrices, rest_spinors
 from spinkin.higherspin import (
@@ -43,6 +44,66 @@ class TestFieldEquation:
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError, match="sign"):
             field_equation_residual(HalfInt(1), np.ones(4), FourMomentum(1.0, (0, 0, 0)), 2)
+
+
+def count_calls(monkeypatch, module, *names) -> dict:
+    """Replace each named function of module by a wrapper that counts its
+    calls; returns the live counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestFieldEquationMemo:
+    """The u and v field equations at one momentum object share one P(q),
+    read from the momentum's memo before any generator is built."""
+
+    @pytest.mark.parametrize("twice", [1, 2, 3, 4])
+    def test_memo_hit_builds_nothing(self, monkeypatch, twice):
+        j = HalfInt(twice)
+        q = momenta(40 + twice, 6)
+        basis = boosted_spinors(j, q)
+        parity_operator(rep_generators(j), q)
+        counts = count_calls(monkeypatch, spinkin.higherspin, "parity_operator", "rep_generators")
+        for ws, sign in ((basis.u, +1), (basis.v, -1)):
+            assert field_equation_residual(j, np.array(ws), q, sign).max() <= 1e-9
+        assert counts == {"parity_operator": 0, "rep_generators": 0}
+
+    def test_u_and_v_share_one_evaluation(self, monkeypatch):
+        j = HalfInt(2)
+        q = momenta(45, 1)[0]
+        basis = boosted_spinors(j, q)
+        counts = count_calls(monkeypatch, spinkin.higherspin, "parity_operator", "rep_generators")
+        r_u = field_equation_residual(j, basis.u[0], q, +1)
+        r_v = field_equation_residual(j, basis.v[0], q, -1)
+        assert counts == {"parity_operator": 1, "rep_generators": 1}
+        # a new momentum object with the same values evaluates P(q) once more,
+        # and reads the same residuals
+        twin = FourMomentum(q.m, q.p)
+        assert field_equation_residual(j, basis.u[0], twin, +1) == r_u
+        assert field_equation_residual(j, basis.v[0], twin, -1) == r_v
+        assert counts == {"parity_operator": 2, "rep_generators": 2}
+
+    @pytest.mark.parametrize("twice", [1, 2, 3, 4])
+    def test_memoised_stack_equals_fresh_single_calls(self, twice):
+        """With P(q) memoised on the stack, every stacked residual still equals
+        the fresh single-momentum call bit for bit."""
+        j = HalfInt(twice)
+        q = momenta(50 + twice, 8)
+        basis = boosted_spinors(j, q)
+        parity_operator(rep_generators(j), q)
+        for ws, sign in ((basis.u, +1), (basis.v, -1)):
+            stacked = field_equation_residual(j, ws[0], q, sign)
+            assert [float(r) for r in stacked] == [
+                field_equation_residual(j, ws[0][k], FourMomentum(q.m[k], q.p[k]), sign) for k in range(len(q))
+            ]
 
 
 def involution_residual(twice: int, q: FourMomentum) -> float:

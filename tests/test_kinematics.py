@@ -1,4 +1,5 @@
 import warnings
+import weakref
 from functools import partial
 
 import numpy as np
@@ -9,6 +10,7 @@ from spinkin.dirac import boosted_spinors
 from spinkin.elko import antilinear_family
 from spinkin.kinematics import (
     FourMomentum,
+    _boost_at,
     boost_matrix,
     check_mass,
     covariance_residual,
@@ -19,7 +21,7 @@ from spinkin.kinematics import (
     rapidity_from_momentum,
     scaled_swap_family,
 )
-from spinkin.reps import HalfInt, rep_generators, vector_boost
+from spinkin.reps import HalfInt, LorentzTransform, rep_generators, tensor_rep_generators, vector_boost
 
 ABS_TOL = 1e-10
 
@@ -197,13 +199,80 @@ class TestParityOperator:
             assert np.linalg.norm(P @ psi_q - rep.eta @ psi_neg) < 1e-9 * np.linalg.norm(psi_q)
 
 
+class TestOperatorMemo:
+    """A FourMomentum memoises the read-only operators evaluated at it; any
+    other momentum object computes afresh."""
+
+    @pytest.mark.parametrize("build", [rep_generators, tensor_rep_generators])
+    @pytest.mark.parametrize("twice", [1, 2, 3, 4])
+    def test_repeat_call_returns_the_same_read_only_operator(self, build, twice):
+        rep = build(HalfInt(twice))
+        for q in (momenta(5, 3), momenta(6, 1)[0]):
+            P = parity_operator(rep, q)
+            assert parity_operator(rep, q) is P
+            assert parity_operator(build(HalfInt(twice)), q) is P
+            assert not P.flags.writeable
+            with pytest.raises(ValueError):
+                P[..., 0, 0] = 7.0
+
+    def test_equal_momentum_view_and_image_compute_afresh(self):
+        rep = rep_generators(HalfInt(2))
+        batch = momenta(8, 4)
+        P = parity_operator(rep, batch)
+        twin = FourMomentum(batch.m, batch.p)
+        image = batch.transform(LorentzTransform(np.eye(4)))
+        for other, want in ((twin, P), (image, P), (batch[1], P[1])):
+            assert not other._derived
+            fresh = parity_operator(rep, other)
+            assert fresh is not P and not np.shares_memory(fresh, P)
+            assert np.array_equal(fresh, want)
+        # and a view of a memoised stack does not read the stack's memo
+        view = batch[2]
+        assert parity_operator(rep, view) is parity_operator(rep, view)
+        assert parity_operator(rep, batch) is P
+
+    @pytest.mark.parametrize("twice", [1, 2])
+    def test_each_representation_has_its_own_operator(self, twice):
+        q = momenta(9, 5)
+        direct, tensor = rep_generators(HalfInt(twice)), tensor_rep_generators(HalfInt(twice))
+        P, S = parity_operator(direct, q), parity_operator(tensor, q)
+        assert P is not S and P.shape[-1] == 2 * (twice + 1) and S.shape[-1] == (twice + 1) ** 2
+        assert parity_operator(direct, q) is P and parity_operator(tensor, q) is S
+        # at 2j = 1 both are 4x4 and differ
+        if twice == 1:
+            assert not np.array_equal(P, S)
+        B = _boost_at(direct, q)
+        assert B is not P and _boost_at(direct, q) is B
+        assert np.array_equal(B, boost_matrix(direct, rapidity_from_momentum(q)))
+
+    @pytest.mark.parametrize(
+        "p, call",
+        [
+            # |phi| = 15.5 is a valid boost but beyond the parity operator's cap
+            ((0.0, 0.0, np.sinh(15.5)), lambda q: parity_operator(rep_generators(HalfInt(2)), q)),
+            ((0.0, np.sinh(31.0), 0.0), lambda q: boosted_spinors(HalfInt(2), q)),
+            ((0.0, np.sinh(31.0), 0.0), lambda q: _boost_at(rep_generators(HalfInt(1)), q)),
+        ],
+    )
+    def test_refused_momentum_leaves_the_memo_empty(self, p, call):
+        q = FourMomentum(np.array([1.0, 1.0]), np.array([[0.1, 0.2, 0.3], p]))
+        with pytest.raises(ValueError, match="cap"):
+            call(q)
+        assert q._derived == {}
+
+    def test_memo_is_freed_with_the_momentum(self):
+        q = momenta(10, 3)
+        P = parity_operator(rep_generators(HalfInt(1)), q)
+        ref = weakref.ref(q)
+        del q
+        assert ref() is None and not P.flags.writeable
+
+
 class TestCovariance:
     def test_identity_transform_gives_zero(self):
         rep = rep_generators(HalfInt(1))
         fam = parity_family(rep)
         q = FourMomentum(1.0, (0.2, 0.1, -0.4))
-        from spinkin.reps import LorentzTransform
-
         L = LorentzTransform(np.eye(4))
         assert covariance_residual(fam, q, L, np.eye(4, dtype=complex)) < 1e-14
 

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from spinkin.kinematics import (
     FourMomentum,
+    _boost_at,
     boost_matrix,
     parity_operator,
     rapidity_from_momentum,
@@ -218,7 +219,7 @@ def same_bits(got, want):
 class TestCacheContract:
     """Constants are built once and shared read-only; assembled generators
     are fresh arrays on every call, equal bit for bit to the block/Kronecker
-    constructions."""
+    constructions; operators memoised on a momentum are read-only."""
 
     @pytest.mark.parametrize("twice", [1, 2, 3, 4])
     def test_spin_matrices_built_once_and_read_only(self, twice):
@@ -249,6 +250,18 @@ class TestCacheContract:
         fresh = build(HalfInt(twice))
         reference = block_rep(twice) if build is rep_generators else kron_tensor_rep(twice)
         assert same_bits(fresh.J + fresh.K + (fresh.eta,), reference[0] + reference[1] + (reference[2],))
+
+    @pytest.mark.parametrize("build", [rep_generators, tensor_rep_generators])
+    @pytest.mark.parametrize("twice", [1, 2, 3, 4])
+    def test_operators_at_a_momentum_are_read_only(self, build, twice):
+        """P(q) and the memoised B(phi(q)) are shared through the momentum's
+        memo, for a stack and for one momentum."""
+        rep = build(HalfInt(twice))
+        batch = sample_momenta(np.random.default_rng(twice), 3)
+        for q in (batch, batch[0]):
+            for M in (parity_operator(rep, q), _boost_at(rep, q)):
+                with pytest.raises(ValueError):
+                    M[..., 0, 0] = 7.0
 
     @pytest.mark.parametrize("build", [rep_generators, tensor_rep_generators])
     @pytest.mark.parametrize("twice", [1, 2, 3, 4])
