@@ -21,7 +21,7 @@ import numpy as np
 from . import decomposition as dec
 from . import elko
 from .dirac import boosted_spinors, dirac_operator, rest_spinors
-from .higherspin import field_equation_residual, parity_spectrum, swap_operator_at
+from .higherspin import field_equation_residual, swap_operator_at
 from .kinematics import (
     FourMomentum,
     covariance_residual,
@@ -73,32 +73,25 @@ def dirac_parity_suite(seed: int) -> dict:
 
 
 def involution_suite(seed: int) -> dict:
-    """P_j(q)^2 = I, eigenvalues +-1 with multiplicities (2j+1, 2j+1), and a
-    momentum-independent determinant, for j in {1/2, 1, 3/2, 2}."""
+    """||P_j(q)^2 - I||_F and the +1 multiplicity n+ = rint((dim + Re tr P)/2)
+    = 2j+1, for j in {1/2, 1, 3/2, 2}. As |lam^2 - 1| <= ||P^2 - I||_2, each
+    eigenvalue lies within about tol/2 of +-1; so n- = 2j+1 and
+    det P = (-1)^(2j+1) follow with no eigensolver and no determinant."""
     rng = np.random.default_rng(seed)
-    worst_sq = worst_ev = worst_det = 0.0
+    worst_sq = 0.0
     mult_ok = True
     for twice in (1, 2, 3, 4):
         j = HalfInt(twice)
-        rep = rep_generators(j)
-        det_expected = (-1.0) ** j.block_dim  # sign of the block-swap permutation
-        P = parity_operator(rep, sample_momenta(rng, _INVOLUTION_PER_SPIN))
+        P = parity_operator(rep_generators(j), sample_momenta(rng, _INVOLUTION_PER_SPIN))
         worst_sq = max(worst_sq, float(stack_norm(P @ P - np.eye(j.dim), 2).max(initial=0.0)))
-        spectrum = parity_spectrum(P)
-        # max and count do not depend on the order of the eigenvalues
-        ev = spectrum["eigenvalues"]
-        worst_ev = max(worst_ev, float(np.max(np.abs(np.abs(ev.real) - 1.0) + np.abs(ev.imag), initial=0.0)))
-        plus = np.sum(ev.real > 0, axis=-1)
-        mult_ok = mult_ok and bool(np.all(plus == j.block_dim) and np.all(j.dim - plus == j.block_dim))
-        worst_det = max(worst_det, float(np.max(np.abs(spectrum["det"] - det_expected), initial=0.0)))
-    residuals = {"square": worst_sq, "eigenvalue": worst_ev, "det": worst_det}
-    ok = mult_ok and all(v <= _INVOLUTION_TOL for v in residuals.values())
+        plus = np.rint((j.dim + np.trace(P, axis1=-2, axis2=-1).real) / 2)
+        mult_ok = mult_ok and bool(np.all(plus == j.block_dim))
     return {
         "per_spin_samples": _INVOLUTION_PER_SPIN,
-        "max_residuals": residuals,
+        "max_residuals": {"square": worst_sq},
         "multiplicities_ok": mult_ok,
-        "tolerances": {k: _INVOLUTION_TOL for k in residuals},
-        "pass": bool(ok),
+        "tolerances": {"square": _INVOLUTION_TOL},
+        "pass": bool(mult_ok and worst_sq <= _INVOLUTION_TOL),
     }
 
 
@@ -197,7 +190,7 @@ def elko_nogo_suite(seed: int) -> dict:
     conditions in both directions.
 
     The random bases are elko.nogo_monte_carlo's sweep, gated by its own
-    threshold constant in `elko` and printed under monte_carlo; the
+    allowance constant in `elko` and printed under monte_carlo; the
     equivalence pairs are unit pairs drawn as that sweep draws them."""
     rng = np.random.default_rng(seed)
     mc = elko.nogo_monte_carlo(samples=_NOGO_MC_SAMPLES, seed=seed)
@@ -216,8 +209,7 @@ def elko_nogo_suite(seed: int) -> dict:
     else:
         worst_det = float(family.abs_det.max(initial=0.0))
 
-    # both directions of the Schur equivalence, over the candidates with
-    # |det| >= 0.1 among 200 random unit pairs
+    # both directions of the Schur equivalence, over 200 random unit pairs
     basis = elko._unit_pairs(rng, 200)
     r1, r2 = elko.schur_conditions(basis)
     comm = elko.rotation_commutant_residual(elko.g_operator(basis), seed=seed)

@@ -79,8 +79,10 @@ def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:
     W_inv = np.linalg.solve(W, np.eye(d))
     # X eta = W^-dag (2m S) W^-1, and eta^2 = I
     X_eta = W_inv.conj().swapaxes(-1, -2) @ rhs @ W_inv
-    residual = stack_norm(W.conj().swapaxes(-1, -2) @ X_eta @ W - rhs, 2)
-    bound = 1e-8 * np.maximum(1.0, stack_norm(rhs, 2))
+    # past a mass of about 1e150 both norms are inf; decomposition_residual refuses those
+    with np.errstate(over="ignore"):
+        residual = stack_norm(W.conj().swapaxes(-1, -2) @ X_eta @ W - rhs, 2)
+        bound = 1e-8 * np.maximum(1.0, stack_norm(rhs, 2))
     if (residual > bound).any():
         worst = residual[residual > bound].flat[0]
         raise ValueError(f"orthogonality constraints are inconsistent (residual {worst:.3e})")
@@ -121,7 +123,7 @@ def decomposition_residual(basis: SpinorBasis, q: FourMomentum) -> Decomposition
     Hermitian rest basis, with Xi(q) = B tilde-Xi(0)^dagger B^-1.
 
     Raises NonHermitianBasisError outside the Hermitian case, and ValueError
-    where |gamma.p|^2 leaves the float range and the residual is not finite.
+    where |gamma.p|^2 leaves the float range or the residual is not finite.
     For j > 1/2 the left side is m P_j(q) instead of gamma^mu p_mu.
     """
     if not hermiticity_condition(basis):
@@ -140,8 +142,10 @@ def decomposition_residual(basis: SpinorBasis, q: FourMomentum) -> Decomposition
         target = dirac_operator(q)
     else:
         target = m * parity_operator(rep, q)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = stack_norm(target - m * K_q @ Xi_q, 2) / stack_norm(target, 2)
-    if not np.isfinite(r).all():
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scale = stack_norm(target, 2)
+        r = stack_norm(target - m * K_q @ Xi_q, 2) / scale
+    # an infinite scale would turn a finite difference into a residual of 0
+    if not (np.isfinite(scale).all() and np.isfinite(r).all()):
         raise ValueError("the decomposition residual is not finite in double precision; rescale the momentum")
     return Decomposition(K=K_q, Xi=Xi_q, residual=float(r) if r.ndim == 0 else r)

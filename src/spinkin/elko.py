@@ -273,55 +273,51 @@ def _complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     return x[:, 0] + 1j * x[:, 1]
 
 
-# candidates per array pass of the no-go sweep; bounds its working set
+# pairs per array pass of the no-go sweep; bounds its working set
 _NOGO_CHUNK = 1024
-# the |det [u v]| a candidate of the no-go sweep must reach
-_NOGO_DET_MIN = 0.1
-# the floor of max(r1, r2) that the no-go sweep must stay above
-_NOGO_THRESHOLD = 0.01
+# the roundoff allowed on the no-go bound for a unit pair
+_NOGO_TOL = 1e-12
 
 
 def _unit_pairs(rng: np.random.Generator, n: int) -> Cx2Basis:
-    """The no-go candidates among n pairs drawn as u = z[:2] and v = z[2:]
-    of one row of _complex_normals, each normalised by its norm: those with
-    |det [u v]| >= _NOGO_DET_MIN, in the order drawn."""
+    """n pairs drawn as u = z[:2] and v = z[2:] of one row of
+    _complex_normals, each of u and v normalised by its norm."""
     w = _complex_normals(rng, n).reshape(n, 2, 2)
     w = w / stack_norm(w, 1)[..., None]
-    w = w[Cx2Basis(u=w[:, 0], v=w[:, 1]).abs_det >= _NOGO_DET_MIN]
     return Cx2Basis(u=w[:, 0], v=w[:, 1])
 
 
 def nogo_monte_carlo(samples: int = 10_000, seed: int = 20240811) -> dict:
-    """Sweep random unit-norm pairs with |det| >= 0.1 and record the smallest
-    max(r1, r2) seen; the no-go predicts it stays above the threshold 0.01.
+    """Check sqrt(2) max(r1, r2) >= |det [u v]| on `samples` random unit
+    pairs, and report the smallest ratio and difference of the two sides.
 
-    The threshold is empirical (from the observed distribution at this seed),
-    not a theorem constant; it is recorded in the report alongside the seed
-    and the |det| floor.
+    The bound, sharp at u = (1, 1), v = (i, 2 - i), follows from the identity
+    r1^2 + r2^2 = |ad - bc|^2 + (Im a conj(c) + Im b conj(d))^2 in u = (a, b),
+    v = (c, d): both conditions force det = 0, the no-go. On unit pairs one
+    absolute allowance, _NOGO_TOL, bounds the roundoff of both sides.
 
-    The candidates are the stream of one normal(4) + 1j*normal(4) per
-    candidate, with u = z[:2] and v = z[2:] normalised, drawn at most 1024
-    at a time and never more than still needed, so the accepted ones are the
-    first `samples` of the stream. Each draw is one Cx2Basis stack, and
-    |det| and (r1, r2) come from Cx2Basis.abs_det and schur_conditions, so
-    the floor is that of the one-candidate loop bit for bit.
+    The pairs are the stream of one normal(4) + 1j*normal(4) per pair, with
+    u = z[:2] and v = z[2:] normalised, drawn at most 1024 at a time; |det|
+    and (r1, r2) come from Cx2Basis.abs_det and schur_conditions, so the
+    report is that of the one-pair loop bit for bit.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    floor = np.inf
-    count = 0
-    while count < samples:
-        r1, r2 = schur_conditions(_unit_pairs(rng, min(samples - count, _NOGO_CHUNK)))
-        count += len(r1)
-        floor = min(floor, float(np.maximum(r1, r2).min(initial=np.inf)))
+    ratio = excess = np.inf
+    for start in range(0, samples, _NOGO_CHUNK):
+        basis = _unit_pairs(rng, min(samples - start, _NOGO_CHUNK))
+        bound = np.sqrt(2.0) * np.maximum(*schur_conditions(basis))
+        det = basis.abs_det
+        ratio = min(ratio, float((bound / det).min()))
+        excess = min(excess, float((bound - det).min()))
     return {
         "samples": samples,
         "seed": seed,
-        "det_min": _NOGO_DET_MIN,
-        "threshold": _NOGO_THRESHOLD,
-        "min_max_r": float(floor),
-        "pass": bool(floor > _NOGO_THRESHOLD),
+        "min_ratio": ratio,
+        "min_excess": excess,
+        "tol": _NOGO_TOL,
+        "pass": bool(excess >= -_NOGO_TOL),
     }
 
 

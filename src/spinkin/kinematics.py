@@ -101,7 +101,7 @@ class FourMomentum:
     sample_momenta returns, and transform keeps the leading axes of a pair
     stack.
 
-    The energy is derived, E = sqrt(m^2 + |p|^2), so the mass shell holds by
+    The energy is derived, E = m sqrt(1 + |p/m|^2), so the mass shell holds by
     construction (natural units). len(), iteration and q[k] run over the
     leading axis, so a stack reads like the list of its momenta.
 
@@ -141,7 +141,11 @@ class FourMomentum:
 
     @property
     def E(self) -> np.ndarray:
-        return np.sqrt(self.m**2 + np.vecdot(self.p, self.p))
+        # as parity_operator forms E/m: m^2 and |p|^2 would leave the float
+        # range at a mass scale far from 1; inf only past |p|/m ~ 1e154
+        with np.errstate(over="ignore"):
+            u = self.p / self.m[..., None]
+            return self.m * np.sqrt(1.0 + np.vecdot(u, u))
 
     @property
     def four_vector(self) -> np.ndarray:

@@ -160,8 +160,9 @@ def test_criterion_06_antilinear_solution_space():
 
 
 def test_criterion_07_elko_nogo():
+    # sqrt(2) max(r1, r2) >= |det| on every pair, up to 1e-12 of roundoff
     mc = nogo_monte_carlo(samples=10_000, seed=20240811)
-    every_sample = mc["min_max_r"] > 0.01 and mc["det_min"] == 0.1
+    every_sample = mc["pass"] and mc["min_ratio"] >= 1.0 and mc["tol"] == 1e-12
 
     rng = np.random.default_rng(7)
     worst_det = 0.0
@@ -197,7 +198,7 @@ def test_criterion_07_elko_nogo():
     report(
         7,
         ok,
-        f"MC floor over 1e4 bases {mc['min_max_r']:.3f} > 0.01; constructed-family |det| max "
+        f"MC min sqrt(2) max(r1,r2)/|det| over 1e4 bases {mc['min_ratio']:.4f} >= 1; constructed-family |det| max "
         f"{worst_det:.2e} <= 1e-10; Schur equivalence both directions: {both_directions}",
     )
 

@@ -5,6 +5,7 @@ the suite and is the value its report prints."""
 import inspect
 import json
 
+import numpy as np
 import pytest
 
 from spinkin import checks, elko
@@ -74,25 +75,87 @@ def test_sample_constant_is_the_printed_count(monkeypatch, suite, constant, path
     assert report == 3
 
 
+def run_json(capsys, *argv):
+    code = main(list(argv))
+    return code, json.loads(capsys.readouterr().out)
+
+
 def test_nogo_threshold_constant_gates_pass_and_is_printed(monkeypatch, capsys):
-    """The no-go sweep's threshold is one constant of `spinkin.elko`: it gates
+    """The no-go sweep's one constant, the roundoff allowance `tol` of the
+    bound sqrt(2) max(r1, r2) >= |det|, lives in `spinkin.elko`: it gates
     `elko nogo` and the `check all` no-go suite, and both print it."""
-
-    def run(*argv):
-        code = main(list(argv))
-        return code, json.loads(capsys.readouterr().out)
-
-    code, nogo = run("elko", "nogo")
-    assert code == 0 and nogo["threshold"] == elko._NOGO_THRESHOLD
-    code, report = run("check", "all", "--seed", "0")
+    code, nogo = run_json(capsys, "elko", "nogo")
+    assert code == 0 and nogo["tol"] == elko._NOGO_TOL and nogo["min_excess"] > 0
+    code, report = run_json(capsys, "check", "all", "--seed", "0")
     mc = report["suites"]["elko_nogo"]["monte_carlo"]
-    assert code == 0 and mc["pass"] and mc["threshold"] == elko._NOGO_THRESHOLD
-    # above the floor that either sweep reaches
-    patched = 2 * max(nogo["min_max_r"], mc["min_max_r"])
-    monkeypatch.setattr(elko, "_NOGO_THRESHOLD", patched)
-    code, nogo = run("elko", "nogo")
-    assert code == 1 and nogo["pass"] is False and nogo["threshold"] == patched
-    code, report = run("check", "all", "--seed", "0")
+    assert code == 0 and mc["pass"] and mc["tol"] == elko._NOGO_TOL and mc["min_excess"] > 0
+    # an allowance below minus either sweep's smallest excess demands more
+    # than the sweeps reach
+    patched = -2 * max(nogo["min_excess"], mc["min_excess"])
+    monkeypatch.setattr(elko, "_NOGO_TOL", patched)
+    code, nogo = run_json(capsys, "elko", "nogo")
+    assert code == 1 and nogo["pass"] is False and nogo["tol"] == patched
+    code, report = run_json(capsys, "check", "all", "--seed", "0")
     mc = report["suites"]["elko_nogo"]["monte_carlo"]
-    assert code == 1 and mc["pass"] is False and mc["threshold"] == patched
+    assert code == 1 and mc["pass"] is False and mc["tol"] == patched
     assert [name for name, suite in report["suites"].items() if not suite["pass"]] == ["elko_nogo"]
+
+
+def _flipped_schur_conditions(basis):
+    """schur_conditions with the sign inside r2 flipped: a wrong formula."""
+    a, b = basis.u[..., 0], basis.u[..., 1]
+    c, d = basis.v[..., 0], basis.v[..., 1]
+    r1 = np.abs(a * np.conj(d) - c * np.conj(b))
+    r2 = np.abs((a * np.conj(c)).imag + (b * np.conj(d)).imag)
+    return r1, r2
+
+
+def test_nogo_gate_fails_a_wrong_schur_formula(monkeypatch, capsys):
+    monkeypatch.setattr(elko, "schur_conditions", _flipped_schur_conditions)
+    code, nogo = run_json(capsys, "elko", "nogo", "--samples", "10000", "--seed", "20240811")
+    assert code == 1 and nogo["pass"] is False and nogo["min_ratio"] < 0.5
+    code, report = run_json(capsys, "check", "all", "--seed", "42")
+    assert code == 1
+    assert [name for name, suite in report["suites"].items() if not suite["pass"]] == ["elko_nogo"]
+    assert report["suites"]["elko_nogo"]["monte_carlo"]["pass"] is False
+
+
+def _diagonal_involution(rep, q):
+    """An exact involution, diag(+1 x (2j+2), -1 x 2j), at every momentum."""
+    d = rep.j.block_dim
+    signs = np.array([1.0] * (d + 1) + [-1.0] * (d - 1), dtype=complex)
+    return np.broadcast_to(np.diag(signs), q.m.shape + (2 * d, 2 * d))
+
+
+def test_involution_fails_wrong_multiplicities(monkeypatch):
+    monkeypatch.setattr(checks, "parity_operator", _diagonal_involution)
+    report = checks.involution_suite(0)
+    assert report["max_residuals"]["square"] == 0.0
+    assert report["multiplicities_ok"] is False and report["pass"] is False
+
+
+def test_involution_fails_a_perturbed_operator(monkeypatch):
+    parity_operator = checks.parity_operator
+
+    def perturbed(rep, q):
+        P = parity_operator(rep, q).copy()
+        P[..., 0, 0] += 1e-6
+        return P
+
+    monkeypatch.setattr(checks, "parity_operator", perturbed)
+    report = checks.involution_suite(0)
+    assert report["multiplicities_ok"] is True
+    assert report["max_residuals"]["square"] > checks._INVOLUTION_TOL and report["pass"] is False
+
+
+def test_check_all_needs_no_eigensolver_or_determinant(monkeypatch, capsys):
+    """check all certifies through identities: no eigenvalue solver and no
+    LU determinant runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check all called an eigensolver or a determinant")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    code, report = run_json(capsys, "check", "all", "--seed", "42")
+    assert code == 0 and report["pass"]

@@ -109,7 +109,7 @@ class TestBasicCommands:
         code, obj = run_json(capsys, "elko", "nogo", "--samples", "500", "--seed", "7")
         assert code == 0
         assert obj["pass"] is True
-        assert obj["min_max_r"] > 0.01
+        assert obj["min_ratio"] >= 1.0 and obj["min_excess"] >= -obj["tol"]
 
     def test_elko_origin(self, capsys):
         code, obj = run_json(capsys, "elko", "origin", "--mass", "1.0", "--json")
@@ -133,6 +133,17 @@ class TestBasicCommands:
         code, out, err = run_cli(capsys, "decompose", "--mass", "1e-170", "--p", "1e-170,0,0", *fmt)
         assert code == 2
         assert out == "" and "residual is not finite" in err
+
+    @pytest.mark.parametrize("fmt", [(), ("--json",)])
+    @pytest.mark.parametrize("scale", ["1e160", "1e300"])
+    def test_decompose_refuses_an_overflowing_norm_without_warning(self, capsys, scale, fmt):
+        # E is finite at these scales, |gamma.p|^2 is not: the error line
+        # alone, and no residual of 0 from an infinite norm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "decompose", "--mass", scale, "--p", f"{scale},0,0", *fmt)
+        assert code == 2
+        assert out == "" and err == "error: the decomposition residual is not finite in double precision; rescale the momentum\n"
 
     @pytest.mark.parametrize("command", ["parity", "spinors", "decompose"])
     def test_momentum_echoed_as_parsed(self, capsys, command):

@@ -50,25 +50,23 @@ def random_basis(rng, det_min=0.1) -> Cx2Basis:
             return basis
 
 
-def nogo_floor_scalar(samples: int, seed: int) -> float:
-    """Reference for nogo_monte_carlo: one candidate at a time, in numpy
-    complex scalars, drawn as normal(4) + 1j * normal(4)."""
+def nogo_floor_scalar(samples: int, seed: int) -> tuple[float, float]:
+    """Reference for nogo_monte_carlo: one pair at a time, in numpy complex
+    scalars, drawn as normal(4) + 1j * normal(4); returns the smallest
+    sqrt(2) max(r1, r2) / |det| and sqrt(2) max(r1, r2) - |det|."""
     rng = np.random.default_rng(seed)
-    floor = np.inf
-    count = 0
-    while count < samples:
+    ratio = excess = np.inf
+    for _ in range(samples):
         z = rng.normal(size=4) + 1j * rng.normal(size=4)
-        u = z[:2] / np.linalg.norm(z[:2])
-        v = z[2:] / np.linalg.norm(z[2:])
-        if abs(complex(u[0] * v[1] - u[1] * v[0])) < 0.1:
-            continue
-        count += 1
-        a, b = u
-        c, d = v
+        a, b = z[:2] / np.linalg.norm(z[:2])
+        c, d = z[2:] / np.linalg.norm(z[2:])
+        det = abs(complex(a * d - b * c))
         r1 = abs(a * np.conj(d) - c * np.conj(b))
         r2 = abs(np.imag(a * np.conj(c)) - np.imag(b * np.conj(d)))
-        floor = min(floor, float(max(r1, r2)))
-    return float(floor)
+        bound = np.sqrt(2.0) * max(r1, r2)
+        ratio = min(ratio, float(bound / det))
+        excess = min(excess, float(bound - det))
+    return ratio, excess
 
 
 def schur_conditions_numpy(basis: Cx2Basis) -> tuple[float, float]:
@@ -341,6 +339,60 @@ class TestSchurConditions:
                     assert np.linalg.norm(blk - (np.trace(blk) / 2) * np.eye(2)) < 1e-10
 
 
+class _Poly:
+    """A polynomial with integer coefficients in the eight real coordinates
+    of (a, b, c, d), as {exponent tuple: coefficient} with no zero terms."""
+
+    def __init__(self, terms):
+        self.terms = {k: v for k, v in terms.items() if v}
+
+    @classmethod
+    def var(cls, k):
+        return cls({tuple(int(i == k) for i in range(8)): 1})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out.get(k, 0) + v
+        return _Poly(out)
+
+    def __neg__(self):
+        return _Poly({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        out = {}
+        for k1, v1 in self.terms.items():
+            for k2, v2 in other.terms.items():
+                k = tuple(x + y for x, y in zip(k1, k2))
+                out[k] = out.get(k, 0) + v1 * v2
+        return _Poly(out)
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+
+class _Cx:
+    """A complex polynomial as its real and imaginary parts."""
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    def conj(self):
+        return _Cx(self.re, -self.im)
+
+    def __sub__(self, other):
+        return _Cx(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return _Cx(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
+
+    def abs2(self):
+        return self.re * self.re + self.im * self.im
+
+
 class TestNogo:
     def test_both_conditions_force_degeneracy(self, rng):
         # lam real-ish family with Im(b conj(d)) = 0: det vanishes identically
@@ -354,15 +406,36 @@ class TestNogo:
 
     def test_monte_carlo_floor(self):
         report = nogo_monte_carlo(samples=10_000, seed=20240811)
-        assert report["pass"]
-        # observed floor at this seed; well above the 0.01 detection threshold
-        assert report["min_max_r"] > 0.1
+        assert report["pass"] and report["min_excess"] >= 0.0
+        # the bound holds on every pair, and the sweep comes within 1% of
+        # it: the bound is sharp
+        assert 1.0 <= report["min_ratio"] < 1.01
 
     @pytest.mark.parametrize("seed", [0, 7, 20240811])
     @pytest.mark.parametrize("samples", [1, 1023, 1024, 1025, 10_000])
     def test_array_sweep_matches_scalar_loop(self, samples, seed):
-        # chunk edges (1024 candidates per pass) and the default sweep
-        assert nogo_monte_carlo(samples=samples, seed=seed)["min_max_r"] == nogo_floor_scalar(samples, seed)
+        # chunk edges (1024 pairs per pass) and the default sweep
+        report = nogo_monte_carlo(samples=samples, seed=seed)
+        assert (report["min_ratio"], report["min_excess"]) == nogo_floor_scalar(samples, seed)
+
+    def test_bound_is_attained(self):
+        # u = (1, 1), v = (i, 2 - i): r1 = r2 = 2 and |det| = 2 sqrt(2)
+        basis = Cx2Basis(u=np.array([1.0, 1.0]), v=np.array([1j, 2.0 - 1j]))
+        r1, r2 = schur_conditions(basis)
+        assert (r1, r2) == (2.0, 2.0)
+        assert np.sqrt(2.0) * max(r1, r2) / basis.abs_det == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_identity_by_integer_expansion(self, flip):
+        """r1^2 + r2^2 = |ad - bc|^2 + (Im a conj(c) + Im b conj(d))^2 as
+        integer polynomials in the eight real coordinates; with the sign
+        inside r2 flipped the two sides differ."""
+        a, b, c, d = (_Cx(_Poly.var(2 * k), _Poly.var(2 * k + 1)) for k in range(4))
+        ac, bd = (a * c.conj()).im, (b * d.conj()).im
+        r2 = ac + bd if flip else ac - bd
+        lhs = (a * d.conj() - c * b.conj()).abs2() + r2 * r2
+        rhs = (a * d - b * c).abs2() + (ac + bd) * (ac + bd)
+        assert (lhs == rhs) is not flip
 
 
 class TestStackedPairs:
@@ -525,8 +598,6 @@ def elko_nogo_suite_loop(seed: int) -> dict:
     for _ in range(200):
         z = rng.normal(size=4) + 1j * rng.normal(size=4)
         basis = Cx2Basis(u=z[:2] / np.linalg.norm(z[:2]), v=z[2:] / np.linalg.norm(z[2:]))
-        if abs(det_scalar(basis)) < 0.1:
-            continue
         comm = commutant_residual_scalar(g_operator_scalar(basis), seed)
         equivalence.append((comm, max(schur_conditions_numpy(basis))))
     scalar_comm = 0.0

@@ -32,6 +32,15 @@ class TestFourMomentum:
         assert q.E == pytest.approx(1.25, rel=1e-15)
         assert q.E**2 - np.dot(q.p, q.p) == pytest.approx(q.m**2, rel=1e-12)
 
+    @pytest.mark.parametrize("m", [1e-170, 1e300])
+    def test_energy_at_the_scale_of_its_mass(self, m):
+        """m^2 and |p|^2 underflow at 1e-170 and overflow at 1e300; E is
+        formed from p/m, so it is sqrt(2) m at both scales, with no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = FourMomentum(m, (m, 0.0, 0.0)).E
+        assert E == pytest.approx(np.sqrt(2.0) * m, rel=1e-15, abs=0.0)
+
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(ValueError):
             FourMomentum(0.0, (0, 0, 0))
