@@ -146,20 +146,17 @@ def kinematic_checker_suite(seed: int) -> dict:
         parity_ok = parity_ok and report.fully_kinematic
 
     # ten scaled swaps, checked as one family stack on one draw of momenta
-    # and pairs; the draws stay scalar calls, in the order of one loop
-    a = [rng.uniform(0.2, 5.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)) for _ in range(10)]
-    swaps = scaled_swap_family(rep_half, a)
+    # and pairs; row k of the draw is swap k's (|a|, arg a)
+    magnitude, phase = rng.uniform((0.2, 0.0), (5.0, 2 * np.pi), size=(10, 2)).T
+    swaps = scaled_swap_family(rep_half, magnitude * np.exp(1j * phase))
     swap_ok = is_fully_kinematic(swaps, samples=10, tol=_KINEMATIC_TOL, seed=seed).fully_kinematic
 
     # anti-linear grid: anticommutes but the square stays >= 1 away from I
     q = FourMomentum(1.0, (0.3, -0.2, 0.5))
+    # row k of the phases is cell k = (|a|, |b|) of the grid in C order
     grid = np.logspace(-1, 1, 5)
-    ab = [
-        (amag * np.exp(1j * rng.uniform(0, 2 * np.pi)), bmag * np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        for amag in grid
-        for bmag in grid
-    ]
-    fam = elko.antilinear_family(rep_half, *np.array(ab).T)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(25, 2)))
+    fam = elko.antilinear_family(rep_half, np.repeat(grid, 5) * phases[:, 0], np.tile(grid, 5) * phases[:, 1])
     anti_ok = fam.anticommutator_residual() <= _KINEMATIC_TOL
     min_gap = float(stack_norm(fam.squared_at(q) - np.eye(4), 2).min())
     return {

@@ -60,14 +60,14 @@ def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:
     d^2 entries of X the relations have the matrix W^dag kron (eta W)^T,
     whose singular values are the products of two of W's; the smallest of
     them, sigma_min(W)^2, is asserted above 1e-10 of the largest for every
-    basis, and so is a solution residual within 1e-8 of 2m S. A stack of
-    bases is solved in one stacked call; returns tilde-Xi(0) (S + (d, d) for
-    a stack of shape S).
+    basis, and the solution residual over 2m, ||W^dag X eta W / 2m - S||_F,
+    within 1e-8 of ||S||_F, so an inconsistent basis is refused at any mass
+    scale. A stack of bases is solved in one stacked call; returns
+    tilde-Xi(0) (S + (d, d) for a stack of shape S).
     """
     if basis.mass is None:
         raise ValueError("basis must carry a mass (norms sqrt(2m))")
     eta = rep_generators(basis.j).eta
-    m = np.asarray(basis.mass)
     W = basis.stack()
     d, n_w = W.shape[-2:]
     if n_w != d:
@@ -75,17 +75,17 @@ def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:
     sv = np.linalg.svd(W, compute_uv=False) ** 2
     if not (sv[..., -1] > 1e-10 * sv[..., 0]).all():
         raise ValueError("degenerate spinor basis: constraint system is singular")
-    rhs = (2.0 * m)[..., None, None] * np.diag([1.0] * len(basis.u) + [-1.0] * len(basis.v))
+    two_m = 2.0 * np.asarray(basis.mass)[..., None, None]
+    S = np.diag([1.0] * len(basis.u) + [-1.0] * len(basis.v))
     W_inv = np.linalg.solve(W, np.eye(d))
     # X eta = W^-dag (2m S) W^-1, and eta^2 = I
-    X_eta = W_inv.conj().swapaxes(-1, -2) @ rhs @ W_inv
-    # past a mass of about 1e150 both norms are inf; decomposition_residual refuses those
-    with np.errstate(over="ignore"):
-        residual = stack_norm(W.conj().swapaxes(-1, -2) @ X_eta @ W - rhs, 2)
-        bound = 1e-8 * np.maximum(1.0, stack_norm(rhs, 2))
-    if (residual > bound).any():
-        worst = residual[residual > bound].flat[0]
-        raise ValueError(f"orthogonality constraints are inconsistent (residual {worst:.3e})")
+    X_eta = W_inv.conj().swapaxes(-1, -2) @ (two_m * S) @ W_inv
+    # judged over 2m, so at every mass scale; a nan (2m overflows) fails `<=`
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = stack_norm(W.conj().swapaxes(-1, -2) @ X_eta @ W / two_m - S, 2)
+    bad = ~(residual <= 1e-8 * np.sqrt(d))
+    if bad.any():
+        raise ValueError(f"orthogonality constraints are inconsistent (residual {residual[bad].flat[0]:.3e} of 2m)")
     return eta @ X_eta
 
 
@@ -122,8 +122,10 @@ def decomposition_residual(basis: SpinorBasis, q: FourMomentum) -> Decomposition
     """Factors and relative residual of gamma^mu p_mu = m K(q) Xi(q) for a
     Hermitian rest basis, with Xi(q) = B tilde-Xi(0)^dagger B^-1.
 
-    Raises NonHermitianBasisError outside the Hermitian case, and ValueError
-    where |gamma.p|^2 leaves the float range or the residual is not finite.
+    Both sides are judged over m, as ||gamma.p/m - K Xi||_F / ||gamma.p/m||_F,
+    so the residual is the same relative one at every mass scale. Raises
+    NonHermitianBasisError outside the Hermitian case, and ValueError where
+    gamma.p/m or the residual is not finite (an entry E + |p| overflows).
     For j > 1/2 the left side is m P_j(q) instead of gamma^mu p_mu.
     """
     if not hermiticity_condition(basis):
@@ -137,14 +139,13 @@ def decomposition_residual(basis: SpinorBasis, q: FourMomentum) -> Decomposition
     # boost is memoised on q, and k_operator's boost_basis reads it back
     Xi_q = KinematicOperatorFamily(rep, xi0).conjugated(_boost_at(rep, q), xi0)
     K_q = k_operator(basis, q)
-    m = q.m[..., None, None]
-    if basis.j == HalfInt(1):
-        target = dirac_operator(q)
-    else:
-        target = m * parity_operator(rep, q)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if basis.j == HalfInt(1):
+            target = dirac_operator(q) / q.m[..., None, None]
+        else:
+            target = parity_operator(rep, q)
         scale = stack_norm(target, 2)
-        r = stack_norm(target - m * K_q @ Xi_q, 2) / scale
+        r = stack_norm(target - K_q @ Xi_q, 2) / scale
     # an infinite scale would turn a finite difference into a residual of 0
     if not (np.isfinite(scale).all() and np.isfinite(r).all()):
         raise ValueError("the decomposition residual is not finite in double precision; rescale the momentum")

@@ -161,8 +161,11 @@ class FourMomentum:
         """Apply one Lorentz transform or a stack of them, broadcast against
         the momenta: a stack (k, N) of transforms maps N momenta to (k, N)
         images. Raises if any image is off-shell by more than 1e-9 relative
-        to its energy."""
-        v = L.apply(self.four_vector)
+        to its energy, or if an energy overflows (|p|/m past about 1e154)."""
+        v = self.four_vector
+        if not np.isfinite(v[..., 0]).all():
+            raise ValueError("the energy overflows: |p|/m is past the float range")
+        v = L.apply(v)
         out = FourMomentum(np.broadcast_to(self.m, v.shape[:-1]), v[..., 1:])
         if (np.abs(out.E - v[..., 0]) > 1e-9 * np.maximum(1.0, np.abs(v[..., 0]))).any():
             raise ValueError("transformed momentum is off-shell; inconsistent inputs")
@@ -447,23 +450,28 @@ _MASS_RANGE = (0.1, 10.0)
 _MOMENTUM_FACTOR = 5.0
 
 
+def _directions(w: np.ndarray) -> np.ndarray:
+    """Unit vectors uniform on the sphere from uniforms w of shape (..., 2):
+    z = 1 - 2 w0 and the azimuth 2 pi w1, on a trailing axis of 3. By
+    Archimedes' theorem z is uniform on the sphere (Marsaglia, Ann. Math.
+    Stat. 43, 1972), so each direction takes two words of the stream."""
+    z = 1.0 - 2.0 * w[..., 0]
+    rho = np.sqrt((1.0 - z) * (1.0 + z))
+    azimuth = 2.0 * np.pi * w[..., 1]
+    return np.stack([rho * np.cos(azimuth), rho * np.sin(azimuth), z], axis=-1)
+
+
 def sample_momenta(rng: np.random.Generator, n: int) -> FourMomentum:
     """Reproducible random on-shell momenta: m log-uniform in [0.1, 10],
-    |p| uniform in [0, 5m], direction uniform on the sphere."""
-    u = np.empty((n, 2))
-    d = np.empty((n, 3))
-    # one momentum at a time: a normal draw takes a variable share of the
-    # stream, so the per-momentum draw order cannot be vectorised. The loop
-    # only draws; the arithmetic of rng.uniform (lo + (hi - lo) u) and of
-    # np.linalg.norm follows on whole arrays, which round as the scalar calls
-    for k in range(n):
-        u[k, 0] = rng.random()
-        rng.standard_normal(out=d[k])
-        u[k, 1] = rng.random()
+    |p| uniform in [0, 5m], direction uniform on the sphere.
+
+    One rng.random((n, 4)) call: momentum k is row k, read as (mass,
+    direction, direction, |p|), so it starts 4k words into the stream and n
+    calls with n = 1 equal one call with n bit for bit."""
+    w = rng.random((n, 4))
     lo, hi = np.log(_MASS_RANGE[0]), np.log(_MASS_RANGE[1])
-    m = np.exp(lo + (hi - lo) * u[:, 0])
-    d /= np.sqrt(np.vecdot(d, d))[:, None]
-    return FourMomentum(m, ((_MOMENTUM_FACTOR * m) * u[:, 1])[:, None] * d)
+    m = np.exp(lo + (hi - lo) * w[:, 0])
+    return FourMomentum(m, ((_MOMENTUM_FACTOR * m) * w[:, 3])[:, None] * _directions(w[:, 1:3]))
 
 
 # largest rapidity of the random boosts drawn for the covariance checks
@@ -473,18 +481,11 @@ _PAIR_RAPIDITY_MAX = 1.5
 def _random_vectors(rng: np.random.Generator, max_lengths) -> np.ndarray:
     """One random vector per entry of max_lengths (any shape; the result has
     a trailing axis of 3): a direction uniform on the sphere times a length
-    uniform in [0, max_length). Drawn entry by entry in C order, each as
-    normal(3) then uniform(0, max_length), with the rounding of those calls."""
+    uniform in [0, max_length). One rng.random call: entry k in C order
+    reads three words, as (direction, direction, length)."""
     max_lengths = np.asarray(max_lengths, dtype=float)
-    d = np.empty(max_lengths.shape + (3,))
-    u = np.empty(max_lengths.shape)
-    flat_d, flat_u = d.reshape(-1, 3), u.reshape(-1)
-    # a normal draw takes a variable share of the stream: one entry at a time
-    for k in range(u.size):
-        rng.standard_normal(out=flat_d[k])
-        flat_u[k] = rng.random()
-    d /= np.sqrt(np.vecdot(d, d))[..., None]
-    return (max_lengths * u)[..., None] * d
+    w = rng.random(max_lengths.shape + (3,))
+    return (max_lengths * w[..., 2])[..., None] * _directions(w[..., :2])
 
 
 def random_transform_pairs(
@@ -493,12 +494,12 @@ def random_transform_pairs(
     """n random boost pairs and n random rotation pairs as two stacked pairs,
     each evaluated in one stacked call.
 
-    Pair k draws a rapidity phi of length below 1.5, then a rotation vector
-    theta of length below pi (as _random_vectors draws them), so n calls
-    with n = 1 draw the same stream as one call with n. A boost pair is
-    (vector_boost(phi), exp(i K.phi)); a rotation pair is D = exp(i J.theta)
-    with the vector rotation by -theta, since exp(iJ.theta) A(p)
-    exp(-iJ.theta) = A(R(-theta)p)."""
+    One _random_vectors call draws all 2n vectors: pair k reads six words,
+    a rapidity phi of length below 1.5 and then a rotation vector theta of
+    length below pi, so n calls with n = 1 draw the same stream as one call
+    with n. A boost pair is (vector_boost(phi), exp(i K.phi)); a rotation
+    pair is D = exp(i J.theta) with the vector rotation by -theta, since
+    exp(iJ.theta) A(p) exp(-iJ.theta) = A(R(-theta)p)."""
     draws = _random_vectors(rng, np.broadcast_to((_PAIR_RAPIDITY_MAX, np.pi), (n, 2)))
     phi, theta = draws[:, 0], draws[:, 1]
     return (vector_boost(phi), boost_matrix(rep, phi)), (vector_rotation(-theta), rotation_matrix(rep, theta))

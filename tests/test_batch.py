@@ -6,7 +6,7 @@ calls, and the suites built on them equal the one-at-a-time suites."""
 import numpy as np
 import pytest
 
-from conftest import momenta
+from conftest import direction_draw, momenta
 from spinkin import checks, elko
 from spinkin.dirac import boosted_spinors, dirac_operator
 from spinkin.elko import antilinear_family
@@ -48,8 +48,7 @@ def sample_momenta_loop(rng, n):
     lo, hi = np.log(0.1), np.log(10.0)
     for _ in range(n):
         m = float(np.exp(rng.uniform(lo, hi)))
-        d = rng.normal(size=3)
-        d /= np.linalg.norm(d)
+        d = direction_draw(rng)
         pn = rng.uniform(0.0, 5.0 * m)
         out.append(FourMomentum(m, tuple(pn * d)))
     return out
@@ -58,8 +57,7 @@ def sample_momenta_loop(rng, n):
 def random_vector_loop(rng, max_length):
     """Reference for the draws of random_transform_pairs: one vector at a
     time."""
-    d = rng.normal(size=3)
-    d /= np.linalg.norm(d)
+    d = direction_draw(rng)
     return rng.uniform(0.0, max_length) * d
 
 

@@ -149,6 +149,19 @@ class TestXiTilde:
             with pytest.raises(ValueError, match="singular"):
                 xi_tilde_at_rest(bad)
 
+    @pytest.mark.parametrize("mass", [1.0, 1e-200, 1e200])
+    def test_inconsistent_solution_refused_at_any_mass(self, monkeypatch, mass):
+        """A solve off by 1e-6 relative breaks the relations by 2e-6 of 2m at
+        every mass scale; judged over 2m, no norm overflows to hide it."""
+        basis = rest_spinors(HalfInt(1), mass=mass)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xi_tilde_at_rest(basis)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
+        with pytest.raises(ValueError, match="inconsistent"):
+            xi_tilde_at_rest(basis)
+
     def test_incomplete_basis_rejected(self):
         good = rest_spinors(HalfInt(1), mass=1.0)
         with pytest.raises(ValueError, match="degenerate"):
@@ -271,6 +284,16 @@ class TestDecomposition:
             assert np.array_equal(got.residual, want.residual) and np.array_equal(got.Xi, want.Xi)
         # one boost for each new momentum object
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("make", [lambda m: rest_spinors(HalfInt(1), mass=m), elko_rest_basis])
+    @pytest.mark.parametrize("scale", [1e-170, 1e-150, 1e160, 1e300])
+    def test_residual_at_any_mass_scale(self, make, scale):
+        """Both sides are judged over m, so at a mass far from 1 the
+        difference does not underflow to a residual of 0: it is non-zero and
+        within a factor 8 of the residual at mass 1."""
+        at_one = decomposition_residual(make(1.0), FourMomentum(1.0, (1.0, 0.0, 0.0))).residual
+        got = decomposition_residual(make(scale), FourMomentum(scale, (scale, 0.0, 0.0))).residual
+        assert at_one / 8 <= got <= 8 * at_one
 
     def test_general_spin_against_parity(self):
         basis = rest_spinors(HalfInt(2), mass=1.0)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import direction_draw
 from spinkin import checks
 from spinkin.elko import (
     _REF_MINUS,
@@ -85,8 +86,7 @@ def commutant_residual_scalar(G, seed: int) -> float:
     worst = 0.0
     scale = float(np.linalg.norm(G))
     for _ in range(20):
-        d = rng.normal(size=3)
-        d /= np.linalg.norm(d)
+        d = direction_draw(rng)
         D = rotation_matrix(rep, rng.uniform(0.0, np.pi) * d)
         worst = max(worst, float(np.linalg.norm(G @ D - D @ G)) / scale)
     return worst
@@ -498,8 +498,7 @@ class TestStackedPairs:
         rng = np.random.default_rng(seed)
         theta = []
         for _ in range(20):
-            d = rng.normal(size=3)
-            d /= np.linalg.norm(d)
+            d = direction_draw(rng)
             theta.append(rng.uniform(0.0, np.pi) * d)
         want = rotation_matrix(rep_generators(HalfInt(1)), np.array(theta))
         got = _seeded_rotations(seed)

@@ -11,6 +11,8 @@ from spinkin.elko import antilinear_family
 from spinkin.kinematics import (
     FourMomentum,
     _boost_at,
+    _directions,
+    _random_vectors,
     boost_matrix,
     check_mass,
     covariance_residual,
@@ -19,6 +21,7 @@ from spinkin.kinematics import (
     parity_operator,
     random_transform_pairs,
     rapidity_from_momentum,
+    sample_momenta,
     scaled_swap_family,
 )
 from spinkin.reps import HalfInt, LorentzTransform, rep_generators, tensor_rep_generators, vector_boost
@@ -85,6 +88,12 @@ class TestFourMomentum:
     def test_rejects_non_finite_momentum(self, p):
         with pytest.raises(ValueError):
             FourMomentum(1.0, p)
+
+    def test_transform_refuses_an_overflowing_energy_without_warning(self):
+        """E is inf past |p|/m ~ 1.3e154: transform refuses it before the
+        product with the Lorentz matrix, which would warn of inf * 0."""
+        q = FourMomentum(1e-300, (1.0, 0.0, 0.0))
+        raises_without_warning(lambda: q.transform(vector_boost((0.0, 0.0, 0.5))), "energy overflows")
 
     def test_transform_preserves_shell(self, rng):
         q = FourMomentum(2.0, (0.4, -0.3, 1.0))
@@ -396,3 +405,65 @@ class TestSampling:
         for q in momenta(13, 200):
             assert 0.1 <= q.m <= 10.0
             assert np.linalg.norm(q.p) <= 5.0 * q.m
+
+    def test_directions_uniform_on_the_sphere(self):
+        """10^5 seeded directions have unit length, and the moments of the
+        uniform law on the sphere hold within 5 sigma: each component has
+        mean 0 (variance 1/3) and mean square 1/3 (E[x^4] = 1/5, so the
+        square has variance 1/5 - 1/9 = 4/45)."""
+        n = 100_000
+        d = _directions(np.random.default_rng(17).random((n, 2)))
+        assert np.abs(np.linalg.norm(d, axis=-1) - 1.0).max() <= 4 * np.finfo(float).eps
+        assert np.abs(d.mean(axis=0)).max() <= 5 * np.sqrt(1 / 3 / n)
+        assert np.abs((d**2).mean(axis=0) - 1 / 3).max() <= 5 * np.sqrt(4 / 45 / n)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            sample_momenta,
+            lambda rng, n: _random_vectors(rng, np.full((n, 2), 1.5)),
+            lambda rng, n: random_transform_pairs(rep_generators(HalfInt(2)), rng, n),
+        ],
+        ids=["sample_momenta", "_random_vectors", "random_transform_pairs"],
+    )
+    def test_one_generator_call_at_any_count(self, draw):
+        counts = []
+        for n in (1, 1000):
+            rng = CountingGenerator(np.random.default_rng(n))
+            draw(rng, n)
+            counts.append(rng.calls)
+        assert counts == [1, 1]
+
+    def test_sample_k_replays_from_its_stream_offset(self):
+        """Momentum k reads words 4k to 4k + 3 of the stream and transform
+        pair k words 6k to 6k + 5, so a fresh generator advanced to that
+        offset redraws sample k alone, bit for bit."""
+        rep = rep_generators(HalfInt(2))
+        batch = momenta(23, 9)
+        (_, boosts), (_, rotations) = random_transform_pairs(rep, np.random.default_rng(23), 9)
+        for k in (0, 4, 8):
+            rng = np.random.default_rng(23)
+            rng.bit_generator.advance(4 * k)
+            one = sample_momenta(rng, 1)
+            assert one.m[0] == batch.m[k] and np.array_equal(one.p[0], batch.p[k])
+            rng = np.random.default_rng(23)
+            rng.bit_generator.advance(6 * k)
+            (_, boost), (_, rotation) = random_transform_pairs(rep, rng, 1)
+            assert np.array_equal(boost[0], boosts[k]) and np.array_equal(rotation[0], rotations[k])
+
+
+class CountingGenerator:
+    """A numpy Generator that counts the calls made to its methods."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
