@@ -60,10 +60,12 @@ def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:
     d^2 entries of X the relations have the matrix W^dag kron (eta W)^T,
     whose singular values are the products of two of W's; the smallest of
     them, sigma_min(W)^2, is asserted above 1e-10 of the largest for every
-    basis, and the solution residual over 2m, ||W^dag X eta W / 2m - S||_F,
-    within 1e-8 of ||S||_F, so an inconsistent basis is refused at any mass
-    scale. A stack of bases is solved in one stacked call; returns
-    tilde-Xi(0) (S + (d, d) for a stack of shape S).
+    basis (as sigma_min(W) > 1e-5 sigma_max(W), unsquared, so no square
+    overflows), and the solution residual over 2m, ||W^dag X eta W / 2m -
+    S||_F, within 1e-8 of ||S||_F, so an inconsistent basis is refused at
+    any mass scale. A mass whose 2m overflows is refused. A stack of bases
+    is solved in one stacked call; returns tilde-Xi(0) (S + (d, d) for a
+    stack of shape S).
     """
     if basis.mass is None:
         raise ValueError("basis must carry a mass (norms sqrt(2m))")
@@ -72,15 +74,17 @@ def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:
     d, n_w = W.shape[-2:]
     if n_w != d:
         raise ValueError(f"degenerate spinor basis: {n_w} spinors in dimension {d}")
-    sv = np.linalg.svd(W, compute_uv=False) ** 2
-    if not (sv[..., -1] > 1e-10 * sv[..., 0]).all():
+    sv = np.linalg.svd(W, compute_uv=False)
+    if not (sv[..., -1] > 1e-5 * sv[..., 0]).all():
         raise ValueError("degenerate spinor basis: constraint system is singular")
+    if not (np.asarray(basis.mass) <= np.finfo(float).max / 2).all():
+        raise ValueError(f"2m overflows double precision (m = {np.max(basis.mass):g}); rescale the mass")
     two_m = 2.0 * np.asarray(basis.mass)[..., None, None]
     S = np.diag([1.0] * len(basis.u) + [-1.0] * len(basis.v))
     W_inv = np.linalg.solve(W, np.eye(d))
     # X eta = W^-dag (2m S) W^-1, and eta^2 = I
     X_eta = W_inv.conj().swapaxes(-1, -2) @ (two_m * S) @ W_inv
-    # judged over 2m, so at every mass scale; a nan (2m overflows) fails `<=`
+    # judged over 2m, so at every mass scale; a nan (an overflow) fails `<=`
     with np.errstate(over="ignore", invalid="ignore"):
         residual = stack_norm(W.conj().swapaxes(-1, -2) @ X_eta @ W / two_m - S, 2)
     bad = ~(residual <= 1e-8 * np.sqrt(d))

@@ -6,20 +6,11 @@ invariant G from a genuine basis; direction dependence at the origin).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .kinematics import (
-    FourMomentum,
-    KinematicOperatorFamily,
-    _check_rest_norms,
-    _family_scales,
-    _random_vectors,
-    rotation_matrix,
-)
+from .kinematics import FourMomentum, KinematicOperatorFamily, _check_rest_norms, _family_scales
 from .linalg import AntiLinearMap, nullspace, stack_norm
 from .reps import HalfInt, RepGenerators, pauli_matrices, rep_generators
 
@@ -235,35 +226,21 @@ def schur_condition_family(lam, b, d) -> Cx2Basis:
     return Cx2Basis(u=u, v=v)
 
 
-_COMMUTANT_ROTATIONS = 20
+def rotation_commutant_residual(G: np.ndarray) -> float | np.ndarray:
+    """max over the spin-1/2 rotation generators J_a = diag(sigma_a/2,
+    sigma_a/2) of ||[G, J_a]||_F / ||G||_F; one residual per matrix of a
+    stack (..., 4, 4).
 
-
-def rotation_commutant_residual(G: np.ndarray, seed: int = 0) -> float | np.ndarray:
-    """max over 20 random rotations R of ||[G, D(R)]||_F / ||G||_F with D the
-    spin-1/2 rotation representative diag(exp(i sigma.theta/2), same); one
-    residual per matrix of a stack (..., 4, 4). The rotations are drawn from
-    the seed."""
+    SU(2) is connected, so G commutes with every rotation representative
+    exactly when it commutes with the three generators. Each entry of G J_a
+    and J_a G is one product with 0, +-1/2 or +-i/2, so a stacked entry
+    equals its single call bit for bit. The ratio is scale-free and formed
+    on G / max|G| for each matrix, so no finite G overflows its norm.
+    """
     G = np.asarray(G)
-    scale = stack_norm(G, 2)
-    worst = np.zeros(G.shape[:-2])
-    # integer keys only: with a None or Generator seed the cached set would
-    # not be the fresh draw the seed asks for
-    D = _seeded_rotations(operator.index(seed))
-    # one rotation at a time over the whole stack: a (stack, rotation)
-    # product would hold 20 times the stack in memory
-    for Dk in D:
-        worst = np.maximum(worst, stack_norm(G @ Dk - Dk @ G, 2) / scale)
-    return _scalar_or_stack(worst)
-
-
-@lru_cache(maxsize=8)
-def _seeded_rotations(seed: int) -> np.ndarray:
-    """The rotation representatives of rotation_commutant_residual as one
-    read-only (20, 4, 4) stack, drawn once per seed."""
-    theta = _random_vectors(np.random.default_rng(seed), np.full(_COMMUTANT_ROTATIONS, np.pi))
-    D = rotation_matrix(rep_generators(HalfInt(1)), theta)
-    D.flags.writeable = False
-    return D
+    G = G / np.abs(G).max(axis=(-2, -1), keepdims=True)
+    J = np.array(rep_generators(HalfInt(1)).J).reshape((3,) + (1,) * (G.ndim - 2) + (4, 4))
+    return _scalar_or_stack(stack_norm(G @ J - J @ G, 2).max(axis=0) / stack_norm(G, 2))
 
 
 def _complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -346,7 +323,6 @@ def antilinear_family(rep: RepGenerators, a, b) -> KinematicOperatorFamily:
 class AntilinearSolutionSpace:
     """Solution space of the anti-linear anticommutation condition."""
 
-    basis: tuple[AntiLinearMap, ...]
     dimension: int
     span_residual: float
 
@@ -370,7 +346,6 @@ def antilinear_kinematic_solutions(rep: RepGenerators) -> AntilinearSolutionSpac
         # row-major vec: vec(Ka M) = (Ka kron I) vec(M), vec(M Kc) = (I kron Kc^T) vec(M)
         rows.append(np.kron(Ka, I) - np.kron(I, np.conj(Ka).T))
     ns = nullspace(np.vstack(rows))
-    dim = ns.shape[1]
 
     span_residual = 0.0
     Z = np.zeros((2, 2), dtype=complex)
@@ -379,8 +354,7 @@ def antilinear_kinematic_solutions(rep: RepGenerators) -> AntilinearSolutionSpac
         proj = ns @ (ns.conj().T @ vec)
         span_residual = max(span_residual, float(np.linalg.norm(proj - vec) / np.linalg.norm(vec)))
 
-    maps = tuple(AntiLinearMap(ns[:, k].reshape(n, n)) for k in range(dim))
-    return AntilinearSolutionSpace(basis=maps, dimension=dim, span_residual=span_residual)
+    return AntilinearSolutionSpace(dimension=ns.shape[1], span_residual=span_residual)
 
 
 # ---------------------------------------------------------------------------

@@ -182,16 +182,14 @@ def test_criterion_07_elko_nogo():
             continue
         checked += 1
         r1, r2 = schur_conditions(basis)
-        comm = rotation_commutant_residual(g_operator(basis), seed=8)
+        comm = rotation_commutant_residual(g_operator(basis))
         equivalence_ok = equivalence_ok and ((comm <= 1e-9) == (max(r1, r2) <= 1e-10))
     # forward direction at the operator level: block-scalar commutant members
     G = np.block([[1.7j * np.eye(2), 0.3 * np.eye(2)], [2.0 * np.eye(2), -0.4j * np.eye(2)]])
-    scalar_ok = rotation_commutant_residual(G, seed=9) <= 1e-12
+    scalar_ok = rotation_commutant_residual(G) <= 1e-12
     # and each condition alone is detected by the commutant
-    detect_r2 = rotation_commutant_residual(g_operator(schur_condition_family(1.0, 1.0, 1j)), seed=10)
-    detect_r1 = rotation_commutant_residual(
-        g_operator(Cx2Basis(u=np.array([1.0, 0.0]), v=np.array([0.0, 1.0]))), seed=11
-    )
+    detect_r2 = rotation_commutant_residual(g_operator(schur_condition_family(1.0, 1.0, 1j)))
+    detect_r1 = rotation_commutant_residual(g_operator(Cx2Basis(u=np.array([1.0, 0.0]), v=np.array([0.0, 1.0]))))
     both_directions = equivalence_ok and scalar_ok and detect_r1 > 1e-3 and detect_r2 > 1e-3
 
     ok = every_sample and constructed_ok and both_directions

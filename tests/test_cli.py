@@ -137,11 +137,22 @@ class TestBasicCommands:
         assert code == 2
         assert out == "" and err == "error: the decomposition residual is not finite in double precision; rescale the momentum\n"
 
+    @pytest.mark.parametrize("basis", ["canonical", "helicity"])
+    @pytest.mark.parametrize("p", ["0,0,0", "1e308,0,0"])
+    def test_decompose_refuses_a_mass_whose_2m_overflows(self, capsys, p, basis):
+        # the basis is sound at any finite mass; 2m = 2e308 is what overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "decompose", "--mass", "1e308", "--p", p, "--basis", basis)
+        assert code == 2
+        assert out == "" and err == "error: 2m overflows double precision (m = 1e+308); rescale the mass\n"
+
     @pytest.mark.parametrize("fmt", [(), ("--json",)])
-    @pytest.mark.parametrize("scale", ["1e-170", "1e160", "1e300"])
+    @pytest.mark.parametrize("scale", ["1e-170", "1e160", "1e300", "1e307"])
     def test_decompose_far_from_unit_mass_without_warning(self, capsys, scale, fmt):
-        # |gamma.p|^2 underflows at 1e-170 and overflows at 1e160; judged
-        # over m, the residual stays at roundoff, with no warning
+        # |gamma.p|^2 underflows at 1e-170 and overflows at 1e160, and at
+        # 1e307 2m is within a factor 9 of the largest float; judged over m,
+        # the residual stays at roundoff, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "decompose", "--mass", scale, "--p", f"{scale},0,0", *fmt)

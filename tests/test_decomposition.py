@@ -162,6 +162,18 @@ class TestXiTilde:
         with pytest.raises(ValueError, match="inconsistent"):
             xi_tilde_at_rest(basis)
 
+    def test_overflowing_2m_refused(self):
+        # sigma(W) is about sqrt(2m) = 1.4e154 and its square overflows, so
+        # the rank is judged unsquared; the one thing out of range is 2m
+        masses = np.array([1.0, 1e308, 1e307])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^2m overflows double precision \(m = 1e\+308\)"):
+                xi_tilde_at_rest(rest_spinors(HalfInt(1), mass=1e308))
+            with pytest.raises(ValueError, match="2m overflows"):
+                xi_tilde_at_rest(rest_spinors(HalfInt(1), mass=masses))
+            assert np.allclose(xi_tilde_at_rest(rest_spinors(HalfInt(1), mass=1e307)), np.eye(4), atol=1e-11)
+
     def test_incomplete_basis_rejected(self):
         good = rest_spinors(HalfInt(1), mass=1.0)
         with pytest.raises(ValueError, match="degenerate"):

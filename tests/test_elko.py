@@ -3,13 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import direction_draw
-from spinkin import checks
+from spinkin import checks, elko
 from spinkin.elko import (
     _REF_MINUS,
     _REF_PLUS,
     THETA,
-    _seeded_rotations,
     Cx2Basis,
     antilinear_family,
     antilinear_kinematic_solutions,
@@ -25,7 +23,7 @@ from spinkin.elko import (
     schur_conditions,
 )
 from spinkin.kinematics import rotation_matrix
-from spinkin.linalg import nullspace
+from spinkin.linalg import nullspace, stack_norm
 from spinkin.reps import HalfInt, pauli_matrices, rep_generators, spin_matrices
 
 G_E1_E2 = np.array([[0, 0, 0, -1j], [0, 0, 1j, 0], [0, -1j, 0, 0], [1j, 0, 0, 0]], dtype=complex)
@@ -79,17 +77,14 @@ def schur_conditions_numpy(basis: Cx2Basis) -> tuple[float, float]:
     return float(r1), float(r2)
 
 
-def commutant_residual_scalar(G, seed: int) -> float:
-    """Reference for rotation_commutant_residual: 20 rotations drawn afresh."""
-    rep = rep_generators(HalfInt(1))
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    scale = float(np.linalg.norm(G))
-    for _ in range(20):
-        d = direction_draw(rng)
-        D = rotation_matrix(rep, rng.uniform(0.0, np.pi) * d)
-        worst = max(worst, float(np.linalg.norm(G @ D - D @ G)) / scale)
-    return worst
+def commutant_residual_scalar(G) -> float:
+    """Reference for rotation_commutant_residual: one matrix against the three
+    generators diag(sigma_a/2, sigma_a/2), built from the Pauli matrices, on
+    G over its largest entry modulus."""
+    G = G / np.abs(G).max()
+    generators = [np.kron(np.eye(2), s / 2) for s in pauli_matrices()]
+    worst = max(float(np.linalg.norm(G @ J - J @ G)) for J in generators)
+    return worst / float(np.linalg.norm(G))
 
 
 def det_scalar(basis: Cx2Basis) -> complex:
@@ -270,29 +265,22 @@ class TestSchurConditions:
         for _ in range(60):
             basis = random_basis(rng)
             r1, r2 = schur_conditions(basis)
-            comm = rotation_commutant_residual(g_operator(basis), seed=7)
+            comm = rotation_commutant_residual(g_operator(basis))
             assert (comm <= 1e-9) == (max(r1, r2) <= 1e-10)
 
-    def test_cached_rotations_match_fresh_draws(self, rng):
-        # calls for two seeds interleaved: each seed's rotation set is drawn
-        # once and reused, and reads as a fresh draw would
-        for k in range(8):
-            seed = (3, 11)[k % 2]
-            G = g_operator(random_basis(rng))
-            got = rotation_commutant_residual(G, seed=seed)
-            assert got == commutant_residual_scalar(G, seed)
-
     def test_commutant_detects_each_condition_alone(self):
-        # r1 = 0, r2 > 0 is still not rotation invariant
+        # r1 = 0, r2 > 0 is still not rotation invariant; on both pairs the
+        # entries of G and of its commutators are small exact numbers, and
+        # the residual is exactly 1
         basis = schur_condition_family(1.0, 1.0, 1j)
-        assert rotation_commutant_residual(g_operator(basis), seed=8) > 1e-3
+        assert rotation_commutant_residual(g_operator(basis)) == 1.0
         # r2 = 0, r1 > 0 likewise
         basis = Cx2Basis(u=np.array([1.0, 0.0]), v=np.array([0.0, 1.0]))
-        assert rotation_commutant_residual(g_operator(basis), seed=9) > 1e-3
+        assert rotation_commutant_residual(g_operator(basis)) == 1.0
 
     def test_block_scalar_matrices_commute(self, rng):
         # the converse direction of Schur at the operator level: anything in
-        # the block-scalar commutant commutes with every sampled rotation
+        # the block-scalar commutant commutes with every rotation generator
         blocks = rng.normal(size=4) + 1j * rng.normal(size=4)
         G = np.block(
             [
@@ -300,7 +288,7 @@ class TestSchurConditions:
                 [blocks[2] * np.eye(2), blocks[3] * np.eye(2)],
             ]
         )
-        assert rotation_commutant_residual(G, seed=10) < 1e-12
+        assert rotation_commutant_residual(G) < 1e-12
 
     def test_boosted_basis_equals_conjugated_g(self, rng):
         # the Elko structure survives boosts: B4 elko(u) = elko(B_left u) with
@@ -350,6 +338,10 @@ class _Poly:
     def var(cls, k):
         return cls({tuple(int(i == k) for i in range(8)): 1})
 
+    @classmethod
+    def const(cls, c):
+        return cls({(0,) * 8: c})
+
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
@@ -383,6 +375,9 @@ class _Cx:
     def conj(self):
         return _Cx(self.re, -self.im)
 
+    def __add__(self, other):
+        return _Cx(self.re + other.re, self.im + other.im)
+
     def __sub__(self, other):
         return _Cx(self.re - other.re, self.im - other.im)
 
@@ -391,6 +386,18 @@ class _Cx:
 
     def abs2(self):
         return self.re * self.re + self.im * self.im
+
+
+def _cx_matmul(X, Y):
+    """The product of two square matrices of _Cx, as lists of rows."""
+    n = range(len(X))
+    zero = _Cx(_Poly({}), _Poly({}))
+    out = [[zero] * len(X) for _ in n]
+    for i in n:
+        for j in n:
+            for k in n:
+                out[i][j] = out[i][j] + X[i][k] * Y[k][j]
+    return out
 
 
 class TestNogo:
@@ -436,6 +443,55 @@ class TestNogo:
         lhs = (a * d.conj() - c * b.conj()).abs2() + r2 * r2
         rhs = (a * d - b * c).abs2() + (ac + bd) * (ac + bd)
         assert (lhs == rhs) is not flip
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_commutator_identity_by_integer_expansion(self, flip):
+        """|det|^2 sum_a ||[G(u, v), J_a]||_F^2 = 8 (r1^2 + r2^2) as integer
+        polynomials in the eight real coordinates; with the sign inside r2
+        flipped the two sides differ.
+
+        G is read off g_operator's closed-form tables: its upper block times
+        det and its lower block times conj(det) have the entries
+        i (x conj(y) - x' conj(y')), and [G, J_a] keeps that block form, so
+        |det|^2 ||[G, J_a]||^2 = ||[det-scaled G, J_a]||^2. The generators
+        enter as 2 J_a, with entries 0, +-1 and +-i, which multiplies the
+        left side by 4."""
+        abcd = [_Cx(_Poly.var(2 * k), _Poly.var(2 * k + 1)) for k in range(4)]
+        zero = _Cx(_Poly({}), _Poly({}))
+        G = [[zero] * 4 for _ in range(4)]
+        tables = (elko._G_ROWS, elko._G_COLS, elko._G_X, elko._G_Y, elko._G_X2, elko._G_Y2)
+        for row, col, x, y, x2, y2 in zip(*tables):
+            w = abcd[x] * abcd[y].conj() - abcd[x2] * abcd[y2].conj()
+            G[row][col] = _Cx(-w.im, w.re)  # i w
+        lhs = _Poly({})
+        for Ja in rep_generators(HalfInt(1)).J:
+            J = [[_Cx(_Poly.const(int(2 * z.real)), _Poly.const(int(2 * z.imag))) for z in row] for row in Ja]
+            for gj_row, jg_row in zip(_cx_matmul(G, J), _cx_matmul(J, G)):
+                for gj, jg in zip(gj_row, jg_row):
+                    lhs = lhs + (gj - jg).abs2()
+        a, b, c, d = abcd
+        ac, bd = (a * c.conj()).im, (b * d.conj()).im
+        r2 = ac + bd if flip else ac - bd
+        rhs = (a * d.conj() - c * b.conj()).abs2() + r2 * r2
+        assert (lhs == _Poly.const(32) * rhs) is not flip
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_commutator_sum_at_least_eight(self, seed):
+        """The corollary on the suite's unit pairs: r1^2 + r2^2 >= |det|^2
+        makes sum_a ||[G, J_a]||_F^2 >= 8, so no genuine basis gives a G that
+        commutes with the rotations; the largest of the three terms, which
+        rotation_commutant_residual reports over ||G||_F^2, is at least a
+        third of the sum."""
+        basis = elko._unit_pairs(np.random.default_rng(seed), 2000)
+        G = g_operator(basis)
+        J = np.array(rep_generators(HalfInt(1)).J)[:, None]
+        total = (stack_norm(G @ J - J @ G, 2) ** 2).sum(axis=0)
+        r1, r2 = schur_conditions(basis)
+        want = 8.0 * (r1**2 + r2**2) / basis.abs_det**2
+        assert (np.abs(total - want) <= 1e-14 * want).all()
+        assert total.min() >= 8.0 * (1.0 - 1e-14)
+        worst = rotation_commutant_residual(G) * stack_norm(G, 2)
+        assert (3.0 * worst**2 >= total * (1.0 - 1e-14)).all()
 
 
 class TestStackedPairs:
@@ -486,24 +542,33 @@ class TestStackedPairs:
 
     def test_rotation_commutant_residual(self, rng):
         G = g_operator(Cx2Basis(u=rng.normal(size=(12, 2)) + 0.3j, v=rng.normal(size=(12, 2)) - 0.1j))
-        stacked = rotation_commutant_residual(G, seed=4)
+        stacked = rotation_commutant_residual(G)
         assert stacked.shape == (12,)
         for k in range(12):
-            assert stacked[k] == rotation_commutant_residual(G[k], seed=4)
-            assert stacked[k] == commutant_residual_scalar(G[k], 4)
-        assert rotation_commutant_residual(G.reshape(3, 4, 4, 4), seed=4).shape == (3, 4)
+            assert stacked[k] == rotation_commutant_residual(G[k])
+            assert stacked[k] == commutant_residual_scalar(G[k])
+        assert rotation_commutant_residual(G.reshape(3, 4, 4, 4)).shape == (3, 4)
 
-    @pytest.mark.parametrize("seed", [0, 1, 20])
-    def test_seeded_rotations_match_scalar_draw_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        theta = []
-        for _ in range(20):
-            d = direction_draw(rng)
-            theta.append(rng.uniform(0.0, np.pi) * d)
-        want = rotation_matrix(rep_generators(HalfInt(1)), np.array(theta))
-        got = _seeded_rotations(seed)
-        assert got.shape == (20, 4, 4)
-        assert np.array_equal(got, want)
+    def test_rotation_commutant_residual_at_the_top_of_the_float_range(self, rng):
+        # u = (1e80, 0), v = (1e80 i, 1e-80): det = 1 and max|G| = 2e160, so
+        # ||G||_F^2 overflows; the residual is scale-free and equals that of
+        # G scaled down by an exact power of two
+        z = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+        z[4] = [[1e80, 0.0], [1e80j, 1e-80]]
+        G = g_operator(Cx2Basis(u=z[:, 0], v=z[:, 1]))
+        assert np.abs(G[4]).max() == 2e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = rotation_commutant_residual(G)
+            for k in range(6):
+                assert stacked[k] == rotation_commutant_residual(G[k])
+                assert stacked[k] == commutant_residual_scalar(G[k])
+            small = G[4] * 2.0**-600
+            assert stacked[4] == rotation_commutant_residual(small)
+        # and it is the residual formed with no rescaling, where that is finite
+        J = np.array(rep_generators(HalfInt(1)).J)
+        plain = stack_norm(small @ J - J @ small, 2).max() / np.linalg.norm(small)
+        assert stacked[4] > 0.0 and stacked[4] == pytest.approx(plain, rel=1e-14)
 
     @pytest.mark.parametrize("k", [0, 4, 9])
     @pytest.mark.parametrize(
@@ -597,7 +662,7 @@ def elko_nogo_suite_loop(seed: int) -> dict:
     for _ in range(200):
         z = rng.normal(size=4) + 1j * rng.normal(size=4)
         basis = Cx2Basis(u=z[:2] / np.linalg.norm(z[:2]), v=z[2:] / np.linalg.norm(z[2:]))
-        comm = commutant_residual_scalar(g_operator_scalar(basis), seed)
+        comm = commutant_residual_scalar(g_operator_scalar(basis))
         equivalence.append((comm, max(schur_conditions_numpy(basis))))
     scalar_comm = 0.0
     for _ in range(5):
@@ -607,7 +672,7 @@ def elko_nogo_suite_loop(seed: int) -> dict:
         G[:2, 2:] = blocks[1] * np.eye(2)
         G[2:, :2] = blocks[2] * np.eye(2)
         G[2:, 2:] = blocks[3] * np.eye(2)
-        scalar_comm = max(scalar_comm, commutant_residual_scalar(G, seed))
+        scalar_comm = max(scalar_comm, commutant_residual_scalar(G))
     return {"worst_det": worst_det, "equivalence": equivalence, "scalar_comm": scalar_comm}
 
 
