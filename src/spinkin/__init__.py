@@ -39,7 +39,7 @@ from .higherspin import (
     GammaTensor,
     field_equation_residual,
     gamma_tensor,
-    parity_spectrum,
+    involution_certificate,
 )
 from .kinematics import (
     FourMomentum,

@@ -21,7 +21,7 @@ import numpy as np
 from . import decomposition as dec
 from . import elko
 from .dirac import boosted_spinors, dirac_operator, rest_spinors
-from .higherspin import field_equation_residual, swap_operator_at
+from .higherspin import field_equation_residual, involution_certificate, swap_operator_at
 from .kinematics import (
     FourMomentum,
     covariance_residual,
@@ -73,9 +73,9 @@ def dirac_parity_suite(seed: int) -> dict:
 
 
 def involution_suite(seed: int) -> dict:
-    """||P_j(q)^2 - I||_F and the +1 multiplicity n+ = rint((dim + Re tr P)/2)
-    = 2j+1, for j in {1/2, 1, 3/2, 2}. As |lam^2 - 1| <= ||P^2 - I||_2, each
-    eigenvalue lies within about tol/2 of +-1; so n- = 2j+1 and
+    """involution_certificate of P_j(q), j <= 2: ||P^2 - I||_F within the
+    tolerance and both n+- = 2j+1. As |lam^2 - 1| <= ||P^2 - I||_2, each
+    eigenvalue lies within about tol/2 of +-1; so the spectrum and
     det P = (-1)^(2j+1) follow with no eigensolver and no determinant."""
     rng = np.random.default_rng(seed)
     worst_sq = 0.0
@@ -83,9 +83,9 @@ def involution_suite(seed: int) -> dict:
     for twice in (1, 2, 3, 4):
         j = HalfInt(twice)
         P = parity_operator(rep_generators(j), sample_momenta(rng, _INVOLUTION_PER_SPIN))
-        worst_sq = max(worst_sq, float(stack_norm(P @ P - np.eye(j.dim), 2).max(initial=0.0)))
-        plus = np.rint((j.dim + np.trace(P, axis1=-2, axis2=-1).real) / 2)
-        mult_ok = mult_ok and bool(np.all(plus == j.block_dim))
+        cert = involution_certificate(P)
+        worst_sq = max(worst_sq, float(cert["square_residual"].max(initial=0.0)))
+        mult_ok = mult_ok and all(bool(np.all(n == j.block_dim)) for n in cert["multiplicities"].values())
     return {
         "per_spin_samples": _INVOLUTION_PER_SPIN,
         "max_residuals": {"square": worst_sq},

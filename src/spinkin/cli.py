@@ -25,7 +25,7 @@ from . import checks
 from . import decomposition as dec
 from . import elko
 from .dirac import boosted_spinors, rest_spinors
-from .higherspin import field_equation_residual, gamma_tensor, parity_spectrum
+from .higherspin import field_equation_residual, gamma_tensor, involution_certificate
 from .kinematics import FourMomentum, is_fully_kinematic, parity_family, parity_operator
 from .linalg import matrix_to_json, vector_to_json
 from .reps import HalfInt, rep_generators
@@ -133,7 +133,7 @@ def cmd_parity(args) -> int:
     j = _spin(args)
     q = _momentum(args)
     P = parity_operator(rep_generators(j), q)
-    spectrum = parity_spectrum(P)
+    cert = involution_certificate(P)
     key, title = _PARITY_VIEWS[args.command]
     payload = {
         "command": args.command,
@@ -142,14 +142,15 @@ def cmd_parity(args) -> int:
         "mass": args.mass,
         "p": args.p,
         key: P,
-        **spectrum,
+        **cert,
     }
 
     def render():
         print(f"{title} for spin {j}, m={args.mass}, p={args.p}:")
         print(np.array_str(P, precision=10, suppress_small=True))
-        print("eigenvalues:", np.array_str(spectrum["eigenvalues"], precision=6))
-        print("det:", spectrum["det"])
+        n = cert["multiplicities"]
+        print(f"multiplicities: +1: {n['+1']}, -1: {n['-1']}")
+        print(f"||P^2 - I||_F: {cert['square_residual']:.3e}")
 
     _emit_or_print(args, payload, render)
     return 0
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(fn=cmd_spinors)
 
-    p = sub.add_parser("fieldeq", help="spin-j field-equation operator and spectrum")
+    p = sub.add_parser("fieldeq", help="spin-j field-equation operator and its involution certificate")
     add_spin(p)
     add_momentum(p)
     add_json(p)

@@ -67,8 +67,6 @@ def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:
     is solved in one stacked call; returns tilde-Xi(0) (S + (d, d) for a
     stack of shape S).
     """
-    if basis.mass is None:
-        raise ValueError("basis must carry a mass (norms sqrt(2m))")
     eta = rep_generators(basis.j).eta
     W = basis.stack()
     d, n_w = W.shape[-2:]
@@ -77,9 +75,9 @@ def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:
     sv = np.linalg.svd(W, compute_uv=False)
     if not (sv[..., -1] > 1e-5 * sv[..., 0]).all():
         raise ValueError("degenerate spinor basis: constraint system is singular")
-    if not (np.asarray(basis.mass) <= np.finfo(float).max / 2).all():
+    if not (basis.mass <= np.finfo(float).max / 2).all():
         raise ValueError(f"2m overflows double precision (m = {np.max(basis.mass):g}); rescale the mass")
-    two_m = 2.0 * np.asarray(basis.mass)[..., None, None]
+    two_m = 2.0 * basis.mass[..., None, None]
     S = np.diag([1.0] * len(basis.u) + [-1.0] * len(basis.v))
     W_inv = np.linalg.solve(W, np.eye(d))
     # X eta = W^-dag (2m S) W^-1, and eta^2 = I
@@ -105,10 +103,8 @@ def k_operator(basis: SpinorBasis, q: FourMomentum) -> np.ndarray:
 def hermiticity_condition(basis: SpinorBasis) -> bool:
     """True iff the u-span and v-span are Hermitian-orthogonal at rest
     (equivalently K(0) is Hermitian): max |u^dag v| <= 1e-10 * 2m."""
-    if basis.mass is None:
-        raise ValueError("basis must carry a mass")
     overlaps = np.abs([np.vecdot(a, b) for a in basis.u for b in basis.v])
-    return bool(np.all(overlaps <= 1e-10 * 2.0 * np.asarray(basis.mass)))
+    return bool(np.all(overlaps <= 1e-10 * 2.0 * basis.mass))
 
 
 @dataclass(frozen=True)

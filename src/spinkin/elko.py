@@ -229,7 +229,7 @@ def schur_condition_family(lam, b, d) -> Cx2Basis:
 def rotation_commutant_residual(G: np.ndarray) -> float | np.ndarray:
     """max over the spin-1/2 rotation generators J_a = diag(sigma_a/2,
     sigma_a/2) of ||[G, J_a]||_F / ||G||_F; one residual per matrix of a
-    stack (..., 4, 4).
+    stack (..., 4, 4), each G finite and non-zero.
 
     SU(2) is connected, so G commutes with every rotation representative
     exactly when it commutes with the three generators. Each entry of G J_a
@@ -238,7 +238,10 @@ def rotation_commutant_residual(G: np.ndarray) -> float | np.ndarray:
     on G / max|G| for each matrix, so no finite G overflows its norm.
     """
     G = np.asarray(G)
-    G = G / np.abs(G).max(axis=(-2, -1), keepdims=True)
+    scale = np.abs(G).max(axis=(-2, -1), keepdims=True)
+    if not ((scale > 0.0) & (scale < np.inf)).all():  # a nan fails both
+        raise ValueError("G must be finite and non-zero")
+    G = G / scale
     J = np.array(rep_generators(HalfInt(1)).J).reshape((3,) + (1,) * (G.ndim - 2) + (4, 4))
     return _scalar_or_stack(stack_norm(G @ J - J @ G, 2).max(axis=0) / stack_norm(G, 2))
 

@@ -1,5 +1,5 @@
-"""Spin-j field equation, parity spectra, the exact symmetric gamma tensor,
-and the boosted tensor swap on (j,0)x(0,j).
+"""Spin-j field equation, the involution certificate of P_j(q), the exact
+symmetric gamma tensor, and the boosted tensor swap on (j,0)x(0,j).
 
 Field-equation evaluation always goes through parity_operator, the
 polynomial offdiag(Sym^{2j}((E + sigma.p)/m), Sym^{2j}((E - sigma.p)/m)) =
@@ -26,7 +26,7 @@ from .reps import HalfInt, _symmetric_power_table, adjugate_power, rep_generator
 
 __all__ = [
     "field_equation_residual",
-    "parity_spectrum",
+    "involution_certificate",
     "GammaTensor",
     "symmetric_multi_indices",
     "index_multiplicity",
@@ -57,21 +57,23 @@ def field_equation_residual(j, psi: np.ndarray, q: FourMomentum, sign: int) -> f
     return float(r) if r.ndim == 0 else r
 
 
-def parity_spectrum(P: np.ndarray) -> dict:
-    """Eigenvalues (sorted by real part, then imaginary part) and determinant
-    of a parity operator P_j(q), or of each operator of a stack: for N
-    operators, (N, dim) eigenvalues and N determinants.
-
-    The spectrum is +-1 with multiplicities (2j+1, 2j+1); the determinant is
-    the momentum-independent sign of the block-swap permutation, (-1)^(2j+1).
-    """
-    ev = np.linalg.eigvals(P)
-    order = np.lexsort((ev.imag, ev.real), axis=-1)
-    det = np.linalg.det(P)
-    return {
-        "eigenvalues": np.take_along_axis(ev, order, axis=-1),
-        "det": complex(det) if det.ndim == 0 else det,
-    }
+def involution_certificate(P: np.ndarray) -> dict:
+    """||P^2 - I||_F and the multiplicities n+- = rint((dim +- Re tr P)/2) of
+    +1 and -1 for a parity operator P_j(q), or N of each for a stack of N;
+    a P whose trace is not finite is refused. P is similar to eta, so its
+    spectrum is +-1, each 2j+1 times, and det P = (-1)^(n-). The counts
+    certify it only with a small square, as |lam^2 - 1| <= ||P^2 - I||_F;
+    no eigensolver runs, since P is not normal and a computed eigenvalue
+    may move by up to about eps ||P||^2."""
+    dim = P.shape[-1]
+    trace = np.trace(P, axis1=-2, axis2=-1).real
+    if not np.isfinite(trace).all():
+        raise ValueError("the trace of P is not finite")
+    square = stack_norm(P @ P - np.eye(dim), 2)
+    plus, minus = (np.rint((dim + sign * trace) / 2).astype(int) for sign in (1, -1))
+    if square.ndim == 0:
+        square, plus, minus = float(square), int(plus), int(minus)
+    return {"square_residual": square, "multiplicities": {"+1": plus, "-1": minus}}
 
 
 def symmetric_multi_indices(degree: int) -> list[tuple[int, ...]]:
@@ -81,13 +83,7 @@ def symmetric_multi_indices(degree: int) -> list[tuple[int, ...]]:
 
 def index_multiplicity(idx: tuple[int, ...]) -> int:
     """Number of distinct orderings of the multiset idx (multinomial weight)."""
-    counts: dict[int, int] = {}
-    for i in idx:
-        counts[i] = counts.get(i, 0) + 1
-    n = factorial(len(idx))
-    for c in counts.values():
-        n //= factorial(c)
-    return n
+    return factorial(len(idx)) // prod(factorial(idx.count(i)) for i in set(idx))
 
 
 @dataclass(frozen=True)

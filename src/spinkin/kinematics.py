@@ -282,15 +282,10 @@ def parity_operator(rep: RepGenerators, q: FourMomentum) -> np.ndarray:
     with np.errstate(over="ignore"):
         u = q.p / q.m[..., None]
         e = np.sqrt(1.0 + np.vecdot(u, u, keepdims=True))
-    # one reduction tests finiteness and the cap: a nan fails `<=`. The
-    # messages are those of rapidity_from_momentum and boost_matrix(rep, 2 phi)
+    # one reduction tests finiteness and the cap: a nan fails `<=`
     if not e.max(initial=1.0) <= _PARITY_COSH_CAP:
-        phi = np.arccosh(e)
-        if np.isnan(phi).any():
-            raise ValueError("rapidity must be finite")
-        if phi.max() > RAPIDITY_MAX:
-            raise ValueError(f"rapidity {phi.max():.3f} exceeds the overflow cap {RAPIDITY_MAX}")
-        raise ValueError(f"rapidity norm exceeds the overflow cap {RAPIDITY_MAX}")
+        cap, phi = RAPIDITY_MAX / 2.0, np.arccosh(e.max())
+        raise ValueError(f"rapidity must be finite and within the parity overflow cap {cap}, got {phi:.3f}")
     S = symmetric_power(_pauli_dot(np.concatenate([e, u], axis=-1), _ONE_SIGMA), rep.j)
     return _remember(q, "parity", rep, rep.lift(S, adjugate_power(S), swap=True))
 

@@ -241,7 +241,7 @@ def rep_generators(j) -> RepGenerators:
     """
     j = HalfInt.coerce(j)
     d = j.block_dim
-    n = 2 * d
+    n = j.dim
     S = np.array(spin_matrices(j))
     J = np.zeros((3, n, n), dtype=complex)
     K = np.zeros((3, n, n), dtype=complex)

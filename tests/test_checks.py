@@ -10,6 +10,7 @@ import pytest
 
 from spinkin import checks, elko
 from spinkin.cli import main
+from test_cli import readme_cli_examples
 
 SUITE = dict(checks.SUITES)
 
@@ -149,13 +150,16 @@ def test_involution_fails_a_perturbed_operator(monkeypatch):
 
 
 def test_check_all_needs_no_eigensolver_or_determinant(monkeypatch, capsys):
-    """check all certifies through identities: no eigenvalue solver and no
-    LU determinant runs."""
+    """check all, and every other README CLI line, certifies through
+    identities: no general eigenvalue solver and no LU determinant runs."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("check all called an eigensolver or a determinant")
+        raise AssertionError("a CLI line called an eigensolver or a determinant")
 
-    monkeypatch.setattr(np.linalg, "eigvals", refuse)
-    monkeypatch.setattr(np.linalg, "det", refuse)
-    code, report = run_json(capsys, "check", "all", "--seed", "42")
-    assert code == 0 and report["pass"]
+    for name in ("eigvals", "eig", "det"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    argvs = readme_cli_examples()
+    assert ["check", "all", "--seed", "42"] in argvs
+    for argv in argvs:
+        assert main(argv) == 0, argv
+    capsys.readouterr()

@@ -47,7 +47,20 @@ class TestBasicCommands:
         expected[:3, 3:] = np.eye(3)
         expected[3:, :3] = np.eye(3)
         assert np.array_equal(P, expected)
-        assert obj["det"] == [-1.0, 0.0] or abs(obj["det"][0] + 1.0) < 1e-9
+        assert obj["multiplicities"] == {"+1": 3, "-1": 3} and obj["square_residual"] == 0.0
+        assert "eigenvalues" not in obj and "det" not in obj
+
+    @pytest.mark.parametrize("command", ["parity", "fieldeq"])
+    def test_certificate_past_the_envelope(self, capsys, command):
+        """At 2j = 8 and |phi| = 7.65 the counts read 9/9, and the square
+        residual, far above 1, says that P^2 = I is not met in double
+        precision; np.linalg.det of that P is -6.7e167 - 1.6e167i."""
+        argv = (command, "--spin", "8", "--mass", "1", "--p", "300,100,1000")
+        code, obj = run_json(capsys, *argv, "--json")
+        assert code == 0
+        assert obj["multiplicities"] == {"+1": 9, "-1": 9} and obj["square_residual"] > 1.0
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "multiplicities: +1: 9, -1: 9" in out
 
     def test_spinors_residuals(self, capsys):
         code, obj = run_json(
@@ -176,7 +189,8 @@ class TestBasicCommands:
     def test_human_readable_default(self, capsys):
         code, out, _ = run_cli(capsys, "parity", "--spin", "1", "--mass", "1", "--p", "0,0,0")
         assert code == 0
-        assert "eigenvalues" in out and "{" not in out.splitlines()[0]
+        assert "multiplicities: +1: 2, -1: 2" in out and "{" not in out.splitlines()[0]
+        assert "||P^2 - I||_F: 0.000e+00" in out
         # eta at rest prints as generators prints it: no negative zeros
         assert "-0." not in out
 
@@ -270,7 +284,16 @@ class TestUsageErrors:
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "parity", "--spin", "1", "--mass", mass, "--p", p)
         assert code == 2 and out == ""
-        assert err == "error: rapidity inf exceeds the overflow cap 30.0\n"
+        assert err == "error: rapidity must be finite and within the parity overflow cap 15.0, got inf\n"
+
+    def test_parity_refusal_names_its_own_cap(self, capsys):
+        """phi = 19.1 is within the boost cap 30 but past the parity cap 15,
+        the cap of B(2 phi)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "parity", "--spin", "1", "--mass", "1", "--p", "0,0,1e8")
+        assert code == 2 and out == ""
+        assert err == "error: rapidity must be finite and within the parity overflow cap 15.0, got 19.114\n"
 
 
 class TestEntryPoint:

@@ -1,14 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import momenta
+from spinkin import dirac
 from spinkin.dirac import (
+    SpinorBasis,
     boosted_spinors,
     dirac_operator,
     gamma_matrices,
     rest_spinors,
 )
-from spinkin.kinematics import FourMomentum, parity_operator
+from spinkin.kinematics import FourMomentum, check_mass, parity_operator
 from spinkin.reps import HalfInt, rep_generators
 
 ABS_TOL = 1e-10
@@ -111,6 +115,29 @@ class TestRestSpinors:
         for mass in (-1.0, 0.0, np.inf, np.nan):
             with pytest.raises(ValueError):
                 rest_spinors(HalfInt(1), mass=mass)
+
+    @pytest.mark.parametrize("mass", [-1.0, 0.0, np.nan, None])
+    def test_basis_built_directly_judges_its_mass(self, mass):
+        """A SpinorBasis built by hand is held to the mass rule too, so a
+        negative mass never reaches xi_tilde_at_rest, and nan or 0 are
+        refused for what they are."""
+        rest = rest_spinors(HalfInt(1), mass=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^mass must be positive and finite"):
+                SpinorBasis(j=rest.j, mass=mass, u=rest.u, v=rest.v)
+
+    def test_mass_kept_as_the_judged_array(self):
+        rest = rest_spinors(HalfInt(1), mass=1.0)
+        basis = SpinorBasis(j=rest.j, mass=2, u=rest.u, v=rest.v)
+        assert basis.mass.dtype == float and basis.mass == 2.0
+
+    def test_boosted_spinors_judge_the_mass_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dirac, "check_mass", lambda m: calls.append(m) or check_mass(m))
+        q = momenta(17, 5)
+        basis = boosted_spinors(HalfInt(2), q)
+        assert len(calls) == 1 and np.array_equal(basis.mass, q.m)
 
 
 class TestBoostedSpinors:

@@ -549,6 +549,21 @@ class TestStackedPairs:
             assert stacked[k] == commutant_residual_scalar(G[k])
         assert rotation_commutant_residual(G.reshape(3, 4, 4, 4)).shape == (3, 4)
 
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_rotation_commutant_residual_refuses_a_zero_or_non_finite_g(self, rng, bad):
+        """A zero G has no scale-free residual and a non-finite one no
+        residual at all: both are refused with one ValueError and no
+        warning, alone or as one matrix of a stack."""
+        G = g_operator(Cx2Basis(u=rng.normal(size=(3, 2)) + 0.3j, v=rng.normal(size=(3, 2)) - 0.1j))
+        G[1] = 0.0
+        G[1, 2, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arg in (G[1], G):
+                with pytest.raises(ValueError, match="^G must be finite and non-zero$"):
+                    rotation_commutant_residual(arg)
+            assert rotation_commutant_residual(G[::2]).shape == (2,)
+
     def test_rotation_commutant_residual_at_the_top_of_the_float_range(self, rng):
         # u = (1e80, 0), v = (1e80 i, 1e-80): det = 1 and max|G| = 2e160, so
         # ||G||_F^2 overflows; the residual is scale-free and equals that of

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from spinkin.higherspin import (
     field_equation_residual,
     gamma_tensor,
     index_multiplicity,
-    parity_spectrum,
+    involution_certificate,
     swap_operator_at,
     symmetric_multi_indices,
     tensor_boost_matrix,
@@ -136,40 +138,85 @@ class TestContractionIdentity:
 
 
 class TestParitySpectrum:
+    """involution_certificate against an eigensolver and a determinant,
+    which serve as references inside the sampled envelope (2j <= 4,
+    |p| <= 5m) only."""
+
     # block-swap permutation sign: +1, -1, +1, -1 for 2j = 1..4
     @pytest.mark.parametrize("twice,det", [(1, 1.0), (2, -1.0), (3, 1.0), (4, -1.0)])
     def test_det_momentum_independent(self, twice, det):
         rep = rep_generators(HalfInt(twice))
         for q in momenta(113 + twice, 10):
-            out = parity_spectrum(parity_operator(rep, q))
-            assert out["det"].real == pytest.approx(det, abs=1e-8)
-            assert abs(out["det"].imag) < 1e-8
+            P = parity_operator(rep, q)
+            # the corollary det P = (-1)^(n-), against an LU determinant
+            assert (-1) ** involution_certificate(P)["multiplicities"]["-1"] == det
+            assert np.linalg.det(P) == pytest.approx(det, abs=1e-8)
 
     @pytest.mark.parametrize("twice", [1, 2, 3, 4])
     def test_eigenvalue_multiplicities(self, twice):
         j = HalfInt(twice)
         rep = rep_generators(j)
         for q in momenta(127 + twice, 10):
-            ev = parity_spectrum(parity_operator(rep, q))["eigenvalues"]
+            P = parity_operator(rep, q)
+            cert = involution_certificate(P)
+            assert cert["multiplicities"] == {"+1": j.block_dim, "-1": j.block_dim}
+            assert cert["square_residual"] <= 1e-7
+            ev = np.linalg.eigvals(P)
             assert np.all(np.abs(np.abs(ev.real) - 1.0) < 1e-7)
             assert np.all(np.abs(ev.imag) < 1e-7)
-            assert int(np.sum(ev.real > 0)) == j.block_dim
-            assert int(np.sum(ev.real < 0)) == j.block_dim
-
+            assert int(np.sum(ev.real > 0)) == int(np.sum(ev.real < 0)) == j.block_dim
 
     @pytest.mark.parametrize("twice", [1, 2, 3, 4])
     def test_batch_matches_per_momentum_loop(self, twice):
         rep = rep_generators(HalfInt(twice))
         batch = momenta(131 + twice, 12)
-        out = parity_spectrum(parity_operator(rep, batch))
-        assert out["eigenvalues"].shape == (12, 2 * (twice + 1)) and out["det"].shape == (12,)
+        out = involution_certificate(parity_operator(rep, batch))
+        assert out["square_residual"].shape == (12,)
+        assert all(n.shape == (12,) for n in out["multiplicities"].values())
         for k, q in enumerate(batch):
-            single = parity_spectrum(parity_operator(rep, q))
-            assert np.array_equal(out["eigenvalues"][k], single["eigenvalues"])
-            assert out["det"][k] == single["det"] and type(single["det"]) is complex
-            # sorted by real part, then imaginary part
-            ev = single["eigenvalues"]
-            assert list(ev) == sorted(ev, key=lambda z: (z.real, z.imag))
+            single = involution_certificate(parity_operator(rep, q))
+            assert type(single["square_residual"]) is float
+            assert out["square_residual"][k] == single["square_residual"]
+            for sign, n in single["multiplicities"].items():
+                assert type(n) is int and out["multiplicities"][sign][k] == n
+
+    @pytest.mark.parametrize("twice", range(1, 9))
+    def test_multiplicities_past_the_envelope(self, twice):
+        """n+- = 2j+1 at 2j = 1..8 up to |p| = 1000 m, where an eigensolver
+        miscounts the signs (at 2j = 8, 10 of 18 eigenvalues come out with
+        a positive real part)."""
+        j = HalfInt(twice)
+        rep = rep_generators(j)
+        for p in ((0.3, -0.2, 0.5), (3.0, 0.0, 20.0), (300.0, 100.0, 1000.0)):
+            n = involution_certificate(parity_operator(rep, FourMomentum(1.0, p)))["multiplicities"]
+            assert n == {"+1": j.block_dim, "-1": j.block_dim}
+
+    @pytest.mark.parametrize("twice", range(1, 9))
+    def test_tensor_swap_multiplicities(self, twice):
+        """On (j,0)x(0,j) the boosted swap has tr = 2j+1, not 0, so the trace
+        formula is not structural there: n+- = d(d +- 1)/2, the symmetric and
+        antisymmetric squares of the d = 2j+1 dimensional block."""
+        d = HalfInt(twice).block_dim
+        cert = involution_certificate(swap_operator_at(HalfInt(twice), momenta(137 + twice, 20)))
+        assert np.all(cert["multiplicities"]["+1"] == d * (d + 1) // 2)
+        assert np.all(cert["multiplicities"]["-1"] == d * (d - 1) // 2)
+
+    def test_counts_certify_only_with_the_square(self):
+        """2P keeps the counts of P, so the counts alone certify nothing: the
+        square residual ||4P^2 - I||_F = 3 sqrt 6 is what fails."""
+        P = parity_operator(rep_generators(HalfInt(2)), FourMomentum(1.0, (0.3, 0.1, -0.2)))
+        cert = involution_certificate(2.0 * P)
+        assert cert["multiplicities"] == {"+1": 3, "-1": 3}
+        assert cert["square_residual"] >= 7.3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_trace_refused(self, bad):
+        P = np.eye(4, dtype=complex)
+        P[1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="trace of P is not finite"):
+                involution_certificate(np.stack([np.eye(4), P]))
 
 
 class TestGammaTensorExtraction:

@@ -139,11 +139,18 @@ class TestRapidity:
     @pytest.mark.parametrize("m, p", [(1.0, (1e200, 0.0, 0.0)), (1e-300, (1e10, 0.0, 0.0))])
     def test_overflowing_momentum_raises_without_warning(self, m, p):
         """|p/m|^2 overflows in the first case and p/m in the second; the cap
-        refuses the infinite rapidity, with no warning on the way."""
+        refuses the infinite rapidity, with no warning on the way. The parity
+        operator names its own cap, that of B(2 phi)."""
         q = FourMomentum(m, p)
         j = HalfInt(2)
-        for call in (rapidity_from_momentum, partial(parity_operator, rep_generators(j)), partial(boosted_spinors, j)):
-            raises_without_warning(lambda: call(q), "rapidity inf exceeds the overflow cap")
+        boost_refusal = "rapidity inf exceeds the overflow cap 30.0"
+        parity_refusal = "rapidity must be finite and within the parity overflow cap 15.0, got inf"
+        for call, message in (
+            (rapidity_from_momentum, boost_refusal),
+            (partial(boosted_spinors, j), boost_refusal),
+            (partial(parity_operator, rep_generators(j)), parity_refusal),
+        ):
+            raises_without_warning(lambda: call(q), f"^{message}$")
 
 
 class TestBoostMatrix:
