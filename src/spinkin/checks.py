@@ -21,7 +21,7 @@ import numpy as np
 from . import decomposition as dec
 from . import elko
 from .dirac import boosted_spinors, dirac_operator, rest_spinors
-from .higherspin import field_equation_residual, involution_certificate, swap_operator_at
+from .higherspin import CERTIFICATE_TOL, field_equation_residual, involution_certificate, swap_operator_at
 from .kinematics import (
     FourMomentum,
     covariance_residual,
@@ -40,7 +40,7 @@ __all__ = ["run_all", "SUITES"]
 
 # one line per suite: its sample counts, then its thresholds
 _DIRAC_SAMPLES, _DIRAC_TOL = 1000, 1e-10
-_INVOLUTION_PER_SPIN, _INVOLUTION_TOL = 100, 1e-7
+_INVOLUTION_PER_SPIN, _INVOLUTION_TOL = 100, CERTIFICATE_TOL
 _FIELD_PER_SPIN, _FIELD_TOL = 25, 1e-9
 _COVARIANCE_PER_SPIN, _COVARIANCE_TOL = 100, 1e-8
 _KINEMATIC_TOL, _KINEMATIC_GAP_MIN = 1e-8, 1.0

@@ -25,7 +25,7 @@ from . import checks
 from . import decomposition as dec
 from . import elko
 from .dirac import boosted_spinors, rest_spinors
-from .higherspin import field_equation_residual, gamma_tensor, involution_certificate
+from .higherspin import CERTIFICATE_TOL, field_equation_residual, gamma_tensor, involution_certificate
 from .kinematics import FourMomentum, is_fully_kinematic, parity_family, parity_operator
 from .linalg import matrix_to_json, vector_to_json
 from .reps import HalfInt, rep_generators
@@ -150,7 +150,8 @@ def cmd_parity(args) -> int:
         print(np.array_str(P, precision=10, suppress_small=True))
         n = cert["multiplicities"]
         print(f"multiplicities: +1: {n['+1']}, -1: {n['-1']}")
-        print(f"||P^2 - I||_F: {cert['square_residual']:.3e}")
+        verdict = "certified" if cert["certified"] else "NOT certified"
+        print(f"||P^2 - I||_F: {cert['square_residual']:.3e} ({verdict}, tolerance {CERTIFICATE_TOL:g})")
 
     _emit_or_print(args, payload, render)
     return 0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dirac import SpinorBasis, _basis_at_mass, boost_basis, dirac_operator
 from .elko import Cx2Basis, elko_basis, helicity_spinors
-from .kinematics import FourMomentum, KinematicOperatorFamily, _boost_at, parity_operator
+from .kinematics import FourMomentum, KinematicOperatorFamily, _boost_at, check_mass, parity_operator
 from .linalg import stack_norm
 from .reps import HalfInt, rep_generators
 
@@ -67,6 +67,7 @@ def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:
     is solved in one stacked call; returns tilde-Xi(0) (S + (d, d) for a
     stack of shape S).
     """
+    mass = check_mass(basis.mass)
     eta = rep_generators(basis.j).eta
     W = basis.stack()
     d, n_w = W.shape[-2:]
@@ -75,9 +76,9 @@ def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:
     sv = np.linalg.svd(W, compute_uv=False)
     if not (sv[..., -1] > 1e-5 * sv[..., 0]).all():
         raise ValueError("degenerate spinor basis: constraint system is singular")
-    if not (basis.mass <= np.finfo(float).max / 2).all():
-        raise ValueError(f"2m overflows double precision (m = {np.max(basis.mass):g}); rescale the mass")
-    two_m = 2.0 * basis.mass[..., None, None]
+    if not (mass <= np.finfo(float).max / 2).all():
+        raise ValueError(f"2m overflows double precision (m = {np.max(mass):g}); rescale the mass")
+    two_m = 2.0 * mass[..., None, None]
     S = np.diag([1.0] * len(basis.u) + [-1.0] * len(basis.v))
     W_inv = np.linalg.solve(W, np.eye(d))
     # X eta = W^-dag (2m S) W^-1, and eta^2 = I
@@ -104,7 +105,7 @@ def hermiticity_condition(basis: SpinorBasis) -> bool:
     """True iff the u-span and v-span are Hermitian-orthogonal at rest
     (equivalently K(0) is Hermitian): max |u^dag v| <= 1e-10 * 2m."""
     overlaps = np.abs([np.vecdot(a, b) for a in basis.u for b in basis.v])
-    return bool(np.all(overlaps <= 1e-10 * 2.0 * basis.mass))
+    return bool(np.all(overlaps <= 1e-10 * 2.0 * check_mass(basis.mass)))
 
 
 @dataclass(frozen=True)

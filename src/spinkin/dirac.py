@@ -77,18 +77,16 @@ def dirac_operator(q: FourMomentum) -> np.ndarray:
 class SpinorBasis:
     """Labeled u/v spinor sets of the (j,0)+(0,j) space.
 
-    Every spinor has norm sqrt(2m), the mass judged once by check_mass; the
-    full set of 2(2j+1) spinors is linearly independent. A stack of bases
-    has a mass array of its stack shape S and spinors of shape S + (dim,).
+    Every spinor has norm sqrt(2m); the full set of 2(2j+1) spinors is
+    linearly independent. The functions that read the mass judge it by
+    check_mass. A stack of bases has a mass array of its stack shape S and
+    spinors of shape S + (dim,).
     """
 
     j: HalfInt
-    mass: np.ndarray
+    mass: float | np.ndarray
     u: tuple[np.ndarray, ...]
     v: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mass", check_mass(self.mass))
 
     @property
     def spinors(self) -> tuple[np.ndarray, ...]:
@@ -99,14 +97,6 @@ class SpinorBasis:
         return np.stack(self.spinors, axis=-1)
 
 
-def _judged_basis(j: HalfInt, mass: np.ndarray, W: np.ndarray, n_u: int) -> SpinorBasis:
-    """The basis whose spinors are the rows of W, the first n_u of them u
-    spinors, at a mass check_mass has already judged: no second check."""
-    basis = object.__new__(SpinorBasis)
-    basis.__dict__.update(j=j, mass=mass, u=tuple(W[:n_u]), v=tuple(W[n_u:]))
-    return basis
-
-
 def _basis_at_mass(j: HalfInt, W: np.ndarray, n_u: int, mass) -> SpinorBasis:
     """The basis whose spinors are the rows of W, the first n_u of them u
     spinors, each scaled by sqrt(mass): rows of norm sqrt 2 give spinor
@@ -114,7 +104,7 @@ def _basis_at_mass(j: HalfInt, W: np.ndarray, n_u: int, mass) -> SpinorBasis:
     shape."""
     mass = check_mass(mass)
     W = np.sqrt(mass)[..., None] * W.reshape(W.shape[:1] + (1,) * mass.ndim + W.shape[1:])
-    return _judged_basis(j, mass, W, n_u)
+    return SpinorBasis(j=j, mass=mass, u=tuple(W[:n_u]), v=tuple(W[n_u:]))
 
 
 def rest_spinors(j, mass: float | np.ndarray) -> SpinorBasis:
@@ -142,13 +132,15 @@ def _unit_rest_rows(j: HalfInt) -> np.ndarray:
 def boost_basis(basis: SpinorBasis, q: FourMomentum) -> SpinorBasis:
     """Boost every spinor of a rest basis to momentum q: w(q) = B(phi) w(0).
     A stack of momenta takes the stack of rest bases with the same masses.
-    B(phi) is the one memoised on q."""
-    if (np.abs(basis.mass - q.m) > 1e-12 * np.maximum(1.0, q.m)).any():
+    B(phi) is the one memoised on q. The basis mass must match q.m, which
+    FourMomentum judged: a nan (or a None, read as nan) fails `<=`."""
+    if not (np.abs(np.asarray(basis.mass, dtype=float) - q.m) <= 1e-12 * np.maximum(1.0, q.m)).all():
         raise ValueError(f"basis mass {basis.mass} does not match momentum mass {q.m}")
     B = _boost_at(rep_generators(basis.j), q)
     # every spinor in one product: W[k] = B w_k, for all momenta of a stack
     W = (B @ np.array(basis.spinors)[..., None])[..., 0]
-    return _judged_basis(basis.j, basis.mass, W, len(basis.u))
+    n_u = len(basis.u)
+    return SpinorBasis(j=basis.j, mass=basis.mass, u=tuple(W[:n_u]), v=tuple(W[n_u:]))
 
 
 def boosted_spinors(j, q: FourMomentum) -> SpinorBasis:

@@ -35,6 +35,8 @@ __all__ = [
     "swap_operator_at",
 ]
 
+CERTIFICATE_TOL = 1e-7  # ||P^2 - I||_F bound of involution_certificate and check all
+
 
 def field_equation_residual(j, psi: np.ndarray, q: FourMomentum, sign: int) -> float | np.ndarray:
     """|| (P_j(q) - sign) psi || / ||psi|| with P_j the spin-j parity operator;
@@ -58,22 +60,20 @@ def field_equation_residual(j, psi: np.ndarray, q: FourMomentum, sign: int) -> f
 
 
 def involution_certificate(P: np.ndarray) -> dict:
-    """||P^2 - I||_F and the multiplicities n+- = rint((dim +- Re tr P)/2) of
-    +1 and -1 for a parity operator P_j(q), or N of each for a stack of N;
-    a P whose trace is not finite is refused. P is similar to eta, so its
-    spectrum is +-1, each 2j+1 times, and det P = (-1)^(n-). The counts
-    certify it only with a small square, as |lam^2 - 1| <= ||P^2 - I||_F;
-    no eigensolver runs, since P is not normal and a computed eigenvalue
-    may move by up to about eps ||P||^2."""
+    """||P^2 - I||_F, whether it is within CERTIFICATE_TOL, and the counts
+    n+- = rint((dim +- Re tr P)/2) of +1 and -1, for one P_j(q) or N of each
+    for a stack. P ~ eta has spectrum +-1, each 2j+1 times, so det P =
+    (-1)^(n-); the counts hold only with the square, as |lam^2 - 1| <=
+    ||P^2 - I||_F (for the block swap tr P = 0, so they read 2j+1 at any
+    momentum). No eigensolver: P is not normal, so eigenvalues move ~eps ||P||^2."""
     dim = P.shape[-1]
     trace = np.trace(P, axis1=-2, axis2=-1).real
-    if not np.isfinite(trace).all():
-        raise ValueError("the trace of P is not finite")
     square = stack_norm(P @ P - np.eye(dim), 2)
     plus, minus = (np.rint((dim + sign * trace) / 2).astype(int) for sign in (1, -1))
     if square.ndim == 0:
         square, plus, minus = float(square), int(plus), int(minus)
-    return {"square_residual": square, "multiplicities": {"+1": plus, "-1": minus}}
+    n = {"+1": plus, "-1": minus}
+    return {"square_residual": square, "certified": square <= CERTIFICATE_TOL, "multiplicities": n}
 
 
 def symmetric_multi_indices(degree: int) -> list[tuple[int, ...]]:
@@ -83,7 +83,13 @@ def symmetric_multi_indices(degree: int) -> list[tuple[int, ...]]:
 
 def index_multiplicity(idx: tuple[int, ...]) -> int:
     """Number of distinct orderings of the multiset idx (multinomial weight)."""
-    return factorial(len(idx)) // prod(factorial(idx.count(i)) for i in set(idx))
+    counts: dict[int, int] = {}
+    for i in idx:
+        counts[i] = counts.get(i, 0) + 1
+    n = factorial(len(idx))
+    for c in counts.values():
+        n //= factorial(c)
+    return n
 
 
 @dataclass(frozen=True)

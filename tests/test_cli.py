@@ -48,19 +48,23 @@ class TestBasicCommands:
         expected[3:, :3] = np.eye(3)
         assert np.array_equal(P, expected)
         assert obj["multiplicities"] == {"+1": 3, "-1": 3} and obj["square_residual"] == 0.0
+        assert obj["certified"] is True
         assert "eigenvalues" not in obj and "det" not in obj
 
     @pytest.mark.parametrize("command", ["parity", "fieldeq"])
     def test_certificate_past_the_envelope(self, capsys, command):
-        """At 2j = 8 and |phi| = 7.65 the counts read 9/9, and the square
-        residual, far above 1, says that P^2 = I is not met in double
-        precision; np.linalg.det of that P is -6.7e167 - 1.6e167i."""
+        """At 2j = 8 and |phi| = 7.65 the counts read 9/9, as they do at any
+        momentum, but the square residual, far above 1, says that P^2 = I is
+        not met in double precision, so the counts are not certified there;
+        np.linalg.det of that P is -6.7e167 - 1.6e167i."""
         argv = (command, "--spin", "8", "--mass", "1", "--p", "300,100,1000")
         code, obj = run_json(capsys, *argv, "--json")
         assert code == 0
         assert obj["multiplicities"] == {"+1": 9, "-1": 9} and obj["square_residual"] > 1.0
+        assert obj["certified"] is False
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and "multiplicities: +1: 9, -1: 9" in out
+        assert "(NOT certified, tolerance 1e-07)" in out
 
     def test_spinors_residuals(self, capsys):
         code, obj = run_json(
@@ -190,7 +194,7 @@ class TestBasicCommands:
         code, out, _ = run_cli(capsys, "parity", "--spin", "1", "--mass", "1", "--p", "0,0,0")
         assert code == 0
         assert "multiplicities: +1: 2, -1: 2" in out and "{" not in out.splitlines()[0]
-        assert "||P^2 - I||_F: 0.000e+00" in out
+        assert "||P^2 - I||_F: 0.000e+00 (certified, tolerance 1e-07)" in out
         # eta at rest prints as generators prints it: no negative zeros
         assert "-0." not in out
 

@@ -5,8 +5,10 @@ import pytest
 
 from conftest import momenta
 from spinkin import dirac
+from spinkin.decomposition import hermiticity_condition, xi_tilde_at_rest
 from spinkin.dirac import (
     SpinorBasis,
+    boost_basis,
     boosted_spinors,
     dirac_operator,
     gamma_matrices,
@@ -117,22 +119,24 @@ class TestRestSpinors:
                 rest_spinors(HalfInt(1), mass=mass)
 
     @pytest.mark.parametrize("mass", [-1.0, 0.0, np.nan, None])
-    def test_basis_built_directly_judges_its_mass(self, mass):
-        """A SpinorBasis built by hand is held to the mass rule too, so a
-        negative mass never reaches xi_tilde_at_rest, and nan or 0 are
-        refused for what they are."""
+    def test_basis_mass_judged_where_it_is_read(self, mass):
+        """A SpinorBasis built by hand with a bad mass is refused by each
+        function that reads the mass: a negative mass never gives
+        tilde-Xi(0) = -I, and nan or 0 are refused for what they are.
+        boost_basis matches it against the judged mass of its momentum."""
         rest = rest_spinors(HalfInt(1), mass=1.0)
+        basis = SpinorBasis(j=rest.j, mass=mass, u=rest.u, v=rest.v)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^mass must be positive and finite"):
-                SpinorBasis(j=rest.j, mass=mass, u=rest.u, v=rest.v)
-
-    def test_mass_kept_as_the_judged_array(self):
-        rest = rest_spinors(HalfInt(1), mass=1.0)
-        basis = SpinorBasis(j=rest.j, mass=2, u=rest.u, v=rest.v)
-        assert basis.mass.dtype == float and basis.mass == 2.0
+            for read in (xi_tilde_at_rest, hermiticity_condition):
+                with pytest.raises(ValueError, match="^mass must be positive and finite"):
+                    read(basis)
+            with pytest.raises(ValueError, match="^basis mass .* does not match momentum mass"):
+                boost_basis(basis, FourMomentum(1.0, (0.0, 0.0, 0.5)))
 
     def test_boosted_spinors_judge_the_mass_once(self, monkeypatch):
+        """The kernel path pays one check_mass, in rest_spinors: boost_basis
+        compares with q.m, which FourMomentum judged."""
         calls = []
         monkeypatch.setattr(dirac, "check_mass", lambda m: calls.append(m) or check_mass(m))
         q = momenta(17, 5)
