@@ -52,6 +52,12 @@ _SWAP_PER_SPIN, _SWAP_TOL, _SWAP_ANTI_TOL = 50, 1e-9, 1e-12
 _ORIGIN_RAY_TOL, _ORIGIN_DISTANCE_MIN = 1e-6, 0.1
 
 
+def _fold(worst: float, residuals) -> float:
+    """The larger of worst and every residual; a nan in either is the
+    result, so that a nan residual fails its suite's `<=` gate."""
+    return float(np.max(residuals, initial=worst))
+
+
 def dirac_parity_suite(seed: int) -> dict:
     """||m P(q) - gamma.p||_F / ||gamma.p||_F over random on-shell momenta."""
     rep = rep_generators(HalfInt(1))
@@ -84,7 +90,7 @@ def involution_suite(seed: int) -> dict:
         j = HalfInt(twice)
         P = parity_operator(rep_generators(j), sample_momenta(rng, _INVOLUTION_PER_SPIN))
         cert = involution_certificate(P)
-        worst_sq = max(worst_sq, float(cert["square_residual"].max(initial=0.0)))
+        worst_sq = _fold(worst_sq, cert["square_residual"])
         mult_ok = mult_ok and all(bool(np.all(n == j.block_dim)) for n in cert["multiplicities"].values())
     return {
         "per_spin_samples": _INVOLUTION_PER_SPIN,
@@ -105,7 +111,7 @@ def field_equation_suite(seed: int) -> dict:
         basis = boosted_spinors(j, momenta)
         for ws, sign in ((basis.u, +1), (basis.v, -1)):
             r = field_equation_residual(j, np.array(ws), momenta, sign)
-            worst = max(worst, float(r.max(initial=0.0)))
+            worst = _fold(worst, r)
     return {
         "per_spin_samples": _FIELD_PER_SPIN,
         "max_residuals": {"field_equation": worst},
@@ -123,7 +129,7 @@ def covariance_suite(seed: int) -> dict:
         fam = parity_family(rep)
         momenta = sample_momenta(rng, _COVARIANCE_PER_SPIN)
         pairs = stack_pairs(random_transform_pairs(rep, rng, _COVARIANCE_PER_SPIN))
-        worst = max(worst, float(covariance_residual(fam, momenta, *pairs).max(initial=0.0)))
+        worst = _fold(worst, covariance_residual(fam, momenta, *pairs))
     return {
         "per_spin_samples": _COVARIANCE_PER_SPIN,
         "max_residuals": {"covariance": worst},
@@ -271,9 +277,9 @@ def g_operator_suite(seed: int) -> dict:
     for w, s in ((eb.u_plus, 1), (eb.u_minus, -1), (eb.v_plus, 1), (eb.v_minus, -1)):
         norm = stack_norm(w, 1)
         r = stack_norm((G @ w[..., None])[..., 0] - s * w, 1) / norm
-        worst = max(worst, float(r.max(initial=0.0)))
+        worst = _fold(worst, r)
         # the Elko spinors are the C eigenspinors: C w = s w
-        worst_c = max(worst_c, float((stack_norm(C(w) - s * w, 1) / norm).max(initial=0.0)))
+        worst_c = _fold(worst_c, stack_norm(C(w) - s * w, 1) / norm)
     explicit = float(
         np.max(np.abs(elko.g_operator(elko.Cx2Basis(u=np.array([1.0, 0]), v=np.array([0, 1.0]))) - _G_E1_E2))
     )
@@ -314,9 +320,9 @@ def tensor_swap_suite(seed: int) -> dict:
         j = HalfInt(twice)
         rep = tensor_rep_generators(j)
         S = rep.eta
-        exact_sq = max(exact_sq, float(np.max(np.abs(S @ S - np.eye(rep.dim)))))
+        exact_sq = _fold(exact_sq, np.abs(S @ S - np.eye(rep.dim)))
         for Ka in rep.K:
-            worst_alg = max(worst_alg, float(np.linalg.norm(anticommutator(S, Ka))))
+            worst_alg = _fold(worst_alg, np.linalg.norm(anticommutator(S, Ka)))
         d = j.block_dim
         momenta = sample_momenta(rng, _SWAP_PER_SPIN)
         A = swap_operator_at(j, momenta)
@@ -324,7 +330,7 @@ def tensor_swap_suite(seed: int) -> dict:
             # psi_R kron psi_L for every momentum at once
             t_psi = (w[:, :d, None] * w[:, None, d:]).reshape(_SWAP_PER_SPIN, d * d)
             r = stack_norm((A @ t_psi[..., None])[..., 0] - t_psi, 1) / stack_norm(t_psi, 1)
-            worst_int = max(worst_int, float(r.max(initial=0.0)))
+            worst_int = _fold(worst_int, r)
     return {
         "per_spin_samples": _SWAP_PER_SPIN,
         "max_residuals": {"square_exact": exact_sq, "anticommutator": worst_alg, "intertwining": worst_int},
@@ -337,7 +343,7 @@ def origin_suite(seed: int) -> dict:
     """Helicity-based G at unit mass: Cauchy along rays, direction-dependent at
     the origin. Deterministic, so the seed is unused."""
     report = elko.helicity_origin_discontinuity(1.0)
-    ray_worst = max(report["ray_cauchy"].values())
+    ray_worst = np.max(list(report["ray_cauchy"].values()))
     z_x = report["pairwise_distance"]["(0,0,1) vs (1,0,0)"]
     z_nz = report["pairwise_distance"]["(0,0,1) vs (0,0,-1)"]
     ok = ray_worst <= _ORIGIN_RAY_TOL and z_x > _ORIGIN_DISTANCE_MIN and z_nz > _ORIGIN_DISTANCE_MIN

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -297,7 +298,12 @@ def cmd_check_all(args) -> int:
     return 0 if report["pass"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `spinkin` argument parser, built on the first call and shared by
+    every later one: parse_args keeps no state between calls, and each
+    handler, bound by set_defaults, reads the library from module globals
+    when it runs."""
     parser = argparse.ArgumentParser(
         prog="spinkin",
         description="Kinematic operators on (j,0)+(0,j): parity, Dirac-type equations, Elko no-go checks.",

@@ -355,7 +355,8 @@ def antilinear_kinematic_solutions(rep: RepGenerators) -> AntilinearSolutionSpac
     for block in (np.block([[THETA, Z], [Z, Z]]), np.block([[Z, Z], [Z, THETA]])):
         vec = block.reshape(-1)
         proj = ns @ (ns.conj().T @ vec)
-        span_residual = max(span_residual, float(np.linalg.norm(proj - vec) / np.linalg.norm(vec)))
+        # np.maximum keeps a nan, so that it fails the suite's gate
+        span_residual = float(np.maximum(span_residual, np.linalg.norm(proj - vec) / np.linalg.norm(vec)))
 
     return AntilinearSolutionSpace(dimension=ns.shape[1], span_residual=span_residual)
 

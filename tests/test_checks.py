@@ -4,6 +4,7 @@ the suite and is the value its report prints."""
 
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,39 @@ def test_involution_fails_a_perturbed_operator(monkeypatch):
     report = checks.involution_suite(0)
     assert report["multiplicities_ok"] is True
     assert report["max_residuals"]["square"] > checks._INVOLUTION_TOL and report["pass"] is False
+
+
+def _with_nan(fn, index):
+    """fn with a nan written at `index` of a copy of every result (memoised
+    operators are read-only)."""
+
+    def patched(*args, **kwargs):
+        out = np.array(fn(*args, **kwargs))
+        out[index] = np.nan
+        return out
+
+    return patched
+
+
+# (suite, the module and name of the library function it calls, the entry
+# set to nan, the residual key): the operator's nan is off the diagonal, so
+# its trace, and the multiplicities read from it, stay finite
+NAN_PATCHES = [
+    ("involution", checks, "parity_operator", (..., 0, 1), "square"),
+    ("field_equation", checks, "field_equation_residual", (..., 0), "field_equation"),
+    ("covariance", checks, "covariance_residual", (..., 0), "covariance"),
+    ("antilinear_solutions", elko, "nullspace", (0, 0), "span"),
+]
+
+
+@pytest.mark.parametrize("suite, module, name, index, key", NAN_PATCHES, ids=[c[0] for c in NAN_PATCHES])
+def test_a_nan_residual_fails_its_suite(monkeypatch, suite, module, name, index, key):
+    monkeypatch.setattr(module, name, _with_nan(getattr(module, name), index))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = SUITE[suite](0)
+    assert np.isnan(report["max_residuals"][key]) and report["pass"] is False
+    assert report.get("multiplicities_ok", True) is True
 
 
 def test_check_all_needs_no_eigensolver_or_determinant(monkeypatch, capsys):

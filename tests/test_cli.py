@@ -1,8 +1,10 @@
+import argparse
 import importlib
 import inspect
 import json
 import os
 import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import spinkin
+from spinkin import cli
 from spinkin.cli import main
 from spinkin.linalg import matrix_from_json
 
@@ -316,6 +319,71 @@ class TestEntryPoint:
         assert obj["command"] == "parity"
 
 
+# the six commands of perfbench's cli_oneshot workload, a usage error, a
+# refused input and a check all
+SHARED_PARSER_ARGVS = [
+    ["parity", "--spin", "2", "--mass", "1", "--p", "0.3,0,0.5", "--json"],
+    ["spinors", "--spin", "4", "--mass", "1", "--p", "0,0,0.75", "--json"],
+    ["elko", "g", "--u", "1,0", "--v", "0,1", "--json"],
+    ["decompose", "--mass", "1", "--p", "0.2,0,0.5", "--basis", "helicity", "--json"],
+    ["check", "kinematic", "--spin", "2", "--samples", "50", "--tol", "1e-7"],
+    ["elko", "nogo", "--samples", "10000", "--seed", "20240811"],
+    ["parity", "--spin", "1", "--mass", "1", "--p", "1,2"],
+    ["parity", "--spin", "1", "--mass", "1", "--p", "0,0,1e8"],
+    ["check", "all", "--seed", "42"],
+]
+
+
+def run_outcome(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of main(argv), a usage error included;
+    the timings on check all's stderr line are masked."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    if argv[:2] == ["check", "all"]:
+        err = re.sub(r"\d+", "#", err)
+    return code, out, err
+
+
+class TestSharedParser:
+    def test_reuse_leaks_nothing_between_calls(self, capsys, monkeypatch):
+        """Twice through the list on the shared parser, each call reads as
+        it does on a parser of its own."""
+        shared = [run_outcome(capsys, argv) for argv in SHARED_PARSER_ARGVS * 2]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [run_outcome(capsys, argv) for argv in SHARED_PARSER_ARGVS]
+        assert shared == fresh * 2
+        codes = [code for code, _, _ in fresh]
+        assert codes == [0, 0, 0, 0, 0, 0, 2, 2, 0]
+        assert fresh[6][2].startswith("usage: spinkin parity") and fresh[7][2].startswith("error: ")
+
+    def test_parser_built_once_across_calls(self, capsys, monkeypatch):
+        """Several main calls construct the top-level parser once."""
+        builds = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for argv in SHARED_PARSER_ARGVS[:3] + SHARED_PARSER_ARGVS[6:8]:
+            run_outcome(capsys, argv)
+        assert builds.count("spinkin") == 1
+
+    def test_import_builds_no_parser(self):
+        """The parser is built on first use, never at import."""
+        src = str(Path(spinkin.__file__).resolve().parents[1])
+        code = "import spinkin.cli as cli; print(cli.build_parser.cache_info().currsize)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+        )
+        assert out.returncode == 0 and out.stdout == "0\n", out.stderr
+
+
 def readme_cli_examples() -> list[list[str]]:
     """The arguments of each `spinkin ...` line of the README's CLI block."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -356,6 +424,7 @@ def public_functions() -> dict:
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue
+            obj = inspect.unwrap(obj)  # a cached builder is judged by its function
             if inspect.isfunction(obj):
                 out[obj.__code__] = f"{short}.{name}"
                 continue
