@@ -145,12 +145,6 @@ def boost_basis(basis: SpinorBasis, q: FourMomentum) -> SpinorBasis:
 
 def boosted_spinors(j, q: FourMomentum) -> SpinorBasis:
     """u_s(q) = B(phi) u_s(0), v_s(q) = B(phi) v_s(0); each is a +-1 eigenvector
-    of the parity operator at q. The rows of rest_spinors(j, 1.0) go through
-    the memoised B(phi) in one product and are scaled by sqrt(q.m) after it;
-    FourMomentum judged q.m, so no mass check is repeated."""
-    j = HalfInt.coerce(j)
-    B = _boost_at(rep_generators(j), q)
-    W = np.sqrt(q.m)[..., None, None] * (_unit_rest_rows(j) @ np.swapaxes(B, -1, -2))
-    W = np.moveaxis(W, -2, 0)
-    return SpinorBasis(j=j, mass=q.m, u=tuple(W[: j.block_dim]), v=tuple(W[j.block_dim :]))
+    of the parity operator at q."""
+    return boost_basis(rest_spinors(j, mass=q.m), q)
 

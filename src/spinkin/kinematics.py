@@ -33,10 +33,10 @@ Two more stack axes ride on top of the momentum axis, and both lead it:
 Each entry of a stacked result equals its single call bit for bit.
 
 A FourMomentum memoises the operators evaluated at it: parity_operator's
-P(q) and the boost B(phi(q)) that boosted_spinors, boost_basis and the
-decomposition share are built once per momentum object and representation
-(spin and tensor flag), stored read-only on the object only after every
-refusal has passed, and freed with it. A view q[k] and an image q.transform(L) are new objects
+P(q) and the boost B(phi(q)) that boost_basis and the decomposition share
+are built once per momentum object and representation (spin and tensor
+flag), stored read-only on the object only after every refusal has passed,
+and freed with it. A view q[k] and an image q.transform(L) are new objects
 and start with an empty memo; an object without one (not a FourMomentum) is
 computed on every call and not cached.
 """

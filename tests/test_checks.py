@@ -2,6 +2,7 @@
 counts and thresholds is one constant of `spinkin.checks` that both drives
 the suite and is the value its report prints."""
 
+import dataclasses
 import inspect
 import json
 import warnings
@@ -150,32 +151,69 @@ def test_involution_fails_a_perturbed_operator(monkeypatch):
     assert report["max_residuals"]["square"] > checks._INVOLUTION_TOL and report["pass"] is False
 
 
-def _with_nan(fn, index):
-    """fn with a nan written at `index` of a copy of every result (memoised
+def _nan_at(index):
+    """A copy of an array result with a nan written at `index` (memoised
     operators are read-only)."""
 
-    def patched(*args, **kwargs):
-        out = np.array(fn(*args, **kwargs))
+    def poison(out):
+        out = np.array(out)
         out[index] = np.nan
         return out
 
-    return patched
+    return poison
 
 
-# (suite, the module and name of the library function it calls, the entry
-# set to nan, the residual key): the operator's nan is off the diagonal, so
-# its trace, and the multiplicities read from it, stay finite
+def _last_ray_nan(report):
+    """The origin report with its last ray delta nan: a fold that keeps the
+    first value it saw would drop it."""
+    rays = dict(report["ray_cauchy"])
+    rays[list(rays)[-1]] = np.nan
+    return {**report, "ray_cauchy": rays}
+
+
+# (suite, the module and name of the library function it calls, how its
+# result is poisoned, the residual key): one row per worst-residual fold. An
+# operator's nan is off the diagonal, so its trace, and the multiplicities
+# read from it, stay finite; C refuses a non-finite matrix, so its images
+# are poisoned instead
 NAN_PATCHES = [
-    ("involution", checks, "parity_operator", (..., 0, 1), "square"),
-    ("field_equation", checks, "field_equation_residual", (..., 0), "field_equation"),
-    ("covariance", checks, "covariance_residual", (..., 0), "covariance"),
-    ("antilinear_solutions", elko, "nullspace", (0, 0), "span"),
+    ("involution", checks, "parity_operator", _nan_at((..., 0, 1)), "square"),
+    ("field_equation", checks, "field_equation_residual", _nan_at((..., 0)), "field_equation"),
+    ("covariance", checks, "covariance_residual", _nan_at((..., 0)), "covariance"),
+    ("antilinear_solutions", elko, "nullspace", _nan_at((0, 0)), "span"),
+    (
+        "g_operator",
+        elko,
+        "elko_basis",
+        lambda eb: dataclasses.replace(eb, u_plus=_nan_at((0, 0))(eb.u_plus)),
+        "relations",
+    ),
+    (
+        "g_operator",
+        elko,
+        "charge_conjugation",
+        lambda C: lambda w: _nan_at((..., 0))(C(w)),
+        "charge_conjugation",
+    ),
+    (
+        "tensor_swap",
+        checks,
+        "tensor_rep_generators",
+        lambda rep: dataclasses.replace(rep, eta=_nan_at((0, 1))(rep.eta)),
+        "square_exact",
+    ),
+    ("tensor_swap", checks, "anticommutator", _nan_at((0, 1)), "anticommutator"),
+    ("tensor_swap", checks, "swap_operator_at", _nan_at((..., 0, 1)), "intertwining"),
+    ("origin", elko, "helicity_origin_discontinuity", _last_ray_nan, "ray_cauchy"),
 ]
 
 
-@pytest.mark.parametrize("suite, module, name, index, key", NAN_PATCHES, ids=[c[0] for c in NAN_PATCHES])
-def test_a_nan_residual_fails_its_suite(monkeypatch, suite, module, name, index, key):
-    monkeypatch.setattr(module, name, _with_nan(getattr(module, name), index))
+@pytest.mark.parametrize(
+    "suite, module, name, poison, key", NAN_PATCHES, ids=[f"{c[0]}-{c[4]}" for c in NAN_PATCHES]
+)
+def test_a_nan_residual_fails_its_suite(monkeypatch, suite, module, name, poison, key):
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: poison(fn(*args, **kwargs)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = SUITE[suite](0)

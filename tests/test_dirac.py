@@ -135,28 +135,16 @@ class TestRestSpinors:
                 boost_basis(basis, FourMomentum(1.0, (0.0, 0.0, 0.5)))
 
     def test_boosted_spinors_judge_the_mass_once(self, monkeypatch):
-        """The kernel path pays no check_mass: it scales by sqrt(q.m), which
-        FourMomentum judged, and reads the memoised boost."""
+        """The kernel path pays one check_mass, in rest_spinors: boost_basis
+        compares with q.m, which FourMomentum judged."""
         calls = []
         monkeypatch.setattr(dirac, "check_mass", lambda m: calls.append(m) or check_mass(m))
         q = momenta(17, 5)
         basis = boosted_spinors(HalfInt(2), q)
-        assert len(calls) == 0 and np.array_equal(basis.mass, q.m)
+        assert len(calls) == 1 and np.array_equal(basis.mass, q.m)
 
 
 class TestBoostedSpinors:
-    @pytest.mark.parametrize("twice", [1, 2, 3, 4])
-    def test_equals_boosted_rest_basis(self, twice):
-        """Reference: boost_basis applied to rest_spinors, bit for bit, on a
-        stack and on each of its momenta."""
-        j = HalfInt(twice)
-        batch = momenta(71 + twice, 6)
-        for q in (batch, *batch):
-            got = boosted_spinors(j, q)
-            ref = boost_basis(rest_spinors(j, mass=q.m), q)
-            assert np.array(got.spinors).tobytes() == np.array(ref.spinors).tobytes()
-            assert np.array_equal(got.mass, ref.mass)
-
     def test_rest_momentum_unchanged(self):
         q = FourMomentum(2.0, (0, 0, 0))
         basis = boosted_spinors(HalfInt(1), q)
