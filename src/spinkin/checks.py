@@ -1,15 +1,18 @@
 """Residual suites behind `spinkin check`: every algebraic identity the library
 claims, swept over seeded random inputs with explicit tolerances.
 
-Each suite is fn(seed) and returns a plain dict (JSON-ready) with max
-residuals, the tolerances applied, and a pass flag; run_all composes them.
-A suite's sample counts and thresholds are the module constants below: each
-one both gates the pass flag and is the value the report prints under
-`tolerances` and `samples`/`per_spin_samples`. The sweep suites
-draw their seeded momenta (and Lorentz pairs) first, then evaluate the whole
-sample in one stacked call per spin: all spinors of one sign against one
-P(q), boosts and rotations as one pair stack against one A(q), and a set of
-operator families as one family stack.
+Each suite is fn(seed) and returns a plain dict (JSON-ready); run_all composes
+them. One builder, _report, forms every suite's `max_residuals`, `tolerances`
+and `pass` from its gates, each a value and its bound: an upper gate passes
+at value <= bound and a lower one at value >= bound, so a nan fails either.
+A suite's sample counts and thresholds are the module constants below. The
+bound of every gate is the value printed under `tolerances`, and each count
+the one printed under `samples`/`per_spin_samples`; the kinematic checker's
+two draw counts and the four elko_nogo thresholds on their own line gate
+unprinted. The sweep suites draw their seeded momenta (and Lorentz pairs)
+first, then evaluate the whole sample in one stacked call per spin: all
+spinors of one sign against one P(q), boosts and rotations as one pair stack
+against one A(q), and a set of operator families as one family stack.
 """
 
 from __future__ import annotations
@@ -43,13 +46,36 @@ _DIRAC_SAMPLES, _DIRAC_TOL = 1000, 1e-10
 _INVOLUTION_PER_SPIN, _INVOLUTION_TOL = 100, CERTIFICATE_TOL
 _FIELD_PER_SPIN, _FIELD_TOL = 25, 1e-9
 _COVARIANCE_PER_SPIN, _COVARIANCE_TOL = 100, 1e-8
-_KINEMATIC_TOL, _KINEMATIC_GAP_MIN = 1e-8, 1.0
+_KINEMATIC_PARITY_SAMPLES, _KINEMATIC_SWAP_SAMPLES, _KINEMATIC_TOL, _KINEMATIC_GAP_MIN = 25, 10, 1e-8, 1.0
 _SPAN_TOL = 1e-10
 _NOGO_MC_SAMPLES, _NOGO_DET_TOL, _NOGO_COMM_TOL = 10_000, 1e-10, 1e-12
+# the exact-condition guard, the equivalence's commutant and condition thresholds, and the detection floor
+_NOGO_EXACT_TOL, _EQUIVALENCE_COMM_TOL, _EQUIVALENCE_COND_TOL, _NOGO_DETECT_MIN = 1e-12, 1e-9, 1e-10, 1e-3
 _G_SAMPLES, _G_TOL, _G_E1_E2_TOL = 100, 1e-10, 1e-14
 _DECOMPOSITION_SAMPLES, _DECOMPOSITION_TOL = 100, 1e-9
-_SWAP_PER_SPIN, _SWAP_TOL, _SWAP_ANTI_TOL = 50, 1e-9, 1e-12
+_SWAP_PER_SPIN, _SWAP_SQUARE_TOL, _SWAP_ANTI_TOL, _SWAP_TOL = 50, 0.0, 1e-12, 1e-9
 _ORIGIN_RAY_TOL, _ORIGIN_DISTANCE_MIN = 1e-6, 0.1
+
+
+def _report(upper: dict, lower: dict | None = None, holds=(), **fields) -> dict:
+    """A suite's report: `fields`, then its gates' `max_residuals` and
+    `tolerances`, and `pass`.
+
+    `upper` and `lower` map a gate's name to (value, bound). An upper gate
+    passes at value <= bound and a lower one at value >= bound, so a nan
+    fails either. The bound prints under `tolerances` and the value under
+    `max_residuals`, unless the value is a tuple: each of its entries is
+    judged, and the report prints them elsewhere. `holds` are the suite's
+    other conditions, all of which must hold."""
+    lower = lower or {}
+    judged = [np.less_equal(v, b) for v, b in upper.values()] + [np.greater_equal(v, b) for v, b in lower.values()]
+    gates = {**upper, **lower}
+    return {
+        **fields,
+        "max_residuals": {k: v for k, (v, _) in gates.items() if not isinstance(v, tuple)},
+        "tolerances": {k: b for k, (_, b) in gates.items()},
+        "pass": bool(all(np.all(ok) for ok in judged) and all(holds)),
+    }
 
 
 def _fold(worst: float, residuals) -> float:
@@ -69,13 +95,7 @@ def dirac_parity_suite(seed: int) -> dict:
     slash = dirac_operator(momenta)
     diff -= slash
     r = stack_norm(diff, 2) / stack_norm(slash, 2)
-    worst = float(r.max(initial=0.0))
-    return {
-        "samples": _DIRAC_SAMPLES,
-        "max_residuals": {"identification": worst},
-        "tolerances": {"identification": _DIRAC_TOL},
-        "pass": bool(worst <= _DIRAC_TOL),
-    }
+    return _report({"identification": (float(r.max(initial=0.0)), _DIRAC_TOL)}, samples=_DIRAC_SAMPLES)
 
 
 def involution_suite(seed: int) -> dict:
@@ -92,13 +112,12 @@ def involution_suite(seed: int) -> dict:
         cert = involution_certificate(P)
         worst_sq = _fold(worst_sq, cert["square_residual"])
         mult_ok = mult_ok and all(bool(np.all(n == j.block_dim)) for n in cert["multiplicities"].values())
-    return {
-        "per_spin_samples": _INVOLUTION_PER_SPIN,
-        "max_residuals": {"square": worst_sq},
-        "multiplicities_ok": mult_ok,
-        "tolerances": {"square": _INVOLUTION_TOL},
-        "pass": bool(mult_ok and worst_sq <= _INVOLUTION_TOL),
-    }
+    return _report(
+        {"square": (worst_sq, _INVOLUTION_TOL)},
+        holds=[mult_ok],
+        per_spin_samples=_INVOLUTION_PER_SPIN,
+        multiplicities_ok=mult_ok,
+    )
 
 
 def field_equation_suite(seed: int) -> dict:
@@ -112,12 +131,7 @@ def field_equation_suite(seed: int) -> dict:
         for ws, sign in ((basis.u, +1), (basis.v, -1)):
             r = field_equation_residual(j, np.array(ws), momenta, sign)
             worst = _fold(worst, r)
-    return {
-        "per_spin_samples": _FIELD_PER_SPIN,
-        "max_residuals": {"field_equation": worst},
-        "tolerances": {"field_equation": _FIELD_TOL},
-        "pass": bool(worst <= _FIELD_TOL),
-    }
+    return _report({"field_equation": (worst, _FIELD_TOL)}, per_spin_samples=_FIELD_PER_SPIN)
 
 
 def covariance_suite(seed: int) -> dict:
@@ -130,12 +144,7 @@ def covariance_suite(seed: int) -> dict:
         momenta = sample_momenta(rng, _COVARIANCE_PER_SPIN)
         pairs = stack_pairs(random_transform_pairs(rep, rng, _COVARIANCE_PER_SPIN))
         worst = _fold(worst, covariance_residual(fam, momenta, *pairs))
-    return {
-        "per_spin_samples": _COVARIANCE_PER_SPIN,
-        "max_residuals": {"covariance": worst},
-        "tolerances": {"covariance": _COVARIANCE_TOL},
-        "pass": bool(worst <= _COVARIANCE_TOL),
-    }
+    return _report({"covariance": (worst, _COVARIANCE_TOL)}, per_spin_samples=_COVARIANCE_PER_SPIN)
 
 
 def kinematic_checker_suite(seed: int) -> dict:
@@ -148,14 +157,17 @@ def kinematic_checker_suite(seed: int) -> dict:
     parity_ok = True
     for twice in (1, 2):
         rep = rep_generators(HalfInt(twice))
-        report = is_fully_kinematic(parity_family(rep), samples=25, tol=_KINEMATIC_TOL, seed=seed + twice)
+        report = is_fully_kinematic(
+            parity_family(rep), samples=_KINEMATIC_PARITY_SAMPLES, tol=_KINEMATIC_TOL, seed=seed + twice
+        )
         parity_ok = parity_ok and report.fully_kinematic
 
     # ten scaled swaps, checked as one family stack on one draw of momenta
     # and pairs; row k of the draw is swap k's (|a|, arg a)
     magnitude, phase = rng.uniform((0.2, 0.0), (5.0, 2 * np.pi), size=(10, 2)).T
     swaps = scaled_swap_family(rep_half, magnitude * np.exp(1j * phase))
-    swap_ok = is_fully_kinematic(swaps, samples=10, tol=_KINEMATIC_TOL, seed=seed).fully_kinematic
+    report = is_fully_kinematic(swaps, samples=_KINEMATIC_SWAP_SAMPLES, tol=_KINEMATIC_TOL, seed=seed)
+    swap_ok = report.fully_kinematic
 
     # anti-linear grid: anticommutes but the square stays >= 1 away from I
     q = FourMomentum(1.0, (0.3, -0.2, 0.5))
@@ -163,28 +175,26 @@ def kinematic_checker_suite(seed: int) -> dict:
     grid = np.logspace(-1, 1, 5)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(25, 2)))
     fam = elko.antilinear_family(rep_half, np.repeat(grid, 5) * phases[:, 0], np.tile(grid, 5) * phases[:, 1])
-    anti_ok = fam.anticommutator_residual() <= _KINEMATIC_TOL
+    anti = fam.anticommutator_residual()
     min_gap = float(stack_norm(fam.squared_at(q) - np.eye(4), 2).min())
-    return {
-        "parity_fully_kinematic": bool(parity_ok),
-        "scaled_swap_fully_kinematic": bool(swap_ok),
-        "antilinear_anticommutes": bool(anti_ok),
-        "max_residuals": {"antilinear_square_gap_min": float(min_gap)},
-        "tolerances": {"conditions": _KINEMATIC_TOL, "antilinear_square_gap_min": _KINEMATIC_GAP_MIN},
-        "pass": bool(parity_ok and swap_ok and anti_ok and min_gap >= _KINEMATIC_GAP_MIN),
-    }
+    # the one bound of the three conditions: the checker judged parity and
+    # the swaps at it, and the gate judges the anticommutator
+    return _report(
+        {"conditions": ((anti,), _KINEMATIC_TOL)},
+        {"antilinear_square_gap_min": (min_gap, _KINEMATIC_GAP_MIN)},
+        holds=[parity_ok, swap_ok],
+        parity_fully_kinematic=bool(parity_ok),
+        scaled_swap_fully_kinematic=bool(swap_ok),
+        antilinear_anticommutes=bool(anti <= _KINEMATIC_TOL),
+    )
 
 
 def antilinear_solutions_suite(seed: int) -> dict:
     """The anti-linear anticommutation system has a 2-complex-dimensional
     solution space spanned by diag(Theta,0) o K and diag(0,Theta) o K."""
     space = elko.antilinear_kinematic_solutions(rep_generators(HalfInt(1)))
-    return {
-        "dimension": space.dimension,
-        "max_residuals": {"span": space.span_residual},
-        "tolerances": {"span": _SPAN_TOL},
-        "pass": bool(space.dimension == 2 and space.span_residual <= _SPAN_TOL),
-    }
+    gate = {"span": (space.span_residual, _SPAN_TOL)}
+    return _report(gate, holds=[space.dimension == 2], dimension=space.dimension)
 
 
 def elko_nogo_suite(seed: int) -> dict:
@@ -209,16 +219,18 @@ def elko_nogo_suite(seed: int) -> dict:
     r1, r2 = elko.schur_conditions(family)
     # a pair off the conditions fails the suite; unlike a stop at that pair,
     # the stream has then moved past all 100 draws
-    if (np.maximum(r1, r2) > 1e-12).any():
+    if not (np.maximum(r1, r2) <= _NOGO_EXACT_TOL).all():
         worst_det = np.inf
     else:
         worst_det = float(family.abs_det.max(initial=0.0))
 
-    # both directions of the Schur equivalence, over 200 random unit pairs
+    # both directions of the Schur equivalence, over 200 random unit pairs:
+    # each pair commutes and meets the conditions, or does neither (a nan does neither)
     basis = elko._unit_pairs(rng, 200)
-    r1, r2 = elko.schur_conditions(basis)
+    cond = np.maximum(*elko.schur_conditions(basis))
     comm = elko.rotation_commutant_residual(elko.g_operator(basis))
-    equivalence_ok = bool(np.all((comm <= 1e-9) == (np.maximum(r1, r2) <= 1e-10)))
+    meets = (comm <= _EQUIVALENCE_COMM_TOL) & (cond <= _EQUIVALENCE_COND_TOL)
+    equivalence_ok = bool(np.all(meets | ((comm > _EQUIVALENCE_COMM_TOL) & (cond > _EQUIVALENCE_COND_TOL))))
     # conditions-hold side, at the operator level: block-scalar matrices
     # (the Schur commutant) do commute with every rotation
     G = np.kron(elko._complex_normals(rng, 5).reshape(5, 2, 2), np.eye(2))
@@ -229,31 +241,21 @@ def elko_nogo_suite(seed: int) -> dict:
     fam_r2 = elko.Cx2Basis(u=np.array([1.0, 0.0]), v=np.array([0.0, 1.0]))  # r2 = 0, r1 = 1
     detect_r1 = elko.rotation_commutant_residual(elko.g_operator(fam_r2))
 
-    ok = (
-        mc["pass"]
-        and worst_det <= _NOGO_DET_TOL
-        and equivalence_ok
-        and scalar_comm <= _NOGO_COMM_TOL
-        and detect_r1 > 1e-3
-        and detect_r2 > 1e-3
-    )
-    return {
-        "monte_carlo": mc,
-        "max_residuals": {
-            "constructed_family_det": float(worst_det),
-            "block_scalar_commutant": scalar_comm,
+    return _report(
+        {
+            "constructed_family_det": (float(worst_det), _NOGO_DET_TOL),
+            "block_scalar_commutant": (scalar_comm, _NOGO_COMM_TOL),
         },
-        "schur_equivalence_ok": bool(equivalence_ok),
-        "commutant_detects_r1": float(detect_r1),
-        "commutant_detects_r2": float(detect_r2),
-        "tolerances": {"constructed_family_det": _NOGO_DET_TOL, "block_scalar_commutant": _NOGO_COMM_TOL},
-        "pass": bool(ok),
-    }
+        holds=[mc["pass"], equivalence_ok, detect_r1 >= _NOGO_DETECT_MIN, detect_r2 >= _NOGO_DETECT_MIN],
+        monte_carlo=mc,
+        schur_equivalence_ok=equivalence_ok,
+        commutant_detects_r1=float(detect_r1),
+        commutant_detects_r2=float(detect_r2),
+    )
 
 
-_G_E1_E2 = np.array(
-    [[0, 0, 0, -1j], [0, 0, 1j, 0], [0, -1j, 0, 0], [1j, 0, 0, 0]], dtype=complex
-)
+_G_E1_E2 = np.array([[0, 0, 0, -1j], [0, 0, 1j, 0], [0, -1j, 0, 0], [1j, 0, 0, 0]], dtype=complex)
+_G_E1_E2.flags.writeable = False
 
 
 def g_operator_suite(seed: int) -> dict:
@@ -283,30 +285,27 @@ def g_operator_suite(seed: int) -> dict:
     explicit = float(
         np.max(np.abs(elko.g_operator(elko.Cx2Basis(u=np.array([1.0, 0]), v=np.array([0, 1.0]))) - _G_E1_E2))
     )
-    return {
-        "samples": _G_SAMPLES,
-        "max_residuals": {"relations": worst, "charge_conjugation": worst_c, "e1_e2_case": explicit},
-        "tolerances": {"relations": _G_TOL, "charge_conjugation": _G_TOL, "e1_e2_case": _G_E1_E2_TOL},
-        "pass": bool(worst <= _G_TOL and worst_c <= _G_TOL and explicit <= _G_E1_E2_TOL),
-    }
+    return _report(
+        {
+            "relations": (worst, _G_TOL),
+            "charge_conjugation": (worst_c, _G_TOL),
+            "e1_e2_case": (explicit, _G_E1_E2_TOL),
+        },
+        samples=_G_SAMPLES,
+    )
 
 
 def decomposition_suite(seed: int) -> dict:
     """gamma.p = m K(q) Xi(q) for the canonical and helicity-Elko bases."""
     momenta = sample_momenta(np.random.default_rng(seed), _DECOMPOSITION_SAMPLES)
-    worst = {}
+    gates = {}
     for name, basis in (
         ("canonical", rest_spinors(HalfInt(1), mass=momenta.m)),
         ("helicity", dec.elko_rest_basis(momenta.m)),
     ):
-        worst[name] = float(dec.decomposition_residual(basis, momenta).residual.max(initial=0.0))
-    ok = all(v <= _DECOMPOSITION_TOL for v in worst.values())
-    return {
-        "samples": _DECOMPOSITION_SAMPLES,
-        "max_residuals": worst,
-        "tolerances": {k: _DECOMPOSITION_TOL for k in worst},
-        "pass": bool(ok),
-    }
+        worst = float(dec.decomposition_residual(basis, momenta).residual.max(initial=0.0))
+        gates[name] = (worst, _DECOMPOSITION_TOL)
+    return _report(gates, samples=_DECOMPOSITION_SAMPLES)
 
 
 def tensor_swap_suite(seed: int) -> dict:
@@ -331,12 +330,14 @@ def tensor_swap_suite(seed: int) -> dict:
             t_psi = (w[:, :d, None] * w[:, None, d:]).reshape(_SWAP_PER_SPIN, d * d)
             r = stack_norm((A @ t_psi[..., None])[..., 0] - t_psi, 1) / stack_norm(t_psi, 1)
             worst_int = _fold(worst_int, r)
-    return {
-        "per_spin_samples": _SWAP_PER_SPIN,
-        "max_residuals": {"square_exact": exact_sq, "anticommutator": worst_alg, "intertwining": worst_int},
-        "tolerances": {"square_exact": 0.0, "anticommutator": _SWAP_ANTI_TOL, "intertwining": _SWAP_TOL},
-        "pass": bool(exact_sq == 0.0 and worst_alg <= _SWAP_ANTI_TOL and worst_int <= _SWAP_TOL),
-    }
+    return _report(
+        {
+            "square_exact": (exact_sq, _SWAP_SQUARE_TOL),
+            "anticommutator": (worst_alg, _SWAP_ANTI_TOL),
+            "intertwining": (worst_int, _SWAP_TOL),
+        },
+        per_spin_samples=_SWAP_PER_SPIN,
+    )
 
 
 def origin_suite(seed: int) -> dict:
@@ -344,15 +345,13 @@ def origin_suite(seed: int) -> dict:
     the origin. Deterministic, so the seed is unused."""
     report = elko.helicity_origin_discontinuity(1.0)
     ray_worst = np.max(list(report["ray_cauchy"].values()))
-    z_x = report["pairwise_distance"]["(0,0,1) vs (1,0,0)"]
-    z_nz = report["pairwise_distance"]["(0,0,1) vs (0,0,-1)"]
-    ok = ray_worst <= _ORIGIN_RAY_TOL and z_x > _ORIGIN_DISTANCE_MIN and z_nz > _ORIGIN_DISTANCE_MIN
-    return {
-        "max_residuals": {"ray_cauchy": float(ray_worst)},
-        "distances": {"z_vs_x": float(z_x), "z_vs_neg_z": float(z_nz)},
-        "tolerances": {"ray_cauchy": _ORIGIN_RAY_TOL, "direction_distance_min": _ORIGIN_DISTANCE_MIN},
-        "pass": bool(ok),
-    }
+    pairwise = report["pairwise_distance"]
+    distances = {"z_vs_x": pairwise["(0,0,1) vs (1,0,0)"], "z_vs_neg_z": pairwise["(0,0,1) vs (0,0,-1)"]}
+    return _report(
+        {"ray_cauchy": (float(ray_worst), _ORIGIN_RAY_TOL)},
+        {"direction_distance_min": (tuple(distances.values()), _ORIGIN_DISTANCE_MIN)},
+        distances=distances,
+    )
 
 
 SUITES = (

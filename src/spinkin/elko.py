@@ -36,6 +36,7 @@ __all__ = [
 # Wigner time-reversal matrix: Theta^2 = -I and Theta J Theta^-1 = -conj(J)
 # for the spin-1/2 generators.
 THETA = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+THETA.flags.writeable = False
 
 
 def charge_conjugation() -> AntiLinearMap:
@@ -289,8 +290,9 @@ def nogo_monte_carlo(samples: int = 10_000, seed: int = 20240811) -> dict:
         basis = _unit_pairs(rng, min(samples - start, _NOGO_CHUNK))
         bound = np.sqrt(2.0) * np.maximum(*schur_conditions(basis))
         det = basis.abs_det
-        ratio = min(ratio, float((bound / det).min()))
-        excess = min(excess, float((bound - det).min()))
+        # np.minimum keeps a nan that Python's min would drop
+        ratio = float(np.minimum(ratio, (bound / det).min()))
+        excess = float(np.minimum(excess, (bound - det).min()))
     return {
         "samples": samples,
         "seed": seed,
@@ -370,6 +372,7 @@ def antilinear_kinematic_solutions(rep: RepGenerators) -> AntilinearSolutionSpac
 # x-z plane; two generic references keep the directional limits distinct.
 _REF_PLUS = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
 _REF_MINUS = np.array([2.0, 1.0], dtype=complex) / np.sqrt(5.0)
+_REF_PLUS.flags.writeable = _REF_MINUS.flags.writeable = False
 
 
 def _fix_phase(w: np.ndarray, ref: np.ndarray) -> np.ndarray:

@@ -518,13 +518,11 @@ class KinematicCheckReport:
 
 
 def is_fully_kinematic(
-    fam: KinematicOperatorFamily,
-    samples: int = 50,
-    tol: float = 1e-8,
-    seed: int = 0,
+    fam: KinematicOperatorFamily, samples: int = 50, *, tol: float, seed: int = 0
 ) -> KinematicCheckReport:
     """Check A(p)^2 = I, {A(0), K} = 0 and covariance over random momenta and
     random pure boosts/rotations; reports the max residual of each condition.
+    `tol` has no default: each caller states the bound it judges at.
 
     A family stack is checked on one draw of momenta and pairs, and reports
     the largest residual of each condition over its families."""

@@ -4,6 +4,7 @@ the suite and is the value its report prints."""
 
 import dataclasses
 import inspect
+import itertools
 import json
 import warnings
 
@@ -32,10 +33,24 @@ THRESHOLDS = [
     ("g_operator", "_G_TOL", "relations", None),
     ("g_operator", "_G_E1_E2_TOL", "e1_e2_case", None),
     ("decomposition", "_DECOMPOSITION_TOL", "canonical", None),
+    ("tensor_swap", "_SWAP_SQUARE_TOL", "square_exact", None),
     ("tensor_swap", "_SWAP_TOL", "intertwining", None),
     ("tensor_swap", "_SWAP_ANTI_TOL", "anticommutator", None),
     ("origin", "_ORIGIN_RAY_TOL", "ray_cauchy", None),
     ("origin", "_ORIGIN_DISTANCE_MIN", "direction_distance_min", 100.0),
+]
+
+# (suite, constant, patched value): a threshold the report does not print,
+# set past every value it bounds at seed 0
+UNPRINTED_THRESHOLDS = [
+    # below the roundoff of every exact-condition pair
+    ("elko_nogo", "_NOGO_EXACT_TOL", -1.0),
+    # every random pair then commutes, although none meets the conditions
+    ("elko_nogo", "_EQUIVALENCE_COMM_TOL", np.inf),
+    # every random pair then meets the conditions, although none commutes
+    ("elko_nogo", "_EQUIVALENCE_COND_TOL", np.inf),
+    # above the commutant residual 1 of the r1-only and r2-only pairs
+    ("elko_nogo", "_NOGO_DETECT_MIN", 2.0),
 ]
 
 # (suite, constant, path to the printed count in the report)
@@ -69,6 +84,13 @@ def test_threshold_constant_gates_pass_and_is_printed(monkeypatch, suite, consta
     assert report["tolerances"][key] == patched
 
 
+@pytest.mark.parametrize("suite, constant, patched", UNPRINTED_THRESHOLDS, ids=[c[1] for c in UNPRINTED_THRESHOLDS])
+def test_unprinted_threshold_constant_gates_pass(monkeypatch, suite, constant, patched):
+    assert SUITE[suite](0)["pass"]
+    monkeypatch.setattr(checks, constant, patched)
+    assert SUITE[suite](0)["pass"] is False
+
+
 @pytest.mark.parametrize("suite, constant, path", SAMPLE_COUNTS, ids=[c[1] for c in SAMPLE_COUNTS])
 def test_sample_constant_is_the_printed_count(monkeypatch, suite, constant, path):
     monkeypatch.setattr(checks, constant, 3)
@@ -76,6 +98,22 @@ def test_sample_constant_is_the_printed_count(monkeypatch, suite, constant, path
     for key in path:
         report = report[key]
     assert report == 3
+
+
+def test_kinematic_draw_counts_are_the_constants(monkeypatch):
+    """The two counts the kinematic checker draws are unprinted constants."""
+    drawn = []
+    checker = checks.is_fully_kinematic
+
+    def spy(fam, samples, **kwargs):
+        drawn.append(samples)
+        return checker(fam, samples, **kwargs)
+
+    monkeypatch.setattr(checks, "is_fully_kinematic", spy)
+    monkeypatch.setattr(checks, "_KINEMATIC_PARITY_SAMPLES", 3)
+    monkeypatch.setattr(checks, "_KINEMATIC_SWAP_SAMPLES", 4)
+    assert checks.kinematic_checker_suite(0)["pass"]
+    assert drawn == [3, 3, 4]
 
 
 def run_json(capsys, *argv):
@@ -118,6 +156,26 @@ def test_nogo_gate_fails_a_wrong_schur_formula(monkeypatch, capsys):
     code, nogo = run_json(capsys, "elko", "nogo", "--samples", "10000", "--seed", "20240811")
     assert code == 1 and nogo["pass"] is False and nogo["min_ratio"] < 0.5
     code, report = run_json(capsys, "check", "all", "--seed", "42")
+    assert code == 1
+    assert [name for name, suite in report["suites"].items() if not suite["pass"]] == ["elko_nogo"]
+    assert report["suites"]["elko_nogo"]["monte_carlo"]["pass"] is False
+
+
+def _nan_in_r1(conditions):
+    """The (r1, r2) of schur_conditions with a nan written at pair 0 of r1."""
+    r1, r2 = conditions
+    return _nan_at(0)(r1), r2
+
+
+def test_nogo_gate_fails_a_nan_in_every_chunk(monkeypatch, capsys):
+    """A nan at pair 0 of every chunk of the sweep is kept by its fold and
+    fails `elko nogo` and the no-go suite."""
+    conditions = elko.schur_conditions
+    monkeypatch.setattr(elko, "schur_conditions", lambda basis: _nan_in_r1(conditions(basis)))
+    code, nogo = run_json(capsys, "elko", "nogo", "--samples", "10000", "--seed", "20240811")
+    assert code == 1 and nogo["pass"] is False
+    assert np.isnan(nogo["min_ratio"]) and np.isnan(nogo["min_excess"])
+    code, report = run_json(capsys, "check", "all", "--seed", "0")
     assert code == 1
     assert [name for name, suite in report["suites"].items() if not suite["pass"]] == ["elko_nogo"]
     assert report["suites"]["elko_nogo"]["monte_carlo"]["pass"] is False
@@ -219,6 +277,64 @@ def test_a_nan_residual_fails_its_suite(monkeypatch, suite, module, name, poison
         report = SUITE[suite](0)
     assert np.isnan(report["max_residuals"][key]) and report["pass"] is False
     assert report.get("multiplicities_ok", True) is True
+
+
+def _distance_nan(pair):
+    """The origin report with the distance of one pair of rays nan."""
+    return lambda report: {**report, "pairwise_distance": {**report["pairwise_distance"], pair: np.nan}}
+
+
+# (suite, the module and name of the library function it calls, which of its
+# calls is poisoned (None: every call), how, and the path in the report of the
+# gated value): one row per value a gate judges that is not a residual fold.
+# The suite's calls of rotation_commutant_residual are, in order, the
+# equivalence pairs, the block scalars, the r1-only and the r2-only family;
+# its schur_conditions calls are the sweep's chunks, then the exact-condition pairs
+NAN_GATE_PATCHES = [
+    ("kinematic_checker", checks, "stack_norm", None, _nan_at(0), ("max_residuals", "antilinear_square_gap_min")),
+    *(
+        ("origin", elko, "helicity_origin_discontinuity", None, _distance_nan(pair), ("distances", key))
+        for key, pair in (("z_vs_x", "(0,0,1) vs (1,0,0)"), ("z_vs_neg_z", "(0,0,1) vs (0,0,-1)"))
+    ),
+    ("elko_nogo", elko, "rotation_commutant_residual", 0, _nan_at(0), ("schur_equivalence_ok",)),
+    ("elko_nogo", elko, "rotation_commutant_residual", 2, lambda r: np.nan, ("commutant_detects_r2",)),
+    ("elko_nogo", elko, "rotation_commutant_residual", 3, lambda r: np.nan, ("commutant_detects_r1",)),
+    ("elko_nogo", elko, "schur_conditions", None, _nan_in_r1, ("monte_carlo", "min_ratio")),
+    (
+        "elko_nogo",
+        elko,
+        "schur_conditions",
+        -(-checks._NOGO_MC_SAMPLES // elko._NOGO_CHUNK),
+        _nan_in_r1,
+        ("max_residuals", "constructed_family_det"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, module, name, call, poison, path",
+    NAN_GATE_PATCHES,
+    ids=[f"{c[0]}-{c[5][-1]}" for c in NAN_GATE_PATCHES],
+)
+def test_a_nan_in_a_gated_value_fails_its_suite(monkeypatch, suite, module, name, call, poison, path):
+    """A gate's `<=` or `>=` reads False on a nan, so the gated value shows
+    the nan (or the inf or False it was judged into) and the suite fails."""
+    fn = getattr(module, name)
+    calls = itertools.count()
+
+    def poisoned(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        return poison(out) if next(calls) == call or call is None else out
+
+    monkeypatch.setattr(module, name, poisoned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = SUITE[suite](0)
+    value = report
+    for key in path:
+        value = value[key]
+    assert report["pass"] is False
+    assert value is False or not np.isfinite(value)
 
 
 def test_check_all_needs_no_eigensolver_or_determinant(monkeypatch, capsys):

@@ -340,7 +340,7 @@ class TestFullyKinematicChecker:
     def test_rejects_zero_samples(self):
         rep = rep_generators(HalfInt(1))
         with pytest.raises(ValueError):
-            is_fully_kinematic(parity_family(rep), samples=0)
+            is_fully_kinematic(parity_family(rep), samples=0, tol=1e-8)
 
     def test_scaled_swap_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -391,7 +391,8 @@ class TestScaledSwapDomain:
     def test_valid_scales_pass(self, a):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = is_fully_kinematic(scaled_swap_family(rep_generators(HalfInt(1)), a), samples=10, seed=5)
+            fam = scaled_swap_family(rep_generators(HalfInt(1)), a)
+            report = is_fully_kinematic(fam, samples=10, tol=1e-8, seed=5)
         assert report.fully_kinematic
 
     @pytest.mark.parametrize("a", [1e152, 1e-152])
@@ -399,7 +400,7 @@ class TestScaledSwapDomain:
         """At 2j = 4 the boosted family's norms overflow for |a| near 1e152,
         although A(0)'s do not; an infinite norm would read as residual 0."""
         fam = scaled_swap_family(rep_generators(HalfInt(4)), a)
-        raises_without_warning(lambda: is_fully_kinematic(fam, samples=50, seed=0), "overflow")
+        raises_without_warning(lambda: is_fully_kinematic(fam, samples=50, tol=1e-8, seed=0), "overflow")
 
 
 class TestSampling:

@@ -1,7 +1,11 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import spinkin
 from spinkin.kinematics import (
     FourMomentum,
     _boost_at,
@@ -277,6 +281,18 @@ class TestCacheContract:
         M = np.arange(rep.dim**2, dtype=complex).reshape(rep.dim, rep.dim)
         assert np.array_equal(M @ rep.eta, M[:, rep.eta_index])
         assert np.array_equal(rep.eta @ M, M[rep.eta_index])
+
+    def test_module_level_arrays_are_read_only(self):
+        """Every array a module of the package binds at import is shared by
+        every caller, so writing to it raises."""
+        names = [f"spinkin.{m.name}" for m in pkgutil.iter_modules(spinkin.__path__) if m.name != "__main__"]
+        writable = [
+            f"{module.__name__}.{name}"
+            for module in map(importlib.import_module, ["spinkin", *names])
+            for name, value in vars(module).items()
+            if isinstance(value, np.ndarray) and value.flags.writeable
+        ]
+        assert writable == []
 
 
 # every spin the kernel is tested at; the checks use 2j <= 4
