@@ -1,6 +1,7 @@
 """One tolerance path: every check suite is fn(seed), and each of its sample
-counts and thresholds is one constant of `spinkin.checks` that both drives
-the suite and is the value its report prints."""
+counts and thresholds is one constant of `spinkin.checks` that drives the
+suite and, apart from six not printed yet, is the value its report prints;
+one builder judges every gate, and a nan fails it."""
 
 import dataclasses
 import inspect
@@ -299,7 +300,7 @@ NAN_GATE_PATCHES = [
     ("elko_nogo", elko, "rotation_commutant_residual", 0, _nan_at(0), ("schur_equivalence_ok",)),
     ("elko_nogo", elko, "rotation_commutant_residual", 2, lambda r: np.nan, ("commutant_detects_r2",)),
     ("elko_nogo", elko, "rotation_commutant_residual", 3, lambda r: np.nan, ("commutant_detects_r1",)),
-    ("elko_nogo", elko, "schur_conditions", None, _nan_in_r1, ("monte_carlo", "min_ratio")),
+    ("elko_nogo", elko, "schur_conditions", 0, _nan_in_r1, ("monte_carlo", "min_ratio")),
     (
         "elko_nogo",
         elko,
