@@ -4,7 +4,8 @@ tensor, Elko tools, the decomposition, and the regression check harness.
 All JSON output carries "schema_version": 1, complex numbers as [re, im]
 pairs, matrices in the repo-wide {"rows", "cols", "data"} schema, and is
 byte-identical for identical seeds and flags (floats use shortest round-trip
-formatting; timing goes to stderr). Handlers put library values (arrays,
+formatting; timing goes to stderr). It is strict JSON: a non-finite float is
+the string "inf", "-inf" or "nan". Handlers put library values (arrays,
 complex numbers, reports) straight into the payload; `_jsonable` is the one
 converter.
 
@@ -17,16 +18,12 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 import time
 
 import numpy as np
 
-from . import checks
-from . import decomposition as dec
-from . import elko
-from .dirac import boosted_spinors, rest_spinors
-from .higherspin import CERTIFICATE_TOL, field_equation_residual, gamma_tensor, involution_certificate
 from .kinematics import FourMomentum, is_fully_kinematic, parity_family, parity_operator
 from .linalg import matrix_to_json, vector_to_json
 from .reps import HalfInt, rep_generators
@@ -62,6 +59,12 @@ def _momentum(args) -> FourMomentum:
     return FourMomentum(args.mass, args.p)
 
 
+def _number(x: float):
+    """`x` itself if finite, else the string "inf", "-inf" or "nan": strict
+    JSON has no token for a non-finite float."""
+    return x if math.isfinite(x) else str(x)
+
+
 def _jsonable(obj):
     """Recursively convert numpy scalars/arrays and complexes to JSON types."""
     if isinstance(obj, dict):
@@ -73,11 +76,11 @@ def _jsonable(obj):
             return matrix_to_json(obj)
         return vector_to_json(obj)
     if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
+        return [_number(float(obj.real)), _number(float(obj.imag))]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return _number(float(obj))
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
@@ -85,7 +88,7 @@ def _jsonable(obj):
 
 def _emit(payload: dict):
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    sys.stdout.write(json.dumps(_jsonable(payload), sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(_jsonable(payload), sort_keys=True, allow_nan=False) + "\n")
 
 
 def _emit_or_print(args, payload: dict, render):
@@ -131,6 +134,7 @@ _PARITY_VIEWS = {
 
 def cmd_parity(args) -> int:
     """`parity` and `fieldeq`: the spin-j field-equation operator is P_j(q)."""
+    from .higherspin import CERTIFICATE_TOL, involution_certificate
     j = _spin(args)
     q = _momentum(args)
     P = parity_operator(rep_generators(j), q)
@@ -159,6 +163,8 @@ def cmd_parity(args) -> int:
 
 
 def cmd_spinors(args) -> int:
+    from .dirac import boosted_spinors
+    from .higherspin import field_equation_residual
     j = _spin(args)
     q = _momentum(args)
     basis = boosted_spinors(j, q)
@@ -189,6 +195,7 @@ def cmd_spinors(args) -> int:
 
 
 def cmd_gammatensor(args) -> int:
+    from .higherspin import gamma_tensor
     j = _spin(args)
     tensor = gamma_tensor(j)
     payload = {
@@ -208,6 +215,7 @@ def cmd_gammatensor(args) -> int:
 
 
 def cmd_elko_g(args) -> int:
+    from . import elko
     basis = elko.Cx2Basis(u=args.u, v=args.v)
     G = elko.g_operator(basis)
     r1, r2 = elko.schur_conditions(basis)
@@ -230,12 +238,14 @@ def cmd_elko_g(args) -> int:
 
 
 def cmd_elko_nogo(args) -> int:
+    from . import elko
     report = elko.nogo_monte_carlo(samples=args.samples, seed=args.seed)
     _emit({"command": "elko nogo", **report})
     return 0 if report["pass"] else 1
 
 
 def cmd_elko_origin(args) -> int:
+    from . import elko
     report = elko.helicity_origin_discontinuity(args.mass)
     payload = {"command": "elko origin", **report}
 
@@ -248,6 +258,8 @@ def cmd_elko_origin(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import decomposition as dec
+    from .dirac import rest_spinors
     q = _momentum(args)
     if args.basis == "canonical":
         basis = rest_spinors(HalfInt(1), mass=q.m)
@@ -287,6 +299,7 @@ def cmd_check_kinematic(args) -> int:
 
 
 def cmd_check_all(args) -> int:
+    from . import checks
     start = time.monotonic()
     report, times_ms = checks.run_all(args.seed)
     runtime_ms = int((time.monotonic() - start) * 1000)
@@ -302,8 +315,8 @@ def cmd_check_all(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The `spinkin` argument parser, built on the first call and shared by
     every later one: parse_args keeps no state between calls, and each
-    handler, bound by set_defaults, reads the library from module globals
-    when it runs."""
+    handler, bound by set_defaults, imports the library modules it calls
+    when it runs, so a command loads no module it does not use."""
     parser = argparse.ArgumentParser(
         prog="spinkin",
         description="Kinematic operators on (j,0)+(0,j): parity, Dirac-type equations, Elko no-go checks.",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -59,6 +58,8 @@ class HalfInt:
         """Accept a HalfInt, an int/float spin value, or a string like '3/2'."""
         if isinstance(value, cls):
             return value
+        from fractions import Fraction  # here, not at the top: fractions loads decimal
+
         twice = Fraction(value) * 2
         if twice.denominator != 1:
             raise ValueError(f"{value!r} is not a half-integer spin")

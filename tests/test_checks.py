@@ -175,11 +175,25 @@ def test_nogo_gate_fails_a_nan_in_every_chunk(monkeypatch, capsys):
     monkeypatch.setattr(elko, "schur_conditions", lambda basis: _nan_in_r1(conditions(basis)))
     code, nogo = run_json(capsys, "elko", "nogo", "--samples", "10000", "--seed", "20240811")
     assert code == 1 and nogo["pass"] is False
-    assert np.isnan(nogo["min_ratio"]) and np.isnan(nogo["min_excess"])
+    assert nogo["min_ratio"] == nogo["min_excess"] == "nan"  # strict JSON: a string, not the token NaN
     code, report = run_json(capsys, "check", "all", "--seed", "0")
     assert code == 1
     assert [name for name, suite in report["suites"].items() if not suite["pass"]] == ["elko_nogo"]
     assert report["suites"]["elko_nogo"]["monte_carlo"]["pass"] is False
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def test_failing_report_is_strict_json(monkeypatch, capsys):
+    """A failing report prints its non-finite values as strings, which a
+    strict JSON parser reads: the exact-condition guard set below every
+    pair's roundoff makes the constructed family's determinant inf."""
+    monkeypatch.setattr(checks, "_NOGO_EXACT_TOL", -1.0)
+    code = main(["check", "all", "--seed", "0"])
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert code == 1 and report["suites"]["elko_nogo"]["max_residuals"]["constructed_family_det"] == "inf"
 
 
 def _diagonal_involution(rep, q):

@@ -374,15 +374,6 @@ class TestSharedParser:
             run_outcome(capsys, argv)
         assert builds.count("spinkin") == 1
 
-    def test_import_builds_no_parser(self):
-        """The parser is built on first use, never at import."""
-        src = str(Path(spinkin.__file__).resolve().parents[1])
-        code = "import spinkin.cli as cli; print(cli.build_parser.cache_info().currsize)"
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
-        )
-        assert out.returncode == 0 and out.stdout == "0\n", out.stderr
-
 
 def readme_cli_examples() -> list[list[str]]:
     """The arguments of each `spinkin ...` line of the README's CLI block."""
