@@ -15,7 +15,6 @@ Exit codes: 0 success/pass, 1 check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -246,7 +245,7 @@ def cmd_elko_nogo(args) -> int:
 
 def cmd_elko_origin(args) -> int:
     from . import elko
-    report = elko.helicity_origin_discontinuity(args.mass)
+    report = elko.helicity_origin_discontinuity()
     payload = {"command": "elko origin", **report}
 
     def render():
@@ -288,14 +287,8 @@ def cmd_decompose(args) -> int:
 def cmd_check_kinematic(args) -> int:
     rep = rep_generators(HalfInt(args.spin))
     report = is_fully_kinematic(parity_family(rep), samples=args.samples, tol=args.tol, seed=args.seed)
-    payload = {
-        "command": "check kinematic",
-        "spin_twice": args.spin,
-        **dataclasses.asdict(report),
-        "pass": report.fully_kinematic,
-    }
-    _emit(payload)
-    return 0 if report.fully_kinematic else 1
+    _emit({"command": "check kinematic", "spin_twice": args.spin, **report})
+    return 0 if report["pass"] else 1
 
 
 def cmd_check_all(args) -> int:
@@ -375,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--seed", type=int, default=20240811)
     pn.set_defaults(fn=cmd_elko_nogo)
     po = esub.add_parser("origin", help="direction dependence of G at the origin")
-    po.add_argument("--mass", type=float, required=True)
     add_json(po)
     po.set_defaults(fn=cmd_elko_origin)
 

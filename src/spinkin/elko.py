@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import FourMomentum, KinematicOperatorFamily, _check_rest_norms, _family_scales
+from .kinematics import KinematicOperatorFamily, _check_rest_norms, _family_scales
 from .linalg import AntiLinearMap, nullspace, stack_norm
 from .reps import HalfInt, RepGenerators, pauli_matrices, rep_generators
 
@@ -28,7 +28,6 @@ __all__ = [
     "nogo_monte_carlo",
     "antilinear_family",
     "antilinear_kinematic_solutions",
-    "AntilinearSolutionSpace",
     "helicity_spinors",
     "helicity_origin_discontinuity",
 ]
@@ -324,21 +323,14 @@ def antilinear_family(rep: RepGenerators, a, b) -> KinematicOperatorFamily:
     return KinematicOperatorFamily(rep=rep, rest_matrix=_antilinear_rest(a, b), antilinear=True)
 
 
-@dataclass(frozen=True)
-class AntilinearSolutionSpace:
-    """Solution space of the anti-linear anticommutation condition."""
-
-    dimension: int
-    span_residual: float
-
-
-def antilinear_kinematic_solutions(rep: RepGenerators) -> AntilinearSolutionSpace:
+def antilinear_kinematic_solutions(rep: RepGenerators) -> dict:
     """Solve {M o K anticommutes with each boost generator} over M.
 
     For an anti-linear map the conjugation flips the i in exp(i K.phi), so the
     matrix condition is K_a M - M conj(K_a) = 0 for each a. The solution space
     is exactly 2-complex-dimensional, spanned by diag(Theta, 0) o K and
-    diag(0, Theta) o K; the span residual against that pair is reported.
+    diag(0, Theta) o K; the report is the dict of its `dimension` and of the
+    `span_residual` against that pair.
     It is the nullspace of the stacked system, with singular values at most
     1e-10 times the largest counted as zero.
     """
@@ -358,9 +350,9 @@ def antilinear_kinematic_solutions(rep: RepGenerators) -> AntilinearSolutionSpac
         vec = block.reshape(-1)
         proj = ns @ (ns.conj().T @ vec)
         # np.maximum keeps a nan, so that it fails the suite's gate
-        span_residual = float(np.maximum(span_residual, np.linalg.norm(proj - vec) / np.linalg.norm(vec)))
+        span_residual = float(np.maximum(span_residual, stack_norm(proj - vec, 1) / stack_norm(vec, 1)))
 
-    return AntilinearSolutionSpace(dimension=ns.shape[1], span_residual=span_residual)
+    return {"dimension": ns.shape[1], "span_residual": span_residual}
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +388,7 @@ def helicity_spinors(p_vec) -> tuple[np.ndarray, np.ndarray]:
     if not 0.0 < scale < np.inf:
         raise ValueError("helicity needs a non-zero finite momentum direction")
     p = p / scale
-    n = p / np.linalg.norm(p)
+    n = p / stack_norm(p, 1)
     sx, sy, sz = pauli_matrices()
     H = sx * n[0] + sy * n[1] + sz * n[2]
     _, U = np.linalg.eigh(H)  # eigenvalues ascending: (-1, +1)
@@ -407,17 +399,15 @@ _ORIGIN_EPSILONS = (1e-3, 1e-6)
 _ORIGIN_DIRECTIONS = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, -1.0))
 
 
-def helicity_origin_discontinuity(mass: float) -> dict:
+def helicity_origin_discontinuity() -> dict:
     """Compare helicity-based G at momenta eps*n for eps = 1e-3 and 1e-6 and
     the directions n = +z, +x and -z.
 
     Along a fixed ray G is Cauchy as eps -> 0 (it depends on the direction
     only), while the limits along different rays stay a finite Frobenius
-    distance apart: the operator has no limit at the origin. The mass is
-    validated and reported; G itself is mass-independent.
+    distance apart: the operator has no limit at the origin. G depends on
+    the direction alone, so no mass enters.
     """
-    # one mass, held to the mass rule as the mass of a particle at rest
-    mass = float(FourMomentum(mass, (0.0, 0.0, 0.0)).m)
     eps_large, eps_small = _ORIGIN_EPSILONS
     dirs = np.array(_ORIGIN_DIRECTIONS)
     # G from the helicity spinors at eps_large * n and eps_small * n for
@@ -429,17 +419,14 @@ def helicity_origin_discontinuity(mass: float) -> dict:
     limits = {}
     for n, (G_large, G_small) in zip(dirs, G):
         key = ",".join(f"{x:g}" for x in n)
-        ray_cauchy[key] = float(np.linalg.norm(G_large - G_small))
+        ray_cauchy[key] = float(stack_norm(G_large - G_small, 2))
         limits[key] = G_small
     keys = list(limits)
     pairwise = {}
     for i in range(len(keys)):
         for k in range(i + 1, len(keys)):
-            pairwise[f"({keys[i]}) vs ({keys[k]})"] = float(
-                np.linalg.norm(limits[keys[i]] - limits[keys[k]])
-            )
+            pairwise[f"({keys[i]}) vs ({keys[k]})"] = float(stack_norm(limits[keys[i]] - limits[keys[k]], 2))
     return {
-        "mass": mass,
         "epsilons": [float(eps_large), float(eps_small)],
         "ray_cauchy": ray_cauchy,
         "pairwise_distance": pairwise,

@@ -113,22 +113,44 @@ def expm_i_hermitian(H: np.ndarray) -> np.ndarray:
     return (np.exp(1j * a)[..., None] * (w @ _ONE_I_SIGMA)).reshape(a.shape + (2, 2))
 
 
+def _sum_of_squares(x: np.ndarray):
+    """The sum of the squares of the real and the imaginary parts over the
+    last axis."""
+    sq = np.vecdot(x.real, x.real)
+    return sq + np.vecdot(x.imag, x.imag) if x.dtype.kind == "c" else sq
+
+
 def stack_norm(x: np.ndarray, ndim: int) -> np.ndarray:
     """Euclidean norm over the last `ndim` axes (1: vectors, 2: the Frobenius
     norm of matrices) for every entry of the leading axes.
 
     Formed as np.linalg.norm forms the norm of one array (the dot products of
-    the real and the imaginary parts), so each entry equals that single call
-    bit for bit, and a stack of one equals the unstacked value.
+    the real and the imaginary parts), so each entry whose sum of squares is
+    a normal float equals that single call bit for bit. An entry whose sum
+    underflows is formed again on x over its largest part, so a small norm
+    is right down to the subnormals and a zero entry stays 0; a sum that
+    overflows reads inf. A stack of one equals the unstacked value.
     """
     x = np.asarray(x)
     if ndim != 1:
         lead = x.ndim - ndim
         x = x.reshape(x.shape[:lead] + (math.prod(x.shape[lead:]),))  # not -1: a stack may be empty
-    sq = np.vecdot(x.real, x.real)
-    if x.dtype.kind == "c":
-        sq = sq + np.vecdot(x.imag, x.imag)
-    return np.sqrt(sq)
+    sq = _sum_of_squares(x)
+    norm = np.sqrt(sq)
+    # fmin skips a nan, so a nan entry hides no other; it fails `<` and stays nan
+    if not np.fmin.reduce(sq, axis=None, initial=np.inf) < _FLOAT_TINY:
+        return norm
+    redo = sq < _FLOAT_TINY
+    y = x[redo]
+    if not y.any():  # zero entries, whose norm 0 is exact
+        return norm
+    # writable, and 0-d for one entry
+    norm = np.asarray(norm)
+    scale = np.maximum(np.abs(y.real), np.abs(y.imag)).max(axis=-1, initial=0.0)
+    # the parts of y over scale lie in [-1, 1], one of them at +-1, so their
+    # squares cannot underflow to a wrong sum; a zero entry divides by 1
+    norm[redo] = scale * np.sqrt(_sum_of_squares(y / np.where(scale > 0.0, scale, 1.0)[..., None]))
+    return norm[()]
 
 
 def nullspace(M: np.ndarray) -> np.ndarray:

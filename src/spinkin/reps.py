@@ -29,15 +29,24 @@ __all__ = [
 ]
 
 
+# the largest 2j: the dense Sym^{2j} table grows as (2j)^5, to 26.9 GiB at
+# 2j = 100; at 2j = 16 gamma_tensor's weights take 15 MB
+_TWICE_MAX = 16
+
+
 @dataclass(frozen=True, order=True)
 class HalfInt:
-    """Spin label j stored as twice its value, so j = twice/2 with twice >= 1."""
+    """Spin label j stored as twice its value, so j = twice/2 with
+    1 <= twice <= 16. Every function that takes a spin coerces it to this
+    label, so none builds the tables of a larger spin."""
 
     twice: int
 
     def __post_init__(self):
         if not isinstance(self.twice, int) or self.twice < 1:
             raise ValueError(f"twice must be a positive integer, got {self.twice!r}")
+        if self.twice > _TWICE_MAX:
+            raise ValueError(f"2j = {self.twice} is past the largest supported spin, 2j = {_TWICE_MAX}")
 
     @property
     def j(self) -> float:
@@ -152,6 +161,8 @@ class RepGenerators:
 
 @lru_cache(maxsize=32)
 def _eta_index(j: HalfInt, tensor: bool) -> np.ndarray:
+    """eta as a read-only permutation: row i of eta is the unit row
+    index[i], which is how both generator builders form eta."""
     d = j.block_dim
     # the swap sends index i*d+k to k*d+i; the block swap sends the top
     # block to the bottom one
@@ -249,8 +260,7 @@ def rep_generators(j) -> RepGenerators:
     J[:, :d, :d] = J[:, d:, d:] = S
     K[:, :d, :d] = -1j * S
     K[:, d:, d:] = 1j * S
-    eta = np.zeros((n, n), dtype=complex)
-    eta[:d, d:] = eta[d:, :d] = np.eye(d)
+    eta = np.eye(n, dtype=complex)[_eta_index(j, False)]
     return RepGenerators(j=j, dim=n, J=tuple(J), K=tuple(K), eta=eta)
 
 
@@ -332,7 +342,6 @@ def tensor_rep_generators(j) -> RepGenerators:
     # (k, l) the column of the product space, as in np.kron
     left = np.einsum("aik,jl->aijkl", A, I).reshape(3, n, n)
     right = np.einsum("ik,ajl->aijkl", I, A).reshape(3, n, n)
-    # row k*d+i of S is the unit row i*d+k
     S = np.eye(n, dtype=complex)[_eta_index(j, True)]
     return RepGenerators(
         j=j, dim=n, J=tuple(left + right), K=tuple(-1j * left + 1j * right), eta=S, tensor=True

@@ -132,10 +132,14 @@ class TestBasicCommands:
         assert obj["min_ratio"] >= 1.0 and obj["min_excess"] >= -obj["tol"]
 
     def test_elko_origin(self, capsys):
-        code, obj = run_json(capsys, "elko", "origin", "--mass", "1.0", "--json")
-        assert code == 0
+        code, obj = run_json(capsys, "elko", "origin", "--json")
+        assert code == 0 and "mass" not in obj
         assert max(obj["ray_cauchy"].values()) <= 1e-6
         assert obj["pairwise_distance"]["(0,0,1) vs (1,0,0)"] > 0.1
+        # G depends on the direction alone: the command takes no mass
+        with pytest.raises(SystemExit) as exc:
+            main(["elko", "origin", "--mass", "1"])
+        assert exc.value.code == 2
 
     def test_decompose_both_bases(self, capsys):
         for basis in ("canonical", "helicity"):
@@ -272,7 +276,7 @@ class TestUsageErrors:
         [
             ("elko", "g", "--u", "nan,0", "--v", "0,1", "--json"),
             ("elko", "g", "--u", "1e200,1e200", "--v", "1e200,-1e200", "--json"),
-            ("elko", "origin", "--mass", "inf", "--json"),
+            ("decompose", "--mass", "1", "--p", "nan,0,0", "--json"),
         ],
     )
     def test_non_finite_input_exits_2(self, capsys, argv):
@@ -284,6 +288,23 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "parity", "--spin", "1", "--mass", "-1", "--p", "0,0,0")
         assert code == 2
         assert "error" in err
+
+    def test_spin_past_16_exits_2_with_one_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "parity", "--spin", "17", "--mass", "1", "--p", "0,0,1")
+        assert code == 2 and out == ""
+        assert err == "error: 2j = 17 is past the largest supported spin, 2j = 16\n"
+
+    def test_residual_at_a_tiny_mass_scale(self, capsys):
+        """At m = |p| = 1e-300 the spinors' squares underflow; the residual
+        is still the relative one at that rapidity, not 0."""
+        values = []
+        for m in ("1", "1e-300"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, obj = run_json(capsys, "spinors", "--spin", "1", "--mass", m, "--p", f"0,0,{m}", "--json")
+            assert code == 0
+            values.append(obj["residuals"]["u_max"])
+        assert 0.0 < values[1] <= 4.0 * values[0]
 
     @pytest.mark.parametrize("mass, p", [("1", "1e200,0,0"), ("1e-300", "1e10,0,0")])
     def test_overflowing_momentum_exits_2_with_one_error_line(self, capsys, mass, p):

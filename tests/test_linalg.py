@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,33 @@ class TestHermitianExpm:
         stack[where] = bad
         with pytest.raises(ValueError):
             expm_hermitian(stack)
+
+class TestStackNorm:
+    """stack_norm is np.linalg.norm bit for bit in the float range, and
+    right where the squares underflow."""
+
+    @pytest.mark.parametrize("x", [[1e-200, 1e-200], [1e-200j, 1e-200j], [1e-310, -1e-310], [5e-324, 0.0]])
+    def test_tiny_entries(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = stack_norm(np.array(x), 1)
+        want = np.sqrt(2.0) * abs(x[0]) if x[1] else abs(x[0])
+        assert type(got) is np.float64 and got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_one_tiny_entry_leaves_the_others_bit_identical(self, rng, ndim):
+        x = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+        x = x.reshape(6, 9) if ndim == 1 else x
+        want = np.array([np.linalg.norm(row) for row in x])
+        x[2] *= 1e-170
+        x[4] = 0.0
+        x[5, 0] = np.nan
+        got = stack_norm(x, ndim)
+        keep = [0, 1, 3]
+        assert np.array_equal(got[keep], want[keep])
+        assert got[2] == pytest.approx(want[2] * 1e-170, rel=1e-14, abs=0.0)
+        assert got[4] == 0.0 and np.isnan(got[5])
+
 
 class TestNullspace:
     def test_invertible_gives_empty(self):

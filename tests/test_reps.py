@@ -59,6 +59,15 @@ class TestHalfInt:
         with pytest.raises(ValueError):
             HalfInt(0)
 
+    def test_largest_spin(self):
+        """2j = 16 is the largest label; 2j = 17 is refused before any
+        table of that spin is built."""
+        assert HalfInt(16).dim == 34
+        with pytest.raises(ValueError, match="2j = 17"):
+            HalfInt(17)
+        with pytest.raises(ValueError, match="2j = 17"):
+            HalfInt.coerce("17/2")
+
 
 class TestSpinMatrices:
     def test_half_gives_pauli_over_two(self):
