@@ -31,7 +31,7 @@ _EXPORTS = {
         "parity_family", "parity_operator", "rapidity_from_momentum", "rotation_matrix", "sample_momenta",
         "scaled_swap_family",
     ),
-    "linalg": ("AntiLinearMap", "matrix_from_json", "matrix_to_json", "nullspace"),
+    "linalg": ("AntiLinearMap", "nullspace"),
     "reps": (
         "HalfInt", "LorentzTransform", "RepGenerators", "rep_generators", "spin_matrices", "tensor_rep_generators",
         "vector_boost", "vector_rotation",

@@ -1,13 +1,16 @@
 """Command-line surface: generator/operator dumps, spinor solutions, the gamma
 tensor, Elko tools, the decomposition, and the regression check harness.
 
-All JSON output carries "schema_version": 1, complex numbers as [re, im]
-pairs, matrices in the repo-wide {"rows", "cols", "data"} schema, and is
+Each handler builds one payload of library values (arrays, complex numbers,
+reports) and hands it to `_emit`, which writes it as JSON or as its text
+view. All JSON output carries "schema_version": 1, complex numbers as
+[re, im] pairs, a 2-d array as {"rows", "cols", "data"} with its entries
+row-major and any other array as the flat list of its entries, and is
 byte-identical for identical seeds and flags (floats use shortest round-trip
 formatting; timing goes to stderr). It is strict JSON: a non-finite float is
-the string "inf", "-inf" or "nan". Handlers put library values (arrays,
-complex numbers, reports) straight into the payload; `_jsonable` is the one
-converter.
+the string "inf", "-inf" or "nan". `_jsonable` is the one encoder and
+`matrix_from_json` its inverse for a matrix; `_render` prints every field of
+the same payload, one per line.
 
 Exit codes: 0 success/pass, 1 check failure, 2 usage error.
 """
@@ -24,7 +27,6 @@ import time
 import numpy as np
 
 from .kinematics import FourMomentum, is_fully_kinematic, parity_family, parity_operator
-from .linalg import matrix_to_json, vector_to_json
 from .reps import HalfInt, rep_generators
 
 SCHEMA_VERSION = 1
@@ -64,6 +66,11 @@ def _number(x: float):
     return x if math.isfinite(x) else str(x)
 
 
+def _pair(z: complex) -> list:
+    """A complex number as [re, im]."""
+    return [_number(z.real), _number(z.imag)]
+
+
 def _jsonable(obj):
     """Recursively convert numpy scalars/arrays and complexes to JSON types."""
     if isinstance(obj, dict):
@@ -71,11 +78,12 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        data = [_pair(z) for z in obj.astype(complex).ravel().tolist()]
         if obj.ndim == 2:
-            return matrix_to_json(obj)
-        return vector_to_json(obj)
+            return {"rows": obj.shape[0], "cols": obj.shape[1], "data": data}
+        return data
     if isinstance(obj, (complex, np.complexfloating)):
-        return [_number(float(obj.real)), _number(float(obj.imag))]
+        return _pair(complex(obj))
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
@@ -85,16 +93,40 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(payload: dict):
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    sys.stdout.write(json.dumps(_jsonable(payload), sort_keys=True, allow_nan=False) + "\n")
+def matrix_from_json(obj: dict) -> np.ndarray:
+    """The matrix that `_jsonable` wrote as {"rows", "cols", "data"}: the
+    decoder for a reader of the JSON output; the CLI itself only writes it."""
+    rows, cols = int(obj["rows"]), int(obj["cols"])
+    data = obj["data"]
+    if len(data) != rows * cols:
+        raise ValueError(f"data length {len(data)} does not match {rows}x{cols}")
+    return np.array([complex(float(re), float(im)) for re, im in data], dtype=complex).reshape(rows, cols)
 
 
-def _emit_or_print(args, payload: dict, render):
-    if getattr(args, "json", False):
-        _emit(payload)
+def _render(payload: dict, prefix: str = "") -> None:
+    """Print every field of the payload, one per line: a scalar as
+    `key: value`, an array below `key =`, a dict's fields by dotted key and
+    each array of a tuple by index."""
+    for key, value in payload.items():
+        key = f"{prefix}{key}"
+        if isinstance(value, dict):
+            _render(value, f"{key}.")
+        elif isinstance(value, np.ndarray):
+            print(f"{key} =\n{np.array_str(value, precision=10, suppress_small=True)}")
+        elif isinstance(value, tuple) and value and isinstance(value[0], np.ndarray):
+            _render({f"[{k}]": w for k, w in enumerate(value)}, key)
+        else:
+            print(f"{key}: {value}")
+
+
+def _emit(args, payload: dict) -> None:
+    """The payload on stdout: as one line of JSON under --json, and always
+    for a report command, which has no --json flag; else as its text view."""
+    if getattr(args, "json", True):
+        payload = {"schema_version": SCHEMA_VERSION, **payload}
+        sys.stdout.write(json.dumps(_jsonable(payload), sort_keys=True, allow_nan=False) + "\n")
     else:
-        render()
+        _render(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +135,7 @@ def _emit_or_print(args, payload: dict, render):
 
 def cmd_generators(args) -> int:
     rep = rep_generators(_spin(args))
-    payload = {
+    _emit(args, {
         "command": "generators",
         "spin": str(rep.j),
         "spin_twice": rep.j.twice,
@@ -111,53 +143,28 @@ def cmd_generators(args) -> int:
         "J": rep.J,
         "K": rep.K,
         "eta": rep.eta,
-    }
-
-    def render():
-        print(f"spin {rep.j} generators, dim {rep.dim}")
-        for name, mats in (("J", rep.J), ("K", rep.K)):
-            for axis, M in zip("xyz", mats):
-                print(f"{name}_{axis} =\n{np.array_str(M, precision=6, suppress_small=True)}")
-        print(f"eta =\n{np.array_str(rep.eta, precision=6, suppress_small=True)}")
-
-    _emit_or_print(args, payload, render)
+    })
     return 0
 
 
-# per command: JSON key of the operator, and the title line of the text output
-_PARITY_VIEWS = {
-    "parity": ("matrix", "P_j(q)"),
-    "fieldeq": ("operator", "field-equation operator (1/m^2j) gamma...p..."),
-}
+# per command: the JSON key of the operator
+_OPERATOR_KEY = {"parity": "matrix", "fieldeq": "operator"}
 
 
 def cmd_parity(args) -> int:
     """`parity` and `fieldeq`: the spin-j field-equation operator is P_j(q)."""
-    from .higherspin import CERTIFICATE_TOL, involution_certificate
+    from .higherspin import involution_certificate
     j = _spin(args)
-    q = _momentum(args)
-    P = parity_operator(rep_generators(j), q)
-    cert = involution_certificate(P)
-    key, title = _PARITY_VIEWS[args.command]
-    payload = {
+    P = parity_operator(rep_generators(j), _momentum(args))
+    _emit(args, {
         "command": args.command,
         "spin": str(j),
         "spin_twice": j.twice,
         "mass": args.mass,
         "p": args.p,
-        key: P,
-        **cert,
-    }
-
-    def render():
-        print(f"{title} for spin {j}, m={args.mass}, p={args.p}:")
-        print(np.array_str(P, precision=10, suppress_small=True))
-        n = cert["multiplicities"]
-        print(f"multiplicities: +1: {n['+1']}, -1: {n['-1']}")
-        verdict = "certified" if cert["certified"] else "NOT certified"
-        print(f"||P^2 - I||_F: {cert['square_residual']:.3e} ({verdict}, tolerance {CERTIFICATE_TOL:g})")
-
-    _emit_or_print(args, payload, render)
+        _OPERATOR_KEY[args.command]: P,
+        **involution_certificate(P),
+    })
     return 0
 
 
@@ -172,7 +179,7 @@ def cmd_spinors(args) -> int:
         float(field_equation_residual(j, np.array(ws), q, sign).max())
         for ws, sign in ((basis.u, +1), (basis.v, -1))
     )
-    payload = {
+    _emit(args, {
         "command": "spinors",
         "spin": str(j),
         "spin_twice": j.twice,
@@ -181,35 +188,19 @@ def cmd_spinors(args) -> int:
         "u": basis.u,
         "v": basis.v,
         "residuals": {"u_max": res_u, "v_max": res_v},
-    }
-
-    def render():
-        for name, ws in (("u", basis.u), ("v", basis.v)):
-            for k, w in enumerate(ws):
-                print(f"{name}[{k}] = {np.array_str(w, precision=10, suppress_small=True)}")
-        print(f"residuals: u_max={res_u:.3e} v_max={res_v:.3e}")
-
-    _emit_or_print(args, payload, render)
+    })
     return 0
 
 
 def cmd_gammatensor(args) -> int:
     from .higherspin import gamma_tensor
     j = _spin(args)
-    tensor = gamma_tensor(j)
-    payload = {
+    _emit(args, {
         "command": "gammatensor",
         "spin": str(j),
         "spin_twice": j.twice,
-        "components": {",".join(str(i) for i in idx): mat for idx, mat in tensor.components.items()},
-    }
-
-    def render():
-        print(f"gamma tensor, spin {j}: {len(tensor.components)} symmetric components")
-        for idx, mat in tensor.components.items():
-            print(f"component {idx}:\n{np.array_str(mat, precision=8, suppress_small=True)}")
-
-    _emit_or_print(args, payload, render)
+        "components": {",".join(str(i) for i in idx): mat for idx, mat in gamma_tensor(j).components.items()},
+    })
     return 0
 
 
@@ -218,7 +209,7 @@ def cmd_elko_g(args) -> int:
     basis = elko.Cx2Basis(u=args.u, v=args.v)
     G = elko.g_operator(basis)
     r1, r2 = elko.schur_conditions(basis)
-    payload = {
+    _emit(args, {
         "command": "elko g",
         "u": basis.u,
         "v": basis.v,
@@ -226,33 +217,20 @@ def cmd_elko_g(args) -> int:
         "r1": r1,
         "r2": r2,
         "det_abs": abs(basis.det),
-    }
-
-    def render():
-        print(np.array_str(G, precision=10, suppress_small=True))
-        print(f"r1={r1:.6g} r2={r2:.6g} |det|={abs(basis.det):.6g}")
-
-    _emit_or_print(args, payload, render)
+    })
     return 0
 
 
 def cmd_elko_nogo(args) -> int:
     from . import elko
     report = elko.nogo_monte_carlo(samples=args.samples, seed=args.seed)
-    _emit({"command": "elko nogo", **report})
+    _emit(args, {"command": "elko nogo", **report})
     return 0 if report["pass"] else 1
 
 
 def cmd_elko_origin(args) -> int:
     from . import elko
-    report = elko.helicity_origin_discontinuity()
-    payload = {"command": "elko origin", **report}
-
-    def render():
-        print(f"ray Cauchy deltas: {report['ray_cauchy']}")
-        print(f"pairwise directional distances: {report['pairwise_distance']}")
-
-    _emit_or_print(args, payload, render)
+    _emit(args, {"command": "elko origin", **elko.helicity_origin_discontinuity()})
     return 0
 
 
@@ -265,7 +243,7 @@ def cmd_decompose(args) -> int:
     else:
         basis = dec.elko_rest_basis(q.m)
     result = dec.decomposition_residual(basis, q)
-    payload = {
+    _emit(args, {
         "command": "decompose",
         "basis": args.basis,
         "mass": args.mass,
@@ -273,21 +251,14 @@ def cmd_decompose(args) -> int:
         "K": result.K,
         "Xi": result.Xi,
         "residual": result.residual,
-    }
-
-    def render():
-        print("K(q) =\n" + np.array_str(result.K, precision=10, suppress_small=True))
-        print("Xi(q) =\n" + np.array_str(result.Xi, precision=10, suppress_small=True))
-        print(f"||gamma.p - m K Xi|| / ||gamma.p|| = {result.residual:.3e}")
-
-    _emit_or_print(args, payload, render)
+    })
     return 0
 
 
 def cmd_check_kinematic(args) -> int:
-    rep = rep_generators(HalfInt(args.spin))
-    report = is_fully_kinematic(parity_family(rep), samples=args.samples, tol=args.tol, seed=args.seed)
-    _emit({"command": "check kinematic", "spin_twice": args.spin, **report})
+    j = _spin(args)
+    report = is_fully_kinematic(parity_family(rep_generators(j)), samples=args.samples, tol=args.tol, seed=args.seed)
+    _emit(args, {"command": "check kinematic", "spin_twice": j.twice, **report})
     return 0 if report["pass"] else 1
 
 
@@ -296,7 +267,7 @@ def cmd_check_all(args) -> int:
     start = time.monotonic()
     report, times_ms = checks.run_all(args.seed)
     runtime_ms = int((time.monotonic() - start) * 1000)
-    _emit({"command": "check all", **report})
+    _emit(args, {"command": "check all", **report})
     # timing stays off stdout so identical seeds give byte-identical reports
     suites = ", ".join(f"{name} {ms:.0f}" for name, ms in times_ms.items())
     verdict = "pass" if report["pass"] else "FAIL"
@@ -372,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.set_defaults(fn=cmd_elko_origin)
 
     p = sub.add_parser("decompose", help="gamma.p = m K(q) Xi(q) factors")
-    p.add_argument("--mass", type=float, required=True)
-    p.add_argument("--p", type=_parse_vec3, default=(0.0, 0.0, 0.0), metavar="PX,PY,PZ")
+    add_momentum(p)
     p.add_argument("--basis", choices=("canonical", "helicity"), default="canonical")
     add_json(p)
     p.set_defaults(fn=cmd_decompose)

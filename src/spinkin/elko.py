@@ -267,7 +267,7 @@ def _unit_pairs(rng: np.random.Generator, n: int) -> Cx2Basis:
     return Cx2Basis(u=w[:, 0], v=w[:, 1])
 
 
-def nogo_monte_carlo(samples: int = 10_000, seed: int = 20240811) -> dict:
+def nogo_monte_carlo(*, samples: int, seed: int) -> dict:
     """Check sqrt(2) max(r1, r2) >= |det [u v]| on `samples` random unit
     pairs, and report the smallest ratio and difference of the two sides.
 

@@ -499,13 +499,12 @@ def random_transform_pairs(
     return (vector_boost(phi), boost_matrix(rep, phi)), (vector_rotation(-theta), rotation_matrix(rep, theta))
 
 
-def is_fully_kinematic(
-    fam: KinematicOperatorFamily, samples: int = 50, *, tol: float, seed: int = 0
-) -> dict:
+def is_fully_kinematic(fam: KinematicOperatorFamily, *, samples: int, tol: float, seed: int) -> dict:
     """Check A(p)^2 = I, {A(0), K} = 0 and covariance over random momenta and
     random pure boosts/rotations; reports the max residual of each condition,
     a flag per condition and `pass`, all three holding, as a JSON-ready dict.
-    `tol` has no default: each caller states the bound it judges at.
+    `samples`, `tol` and `seed` have no default: each caller states the
+    sweep and the bound it judges at.
 
     A family stack is checked on one draw of momenta and pairs, and reports
     the largest residual of each condition over its families."""

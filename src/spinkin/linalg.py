@@ -1,6 +1,5 @@
 """Dense complex linear-algebra kernel: closed-form exponentials of 2x2
-Hermitian matrices, nullspaces, anti-linear maps, and the repo-wide matrix
-JSON schema.
+Hermitian matrices, norms of a stack, nullspaces and anti-linear maps.
 
 Every Lorentz representative is the spin-j lift of a 2x2 matrix, so the
 exponentials take only 2x2 matrices, H = a I + b.sigma, and evaluate
@@ -27,9 +26,6 @@ __all__ = [
     "nullspace",
     "AntiLinearMap",
     "anticommutator",
-    "matrix_to_json",
-    "matrix_from_json",
-    "vector_to_json",
 ]
 
 
@@ -198,31 +194,3 @@ class AntiLinearMap:
 
 def anticommutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B + B @ A
-
-
-# ---------------------------------------------------------------------------
-# Repo-wide matrix JSON schema: {"rows": n, "cols": n, "data": [[re, im], ...]}
-# row-major. Floats round-trip bit-exactly through repr/json.
-
-def matrix_to_json(M: np.ndarray) -> dict:
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {M.shape}")
-    data = [[float(z.real), float(z.imag)] for z in M.reshape(-1)]
-    return {"rows": int(M.shape[0]), "cols": int(M.shape[1]), "data": data}
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    """The inverse of matrix_to_json: the decoder a reader of the JSON output
-    uses; the library itself only writes the schema."""
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
-    if len(data) != rows * cols:
-        raise ValueError(f"data length {len(data)} does not match {rows}x{cols}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    return flat.reshape(rows, cols)
-
-
-def vector_to_json(v: np.ndarray) -> list:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in v]

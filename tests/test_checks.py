@@ -106,9 +106,9 @@ def test_kinematic_draw_counts_are_the_constants(monkeypatch):
     drawn = []
     checker = checks.is_fully_kinematic
 
-    def spy(fam, samples, **kwargs):
+    def spy(fam, *, samples, **kwargs):
         drawn.append(samples)
-        return checker(fam, samples, **kwargs)
+        return checker(fam, samples=samples, **kwargs)
 
     monkeypatch.setattr(checks, "is_fully_kinematic", spy)
     monkeypatch.setattr(checks, "_KINEMATIC_PARITY_SAMPLES", 3)

@@ -16,8 +16,7 @@ import pytest
 
 import spinkin
 from spinkin import cli
-from spinkin.cli import main
-from spinkin.linalg import matrix_from_json
+from spinkin.cli import _jsonable, main, matrix_from_json
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +28,11 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, _ = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+def text_fields(out: str) -> dict:
+    """The `key: value` lines of a text view, value as printed, by key."""
+    return dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
 
 
 class TestBasicCommands:
@@ -66,8 +70,9 @@ class TestBasicCommands:
         assert obj["multiplicities"] == {"+1": 9, "-1": 9} and obj["square_residual"] > 1.0
         assert obj["certified"] is False
         code, out, _ = run_cli(capsys, *argv)
-        assert code == 0 and "multiplicities: +1: 9, -1: 9" in out
-        assert "(NOT certified, tolerance 1e-07)" in out
+        fields = text_fields(out)
+        assert code == 0 and (fields["multiplicities.+1"], fields["multiplicities.-1"]) == ("9", "9")
+        assert fields["certified"] == "False" and float(fields["square_residual"]) > 1.0
 
     def test_spinors_residuals(self, capsys):
         code, obj = run_json(
@@ -181,7 +186,7 @@ class TestBasicCommands:
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "decompose", "--mass", scale, "--p", f"{scale},0,0", *fmt)
         assert code == 0 and err == ""
-        residual = json.loads(out)["residual"] if fmt else float(out.rsplit("= ", 1)[1])
+        residual = json.loads(out)["residual"] if fmt else float(text_fields(out)["residual"])
         assert 0.0 < residual <= 1e-15
 
     @pytest.mark.parametrize("command", ["parity", "spinors", "decompose"])
@@ -193,17 +198,48 @@ class TestBasicCommands:
         code, out, _ = run_cli(capsys, *argv, "--json")
         assert code == 0
         assert '"mass": 1.0' in out and '"p": [0.3, 0.0, 0.5]' in out
-        if command == "parity":
-            code, out, _ = run_cli(capsys, *argv)
-            assert code == 0 and "m=1.0, p=(0.3, 0.0, 0.5):" in out.splitlines()[0]
+        code, out, _ = run_cli(capsys, *argv)
+        fields = text_fields(out)
+        assert code == 0 and (fields["mass"], fields["p"]) == ("1.0", "(0.3, 0.0, 0.5)")
 
     def test_human_readable_default(self, capsys):
         code, out, _ = run_cli(capsys, "parity", "--spin", "1", "--mass", "1", "--p", "0,0,0")
-        assert code == 0
-        assert "multiplicities: +1: 2, -1: 2" in out and "{" not in out.splitlines()[0]
-        assert "||P^2 - I||_F: 0.000e+00 (certified, tolerance 1e-07)" in out
-        # eta at rest prints as generators prints it: no negative zeros
+        fields = text_fields(out)
+        assert code == 0 and "{" not in out
+        assert (fields["multiplicities.+1"], fields["multiplicities.-1"]) == ("2", "2")
+        assert fields["square_residual"] == "0.0" and fields["certified"] == "True"
+        # eta at rest prints with no negative zeros
         assert "-0." not in out
+
+
+class TestMatrixJson:
+    """The CLI's encoding of an array and `matrix_from_json`, its inverse."""
+
+    def test_round_trip_bit_exact(self, rng):
+        raw = rng.normal(size=(5, 5)) * np.exp(rng.uniform(-300, 300, size=(5, 5)))
+        M = raw + 1j * rng.normal(size=(5, 5)) * np.exp(rng.uniform(-300, 300, size=(5, 5)))
+        text = json.dumps(_jsonable(M))
+        back = matrix_from_json(json.loads(text))
+        assert back.shape == M.shape
+        assert np.array_equal(back, M)  # bit-exact, no tolerance
+
+    def test_schema_fields(self):
+        obj = _jsonable(np.eye(2))
+        assert obj["rows"] == 2 and obj["cols"] == 2
+        assert obj["data"][0] == [1.0, 0.0] and obj["data"][1] == [0.0, 0.0]
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            matrix_from_json({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
+
+    def test_non_finite_entries_are_strict_json(self):
+        """An array entry is written as a complex scalar is: a non-finite
+        part is the string "inf", "-inf" or "nan", and decodes back."""
+        M = np.array([[np.inf, complex(1.0, np.nan)], [complex(0.5, -np.inf), np.nan]])
+        text = json.dumps(_jsonable(M), allow_nan=False)
+        assert json.loads(text)["data"] == [["inf", 0.0], [1.0, "nan"], [0.5, "-inf"], ["nan", 0.0]]
+        assert np.array_equal(matrix_from_json(json.loads(text)), M, equal_nan=True)
+        assert json.dumps(_jsonable(M[0]), allow_nan=False) == '[["inf", 0.0], [1.0, "nan"]]'
 
 
 class TestCheckCommands:
@@ -411,9 +447,20 @@ def test_readme_cli_example_runs(capsys, argv):
     assert code == 0, err
 
 
+@pytest.mark.parametrize("argv", [argv for argv in readme_cli_examples() if "--json" in argv], ids=" ".join)
+def test_readme_cli_text_view_prints_every_field(capsys, argv):
+    """Each documented --json line, run without --json, exits 0 and prints
+    every top-level key of its JSON payload but the schema version."""
+    _, obj = run_json(capsys, *argv)
+    code, out, err = run_cli(capsys, *(arg for arg in argv if arg != "--json"))
+    assert code == 0, err
+    printed = {re.match(r"[^:.\[ ]*", line).group() for line in out.splitlines()}
+    assert set(obj) - {"schema_version"} <= printed
+
+
 # public functions that no README command reaches, each with the reason it stays
 REACH_ALLOWLIST = {
-    "linalg.matrix_from_json": "the decoder of the JSON schema the CLI writes, for its readers",
+    "cli.matrix_from_json": "the decoder of the JSON schema the CLI writes, for its readers",
     "higherspin.GammaTensor.contract": "the contraction a gamma_tensor suite of check all is to certify",
     "higherspin.GammaTensor.component": "the symmetric index lookup of that suite",
 }

@@ -1,4 +1,3 @@
-import json
 import warnings
 
 import numpy as np
@@ -9,8 +8,6 @@ from spinkin.linalg import (
     AntiLinearMap,
     expm_hermitian,
     expm_i_hermitian,
-    matrix_from_json,
-    matrix_to_json,
     nullspace,
     stack_norm,
 )
@@ -208,21 +205,3 @@ class TestAntiLinearMap:
             assert np.array_equal(got[k], A(psi[k]))
             assert np.allclose(got[k], A.matrix @ np.conj(psi[k]), rtol=1e-14, atol=1e-14)
 
-
-class TestMatrixJson:
-    def test_round_trip_bit_exact(self, rng):
-        raw = rng.normal(size=(5, 5)) * np.exp(rng.uniform(-300, 300, size=(5, 5)))
-        M = raw + 1j * rng.normal(size=(5, 5)) * np.exp(rng.uniform(-300, 300, size=(5, 5)))
-        text = json.dumps(matrix_to_json(M))
-        back = matrix_from_json(json.loads(text))
-        assert back.shape == M.shape
-        assert np.array_equal(back, M)  # bit-exact, no tolerance
-
-    def test_schema_fields(self):
-        obj = matrix_to_json(np.eye(2))
-        assert obj["rows"] == 2 and obj["cols"] == 2
-        assert obj["data"][0] == [1.0, 0.0] and obj["data"][1] == [0.0, 0.0]
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            matrix_from_json({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
