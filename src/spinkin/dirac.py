@@ -103,8 +103,13 @@ def _basis_at_mass(j: HalfInt, W: np.ndarray, n_u: int, mass) -> SpinorBasis:
     norms sqrt(2m). An array of masses gives the stack of bases of its
     shape."""
     mass = check_mass(mass)
-    W = np.sqrt(mass)[..., None] * W.reshape(W.shape[:1] + (1,) * mass.ndim + W.shape[1:])
+    W = _scaled_rows(W, mass)
     return SpinorBasis(j=j, mass=mass, u=tuple(W[:n_u]), v=tuple(W[n_u:]))
+
+
+def _scaled_rows(W: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """The rows of W times sqrt(mass), each a stack of the mass's shape."""
+    return np.sqrt(mass)[..., None] * W.reshape(W.shape[:1] + (1,) * mass.ndim + W.shape[1:])
 
 
 def rest_spinors(j, mass: float | np.ndarray) -> SpinorBasis:
@@ -136,15 +141,19 @@ def boost_basis(basis: SpinorBasis, q: FourMomentum) -> SpinorBasis:
     FourMomentum judged: a nan (or a None, read as nan) fails `<=`."""
     if not (np.abs(np.asarray(basis.mass, dtype=float) - q.m) <= 1e-12 * np.maximum(1.0, q.m)).all():
         raise ValueError(f"basis mass {basis.mass} does not match momentum mass {q.m}")
-    B = _boost_at(rep_generators(basis.j), q)
-    # every spinor in one product: W[k] = B w_k, for all momenta of a stack
-    W = (B @ np.array(basis.spinors)[..., None])[..., 0]
-    n_u = len(basis.u)
-    return SpinorBasis(j=basis.j, mass=basis.mass, u=tuple(W[:n_u]), v=tuple(W[n_u:]))
+    return _boosted(basis.j, np.array(basis.spinors), len(basis.u), basis.mass, q)
 
 
 def boosted_spinors(j, q: FourMomentum) -> SpinorBasis:
     """u_s(q) = B(phi) u_s(0), v_s(q) = B(phi) v_s(0); each is a +-1 eigenvector
-    of the parity operator at q."""
-    return boost_basis(rest_spinors(j, mass=q.m), q)
+    of the parity operator at q. boost_basis(rest_spinors(j, q.m), q) bit for
+    bit, with q.m as FourMomentum judged it."""
+    j = HalfInt.coerce(j)
+    return _boosted(j, _scaled_rows(_unit_rest_rows(j), q.m), j.block_dim, q.m, q)
 
+
+def _boosted(j: HalfInt, W: np.ndarray, n_u: int, mass, q: FourMomentum) -> SpinorBasis:
+    """The basis B(phi(q)) w_k of the rows w_k of W, the first n_u of them u
+    spinors: every spinor in one product, for all momenta of a stack."""
+    W = (_boost_at(rep_generators(j), q) @ W[..., None])[..., 0]
+    return SpinorBasis(j=j, mass=mass, u=tuple(W[:n_u]), v=tuple(W[n_u:]))

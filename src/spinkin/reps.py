@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -122,16 +122,52 @@ class RepGenerators:
     anti-commutes with boosts.
 
     `tensor` tells the two apart (at 2j = 1 both have dimension 4); only the
-    two builders set it. J and K define the representation; its group
-    elements are evaluated by `lift` from spin-j images of 2x2 matrices.
+    two builders set it. J, K and eta are assembled from the cached
+    `spin_matrices` on first read, as each object's own writable arrays.
+    Group elements are evaluated by `lift` from spin-j images of 2x2 matrices.
     """
 
     j: HalfInt
-    dim: int
-    J: tuple[np.ndarray, np.ndarray, np.ndarray]
-    K: tuple[np.ndarray, np.ndarray, np.ndarray]
-    eta: np.ndarray
+    spin_matrices: tuple[np.ndarray, np.ndarray, np.ndarray]
     tensor: bool = False
+
+    @property
+    def dim(self) -> int:
+        return self.j.block_dim**2 if self.tensor else self.j.dim
+
+    @property
+    def J(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._generators[0]
+
+    @property
+    def K(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._generators[1]
+
+    @property
+    def eta(self) -> np.ndarray:
+        return self._generators[2]
+
+    @cached_property
+    def _generators(self) -> tuple[tuple, tuple, np.ndarray]:
+        """(J, K, eta) from the spin matrices A: block diagonal on the direct
+        sum, Kronecker sums on the tensor product."""
+        d, n = self.j.block_dim, self.dim
+        A = np.array(self.spin_matrices)
+        if self.tensor:
+            I = np.eye(d, dtype=complex)
+            # J_a x I and I x J_a for all three axes in two einsum calls (np.kron
+            # per axis costs several times more); in "aijkl", (i, j) is the row
+            # and (k, l) the column of the product space, as in np.kron
+            left = np.einsum("aik,jl->aijkl", A, I).reshape(3, n, n)
+            right = np.einsum("ik,ajl->aijkl", I, A).reshape(3, n, n)
+            J, K = left + right, -1j * left + 1j * right
+        else:
+            J = np.zeros((3, n, n), dtype=complex)
+            K = np.zeros((3, n, n), dtype=complex)
+            J[:, :d, :d] = J[:, d:, d:] = A
+            K[:, :d, :d] = -1j * A
+            K[:, d:, d:] = 1j * A
+        return tuple(J), tuple(K), np.eye(n, dtype=complex)[self.eta_index]
 
     @property
     def eta_index(self) -> np.ndarray:
@@ -246,22 +282,10 @@ def _symmetric_power_table(twice: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def rep_generators(j) -> RepGenerators:
-    """Build the (j,0)+(0,j) generators with the block conventions above.
-
-    The arrays are assembled afresh from the cached spin matrices on every
-    call, so a caller may modify the ones it gets.
-    """
+    """The (j,0)+(0,j) generators with the block conventions above; each
+    call's J, K and eta are its own, so a caller may modify them."""
     j = HalfInt.coerce(j)
-    d = j.block_dim
-    n = j.dim
-    S = np.array(spin_matrices(j))
-    J = np.zeros((3, n, n), dtype=complex)
-    K = np.zeros((3, n, n), dtype=complex)
-    J[:, :d, :d] = J[:, d:, d:] = S
-    K[:, :d, :d] = -1j * S
-    K[:, d:, d:] = 1j * S
-    eta = np.eye(n, dtype=complex)[_eta_index(j, False)]
-    return RepGenerators(j=j, dim=n, J=tuple(J), K=tuple(K), eta=eta)
+    return RepGenerators(j, spin_matrices(j))
 
 
 @dataclass(frozen=True)
@@ -333,16 +357,4 @@ def tensor_rep_generators(j) -> RepGenerators:
     the swap S(x tensor y) = y tensor x.
     """
     j = HalfInt.coerce(j)
-    d = j.block_dim
-    n = d * d
-    A = np.array(spin_matrices(j))
-    I = np.eye(d, dtype=complex)
-    # J_a x I and I x J_a for all three axes in two einsum calls (np.kron per
-    # axis costs several times more); in "aijkl", (i, j) is the row and
-    # (k, l) the column of the product space, as in np.kron
-    left = np.einsum("aik,jl->aijkl", A, I).reshape(3, n, n)
-    right = np.einsum("ik,ajl->aijkl", I, A).reshape(3, n, n)
-    S = np.eye(n, dtype=complex)[_eta_index(j, True)]
-    return RepGenerators(
-        j=j, dim=n, J=tuple(left + right), K=tuple(-1j * left + 1j * right), eta=S, tensor=True
-    )
+    return RepGenerators(j, spin_matrices(j), tensor=True)

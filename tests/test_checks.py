@@ -236,6 +236,13 @@ def _nan_at(index):
     return poison
 
 
+def _eta_nan(rep):
+    """rep with a nan written off the diagonal of its eta: the generators
+    of each rep are its own writable arrays, kept for every later read."""
+    rep.eta[0, 1] = np.nan
+    return rep
+
+
 def _last_ray_nan(report):
     """The origin report with its last ray delta nan: a fold that keeps the
     first value it saw would drop it."""
@@ -272,7 +279,7 @@ NAN_PATCHES = [
         "tensor_swap",
         checks,
         "tensor_rep_generators",
-        lambda rep: dataclasses.replace(rep, eta=_nan_at((0, 1))(rep.eta)),
+        _eta_nan,
         "square_exact",
     ),
     ("tensor_swap", checks, "anticommutator", _nan_at((0, 1)), "anticommutator"),

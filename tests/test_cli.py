@@ -440,6 +440,45 @@ def readme_cli_examples() -> list[list[str]]:
     return [argv[1:] for argv in lines if argv[:1] == ["spinkin"]]
 
 
+def readme_python_script() -> tuple[str, list[str]]:
+    """The README's ```python blocks joined into one script, with an assert
+    after each line whose comment states a shape, and the shapes stated.
+    A basis's shape is that of each of its spinors."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        "def _shape(x):",
+        "    shapes = {w.shape for w in x.spinors} if hasattr(x, 'spinors') else {x.shape}",
+        "    assert len(shapes) == 1, shapes",
+        "    return shapes.pop()",
+    ]
+    shapes = []
+    for block in re.findall(r"```python\n(.*?)```", text, re.S):
+        for line in block.splitlines():
+            lines.append(line)
+            stated = re.match(r"(\w+) = .*#.*?(\(\d+(?:, \d+)*,?\))", line)
+            if stated:
+                name, shape = stated.groups()
+                shapes.append(shape)
+                lines.append(f"assert _shape({name}) == {shape}, _shape({name})")
+    return "\n".join(lines) + "\n", shapes
+
+
+def test_readme_python_examples_run():
+    """The README's Python blocks, joined, run in one fresh process with
+    warnings as errors, and each result has the shape its comment states."""
+    script, shapes = readme_python_script()
+    assert shapes == ["(1000, 8, 8)", "(1000, 8)", "(1000,)", "(2, 1000)"]
+    src = str(Path(spinkin.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+
+
 @pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
 def test_readme_cli_example_runs(capsys, argv):
     """Every documented command runs and exits 0."""

@@ -135,16 +135,36 @@ class TestRestSpinors:
                 boost_basis(basis, FourMomentum(1.0, (0.0, 0.0, 0.5)))
 
     def test_boosted_spinors_judge_the_mass_once(self, monkeypatch):
-        """The kernel path pays one check_mass, in rest_spinors: boost_basis
-        compares with q.m, which FourMomentum judged."""
+        """The mass is judged once, by FourMomentum: boosted_spinors calls
+        check_mass zero times and takes q.m as it is, and boost_basis
+        still refuses a hand-built basis whose mass does not match q.m."""
         calls = []
         monkeypatch.setattr(dirac, "check_mass", lambda m: calls.append(m) or check_mass(m))
         q = momenta(17, 5)
         basis = boosted_spinors(HalfInt(2), q)
-        assert len(calls) == 1 and np.array_equal(basis.mass, q.m)
+        assert len(calls) == 0 and np.array_equal(basis.mass, q.m)
+        rest = rest_spinors(HalfInt(2), mass=q.m * (1.0 + 1e-9))
+        with pytest.raises(ValueError, match="^basis mass .* does not match momentum mass"):
+            boost_basis(rest, q)
 
 
 class TestBoostedSpinors:
+    @pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
+    @pytest.mark.parametrize("twice", [1, 2, 3, 4])
+    def test_one_boost_path(self, twice, stack):
+        """boosted_spinors(j, q) is boost_basis(rest_spinors(j, q.m), q) bit
+        for bit: every u, every v and the mass. Each side gets its own
+        momentum object, so each evaluates its own boost."""
+        j = HalfInt(twice)
+        q, again = momenta(60 + twice, 50), momenta(60 + twice, 50)
+        if not stack:
+            q, again = q[13], again[13]
+        got = boosted_spinors(j, q)
+        want = boost_basis(rest_spinors(j, mass=again.m), again)
+        assert got.j == want.j and (len(got.u), len(got.v)) == (len(want.u), len(want.v)) == (j.block_dim,) * 2
+        for a, b in zip(got.spinors + (got.mass,), want.spinors + (want.mass,), strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
     def test_rest_momentum_unchanged(self):
         q = FourMomentum(2.0, (0, 0, 0))
         basis = boosted_spinors(HalfInt(1), q)

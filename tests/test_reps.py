@@ -15,7 +15,8 @@ from spinkin.kinematics import (
     rotation_matrix,
     sample_momenta,
 )
-from spinkin.higherspin import gamma_tensor
+from spinkin.dirac import boosted_spinors
+from spinkin.higherspin import field_equation_residual, gamma_tensor
 from spinkin.linalg import anticommutator
 from spinkin.reps import (
     HalfInt,
@@ -302,6 +303,33 @@ class TestCacheContract:
             if isinstance(value, np.ndarray) and value.flags.writeable
         ]
         assert writable == []
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
+@pytest.mark.parametrize("twice", [1, 2, 3, 4])
+def test_the_kernel_builds_no_generator_array(monkeypatch, twice, stack):
+    """The operation of the kernel benchmark, parity_operator, boosted_spinors
+    and field_equation_residual on a u and a v spinor, reads no J, K or eta:
+    the builder behind them runs zero times, also where P(q) is not memoised
+    yet. Read afterwards, they are the block and Kronecker constructions,
+    bit for bit."""
+    assembled = RepGenerators.__dict__["_generators"]
+    reads = []
+    spy = property(lambda rep: reads.append(rep) or assembled.__get__(rep, RepGenerators))
+    monkeypatch.setattr(RepGenerators, "_generators", spy)
+    j = HalfInt(twice)
+    reps = rep_generators(j), tensor_rep_generators(j)
+    q = sample_momenta(np.random.default_rng(twice), 50)
+    q = q if stack else q[7]
+    parity_operator(reps[0], q)
+    basis = boosted_spinors(j, q)
+    for at in (q, FourMomentum(q.m, q.p)):
+        field_equation_residual(j, basis.u[0], at, +1)
+        field_equation_residual(j, basis.v[0], at, -1)
+    assert reads == []
+    for rep, (J, K, eta) in zip(reps, (block_rep(twice), kron_tensor_rep(twice)), strict=True):
+        assert same_bits(rep.J + rep.K + (rep.eta,), J + K + (eta,))
+    assert len(reads) == 6
 
 
 # every spin the kernel is tested at; the checks use 2j <= 4
