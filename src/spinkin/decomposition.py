@@ -16,7 +16,7 @@ import numpy as np
 from .dirac import SpinorBasis, _basis_at_mass, boost_basis, dirac_operator
 from .elko import Cx2Basis, elko_basis, helicity_spinors
 from .kinematics import FourMomentum, KinematicOperatorFamily, _boost_at, check_mass, parity_operator
-from .linalg import stack_norm
+from .linalg import _scalar_or_stack, stack_norm
 from .reps import HalfInt, rep_generators
 
 __all__ = [
@@ -150,4 +150,4 @@ def decomposition_residual(basis: SpinorBasis, q: FourMomentum) -> Decomposition
     # an infinite scale would turn a finite difference into a residual of 0
     if not (np.isfinite(scale).all() and np.isfinite(r).all()):
         raise ValueError("the decomposition residual is not finite in double precision; rescale the momentum")
-    return Decomposition(K=K_q, Xi=Xi_q, residual=float(r) if r.ndim == 0 else r)
+    return Decomposition(K=K_q, Xi=Xi_q, residual=_scalar_or_stack(r))

@@ -21,7 +21,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .kinematics import FourMomentum, _recall, boost_matrix, parity_operator, rapidity_from_momentum
-from .linalg import stack_norm
+from .linalg import _scalar_or_stack, stack_norm
 from .reps import HalfInt, _symmetric_power_table, adjugate_power, rep_generators, tensor_rep_generators
 
 __all__ = [
@@ -56,7 +56,7 @@ def field_equation_residual(j, psi: np.ndarray, q: FourMomentum, sign: int) -> f
     if P is None:
         P = parity_operator(rep_generators(j), q)
     r = stack_norm((P @ psi[..., None])[..., 0] - sign * psi, 1) / norm
-    return float(r) if r.ndim == 0 else r
+    return _scalar_or_stack(r)
 
 
 def involution_certificate(P: np.ndarray) -> dict:
@@ -70,8 +70,7 @@ def involution_certificate(P: np.ndarray) -> dict:
     trace = np.trace(P, axis1=-2, axis2=-1).real
     square = stack_norm(P @ P - np.eye(dim), 2)
     plus, minus = (np.rint((dim + sign * trace) / 2).astype(int) for sign in (1, -1))
-    if square.ndim == 0:
-        square, plus, minus = float(square), int(plus), int(minus)
+    square, plus, minus = map(_scalar_or_stack, (square, plus, minus))
     n = {"+1": plus, "-1": minus}
     return {"square_residual": square, "certified": square <= CERTIFICATE_TOL, "multiplicities": n}
 
@@ -146,20 +145,17 @@ def gamma_tensor(j) -> GammaTensor:
     gamma_matrices().gamma.
     """
     j = HalfInt.coerce(j)
-    d = j.block_dim
-    index, _, table, _ = _symmetric_power_table(j.twice)
+    _, _, table, _, monomials = _symmetric_power_table(j.twice)
     idxs = symmetric_multi_indices(j.twice)
     position = {idx: k for k, idx in enumerate(idxs)}
     weights = np.zeros((len(idxs), len(table)), dtype=complex)
-    # row r of the table is g11^a g12^b g21^c g22^e, with index[:, r] =
-    # (a d + b, d^2 + c d + e)
-    for r, (ab, ce) in enumerate(index.T):
-        powers = divmod(int(ab), d) + divmod(int(ce) - d * d, d)
+    # row r of the table is g11^a g12^b g21^c g22^e, (a, b, c, e) = monomials[r]
+    for r, powers in enumerate(monomials.tolist()):
         for terms in product(*map(_binomial_terms, _G_LOWER, powers)):
             mus, w = zip(*terms)
             weights[position[tuple(sorted(sum(mus, ())))], r] += prod(w)
     multiplicity = np.array([index_multiplicity(idx) for idx in idxs], dtype=float)
-    S = (weights @ table).reshape(-1, d, d) / multiplicity[:, None, None]
+    S = (weights @ table).reshape(-1, j.block_dim, j.block_dim) / multiplicity[:, None, None]
     gammas = rep_generators(j).lift(S, adjugate_power(S), swap=True)
     return GammaTensor(j=j, components=dict(zip(idxs, gammas)))
 

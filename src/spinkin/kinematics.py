@@ -6,7 +6,8 @@ its spin-j image Sym^{2j} (reps.symmetric_power, RepGenerators.lift): the
 boost exp(i K.phi) lifts A = exp(sigma.phi/2) and A^-1 = adj A, the
 rotation exp(i J.theta) lifts R = exp(i sigma.theta/2), and the parity
 operator exp(2i K.phi) eta lifts the polynomial (E + sigma.p)/m with no
-exponential at all. Only the 2x2 exponentials go through linalg.
+exponential at all; the family rest matrices lift scaled blocks through one
+assembler, _block_family. Only the 2x2 exponentials go through linalg.
 
 A family A(p) is evaluated as B(phi) A(0) B(phi)^-1 with B = exp(i K.phi); for
 anti-linear families the rightmost factor becomes conj(B)^-1 because the
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _FLOAT_TINY, _ONE_SIGMA, anticommutator, expm_hermitian, expm_i_hermitian, stack_norm
+from .linalg import _FLOAT_TINY, _ONE_SIGMA, _scalar_or_stack, anticommutator, expm_hermitian, expm_i_hermitian, stack_norm
 from .reps import (
     RAPIDITY_MAX,
     LorentzTransform,
@@ -363,15 +364,21 @@ def _family_scales(x, name: str) -> np.ndarray:
     return x
 
 
-def _check_rest_norms(rest: np.ndarray, antilinear: bool) -> None:
-    """Refuse a rest matrix (or stack) whose A(0) or A(0)^2 has an entry or a
-    Frobenius norm that is not finite: the checks on such a family would read
-    nan or inf residuals."""
+def _block_family(rep: RepGenerators, a, b, block, *, swap=False, antilinear=False) -> KinematicOperatorFamily:
+    """The family A(0) = rep.lift(a block, b block, swap), or A(0) o K, for
+    scales a, b that broadcast (arrays give a stack of families). Refused on
+    the tensor product, and where A(0) or A(0)^2 has an entry or a norm that
+    is not finite: the checks would read nan or inf residuals."""
+    if rep.tensor:
+        raise ValueError("this family is built on (j,0)+(0,j), not on the tensor product")
+    a, b = np.broadcast_arrays(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
+        rest = rep.lift(a[..., None, None] * block, b[..., None, None] * block, swap)
         ok = np.isfinite(stack_norm(rest, 2)) & np.isfinite(stack_norm(_squared(rest, antilinear), 2))
     if not ok.all():
         where = f" (stack index {np.argwhere(~ok)[0].tolist()})" if ok.ndim else ""
         raise ValueError(f"the rest matrix or its square overflows{where}; rescale the family")
+    return KinematicOperatorFamily(rep=rep, rest_matrix=rest, antilinear=antilinear)
 
 
 def parity_family(rep: RepGenerators) -> KinematicOperatorFamily:
@@ -383,18 +390,14 @@ def scaled_swap_family(rep: RepGenerators, a) -> KinematicOperatorFamily:
     """Linear family A(0) = offdiag(a I, a^-1 I); fully kinematic for any a != 0.
 
     An array of a gives the stack of those families. Raises for an a that is
-    zero or not finite, or whose A(0) has a norm that overflows.
+    zero or not finite or whose A(0) has a norm that overflows, and on the
+    tensor product.
     """
     a = _family_scales(a, "a")
-    d = rep.j.block_dim
-    I = np.eye(d, dtype=complex)
-    rest = np.zeros(a.shape + (2 * d, 2 * d), dtype=complex)
-    rest[..., :d, d:] = a[..., None, None] * I
-    # 1/a overflows for a subnormal a; the norm check below refuses it
+    # 1/a overflows for a subnormal a; the norm check refuses it
     with np.errstate(over="ignore", invalid="ignore"):
-        rest[..., d:, :d] = (1.0 / a)[..., None, None] * I
-    _check_rest_norms(rest, antilinear=False)
-    return KinematicOperatorFamily(rep=rep, rest_matrix=rest)
+        inverse = 1.0 / a
+    return _block_family(rep, a, inverse, np.eye(rep.j.block_dim, dtype=complex), swap=True)
 
 
 def covariance_residual(
@@ -430,7 +433,7 @@ def _covariance_residual(fam, A1, q, L, D) -> float | np.ndarray:
         r = stack_norm(np.subtract(A2, diff, out=diff), 2) / scale
     if not (np.isfinite(scale).all() and np.isfinite(r).all()):
         raise ValueError("the family's norm overflows at a sampled momentum; rescale it")
-    return float(r) if r.ndim == 0 else r
+    return _scalar_or_stack(r)
 
 
 def stack_pairs(pairs) -> tuple[LorentzTransform, np.ndarray]:

@@ -149,6 +149,11 @@ def stack_norm(x: np.ndarray, ndim: int) -> np.ndarray:
     return norm[()]
 
 
+def _scalar_or_stack(x):
+    """A 0-d result as a Python scalar, a stack as it is."""
+    return x.item() if x.ndim == 0 else x
+
+
 def nullspace(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the numerical kernel of M, as columns.
 

@@ -1,5 +1,7 @@
 """Generators of the (j,0)+(0,j) and (j,0)x(0,j) representations, one
-RepGenerators type for both, and the 4-vector representation.
+RepGenerators type for both, and the 4-vector representation. Only this
+module lays out operators: RepGenerators.lift places every chiral block or
+tensor factor, and the Sym^{2j} table hands out its own exponents.
 
 Conventions: the top block is the right-handed (j,0) component, boosted by
 exp(+J.phi); inside each block the basis is the J_z eigenbasis descending from
@@ -122,9 +124,9 @@ class RepGenerators:
     anti-commutes with boosts.
 
     `tensor` tells the two apart (at 2j = 1 both have dimension 4); only the
-    two builders set it. J, K and eta are assembled from the cached
-    `spin_matrices` on first read, as each object's own writable arrays.
-    Group elements are evaluated by `lift` from spin-j images of 2x2 matrices.
+    two builders set it. `lift` lays out every operator from its two spin-j
+    factors, J and K included (lifted from the cached `spin_matrices` on
+    first read, as each object's own writable arrays).
     """
 
     j: HalfInt
@@ -149,25 +151,17 @@ class RepGenerators:
 
     @cached_property
     def _generators(self) -> tuple[tuple, tuple, np.ndarray]:
-        """(J, K, eta) from the spin matrices A: block diagonal on the direct
-        sum, Kronecker sums on the tensor product."""
-        d, n = self.j.block_dim, self.dim
+        """(J, K, eta) from the spin matrices A, each generator the lift of
+        its two factors: diag(A, A) and diag(-iA, iA) on the direct sum,
+        Kronecker sums A x I + I x A on the tensor product."""
         A = np.array(self.spin_matrices)
         if self.tensor:
-            I = np.eye(d, dtype=complex)
-            # J_a x I and I x J_a for all three axes in two einsum calls (np.kron
-            # per axis costs several times more); in "aijkl", (i, j) is the row
-            # and (k, l) the column of the product space, as in np.kron
-            left = np.einsum("aik,jl->aijkl", A, I).reshape(3, n, n)
-            right = np.einsum("ik,ajl->aijkl", I, A).reshape(3, n, n)
+            I = np.broadcast_to(np.eye(self.j.block_dim, dtype=complex), A.shape)
+            left, right = self.lift(A, I), self.lift(I, A)
             J, K = left + right, -1j * left + 1j * right
         else:
-            J = np.zeros((3, n, n), dtype=complex)
-            K = np.zeros((3, n, n), dtype=complex)
-            J[:, :d, :d] = J[:, d:, d:] = A
-            K[:, :d, :d] = -1j * A
-            K[:, d:, d:] = 1j * A
-        return tuple(J), tuple(K), np.eye(n, dtype=complex)[self.eta_index]
+            J, K = self.lift(A, A), self.lift(-1j * A, 1j * A)
+        return tuple(J), tuple(K), np.eye(self.dim, dtype=complex)[self.eta_index]
 
     @property
     def eta_index(self) -> np.ndarray:
@@ -217,7 +211,7 @@ def symmetric_power(g, j) -> np.ndarray:
     exp(J.z) for any complex 3-vector z: exp(sigma.phi/2) gives the spin-j
     boost and exp(i sigma.theta/2) the spin-j rotation.
     """
-    index, exponents, table, _ = _symmetric_power_table(HalfInt.coerce(j).twice)
+    index, exponents, table, _, _ = _symmetric_power_table(HalfInt.coerce(j).twice)
     g = np.asarray(g, dtype=complex)
     lead = g.shape[:-2]
     # g_v^k for the four entries v and k = 0..2j; the products g11^a g12^b
@@ -239,7 +233,7 @@ def adjugate_power(S: np.ndarray) -> np.ndarray:
     reversal, so the entry (x, y) is (-1)^(x+y) S[2j-y, 2j-x]. For det g = 1
     this is Sym^{2j}(g^-1).
     """
-    _, _, _, sign = _symmetric_power_table(S.shape[-1] - 1)
+    _, _, _, sign, _ = _symmetric_power_table(S.shape[-1] - 1)
     out = S[..., ::-1, ::-1].swapaxes(-1, -2) * sign
     # adding 0.0 turns the -0.0 of a negated zero into 0.0 and leaves every
     # other value as it is
@@ -248,15 +242,17 @@ def adjugate_power(S: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _symmetric_power_table(twice: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(index, exponents, table, sign) of symmetric_power, adjugate_power and
-    higherspin.gamma_tensor, built once per spin from binomials, read-only.
+def _symmetric_power_table(twice: int) -> tuple[np.ndarray, ...]:
+    """(index, exponents, table, sign, monomials) of symmetric_power,
+    adjugate_power and higherspin.gamma_tensor, built once per spin from
+    binomials, read-only.
 
     In the basis e_1^a e_2^(2j-a) / sqrt(a! (2j-a)!), index a descending, g
     sends e_1 to g11 e_1 + g21 e_2 and e_2 to g12 e_1 + g22 e_2. The
     monomial g11^k g12^l g21^(a-k) g22^(2j-a-l) (k + l = a') then carries
     C(a,k) C(2j-a,l) sqrt(C(2j,a)/C(2j,a')) into the entry (a', a): one
-    entry per monomial, C(2j+3, 3) monomials (35 at 2j = 4).
+    entry per monomial, C(2j+3, 3) monomials (35 at 2j = 4); row r of
+    `monomials` is the exponents (k11, k12, k21, k22) of row r of `table`.
     """
     n, d = twice, twice + 1
     exps = [
@@ -272,13 +268,14 @@ def _symmetric_power_table(twice: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
         table[row, (n - a_out) * d + (n - a)] = weight
     # index[0] points at g11^k11 g12^k12 and index[1] at g21^k21 g22^k22 in
     # the flattened (2, 2j+1, 2j+1) products of powers
-    k = np.array(exps).T
+    monomials = np.array(exps)
+    k = monomials.T
     index = np.array([k[0] * d + k[1], d * d + k[2] * d + k[3]])
     exponents = np.arange(n + 1, dtype=complex)
     sign = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
-    for a in (index, exponents, table, sign):
+    for a in (index, exponents, table, sign, monomials):
         a.flags.writeable = False
-    return index, exponents, table, sign
+    return index, exponents, table, sign, monomials
 
 
 def rep_generators(j) -> RepGenerators:

@@ -24,7 +24,7 @@ from spinkin.elko import (
 )
 from spinkin.kinematics import rotation_matrix
 from spinkin.linalg import nullspace, stack_norm
-from spinkin.reps import HalfInt, pauli_matrices, rep_generators, spin_matrices
+from spinkin.reps import HalfInt, pauli_matrices, rep_generators, spin_matrices, tensor_rep_generators
 
 G_E1_E2 = np.array([[0, 0, 0, -1j], [0, 0, 1j, 0], [0, -1j, 0, 0], [1j, 0, 0, 0]], dtype=complex)
 
@@ -723,6 +723,24 @@ class TestAntilinearSolutions:
         space = antilinear_kinematic_solutions(rep_generators(HalfInt(1)))
         assert space["dimension"] == 2
         assert space["span_residual"] < 1e-12
+
+    def test_classification_refuses_the_tensor_representation(self):
+        """The span blocks diag(Theta, 0) and diag(0, Theta) are direct-sum
+        matrices; on the tensor product their lift is 0 and the span residual
+        would read nan."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\(j,0\)\+\(0,j\)"):
+                antilinear_kinematic_solutions(tensor_rep_generators(HalfInt(1)))
+
+    def test_family_refuses_the_tensor_representation(self):
+        """diag(a Theta, b Theta) paired with the Kronecker-sum generators
+        would report an anticommutator of another space (3.16 at a = 1,
+        b = 2)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="tensor"):
+                antilinear_family(tensor_rep_generators(HalfInt(1)), 1.0, 2.0)
 
     def test_eq23_members_anticommute(self, rng):
         rep = rep_generators(HalfInt(1))

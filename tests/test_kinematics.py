@@ -410,6 +410,13 @@ class TestScaledSwapDomain:
             report = is_fully_kinematic(fam, samples=10, tol=1e-8, seed=5)
         assert report["pass"]
 
+    @pytest.mark.parametrize("twice", [1, 2])
+    def test_refuses_the_tensor_representation(self, twice):
+        """offdiag(a I, a^-1 I) is a (j,0)+(0,j) matrix: on the tensor
+        product (dimension 4 at 2j = 1, 9 at 2j = 2) it would be checked
+        against generators of another space."""
+        raises_without_warning(lambda: scaled_swap_family(tensor_rep_generators(HalfInt(twice)), 2.0), "tensor")
+
     @pytest.mark.parametrize("a", [1e152, 1e-152])
     def test_norm_overflow_once_boosted(self, a):
         """At 2j = 4 the boosted family's norms overflow for |a| near 1e152,

@@ -14,8 +14,10 @@ from spinkin.kinematics import (
     rapidity_from_momentum,
     rotation_matrix,
     sample_momenta,
+    scaled_swap_family,
 )
 from spinkin.dirac import boosted_spinors
+from spinkin.elko import THETA, antilinear_family, charge_conjugation
 from spinkin.higherspin import field_equation_residual, gamma_tensor
 from spinkin.linalg import anticommutator
 from spinkin.reps import (
@@ -227,7 +229,12 @@ def kron_tensor_rep(twice):
 
 
 def same_bits(got, want):
-    return all(g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+    """Equal shapes and bytes, each complex entry as its float pair: a changed
+    signed zero, which --json prints, fails."""
+    return all(
+        g.shape == w.shape and g.view(float).tobytes() == w.view(float).tobytes()
+        for g, w in zip(got, want, strict=True)
+    )
 
 
 class TestCacheContract:
@@ -243,13 +250,13 @@ class TestCacheContract:
             with pytest.raises(ValueError):
                 M[0, 0] = 7.0
 
-    @pytest.mark.parametrize("twice", [1, 2, 3, 4])
+    @pytest.mark.parametrize("twice", range(1, 9))
     def test_rep_generators_equal_block_construction(self, twice):
         rep = rep_generators(HalfInt(twice))
         J, K, eta = block_rep(twice)
         assert same_bits(rep.J, J) and same_bits(rep.K, K) and same_bits((rep.eta,), (eta,))
 
-    @pytest.mark.parametrize("twice", [1, 2, 3, 4])
+    @pytest.mark.parametrize("twice", range(1, 9))
     def test_tensor_rep_generators_equal_kron_construction(self, twice):
         rep = tensor_rep_generators(HalfInt(twice))
         J, K, swap = kron_tensor_rep(twice)
@@ -288,6 +295,9 @@ class TestCacheContract:
         assert all(a is b for a, b in zip(first, _symmetric_power_table(twice)))
         for a in first + (rep.eta_index,):
             assert not a.flags.writeable
+        # the monomial exponents, which gamma_tensor reads, included
+        monomials = first[4]
+        assert monomials.shape == (len(first[2]), 4) and not monomials.flags.writeable
         M = np.arange(rep.dim**2, dtype=complex).reshape(rep.dim, rep.dim)
         assert np.array_equal(M @ rep.eta, M[:, rep.eta_index])
         assert np.array_equal(rep.eta @ M, M[rep.eta_index])
@@ -303,6 +313,48 @@ class TestCacheContract:
             if isinstance(value, np.ndarray) and value.flags.writeable
         ]
         assert writable == []
+
+
+class TestOneLayout:
+    """Every chiral-block operator is a RepGenerators.lift; each equals the
+    block construction written out here, bytes and signed zeros included
+    (the generators: TestCacheContract, at 2j = 1..8)."""
+
+    def test_charge_conjugation(self):
+        Z = np.zeros((2, 2), dtype=complex)
+        C = np.block([[Z, 1j * THETA], [-1j * THETA, Z]])
+        assert same_bits((charge_conjugation().matrix,), (C,))
+
+    @pytest.mark.parametrize("twice", [1, 2, 3])
+    def test_scaled_swap_stack(self, twice):
+        a = np.array([[1.0, 2.5 - 1.0j, 3.0j], [1e-3, -7.0, 0.25j]])
+        inverse = 1.0 / a
+        d = twice + 1
+        Z, I = np.zeros((d, d), dtype=complex), np.eye(d, dtype=complex)
+        want = [[np.block([[Z, x * I], [y * I, Z]]) for x, y in zip(*row)] for row in zip(a, inverse)]
+        got = scaled_swap_family(rep_generators(HalfInt(twice)), a).rest_matrix
+        assert same_bits((got,), (np.array(want),))
+
+    def test_antilinear_stack_of_broadcast_scales(self):
+        """a of shape (1, 2) and b of shape (3, 1) broadcast to a (3, 2)
+        stack of diag(a Theta, b Theta)."""
+        a = np.array([[1.0 - 0.5j, -2.0j]])
+        b = np.array([[3.0], [0.5 + 0.0j], [-1.0 + 1.0j]])
+        Z = np.zeros((2, 2), dtype=complex)
+        want = [[np.block([[x * THETA, Z], [Z, y * THETA]]) for x in a[0]] for y in b[:, 0]]
+        got = antilinear_family(rep_generators(HalfInt(1)), a, b).rest_matrix
+        assert same_bits((got,), (np.array(want),))
+
+    @pytest.mark.parametrize("twice", range(1, 17))
+    def test_table_monomials_reproduce_index(self, twice):
+        """Row r of the monomials is (k11, k12, k21, k22) with index[:, r] =
+        (k11 d + k12, d^2 + k21 d + k22); every row has degree 2j."""
+        index, _, table, _, monomials = _symmetric_power_table(twice)
+        d = twice + 1
+        k11, k12, k21, k22 = monomials.T
+        assert np.array_equal(index, [k11 * d + k12, d * d + k21 * d + k22])
+        assert (monomials.sum(axis=1) == twice).all() and (monomials >= 0).all()
+        assert len({tuple(row) for row in monomials.tolist()}) == len(table)
 
 
 @pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
