@@ -68,7 +68,6 @@ def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:
     stack of shape S).
     """
     mass = check_mass(basis.mass)
-    eta = rep_generators(basis.j).eta
     W = basis.stack()
     d, n_w = W.shape[-2:]
     if n_w != d:
@@ -89,7 +88,8 @@ def xi_tilde_at_rest(basis: SpinorBasis) -> np.ndarray:
     bad = ~(residual <= 1e-8 * np.sqrt(d))
     if bad.any():
         raise ValueError(f"orthogonality constraints are inconsistent (residual {residual[bad].flat[0]:.3e} of 2m)")
-    return eta @ X_eta
+    # eta is a permutation, so the product with it is a gather of rows
+    return np.take(X_eta, rep_generators(basis.j).eta_index, axis=-2)
 
 
 def k_operator(basis: SpinorBasis, q: FourMomentum) -> np.ndarray:

@@ -221,24 +221,50 @@ def schur_condition_family(lam, b, d) -> Cx2Basis:
     return Cx2Basis(u=u, v=v)
 
 
+def _signed_permutations(generators) -> tuple[np.ndarray, ...]:
+    """(col, col_value, row, row_value) of a stack (3, n, n) of matrices
+    with one entry per row and per column, each of shape (3, n*n) over the
+    flattened n x n matrix: M J_a = M[..., col[a]] * col_value[a] and J_a M =
+    M[..., row[a]] * row_value[a] for M flattened to n*n, read-only."""
+    J = np.array(generators)
+    n = J.shape[-1]
+    r, c = np.divmod(np.arange(n * n), n)
+    # the one non-zero row of each column, and column of each row
+    k_col, k_row = np.abs(J).argmax(axis=-2)[:, c], np.abs(J).argmax(axis=-1)[:, r]
+    a = np.arange(len(J))[:, None]
+    out = (r * n + k_col, J[a, k_col, c], k_row * n + c, J[a, r, k_row])
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
+# J_a = diag(sigma_a/2, sigma_a/2) of spin 1/2 as the signed, scaled
+# permutations it is: a product with it is a gather times 0.5 or +-0.5i
+_J_COL, _J_COL_VALUE, _J_ROW, _J_ROW_VALUE = _signed_permutations(rep_generators(HalfInt(1)).J)
+
+
 def rotation_commutant_residual(G: np.ndarray) -> float | np.ndarray:
     """max over the spin-1/2 rotation generators J_a = diag(sigma_a/2,
     sigma_a/2) of ||[G, J_a]||_F / ||G||_F; one residual per matrix of a
     stack (..., 4, 4), each G finite and non-zero.
 
     SU(2) is connected, so G commutes with every rotation representative
-    exactly when it commutes with the three generators. Each entry of G J_a
-    and J_a G is one product with 0, +-1/2 or +-i/2, so a stacked entry
-    equals its single call bit for bit. The ratio is scale-free and formed
-    on G / max|G| for each matrix, so no finite G overflows its norm.
+    exactly when it commutes with the three generators. J_a has one entry
+    per row and per column, so each entry of G J_a and J_a G is one entry
+    of G times 1/2 or +-i/2, gathered by index: a stacked entry equals its
+    single call, and the explicit matrix product, bit for bit. The ratio
+    is scale-free and formed on G / max|G| for each matrix, so no finite G
+    overflows its norm.
     """
     G = np.asarray(G)
     scale = np.abs(G).max(axis=(-2, -1), keepdims=True)
     if not ((scale > 0.0) & (scale < np.inf)).all():  # a nan fails both
         raise ValueError("G must be finite and non-zero")
     G = G / scale
-    J = np.array(rep_generators(HalfInt(1)).J).reshape((3,) + (1,) * (G.ndim - 2) + (4, 4))
-    return _scalar_or_stack(stack_norm(G @ J - J @ G, 2).max(axis=0) / stack_norm(G, 2))
+    # the three commutators, each flattened: (..., 3, 16)
+    flat = G.reshape(G.shape[:-2] + (16,))
+    comm = flat[..., _J_COL] * _J_COL_VALUE - flat[..., _J_ROW] * _J_ROW_VALUE
+    return _scalar_or_stack(stack_norm(comm, 1).max(axis=-1) / stack_norm(G, 2))
 
 
 def _complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:

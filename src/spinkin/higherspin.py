@@ -140,22 +140,24 @@ def gamma_tensor(j) -> GammaTensor:
     m^{2j} P_j(q) is parity_operator's lift of Sym^{2j}(g), g = E + sigma.p.
     Each monomial g11^a g12^b g21^c g22^e of the table expands binomially
     into monomials of p_mu with Gaussian-integer weights; a component is
-    its weights times the table, over the multiplicity of its multi-index,
+    those weights summed into Sym^{2j}'s entries as symmetric_power sums
+    its monomials, over the multiplicity of its multi-index,
     lifted as parity_operator lifts. At 2j = 1 the components are
     gamma_matrices().gamma.
     """
     j = HalfInt.coerce(j)
-    _, _, table, _, monomials = _symmetric_power_table(j.twice)
+    _, _, weight, _, monomials, starts = _symmetric_power_table(j.twice)
     idxs = symmetric_multi_indices(j.twice)
     position = {idx: k for k, idx in enumerate(idxs)}
-    weights = np.zeros((len(idxs), len(table)), dtype=complex)
+    weights = np.zeros((len(idxs), len(weight)), dtype=complex)
     # row r of the table is g11^a g12^b g21^c g22^e, (a, b, c, e) = monomials[r]
     for r, powers in enumerate(monomials.tolist()):
         for terms in product(*map(_binomial_terms, _G_LOWER, powers)):
             mus, w = zip(*terms)
             weights[position[tuple(sorted(sum(mus, ())))], r] += prod(w)
     multiplicity = np.array([index_multiplicity(idx) for idx in idxs], dtype=float)
-    S = (weights @ table).reshape(-1, j.block_dim, j.block_dim) / multiplicity[:, None, None]
+    S = np.add.reduceat(weights * weight, starts, axis=-1).reshape(-1, j.block_dim, j.block_dim)
+    S /= multiplicity[:, None, None]
     gammas = rep_generators(j).lift(S, adjugate_power(S), swap=True)
     return GammaTensor(j=j, components=dict(zip(idxs, gammas)))
 
@@ -173,4 +175,6 @@ def swap_operator_at(j, q: FourMomentum) -> np.ndarray:
 
     For psi = (psi_R, psi_L) a parity eigenspinor at q, psi_R tensor psi_L is a
     +1 eigenvector of A(q)."""
-    return tensor_boost_matrix(j, 2.0 * rapidity_from_momentum(q)) @ tensor_rep_generators(j).eta
+    # S is a permutation, so the product with it is a gather of columns
+    eta_index = tensor_rep_generators(j).eta_index
+    return np.take(tensor_boost_matrix(j, 2.0 * rapidity_from_momentum(q)), eta_index, axis=-1)

@@ -9,7 +9,8 @@ operator exp(2i K.phi) eta lifts the polynomial (E + sigma.p)/m with no
 exponential at all; the family rest matrices lift scaled blocks through one
 assembler, _block_family. Only the 2x2 exponentials go through linalg.
 
-A family A(p) is evaluated as B(phi) A(0) B(phi)^-1 with B = exp(i K.phi); for
+A family A(p) is evaluated as B(phi) A(0) B(phi)^-1 with B = exp(i K.phi),
+except the parity family, which reads parity_operator's P(q) itself; for
 anti-linear families the rightmost factor becomes conj(B)^-1 because the
 conjugation passes through B^-1's argument. No matrix is inverted: eta
 anti-commutes with K and commutes with J, so every D = exp(i K.phi) or
@@ -34,8 +35,9 @@ Two more stack axes ride on top of the momentum axis, and both lead it:
 Each entry of a stacked result equals its single call bit for bit.
 
 A FourMomentum memoises the operators evaluated at it: parity_operator's
-P(q) and the boost B(phi(q)) that KinematicOperatorFamily.matrix_at,
-boost_basis and the decomposition share are built once per momentum object
+P(q), which the parity family serves as its A(q), and the boost B(phi(q))
+that every other KinematicOperatorFamily.matrix_at, boost_basis and the
+decomposition share are built once per momentum object
 and representation (spin and tensor flag), stored read-only on the object
 only after every refusal has passed, and freed with it. A view q[k] and an
 image q.transform(L) are new objects and start with an empty memo; an object
@@ -298,11 +300,21 @@ class KinematicOperatorFamily:
 
     Linear: A(q) = B A(0) B^-1.  Anti-linear (A(0) = M o K): the matrix part
     evaluates as B M conj(B)^-1 and A(q)^2 means M(q) conj(M(q)).
+
+    A rest matrix whose trailing shape is not (rep.dim, rep.dim) is refused.
+    The shape is all that is checked: at 2j = 1 the direct sum and the
+    tensor product are both 4-dimensional, so the block swap of one paired
+    with the generators of the other is not caught.
     """
 
     rep: RepGenerators
     rest_matrix: np.ndarray
     antilinear: bool = False
+
+    def __post_init__(self):
+        n = self.rep.dim
+        if np.shape(self.rest_matrix)[-2:] != (n, n):
+            raise ValueError(f"expected rest matrices of shape (..., {n}, {n}), got {np.shape(self.rest_matrix)}")
 
     def conjugated(self, D: np.ndarray, M: np.ndarray) -> np.ndarray:
         """D M D^-1, or D M conj(D)^-1 for an anti-linear family, with D and
@@ -381,9 +393,18 @@ def _block_family(rep: RepGenerators, a, b, block, *, swap=False, antilinear=Fal
     return KinematicOperatorFamily(rep=rep, rest_matrix=rest, antilinear=antilinear)
 
 
+class _ParityFamily(KinematicOperatorFamily):
+    """The family A(0) = eta, evaluated as the parity operator it is."""
+
+    def matrix_at(self, q: FourMomentum) -> np.ndarray:
+        return parity_operator(self.rep, q)
+
+
 def parity_family(rep: RepGenerators) -> KinematicOperatorFamily:
-    """The parity family: A(0) = eta."""
-    return KinematicOperatorFamily(rep=rep, rest_matrix=rep.eta.copy())
+    """The parity family: A(0) = eta, and A(q) = parity_operator(rep, q), the
+    memoised read-only P(q) with its cap |phi| <= RAPIDITY_MAX/2; no boost
+    is formed."""
+    return _ParityFamily(rep=rep, rest_matrix=rep.eta.copy())
 
 
 def scaled_swap_family(rep: RepGenerators, a) -> KinematicOperatorFamily:

@@ -31,8 +31,8 @@ __all__ = [
 ]
 
 
-# the largest 2j: the dense Sym^{2j} table grows as (2j)^5, to 26.9 GiB at
-# 2j = 100; at 2j = 16 gamma_tensor's weights take 15 MB
+# the largest 2j: gamma_tensor's dense weights grow as (2j)^6, to 15 MB at
+# 2j = 16
 _TWICE_MAX = 16
 
 
@@ -206,24 +206,25 @@ def symmetric_power(g, j) -> np.ndarray:
     a stack (..., 2, 2), in the J_z basis of spin_matrices.
 
     Its entries are homogeneous polynomials of degree 2j in the entries of
-    g, summed over a constant table of monomial coefficients. It is a
+    g, each a weighted sum of the monomials that feed it. It is a
     homomorphism, Sym(gh) = Sym(g) Sym(h), with Sym(exp(sigma.z/2)) =
     exp(J.z) for any complex 3-vector z: exp(sigma.phi/2) gives the spin-j
     boost and exp(i sigma.theta/2) the spin-j rotation.
     """
-    index, exponents, table, _, _ = _symmetric_power_table(HalfInt.coerce(j).twice)
+    index, exponents, weight, _, _, starts = _symmetric_power_table(HalfInt.coerce(j).twice)
     g = np.asarray(g, dtype=complex)
     lead = g.shape[:-2]
     # g_v^k for the four entries v and k = 0..2j; the products g11^a g12^b
-    # and g21^c g22^e; then each monomial as the product of two of those.
-    # Elementwise products and one (1, M) @ table product per matrix round a
-    # stacked entry exactly as its single call (a reduction such as prod()
+    # and g21^c g22^e; then each monomial as the product of two of those,
+    # weighted, and summed over its entry's segment. Elementwise products
+    # and segment sums (one reduction per segment, whatever the stack) round
+    # a stacked entry exactly as its single call (a reduction such as prod()
     # does not: its loop order depends on the stack's shape)
     powers = np.power(g.reshape(lead + (2, 2, 1)), exponents)
     d = len(exponents)
     halves = (powers[..., :, 0, :, None] * powers[..., :, 1, None, :]).reshape(lead + (2 * d * d,))
     monomials = halves[..., index[0]] * halves[..., index[1]]
-    return (monomials[..., None, :] @ table).reshape(lead + (d, d))
+    return np.add.reduceat(monomials * weight, starts, axis=-1).reshape(lead + (d, d))
 
 
 def adjugate_power(S: np.ndarray) -> np.ndarray:
@@ -233,7 +234,7 @@ def adjugate_power(S: np.ndarray) -> np.ndarray:
     reversal, so the entry (x, y) is (-1)^(x+y) S[2j-y, 2j-x]. For det g = 1
     this is Sym^{2j}(g^-1).
     """
-    _, _, _, sign, _ = _symmetric_power_table(S.shape[-1] - 1)
+    _, _, _, sign, _, _ = _symmetric_power_table(S.shape[-1] - 1)
     out = S[..., ::-1, ::-1].swapaxes(-1, -2) * sign
     # adding 0.0 turns the -0.0 of a negated zero into 0.0 and leaves every
     # other value as it is
@@ -243,16 +244,19 @@ def adjugate_power(S: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _symmetric_power_table(twice: int) -> tuple[np.ndarray, ...]:
-    """(index, exponents, table, sign, monomials) of symmetric_power,
+    """(index, exponents, weight, sign, monomials, starts) of symmetric_power,
     adjugate_power and higherspin.gamma_tensor, built once per spin from
     binomials, read-only.
 
     In the basis e_1^a e_2^(2j-a) / sqrt(a! (2j-a)!), index a descending, g
     sends e_1 to g11 e_1 + g21 e_2 and e_2 to g12 e_1 + g22 e_2. The
     monomial g11^k g12^l g21^(a-k) g22^(2j-a-l) (k + l = a') then carries
-    C(a,k) C(2j-a,l) sqrt(C(2j,a)/C(2j,a')) into the entry (a', a): one
-    entry per monomial, C(2j+3, 3) monomials (35 at 2j = 4); row r of
-    `monomials` is the exponents (k11, k12, k21, k22) of row r of `table`.
+    the real weight C(a,k) C(2j-a,l) sqrt(C(2j,a)/C(2j,a')) into the one
+    entry (a', a): C(2j+3, 3) monomials (35 at 2j = 4). Row r is the
+    monomial with exponents monomials[r] = (k11, k12, k21, k22) and weight
+    weight[r]; the rows are sorted by their flattened entry, so entry e is
+    the sum of rows starts[e] to starts[e + 1] (every entry has at least
+    one).
     """
     n, d = twice, twice + 1
     exps = [
@@ -261,21 +265,23 @@ def _symmetric_power_table(twice: int) -> tuple[np.ndarray, ...]:
         for k12 in range(n + 1 - k11)
         for k21 in range(n + 1 - k11 - k12)
     ]
-    table = np.zeros((len(exps), d * d), dtype=complex)
-    for row, (k11, k12, k21, _) in enumerate(exps):
+    rows = []
+    for k11, k12, k21, k22 in exps:
         a, a_out = k11 + k21, k11 + k12  # powers of e_1 before and after
-        weight = math.comb(a, k11) * math.comb(n - a, k12) * math.sqrt(math.comb(n, a) / math.comb(n, a_out))
-        table[row, (n - a_out) * d + (n - a)] = weight
+        w = math.comb(a, k11) * math.comb(n - a, k12) * math.sqrt(math.comb(n, a) / math.comb(n, a_out))
+        rows.append(((n - a_out) * d + (n - a), w, (k11, k12, k21, k22)))
+    rows.sort(key=lambda row: row[0])
+    entry, weight, monomials = (np.array(x) for x in zip(*rows))
+    starts = np.searchsorted(entry, np.arange(d * d))
     # index[0] points at g11^k11 g12^k12 and index[1] at g21^k21 g22^k22 in
     # the flattened (2, 2j+1, 2j+1) products of powers
-    monomials = np.array(exps)
     k = monomials.T
     index = np.array([k[0] * d + k[1], d * d + k[2] * d + k[3]])
     exponents = np.arange(n + 1, dtype=complex)
     sign = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
-    for a in (index, exponents, table, sign, monomials):
+    for a in (index, exponents, weight, sign, monomials, starts):
         a.flags.writeable = False
-    return index, exponents, table, sign, monomials
+    return index, exponents, weight, sign, monomials, starts
 
 
 def rep_generators(j) -> RepGenerators:

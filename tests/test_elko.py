@@ -549,6 +549,18 @@ class TestStackedPairs:
             assert stacked[k] == commutant_residual_scalar(G[k])
         assert rotation_commutant_residual(G.reshape(3, 4, 4, 4)).shape == (3, 4)
 
+    def test_rotation_commutant_residual_is_the_matrix_product(self, rng):
+        """J_a applied by index gives the residual of the explicit products
+        G J_a - J_a G, bit for bit, on a stack and on one matrix."""
+        G = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
+        J = np.array(rep_generators(HalfInt(1)).J)
+        for X in (G, G[7]):
+            # the residual is formed on X over its largest entry modulus
+            M = X / np.abs(X).max(axis=(-2, -1), keepdims=True)
+            Ja = J.reshape((3,) + (1,) * (M.ndim - 2) + (4, 4))
+            want = stack_norm(M @ Ja - Ja @ M, 2).max(axis=0) / stack_norm(M, 2)
+            assert np.array_equal(rotation_commutant_residual(X), want)
+
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
     def test_rotation_commutant_residual_refuses_a_zero_or_non_finite_g(self, rng, bad):
         """A zero G has no scale-free residual and a non-finite one no

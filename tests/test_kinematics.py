@@ -11,6 +11,7 @@ from spinkin.dirac import boosted_spinors
 from spinkin.elko import antilinear_family
 from spinkin.kinematics import (
     FourMomentum,
+    KinematicOperatorFamily,
     _boost_at,
     _directions,
     _random_vectors,
@@ -274,7 +275,8 @@ class TestOperatorMemo:
     @pytest.mark.parametrize("twice", [1, 2])
     def test_matrix_at_reads_the_memoised_boost(self, monkeypatch, twice):
         """A family evaluated at a momentum shares the one B(phi(q)) memoised
-        on it, and forms no boost of its own."""
+        on it, and forms no boost of its own; the parity family serves the
+        memoised P(q) itself."""
         rep = rep_generators(HalfInt(twice))
         fam = scaled_swap_family(rep, 2.0 - 1.0j)
         q = momenta(11, 4)
@@ -282,7 +284,7 @@ class TestOperatorMemo:
         B = q._derived[("boost", rep.j, False)]
         assert B is _boost_at(rep, q)
         monkeypatch.setattr(kinematics, "boost_matrix", None)
-        assert np.array_equal(parity_family(rep).matrix_at(q), parity_family(rep).conjugated(B, rep.eta))
+        assert parity_family(rep).matrix_at(q) is parity_operator(rep, q)
         assert np.array_equal(fam.matrix_at(q), A)
 
     @pytest.mark.parametrize(
@@ -351,6 +353,31 @@ class TestFullyKinematicChecker:
         rep = rep_generators(HalfInt(1))
         report = is_fully_kinematic(scaled_swap_family(rep, 2.0), samples=10, tol=1e-8, seed=5)
         assert report["pass"]
+
+    @pytest.mark.parametrize("twice", [1, 2])
+    def test_parity_family_has_the_parity_cap(self, twice):
+        """The parity family serves P(q), so it refuses |phi| = 15.5, a valid
+        boost past P(q)'s cap, with the parity operator's message."""
+        fam = parity_family(rep_generators(HalfInt(twice)))
+        q = FourMomentum(1.0, (0.0, 0.0, np.sinh(15.5)))
+        with pytest.raises(ValueError, match=r"^rapidity must be finite and within the parity overflow cap 15\.0, got 15\.500$"):
+            fam.matrix_at(q)
+
+    @pytest.mark.parametrize(
+        "rep, rest",
+        [
+            (rep_generators(HalfInt(2)), np.eye(4)),
+            (tensor_rep_generators(HalfInt(2)), np.eye(6)),
+            (rep_generators(HalfInt(1)), np.ones((3, 4, 5))),
+            (rep_generators(HalfInt(1)), np.ones(4)),
+        ],
+    )
+    def test_rest_matrix_of_another_dimension_is_refused(self, rep, rest):
+        """A rest matrix must be (..., dim, dim) for its representation: a 4x4
+        matrix on the 6-dimensional spin-1 space failed inside numpy's
+        reshape, on its first residual, before it was refused here."""
+        with pytest.raises(ValueError, match=rf"^expected rest matrices of shape \(\.\.\., {rep.dim}, {rep.dim}\)"):
+            KinematicOperatorFamily(rep, rest)
 
     def test_rejects_zero_samples(self):
         rep = rep_generators(HalfInt(1))

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -349,12 +350,12 @@ class TestOneLayout:
     def test_table_monomials_reproduce_index(self, twice):
         """Row r of the monomials is (k11, k12, k21, k22) with index[:, r] =
         (k11 d + k12, d^2 + k21 d + k22); every row has degree 2j."""
-        index, _, table, _, monomials = _symmetric_power_table(twice)
+        index, _, weight, _, monomials, _ = _symmetric_power_table(twice)
         d = twice + 1
         k11, k12, k21, k22 = monomials.T
         assert np.array_equal(index, [k11 * d + k12, d * d + k21 * d + k22])
         assert (monomials.sum(axis=1) == twice).all() and (monomials >= 0).all()
-        assert len({tuple(row) for row in monomials.tolist()}) == len(table)
+        assert len({tuple(row) for row in monomials.tolist()}) == len(weight)
 
 
 @pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
@@ -442,6 +443,44 @@ def test_symmetric_power_is_a_homomorphism(twice, rng):
     assert rel_err(SA @ SB, symmetric_power(A @ B, j)) <= 1e-13
     adj = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]])
     assert rel_err(adjugate_power(SA), symmetric_power(adj, j)) <= 1e-13
+
+
+def symmetric_power_dense(g, twice):
+    """Reference for symmetric_power: each monomial g11^k11 g12^k12 g21^k21
+    g22^k22 times its row of a dense (monomials, (2j+1)^2) complex table of
+    binomial weights, the rows summed in order."""
+    n, d = twice, twice + 1
+    g = np.asarray(g, dtype=complex)
+    # at least one stack axis: numpy's scalar power rounds unlike its array one
+    flat = g.reshape(-1, 2, 2)
+    columns, rows = [], []
+    for k11 in range(n + 1):
+        for k12 in range(n + 1 - k11):
+            for k21 in range(n + 1 - k11 - k12):
+                k22 = n - k11 - k12 - k21
+                a, a_out = k11 + k21, k11 + k12
+                row = np.zeros(d * d, dtype=complex)
+                row[(n - a_out) * d + (n - a)] = comb(a, k11) * comb(n - a, k12) * sqrt(comb(n, a) / comb(n, a_out))
+                rows.append(row)
+                p = [np.power(flat[:, i, k], complex(e)) for (i, k), e in zip(np.ndindex(2, 2), (k11, k12, k21, k22))]
+                columns.append((p[0] * p[1]) * (p[2] * p[3]))
+    monomials = np.stack(columns, axis=-1)
+    return (monomials[..., :, None] * np.array(rows)).sum(axis=-2).reshape(g.shape[:-2] + (d, d))
+
+
+@pytest.mark.parametrize("twice", range(1, 9))
+def test_segment_sums_match_the_dense_table(twice, rng):
+    """symmetric_power sums each entry's monomials by segment; the dense
+    table gives the same matrix bit for bit where no entry has more than
+    two terms (2j <= 3), and to 1e-15 relative above, on one matrix and on
+    a stack."""
+    g = rng.normal(size=(40, 2, 2)) + 1j * rng.normal(size=(40, 2, 2))
+    for x in (g, g[3]):
+        got, want = symmetric_power(x, HalfInt(twice)), symmetric_power_dense(x, twice)
+        if twice <= 3:
+            assert same_bits((got,), (want,))
+        else:
+            assert rel_err(got, want) <= 1e-15
 
 
 def test_no_negative_zero_at_rest():
