@@ -36,7 +36,7 @@ from .kinematics import (
     scaled_swap_family,
     stack_pairs,
 )
-from .linalg import anticommutator, stack_norm
+from .linalg import anticommutator, square_residual, stack_norm
 from .reps import HalfInt, rep_generators, tensor_rep_generators
 
 __all__ = ["run_all", "SUITES"]
@@ -176,7 +176,7 @@ def kinematic_checker_suite(seed: int) -> dict:
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(25, 2)))
     fam = elko.antilinear_family(rep_half, np.repeat(grid, 5) * phases[:, 0], np.tile(grid, 5) * phases[:, 1])
     anti = fam.anticommutator_residual()
-    min_gap = float(stack_norm(fam.squared_at(q) - np.eye(4), 2).min())
+    min_gap = float(square_residual(fam.matrix_at(q), fam.antilinear).min())
     # the one bound of the three conditions: the checker judged parity and
     # the swaps at it, and the gate judges the anticommutator
     return _report(
@@ -274,7 +274,7 @@ def g_operator_suite(seed: int) -> dict:
     G = elko.g_operator(basis)
     eb = elko.elko_basis(basis)
     C = elko.charge_conjugation()
-    worst = float(stack_norm(G @ G - np.eye(4), 2).max(initial=0.0))
+    worst = float(square_residual(G).max(initial=0.0))
     worst_c = 0.0
     for w, s in ((eb.u_plus, 1), (eb.u_minus, -1), (eb.v_plus, 1), (eb.v_minus, -1)):
         norm = stack_norm(w, 1)

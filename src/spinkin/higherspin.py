@@ -21,7 +21,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .kinematics import FourMomentum, _recall, boost_matrix, parity_operator, rapidity_from_momentum
-from .linalg import _scalar_or_stack, stack_norm
+from .linalg import _scalar_or_stack, square_residual, stack_norm
 from .reps import HalfInt, _symmetric_power_table, adjugate_power, rep_generators, tensor_rep_generators
 
 __all__ = [
@@ -66,10 +66,9 @@ def involution_certificate(P: np.ndarray) -> dict:
     (-1)^(n-); the counts hold only with the square, as |lam^2 - 1| <=
     ||P^2 - I||_F (for the block swap tr P = 0, so they read 2j+1 at any
     momentum). No eigensolver: P is not normal, so eigenvalues move ~eps ||P||^2."""
-    dim = P.shape[-1]
     trace = np.trace(P, axis1=-2, axis2=-1).real
-    square = stack_norm(P @ P - np.eye(dim), 2)
-    plus, minus = (np.rint((dim + sign * trace) / 2).astype(int) for sign in (1, -1))
+    square = square_residual(P)
+    plus, minus = (np.rint((P.shape[-1] + sign * trace) / 2).astype(int) for sign in (1, -1))
     square, plus, minus = map(_scalar_or_stack, (square, plus, minus))
     n = {"+1": plus, "-1": minus}
     return {"square_residual": square, "certified": square <= CERTIFICATE_TOL, "multiplicities": n}

@@ -51,7 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _FLOAT_TINY, _ONE_SIGMA, _scalar_or_stack, anticommutator, expm_hermitian, expm_i_hermitian, stack_norm
+from .linalg import _FLOAT_TINY, _ONE_SIGMA, _scalar_or_stack, anticommutator, expm_hermitian, expm_i_hermitian
+from .linalg import square_residual, stack_norm
 from .reps import (
     RAPIDITY_MAX,
     LorentzTransform,
@@ -344,9 +345,6 @@ class KinematicOperatorFamily:
         B = _boost_at(self.rep, q)
         return self.conjugated(B, self._spread(self.rest_matrix, B.ndim - 2))
 
-    def squared_at(self, q: FourMomentum) -> np.ndarray:
-        return _squared(self.matrix_at(q), self.antilinear)
-
     def anticommutator_residual(self) -> float:
         """max_a ||{A(0), K_a}|| in the convention appropriate to linearity,
         the largest over a family stack.
@@ -359,11 +357,6 @@ class KinematicOperatorFamily:
         K = np.array(self.rep.K).reshape((3,) + (1,) * (M.ndim - 2) + M.shape[-2:])
         r = K @ M - M @ np.conj(K) if self.antilinear else anticommutator(M, K)
         return float(stack_norm(r, 2).max(initial=0.0))
-
-
-def _squared(M: np.ndarray, antilinear: bool) -> np.ndarray:
-    """A^2 of a matrix stack: M conj(M) for the anti-linear M o K, else M M."""
-    return M @ np.conj(M) if antilinear else M @ M
 
 
 def _family_scales(x, name: str) -> np.ndarray:
@@ -386,7 +379,7 @@ def _block_family(rep: RepGenerators, a, b, block, *, swap=False, antilinear=Fal
     a, b = np.broadcast_arrays(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
         rest = rep.lift(a[..., None, None] * block, b[..., None, None] * block, swap)
-        ok = np.isfinite(stack_norm(rest, 2)) & np.isfinite(stack_norm(_squared(rest, antilinear), 2))
+        ok = np.isfinite(stack_norm(rest, 2)) & np.isfinite(square_residual(rest, antilinear))
     if not ok.all():
         where = f" (stack index {np.argwhere(~ok)[0].tolist()})" if ok.ndim else ""
         raise ValueError(f"the rest matrix or its square overflows{where}; rescale the family")
@@ -404,7 +397,7 @@ def parity_family(rep: RepGenerators) -> KinematicOperatorFamily:
     """The parity family: A(0) = eta, and A(q) = parity_operator(rep, q), the
     memoised read-only P(q) with its cap |phi| <= RAPIDITY_MAX/2; no boost
     is formed."""
-    return _ParityFamily(rep=rep, rest_matrix=rep.eta.copy())
+    return _ParityFamily(rep=rep, rest_matrix=rep.eta)
 
 
 def scaled_swap_family(rep: RepGenerators, a) -> KinematicOperatorFamily:
@@ -440,14 +433,17 @@ def covariance_residual(
     Raises when a norm overflows: a family scaled near the float range can
     have finite matrices whose norms are not, and would read residual 0.
     """
-    return _covariance_residual(fam, fam.matrix_at(q), q, L, D)
+    # a family scaled near the float range can overflow once boosted
+    with np.errstate(over="ignore", invalid="ignore"):
+        A1 = fam.matrix_at(q)
+    return _covariance_residual(fam, A1, q, L, D)
 
 
 def _covariance_residual(fam, A1, q, L, D) -> float | np.ndarray:
     """covariance_residual with A1 = fam.matrix_at(q) already evaluated."""
-    A2 = fam.matrix_at(q.transform(L))
-    A1 = fam._spread(A1, A2.ndim - A1.ndim)
     with np.errstate(over="ignore", invalid="ignore"):
+        A2 = fam.matrix_at(q.transform(L))
+        A1 = fam._spread(A1, A2.ndim - A1.ndim)
         scale = stack_norm(A1, 2)
         # the difference overwrites the conjugated stack, a fresh array
         diff = fam.conjugated(D, A1)
@@ -542,9 +538,9 @@ def is_fully_kinematic(fam: KinematicOperatorFamily, *, samples: int, tol: float
     # A(q) once, for the square and for the covariance. A family scaled near
     # the float range can overflow once boosted: a residual that is not
     # finite is refused, not reported
-    A = fam.matrix_at(momenta)
     with np.errstate(over="ignore", invalid="ignore"):
-        sq_worst = float(np.max(stack_norm(_squared(A, fam.antilinear) - np.eye(fam.rep.dim), 2)))
+        A = fam.matrix_at(momenta)
+        sq_worst = float(np.max(square_residual(A, fam.antilinear)))
         anti_worst = fam.anticommutator_residual()
     cov_worst = float(np.max(_covariance_residual(fam, A, momenta, *pairs)))
 

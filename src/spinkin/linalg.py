@@ -23,6 +23,7 @@ __all__ = [
     "expm_hermitian",
     "expm_i_hermitian",
     "stack_norm",
+    "square_residual",
     "nullspace",
     "AntiLinearMap",
     "anticommutator",
@@ -116,16 +117,18 @@ def _sum_of_squares(x: np.ndarray):
     return sq + np.vecdot(x.imag, x.imag) if x.dtype.kind == "c" else sq
 
 
+@np.errstate(over="ignore")  # a sum of squares may overflow; it is formed again
 def stack_norm(x: np.ndarray, ndim: int) -> np.ndarray:
     """Euclidean norm over the last `ndim` axes (1: vectors, 2: the Frobenius
     norm of matrices) for every entry of the leading axes.
 
     Formed as np.linalg.norm forms the norm of one array (the dot products of
     the real and the imaginary parts), so each entry whose sum of squares is
-    a normal float equals that single call bit for bit. An entry whose sum
-    underflows is formed again on x over its largest part, so a small norm
-    is right down to the subnormals and a zero entry stays 0; a sum that
-    overflows reads inf. A stack of one equals the unstacked value.
+    a normal float equals that single call bit for bit. An entry of finite
+    parts whose sum underflows or overflows is formed again on x over its
+    largest part, so a norm is right from the subnormals to the largest
+    float and a zero entry stays 0. An entry holding inf reads inf, and one
+    holding nan reads nan. A stack of one equals the unstacked value.
     """
     x = np.asarray(x)
     if ndim != 1:
@@ -133,20 +136,34 @@ def stack_norm(x: np.ndarray, ndim: int) -> np.ndarray:
         x = x.reshape(x.shape[:lead] + (math.prod(x.shape[lead:]),))  # not -1: a stack may be empty
     sq = _sum_of_squares(x)
     norm = np.sqrt(sq)
-    # fmin skips a nan, so a nan entry hides no other; it fails `<` and stays nan
-    if not np.fmin.reduce(sq, axis=None, initial=np.inf) < _FLOAT_TINY:
+    # a nan sum fails every test and is never formed again; fmin and fmax
+    # skip a nan, so a nan entry hides no other
+    if sq.ndim == 0:
+        lo = hi = float(sq)
+    else:
+        lo, hi = np.fmin.reduce(sq, axis=None, initial=np.inf), np.fmax.reduce(sq, axis=None, initial=0.0)
+    if _FLOAT_TINY <= lo and hi < np.inf:
         return norm
     redo = sq < _FLOAT_TINY
+    if hi == np.inf:  # a sum that overflows; an entry that holds an inf keeps its norm inf
+        redo = redo | ((sq == np.inf) & np.isfinite(x).all(axis=-1))
     y = x[redo]
     if not y.any():  # zero entries, whose norm 0 is exact
         return norm
-    # writable, and 0-d for one entry
-    norm = np.asarray(norm)
+    norm = np.asarray(norm)  # writable, and 0-d for one entry
     scale = np.maximum(np.abs(y.real), np.abs(y.imag)).max(axis=-1, initial=0.0)
     # the parts of y over scale lie in [-1, 1], one of them at +-1, so their
-    # squares cannot underflow to a wrong sum; a zero entry divides by 1
+    # squares neither underflow nor overflow to a wrong sum; a zero entry
+    # divides by 1. The product overflows only past the float range
     norm[redo] = scale * np.sqrt(_sum_of_squares(y / np.where(scale > 0.0, scale, 1.0)[..., None]))
     return norm[()]
+
+
+def square_residual(A: np.ndarray, antilinear: bool = False) -> np.ndarray:
+    """||A^2 - I||_F of a matrix, or of each matrix of a stack (..., n, n);
+    the square of an anti-linear A = M o K, given by M, is M conj(M)."""
+    square = A @ np.conj(A) if antilinear else A @ A
+    return stack_norm(square - np.eye(A.shape[-1]), 2)
 
 
 def _scalar_or_stack(x):

@@ -11,8 +11,8 @@ exp(+J.phi); inside each block the basis is the J_z eigenbasis descending from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,59 +115,42 @@ def _spin_matrices(j: HalfInt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class RepGenerators:
-    """Rotation/boost generators J, K and an involution eta of one representation.
+    """A representation as the value (j, tensor), with its rotation/boost
+    generators J, K and an involution eta.
 
     On (j,0)+(0,j) (rep_generators): J_a = diag(J_a, J_a), K_a = diag(-i J_a,
     +i J_a) and eta = offdiag(I, I), the chiral block swap. On (j,0)x(0,j)
-    (tensor_rep_generators): Kronecker sums and eta = S, the tensor swap.
-    On either, eta^2 = I exactly, eta commutes with rotations and
-    anti-commutes with boosts.
+    (tensor_rep_generators, tensor=True): Kronecker sums and eta = S, the
+    tensor swap. On either, eta^2 = I exactly, eta commutes with rotations
+    and anti-commutes with boosts; eta_index is eta as the permutation it is
+    (M @ eta = M[..., eta_index], eta @ M = M[..., eta_index, :]).
 
-    `tensor` tells the two apart (at 2j = 1 both have dimension 4); only the
-    two builders set it. `lift` lays out every operator from its two spin-j
-    factors, J and K included (lifted from the cached `spin_matrices` on
-    first read, as each object's own writable arrays).
+    `j` is coerced to a HalfInt, `tensor` must be a bool (at 2j = 1 both
+    spaces are 4-dimensional), and `spin_matrices` is derived from j. Equal
+    values compare equal, hash alike and share J, K, eta and eta_index: one
+    set of read-only arrays per representation, built on first read. `lift`
+    lays out every operator from its two spin-j factors, J and K included.
     """
 
     j: HalfInt
-    spin_matrices: tuple[np.ndarray, np.ndarray, np.ndarray]
     tensor: bool = False
+    spin_matrices: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.tensor, bool):
+            raise TypeError(f"tensor must be a bool, got {self.tensor!r}")
+        j = HalfInt.coerce(self.j)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "spin_matrices", spin_matrices(j))
 
     @property
     def dim(self) -> int:
         return self.j.block_dim**2 if self.tensor else self.j.dim
 
-    @property
-    def J(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._generators[0]
-
-    @property
-    def K(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._generators[1]
-
-    @property
-    def eta(self) -> np.ndarray:
-        return self._generators[2]
-
-    @cached_property
-    def _generators(self) -> tuple[tuple, tuple, np.ndarray]:
-        """(J, K, eta) from the spin matrices A, each generator the lift of
-        its two factors: diag(A, A) and diag(-iA, iA) on the direct sum,
-        Kronecker sums A x I + I x A on the tensor product."""
-        A = np.array(self.spin_matrices)
-        if self.tensor:
-            I = np.broadcast_to(np.eye(self.j.block_dim, dtype=complex), A.shape)
-            left, right = self.lift(A, I), self.lift(I, A)
-            J, K = left + right, -1j * left + 1j * right
-        else:
-            J, K = self.lift(A, A), self.lift(-1j * A, 1j * A)
-        return tuple(J), tuple(K), np.eye(self.dim, dtype=complex)[self.eta_index]
-
-    @property
-    def eta_index(self) -> np.ndarray:
-        """eta as the permutation it is: M @ eta = M[..., eta_index] and
-        eta @ M = M[..., eta_index, :]."""
-        return _eta_index(self.j, self.tensor)
+    J = property(lambda self: _generators(self)[0])
+    K = property(lambda self: _generators(self)[1])
+    eta = property(lambda self: _generators(self)[2])
+    eta_index = property(lambda self: _generators(self)[3])
 
     def lift(self, right: np.ndarray, left: np.ndarray, swap: bool = False) -> np.ndarray:
         """The matrix acting as `right` on (j,0) and `left` on (0,j), two
@@ -190,15 +173,25 @@ class RepGenerators:
 
 
 @lru_cache(maxsize=32)
-def _eta_index(j: HalfInt, tensor: bool) -> np.ndarray:
-    """eta as a read-only permutation: row i of eta is the unit row
-    index[i], which is how both generator builders form eta."""
-    d = j.block_dim
-    # the swap sends index i*d+k to k*d+i; the block swap sends the top
-    # block to the bottom one
-    index = np.arange(d * d).reshape(d, d).T.reshape(-1) if tensor else np.roll(np.arange(2 * d), d)
-    index.flags.writeable = False
-    return index
+def _generators(rep: RepGenerators) -> tuple[tuple, tuple, np.ndarray, np.ndarray]:
+    """(J, K, eta, eta_index) of a representation, read-only: each generator
+    the lift of its factors, and row i of eta the unit row eta_index[i]."""
+    A, d = np.array(rep.spin_matrices), rep.j.block_dim
+    if rep.tensor:
+        I = np.broadcast_to(np.eye(d, dtype=complex), A.shape)
+        left, right = rep.lift(A, I), rep.lift(I, A)
+        J, K = left + right, -1j * left + 1j * right
+        # the swap sends index i*d+k to k*d+i
+        index = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    else:
+        J, K = rep.lift(A, A), rep.lift(-1j * A, 1j * A)
+        # the block swap sends the top block to the bottom one
+        index = np.roll(np.arange(2 * d), d)
+    eta = np.eye(rep.dim, dtype=complex)[index]
+    # flagged before the split: the tuples' entries are views of J and K
+    for a in (J, K, eta, index):
+        a.flags.writeable = False
+    return tuple(J), tuple(K), eta, index
 
 
 def symmetric_power(g, j) -> np.ndarray:
@@ -285,10 +278,8 @@ def _symmetric_power_table(twice: int) -> tuple[np.ndarray, ...]:
 
 
 def rep_generators(j) -> RepGenerators:
-    """The (j,0)+(0,j) generators with the block conventions above; each
-    call's J, K and eta are its own, so a caller may modify them."""
-    j = HalfInt.coerce(j)
-    return RepGenerators(j, spin_matrices(j))
+    """The (j,0)+(0,j) representation, with the block conventions above."""
+    return RepGenerators(j)
 
 
 @dataclass(frozen=True)
@@ -354,10 +345,7 @@ def vector_rotation(theta) -> LorentzTransform:
 
 
 def tensor_rep_generators(j) -> RepGenerators:
-    """Generators of (j,0)x(0,j) on the (2j+1)^2-dimensional space.
-
-    J = J x I + I x J and K = (-iJ) x I + I x (+iJ) as Kronecker sums; eta is
-    the swap S(x tensor y) = y tensor x.
-    """
-    j = HalfInt.coerce(j)
-    return RepGenerators(j, spin_matrices(j), tensor=True)
+    """The (j,0)x(0,j) representation on the (2j+1)^2-dimensional space:
+    J = J x I + I x J and K = (-iJ) x I + I x (+iJ) as Kronecker sums, and eta
+    the swap S(x tensor y) = y tensor x."""
+    return RepGenerators(j, tensor=True)

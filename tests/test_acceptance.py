@@ -138,7 +138,8 @@ def test_criterion_05_definition_checker():
             fam = antilinear_family(rep, a, b)
             rep_chk = is_fully_kinematic(fam, samples=5, tol=1e-8, seed=7)
             anti_ok = anti_ok and rep_chk["anticommutes"] and not rep_chk["squares_to_identity"]
-            min_gap = min(min_gap, float(np.linalg.norm(fam.squared_at(q) - np.eye(4))))
+            M = fam.matrix_at(q)
+            min_gap = min(min_gap, float(np.linalg.norm(M @ np.conj(M) - np.eye(4))))
     ok = parity_ok and swap_ok and anti_ok and min_gap >= 1.0
     report(
         5,

@@ -26,7 +26,7 @@ from spinkin.kinematics import (
     scaled_swap_family,
     stack_pairs,
 )
-from spinkin.linalg import anticommutator, stack_norm
+from spinkin.linalg import anticommutator, square_residual, stack_norm
 from spinkin.reps import (
     RAPIDITY_MAX,
     HalfInt,
@@ -381,15 +381,21 @@ class TestFamilyStack:
             assert np.array_equal(scaled_swap_family(rep, a).rest_matrix.view(float), block.view(float))
             assert np.array_equal(stack[k].view(float), block.view(float))
 
-    @pytest.mark.parametrize("method", ["matrix_at", "squared_at"])
-    def test_matrix_and_square(self, twice, method, rng):
+    @pytest.mark.parametrize(
+        "method, trailing",
+        [(lambda fam, q: fam.matrix_at(q), 2), (lambda fam, q: square_residual(fam.matrix_at(q), fam.antilinear), 0)],
+        ids=["matrix_at", "squared_at"],
+    )
+    def test_matrix_and_square(self, twice, method, trailing, rng):
+        """A(q), and the residual of its square, of a family stack equal
+        those of each family, bit for bit."""
         rep = rep_generators(HalfInt(twice))
         batch = momenta(130 + twice, 20)
         for singles, stack in family_stacks(rep, rng):
-            got = getattr(stack, method)(batch)
-            assert got.shape == (len(singles), len(batch), rep.dim, rep.dim)
-            assert_rows_equal(got, [getattr(f, method)(batch) for f in singles])
-            assert_rows_equal(getattr(stack, method)(batch[7]), [getattr(f, method)(batch[7]) for f in singles])
+            got = method(stack, batch)
+            assert got.shape == (len(singles), len(batch), rep.dim, rep.dim)[: 2 + trailing]
+            assert_rows_equal(got, [method(f, batch) for f in singles])
+            assert_rows_equal(method(stack, batch[7]), [method(f, batch[7]) for f in singles])
 
     def test_anticommutator_residual(self, twice, rng):
         rep = rep_generators(HalfInt(twice))
@@ -479,15 +485,15 @@ def test_conjugated_equals_product_form(twice, rng):
 @pytest.mark.parametrize("twice", SPINS)
 def test_is_fully_kinematic_equals_its_public_parts(twice):
     """is_fully_kinematic evaluates A(q) once for the square and the
-    covariance; its residuals equal squared_at and covariance_residual on
-    the same draws."""
+    covariance; its residuals equal square_residual of matrix_at and
+    covariance_residual on the same draws."""
     rep = rep_generators(HalfInt(twice))
     for fam in (parity_family(rep), scaled_swap_family(rep, SCALES)):
         report = is_fully_kinematic(fam, samples=12, tol=1e-8, seed=5)
         rng = np.random.default_rng(5)
         batch = sample_momenta(rng, 12)
         pairs = stack_pairs(random_transform_pairs(rep, rng, 12))
-        square = np.max(stack_norm(fam.squared_at(batch) - np.eye(rep.dim), 2))
+        square = np.max(square_residual(fam.matrix_at(batch), fam.antilinear))
         assert report["max_residuals"]["square"] == float(square)
         assert report["max_residuals"]["covariance"] == float(np.max(covariance_residual(fam, batch, *pairs)))
 
@@ -555,7 +561,8 @@ def kinematic_checker_suite_loop(seed, tol=1e-8):
             b = bmag * np.exp(1j * rng.uniform(0, 2 * np.pi))
             fam = elko.antilinear_family(rep_half, a, b)
             anti_ok = anti_ok and fam.anticommutator_residual() <= tol
-            gap = np.linalg.norm(fam.squared_at(q) - np.eye(4))
+            M = fam.matrix_at(q)
+            gap = np.linalg.norm(M @ np.conj(M) - np.eye(4))
             min_gap = min(min_gap, float(gap))
     return {
         "parity_fully_kinematic": bool(parity_ok),

@@ -8,6 +8,7 @@ import inspect
 import itertools
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -237,10 +238,11 @@ def _nan_at(index):
 
 
 def _eta_nan(rep):
-    """rep with a nan written off the diagonal of its eta: the generators
-    of each rep are its own writable arrays, kept for every later read."""
-    rep.eta[0, 1] = np.nan
-    return rep
+    """A stand-in for rep whose eta has a nan off the diagonal: the
+    generators of a representation are shared and read-only."""
+    eta = rep.eta.copy()
+    eta[0, 1] = np.nan
+    return SimpleNamespace(j=rep.j, dim=rep.dim, J=rep.J, K=rep.K, eta=eta)
 
 
 def _last_ray_nan(report):
@@ -313,7 +315,7 @@ def _distance_nan(pair):
 # equivalence pairs, the block scalars, the r1-only and the r2-only family;
 # its schur_conditions calls are the sweep's chunks, then the exact-condition pairs
 NAN_GATE_PATCHES = [
-    ("kinematic_checker", checks, "stack_norm", None, _nan_at(0), ("max_residuals", "antilinear_square_gap_min")),
+    ("kinematic_checker", checks, "square_residual", None, _nan_at(0), ("max_residuals", "antilinear_square_gap_min")),
     *(
         ("origin", elko, "helicity_origin_discontinuity", None, _distance_nan(pair), ("distances", key))
         for key, pair in (("z_vs_x", "(0,0,1) vs (1,0,0)"), ("z_vs_neg_z", "(0,0,1) vs (0,0,-1)"))

@@ -779,8 +779,8 @@ class TestAntilinearSolutions:
             (complex(np.nan, 1.0), "finite and non-zero"),
             (0.0, "finite and non-zero"),
             (1e300, "overflows"),
-            # |a|^4 overflows in the norm of the square
-            (1e80j, "overflows"),
+            # |a|^2 sqrt(2) overflows in the norm of the square
+            (1.2e154j, "overflows"),
         ],
     )
     @pytest.mark.parametrize("slot", ["a", "b"])
@@ -798,6 +798,15 @@ class TestAntilinearSolutions:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match=match):
                     call()
+
+    @pytest.mark.parametrize("scale", [1.1e154, 1.1e154j])
+    def test_largest_scales_are_accepted(self, scale):
+        """The edge of the domain is where the square's norm overflows:
+        |a|^2 sqrt(2) is still a float at |a| = 1.1e154."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fam = antilinear_family(rep_generators(HalfInt(1)), scale, 1.0)
+        assert np.abs(fam.rest_matrix).max() == abs(scale)
 
     def test_rest_map_matches_block_form(self, rng):
         """The rest matrix equals np.block([[a Theta, 0], [0, b Theta]]) bit
@@ -822,8 +831,8 @@ class TestAntilinearSolutions:
                 a = amag * np.exp(1j * rng.uniform(0, 2 * np.pi))
                 b = bmag * np.exp(1j * rng.uniform(0, 2 * np.pi))
                 fam = antilinear_family(rep, a, b)
-                gap = np.linalg.norm(fam.squared_at(q) - np.eye(4))
-                assert gap >= 1.0
+                M = fam.matrix_at(q)
+                assert np.linalg.norm(M @ np.conj(M) - np.eye(4)) >= 1.0
 
 
 class TestHelicityOrigin:

@@ -400,7 +400,8 @@ def raises_without_warning(call, match):
 class TestScaledSwapDomain:
     """A zero or non-finite a, or one whose family norms overflow, raises
     ValueError with no warning: nan would give nan residuals, inf and 1e-320
-    an invalid multiply, 1e300 an overflow in the norm."""
+    an invalid multiply, 1.5e308 a norm of A(0) past the float range (at
+    2j = 1 it is 2.1e308)."""
 
     BAD = [
         (np.nan, "finite and non-zero"),
@@ -409,8 +410,8 @@ class TestScaledSwapDomain:
         (complex(0.0, -np.inf), "finite and non-zero"),
         (0.0, "finite and non-zero"),
         (1e-320, "overflows"),
-        (1e300, "overflows"),
-        (1e300j, "overflows"),
+        (1.5e308, "overflows"),
+        (1.5e308j, "overflows"),
     ]
 
     @pytest.mark.parametrize("twice", [1, 4])
@@ -426,10 +427,10 @@ class TestScaledSwapDomain:
         raises_without_warning(lambda: scaled_swap_family(rep_generators(HalfInt(1)), scales), match)
 
     def test_stack_index_is_reported(self):
-        scales = np.array([[1.0, 2.0], [1e300, 1.0]])
+        scales = np.array([[1.0, 2.0], [1.5e308, 1.0]])
         raises_without_warning(lambda: scaled_swap_family(rep_generators(HalfInt(1)), scales), r"\[1, 0\]")
 
-    @pytest.mark.parametrize("a", [1.0, -0.2j, 1e150, 1e-150])
+    @pytest.mark.parametrize("a", [1.0, -0.2j, 1e150, 1e-150, 1e300, 1e-300])
     def test_valid_scales_pass(self, a):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -444,12 +445,16 @@ class TestScaledSwapDomain:
         against generators of another space."""
         raises_without_warning(lambda: scaled_swap_family(tensor_rep_generators(HalfInt(twice)), 2.0), "tensor")
 
-    @pytest.mark.parametrize("a", [1e152, 1e-152])
+    @pytest.mark.parametrize("a", [1e305, 1e-305])
     def test_norm_overflow_once_boosted(self, a):
-        """At 2j = 4 the boosted family's norms overflow for |a| near 1e152,
+        """At 2j = 4 the boosted family's norms overflow for |a| near 1e305,
         although A(0)'s do not; an infinite norm would read as residual 0."""
         fam = scaled_swap_family(rep_generators(HalfInt(4)), a)
         raises_without_warning(lambda: is_fully_kinematic(fam, samples=50, tol=1e-8, seed=0), "overflow")
+        rng = np.random.default_rng(0)
+        q = sample_momenta(rng, 50)
+        boosts, _ = random_transform_pairs(fam.rep, rng, 50)
+        raises_without_warning(lambda: covariance_residual(fam, q, *boosts), "overflow")
 
 
 class TestSampling:

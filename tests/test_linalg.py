@@ -9,6 +9,7 @@ from spinkin.linalg import (
     expm_hermitian,
     expm_i_hermitian,
     nullspace,
+    square_residual,
     stack_norm,
 )
 
@@ -110,7 +111,7 @@ class TestHermitianExpm:
 
 class TestStackNorm:
     """stack_norm is np.linalg.norm bit for bit in the float range, and
-    right where the squares underflow."""
+    right where the squares underflow or overflow."""
 
     @pytest.mark.parametrize("x", [[1e-200, 1e-200], [1e-200j, 1e-200j], [1e-310, -1e-310], [5e-324, 0.0]])
     def test_tiny_entries(self, x):
@@ -133,6 +134,54 @@ class TestStackNorm:
         assert np.array_equal(got[keep], want[keep])
         assert got[2] == pytest.approx(want[2] * 1e-170, rel=1e-14, abs=0.0)
         assert got[4] == 0.0 and np.isnan(got[5])
+
+    @pytest.mark.parametrize("x", [[1e200, 1e200], [1e200j, -1e200j], [1e308, -1e308], [1.7e308, 0.0]])
+    def test_huge_entries(self, x):
+        """Exact here: the sum over the largest part is 2 or 1."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = stack_norm(np.array(x), 1)
+        want = np.sqrt(2.0) * abs(x[0]) if x[1] else abs(x[0])
+        assert type(got) is np.float64 and got == want
+
+    @pytest.mark.parametrize(
+        "x, want",
+        [
+            ([np.inf, 1.0], np.inf),
+            ([np.inf, 1e200], np.inf),
+            ([1.5e308, 1.5e308], np.inf),  # 2.1e308, past the float range
+            ([complex(np.inf, 1.0), 1e300], np.inf),
+            ([np.nan, 1e200], np.nan),
+            ([np.inf, np.nan], np.nan),
+        ],
+    )
+    def test_non_finite_norms(self, x, want):
+        """An inf stays inf and a nan stays nan, alone and as one entry of a
+        stack whose other entries keep their values; no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = stack_norm(np.array(x), 1)
+            stack = stack_norm(np.array([[3.0, 4.0], x, [1e300, 1e300]]), 1)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(stack, [5.0, want, stack_norm(np.array([1e300, 1e300]), 1)], equal_nan=True)
+
+
+class TestSquareResidual:
+    """||A^2 - I||_F, with M conj(M) as the square of an anti-linear M o K."""
+
+    def test_single_and_stacked(self, rng):
+        A = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        for antilinear in (False, True):
+            got = square_residual(A, antilinear)
+            squares = [M @ (np.conj(M) if antilinear else M) for M in A]
+            assert got.shape == (5,)
+            assert np.array_equal(got, [np.linalg.norm(S - np.eye(4)) for S in squares])
+            assert got[2] == square_residual(A[2], antilinear)
+
+    def test_involutions(self):
+        assert square_residual(AntiLinearMap(np.eye(3)).matrix, antilinear=True) == 0.0
+        assert square_residual(np.kron(THETA, np.eye(2)), antilinear=True) == pytest.approx(4.0)
+        assert square_residual(np.diag([1.0, -1.0])) == 0.0
 
 
 class TestNullspace:

@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg
 
 import spinkin
+from spinkin import reps
+from spinkin.checks import run_all
 from spinkin.kinematics import (
     FourMomentum,
     _boost_at,
@@ -239,9 +241,10 @@ def same_bits(got, want):
 
 
 class TestCacheContract:
-    """Constants are built once and shared read-only; assembled generators
-    are fresh arrays on every call, equal bit for bit to the block/Kronecker
-    constructions; operators memoised on a momentum are read-only."""
+    """Constants are built once and shared read-only; a representation is a
+    value whose generators are built once, shared by every equal value and
+    read-only, equal bit for bit to the block/Kronecker constructions;
+    operators memoised on a momentum are read-only."""
 
     @pytest.mark.parametrize("twice", [1, 2, 3, 4])
     def test_spin_matrices_built_once_and_read_only(self, twice):
@@ -266,12 +269,42 @@ class TestCacheContract:
     @pytest.mark.parametrize("build", [rep_generators, tensor_rep_generators])
     @pytest.mark.parametrize("twice", [1, 2, 3, 4])
     def test_mutating_one_result_leaves_the_next(self, build, twice):
+        """Equal representations share the same read-only J, K, eta and
+        eta_index, so a write to one raises and the next reads the block or
+        Kronecker construction."""
         rep = build(HalfInt(twice))
-        for M in rep.J + rep.K + (rep.eta,):
-            M[...] = 7.0
-        fresh = build(HalfInt(twice))
+        arrays = rep.J + rep.K + (rep.eta, rep.eta_index)
+        for M in arrays + tuple(M.base for M in rep.J + rep.K):
+            with pytest.raises(ValueError):
+                M[...] = 7
+        fresh = build(str(HalfInt(twice)))
+        assert fresh is not rep
+        assert all(a is b for a, b in zip(fresh.J + fresh.K + (fresh.eta, fresh.eta_index), arrays, strict=True))
         reference = block_rep(twice) if build is rep_generators else kron_tensor_rep(twice)
         assert same_bits(fresh.J + fresh.K + (fresh.eta,), reference[0] + reference[1] + (reference[2],))
+
+    @pytest.mark.parametrize("twice", [1, 2, 3, 4])
+    def test_a_representation_is_its_value(self, twice):
+        """(j, tensor) is the whole value: j is coerced, spin_matrices is
+        derived from it, and the two spaces of one spin differ."""
+        rep = rep_generators(twice / 2)
+        assert rep == rep_generators(str(HalfInt(twice))) == RepGenerators(HalfInt(twice))
+        assert hash(rep) == hash(rep_generators(str(HalfInt(twice))))
+        assert rep.j == HalfInt(twice) and rep.spin_matrices is spin_matrices(HalfInt(twice))
+        tensor = tensor_rep_generators(twice / 2)
+        assert rep != tensor and tensor == RepGenerators(rep.j, True)
+        assert repr(rep) == f"RepGenerators(j=HalfInt(twice={twice}), tensor=False)"
+
+    @pytest.mark.parametrize(
+        "tensor",
+        [1, 0, None, "yes", np.True_, spin_matrices(HalfInt(1))],
+        ids=["1", "0", "None", "yes", "np.True_", "spin_matrices"],
+    )
+    def test_tensor_must_be_a_bool(self, tensor):
+        """Refused: an old positional call RepGenerators(j, spin_matrices(j))
+        would otherwise build the tensor layout."""
+        with pytest.raises(TypeError, match="tensor must be a bool"):
+            RepGenerators(HalfInt(1), tensor)
 
     @pytest.mark.parametrize("build", [rep_generators, tensor_rep_generators])
     @pytest.mark.parametrize("twice", [1, 2, 3, 4])
@@ -360,29 +393,38 @@ class TestOneLayout:
 
 @pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
 @pytest.mark.parametrize("twice", [1, 2, 3, 4])
-def test_the_kernel_builds_no_generator_array(monkeypatch, twice, stack):
+def test_the_kernel_builds_no_generator_array(twice, stack):
     """The operation of the kernel benchmark, parity_operator, boosted_spinors
-    and field_equation_residual on a u and a v spinor, reads no J, K or eta:
-    the builder behind them runs zero times, also where P(q) is not memoised
-    yet. Read afterwards, they are the block and Kronecker constructions,
-    bit for bit."""
-    assembled = RepGenerators.__dict__["_generators"]
-    reads = []
-    spy = property(lambda rep: reads.append(rep) or assembled.__get__(rep, RepGenerators))
-    monkeypatch.setattr(RepGenerators, "_generators", spy)
+    and field_equation_residual on a u and a v spinor, reads no J, K, eta or
+    eta_index: the cache behind them is not even looked up, also where P(q)
+    is not memoised yet. Read afterwards, they are the block and Kronecker
+    constructions, bit for bit, built once per representation."""
+    reps._generators.cache_clear()
     j = HalfInt(twice)
-    reps = rep_generators(j), tensor_rep_generators(j)
+    built = rep_generators(j), tensor_rep_generators(j)
     q = sample_momenta(np.random.default_rng(twice), 50)
     q = q if stack else q[7]
-    parity_operator(reps[0], q)
+    parity_operator(built[0], q)
     basis = boosted_spinors(j, q)
     for at in (q, FourMomentum(q.m, q.p)):
         field_equation_residual(j, basis.u[0], at, +1)
         field_equation_residual(j, basis.v[0], at, -1)
-    assert reads == []
-    for rep, (J, K, eta) in zip(reps, (block_rep(twice), kron_tensor_rep(twice)), strict=True):
+    info = reps._generators.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+    for rep, (J, K, eta) in zip(built, (block_rep(twice), kron_tensor_rep(twice)), strict=True):
         assert same_bits(rep.J + rep.K + (rep.eta,), J + K + (eta,))
-    assert len(reads) == 6
+    info = reps._generators.cache_info()
+    assert (info.hits, info.misses) == (4, 2)
+
+
+def test_a_warm_check_all_builds_no_generator_array():
+    """Every suite reads its generators from the one cache: once run_all has
+    run, another seed makes no miss."""
+    run_all(42)
+    before = reps._generators.cache_info()
+    run_all(43)
+    after = reps._generators.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
 
 
 # every spin the kernel is tested at; the checks use 2j <= 4
