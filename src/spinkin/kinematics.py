@@ -41,7 +41,12 @@ decomposition share are built once per momentum object
 and representation (spin and tensor flag), stored read-only on the object
 only after every refusal has passed, and freed with it. A view q[k] and an
 image q.transform(L) are new objects and start with an empty memo; an object
-without one (not a FourMomentum) is computed on every call and not cached.
+with no memo is computed on every call and not cached.
+
+Every operator here is a function of the four-velocity q/m = (E/m, p/m). A
+FourMomentum forms it once, when it is made (_set_four_velocity), and
+parity_operator, rapidity_from_momentum and so every boost read it off the
+momentum rather than forming p/m again.
 """
 
 from __future__ import annotations
@@ -108,6 +113,12 @@ class FourMomentum:
     construction (natural units). len(), iteration and q[k] run over the
     leading axis, so a stack reads like the list of its momenta.
 
+    The four-velocity w = (E/m, p/m) and |p/m|^2 are formed once, here, and
+    kept read-only in the private fields _w, shape S + (4,), and _u2, shape
+    S + (1,). E, four_vector, lower and the operators of this module read
+    them, and q[k] slices them. Where p/m leaves the float range they hold
+    inf, which transform and the operators' rapidity caps refuse.
+
     Each object carries a private memo of the read-only operators evaluated
     at it (see the module docstring); views and transforms start empty.
     """
@@ -125,6 +136,7 @@ class FourMomentum:
         m.flags.writeable = p.flags.writeable = False
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "p", p)
+        _set_four_velocity(self)
         object.__setattr__(self, "_derived", {})
 
     def __len__(self) -> int:
@@ -137,18 +149,16 @@ class FourMomentum:
         # views of a validated stack, which are read-only as it is: no
         # second validation
         q = object.__new__(FourMomentum)
-        object.__setattr__(q, "m", self.m[k, ...])
-        object.__setattr__(q, "p", self.p[k, ...])
+        for name in ("m", "p", "_w", "_u2"):
+            object.__setattr__(q, name, getattr(self, name)[k, ...])
         object.__setattr__(q, "_derived", {})
         return q
 
     @property
     def E(self) -> np.ndarray:
-        # as parity_operator forms E/m: m^2 and |p|^2 would leave the float
-        # range at a mass scale far from 1; inf only past |p|/m ~ 1e154
-        with np.errstate(over="ignore"):
-            u = self.p / self.m[..., None]
-            return self.m * np.sqrt(1.0 + np.vecdot(u, u))
+        # m times E/m: m^2 and |p|^2 would leave the float range at a mass
+        # scale far from 1; inf only past |p|/m ~ 1e154
+        return self.m * self._w[..., 0]
 
     @property
     def four_vector(self) -> np.ndarray:
@@ -170,9 +180,27 @@ class FourMomentum:
             raise ValueError("the energy overflows: |p|/m is past the float range")
         v = L.apply(v)
         out = FourMomentum(np.broadcast_to(self.m, v.shape[:-1]), v[..., 1:])
-        if (np.abs(out.E - v[..., 0]) > 1e-9 * np.maximum(1.0, np.abs(v[..., 0]))).any():
+        # relative at every mass scale: E >= m > 0
+        E = out.E
+        if (np.abs(E - v[..., 0]) > 1e-9 * E).any():
             raise ValueError("transformed momentum is off-shell; inconsistent inputs")
         return out
+
+
+def _set_four_velocity(q) -> None:
+    """Store on q, from its m and p, the read-only four-velocity
+    _w = (E/m, p/m) and _u2 = |p/m|^2.
+
+    u = p/m is formed before any square, so |u|^2 stays in range at any
+    common scale of p and m; u or |u|^2 may overflow to inf, which the
+    rapidity caps refuse."""
+    with np.errstate(over="ignore"):
+        u = q.p / q.m[..., None]
+        u2 = np.vecdot(u, u, keepdims=True)
+        w = np.concatenate([np.sqrt(1.0 + u2), u], axis=-1)
+    w.flags.writeable = u2.flags.writeable = False
+    object.__setattr__(q, "_w", w)
+    object.__setattr__(q, "_u2", u2)
 
 
 def _recall(q, kind: str, j, tensor: bool) -> np.ndarray | None:
@@ -196,17 +224,14 @@ def rapidity_from_momentum(q: FourMomentum) -> np.ndarray:
     """Rapidity vector phi = asinh(|p/m|) p-hat, so cosh|phi| = E/m, on a
     trailing axis of 3 after the stack axes of q.
 
-    u = p/m is formed before any square, as parity_operator forms it, so
-    |u|^2 stays in range at any common scale of p and m."""
-    # p/m or |p/m| may overflow to inf, which the cap below refuses
-    with np.errstate(over="ignore"):
-        u = q.p / q.m[..., None]
-        un = np.sqrt(np.vecdot(u, u, keepdims=True))
-        phi = np.arcsinh(un)
+    It reads p/m and |p/m|^2 off q's four-velocity, formed once when q was
+    made; a |p/m| that overflowed there reads inf and is refused by the cap."""
+    un = np.sqrt(q._u2)
+    phi = np.arcsinh(un)
     if phi.max(initial=0.0) > RAPIDITY_MAX:
         raise ValueError(f"rapidity {phi.max():.3f} exceeds the overflow cap {RAPIDITY_MAX}")
     # p-hat, and 0 at rest
-    return phi * (u / np.maximum(un, _FLOAT_TINY))
+    return phi * (q._w[..., 1:] / np.maximum(un, _FLOAT_TINY))
 
 
 # sigma/2 (for the 2x2 generators of boosts and rotations), each 2x2 matrix
@@ -270,9 +295,10 @@ def parity_operator(rep: RepGenerators, q: FourMomentum) -> np.ndarray:
     """P(q) = exp(2i K.phi) eta = B(phi) eta B(phi)^-1; squares to the identity
     with eigenvalues +-1, each of multiplicity 2j+1.
 
-    exp(sigma.phi) = (E + sigma.p)/m, so P(q) is a polynomial in p/m with no
-    exponential: offdiag(Sym^{2j}((E + sigma.p)/m), Sym^{2j}((E - sigma.p)/m))
-    on (j,0)+(0,j). It refuses the momenta boost_matrix(rep, 2 phi) refuses,
+    exp(sigma.phi) = (E + sigma.p)/m, so P(q) is a polynomial in q's
+    four-velocity (E/m, p/m) with no exponential:
+    offdiag(Sym^{2j}((E + sigma.p)/m), Sym^{2j}((E - sigma.p)/m)) on
+    (j,0)+(0,j). It refuses the momenta boost_matrix(rep, 2 phi) refuses,
     |phi| > RAPIDITY_MAX/2, read off cosh|phi| = E/m with no rapidity formed.
 
     The result is read-only and memoised on q: a repeat call at the same
@@ -281,15 +307,14 @@ def parity_operator(rep: RepGenerators, q: FourMomentum) -> np.ndarray:
     P = _recall(q, "parity", rep.j, rep.tensor)
     if P is not None:
         return P
-    # p/m or |p/m|^2 may overflow to inf, which the cap refuses
-    with np.errstate(over="ignore"):
-        u = q.p / q.m[..., None]
-        e = np.sqrt(1.0 + np.vecdot(u, u, keepdims=True))
-    # one reduction tests finiteness and the cap: a nan fails `<=`
+    # the four-velocity (E/m, p/m) of q; an E/m that overflowed reads inf.
+    # One reduction tests finiteness and the cap: a nan fails `<=`
+    w = q._w
+    e = w[..., 0]
     if not e.max(initial=1.0) <= _PARITY_COSH_CAP:
         cap, phi = RAPIDITY_MAX / 2.0, np.arccosh(e.max())
         raise ValueError(f"rapidity must be finite and within the parity overflow cap {cap}, got {phi:.3f}")
-    S = symmetric_power(_pauli_dot(np.concatenate([e, u], axis=-1), _ONE_SIGMA), rep.j)
+    S = symmetric_power(_pauli_dot(w, _ONE_SIGMA), rep.j)
     return _remember(q, "parity", rep, rep.lift(S, adjugate_power(S), swap=True))
 
 

@@ -14,6 +14,7 @@ from spinkin.kinematics import (
     KinematicOperatorFamily,
     _boost_at,
     _directions,
+    _pauli_dot,
     _random_vectors,
     boost_matrix,
     check_mass,
@@ -25,8 +26,19 @@ from spinkin.kinematics import (
     rapidity_from_momentum,
     sample_momenta,
     scaled_swap_family,
+    stack_pairs,
 )
-from spinkin.reps import HalfInt, LorentzTransform, rep_generators, tensor_rep_generators, vector_boost
+from spinkin.linalg import _FLOAT_TINY, _ONE_SIGMA
+from spinkin.reps import (
+    RAPIDITY_MAX,
+    HalfInt,
+    LorentzTransform,
+    adjugate_power,
+    rep_generators,
+    symmetric_power,
+    tensor_rep_generators,
+    vector_boost,
+)
 
 ABS_TOL = 1e-10
 
@@ -97,12 +109,120 @@ class TestFourMomentum:
         q = FourMomentum(1e-300, (1.0, 0.0, 0.0))
         raises_without_warning(lambda: q.transform(vector_boost((0.0, 0.0, 0.5))), "energy overflows")
 
+    @pytest.mark.parametrize("stretch, refused", [(1e-4, True), (1e-12, False)])
+    def test_off_shell_verdict_does_not_depend_on_the_mass_scale(self, stretch, refused):
+        """transform judges the off-shell gap relative to the energy, so the
+        time component stretched by 1 + stretch at one p/m gets one verdict
+        at every mass scale."""
+        L = LorentzTransform(np.diag([1.0 + stretch, 1.0, 1.0, 1.0]))
+        for m in (1e-6, 1.0, 1e6):
+            q = FourMomentum(m, (0.3 * m, -0.2 * m, 0.5 * m))
+            if refused:
+                with pytest.raises(ValueError, match="off-shell"):
+                    q.transform(L)
+            else:
+                assert q.transform(L).m == m
+
     def test_transform_preserves_shell(self, rng):
         q = FourMomentum(2.0, (0.4, -0.3, 1.0))
         L = vector_boost(rng.normal(size=3))
         q2 = q.transform(L)
         assert q2.m == q.m
         assert np.allclose(L.apply(q.four_vector), q2.four_vector, rtol=1e-12)
+
+
+def inline_E(q):
+    """The reference for FourMomentum.E: p/m formed inline, at each call."""
+    with np.errstate(over="ignore"):
+        u = q.p / q.m[..., None]
+        return q.m * np.sqrt(1.0 + np.vecdot(u, u))
+
+
+def inline_four_vector(q):
+    return np.concatenate([inline_E(q)[..., None], q.p], axis=-1)
+
+
+def inline_lower(q):
+    return np.concatenate([inline_E(q)[..., None], -q.p], axis=-1)
+
+
+def inline_rapidity(q):
+    """The reference for rapidity_from_momentum: p/m and |p/m| formed inline."""
+    with np.errstate(over="ignore"):
+        u = q.p / q.m[..., None]
+        un = np.sqrt(np.vecdot(u, u, keepdims=True))
+        phi = np.arcsinh(un)
+    assert phi.max(initial=0.0) <= RAPIDITY_MAX
+    return phi * (u / np.maximum(un, _FLOAT_TINY))
+
+
+def inline_parity(rep, q):
+    """The reference for parity_operator: E/m and p/m formed inline and
+    concatenated."""
+    with np.errstate(over="ignore"):
+        u = q.p / q.m[..., None]
+        e = np.sqrt(1.0 + np.vecdot(u, u, keepdims=True))
+    S = symmetric_power(_pauli_dot(np.concatenate([e, u], axis=-1), _ONE_SIGMA), rep.j)
+    return rep.lift(S, adjugate_power(S), swap=True)
+
+
+def assert_same_bits(a, b):
+    assert type(a) is type(b)
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def four_velocity_cases():
+    """Seeded stacks, single momenta, views, transform images (a pair stack
+    and its views) and masses from 1e-300 to 1e300."""
+    batch = momenta(29, 1000)
+    rep = rep_generators(HalfInt(1))
+    boosts, _ = stack_pairs(random_transform_pairs(rep, np.random.default_rng(s), 1000)[0] for s in (1, 2))
+    image = batch.transform(boosts)
+    m = np.logspace(-300, 300, 61)
+    u = _random_vectors(np.random.default_rng(30), np.full(61, 5.0))
+    scales = FourMomentum(m, m[:, None] * u)
+    singles = [FourMomentum(1.0, (0.0, 0.0, 0.0)), FourMomentum(2.5, (-1.0, 0.4, 3.0))]
+    singles += [FourMomentum(mk, pk) for mk, pk in zip(scales.m, scales.p)]
+    views = [batch[0], batch[999], image[1], image[1][7], image[0][3:9], scales[60]]
+    return [batch, image, scales, *singles, *views]
+
+
+class TestFourVelocity:
+    """A FourMomentum forms (E/m, p/m) and |p/m|^2 once; every reader
+    returns, bit for bit, what the inline references above return."""
+
+    def test_energy_and_four_vectors(self):
+        cases = four_velocity_cases()
+        # p/m overflows: E, four_vector and lower read inf, as inline
+        cases.append(FourMomentum(1e-300, (0.0, 1e10, 0.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for q in cases:
+                assert_same_bits(q.E, inline_E(q))
+                assert_same_bits(q.four_vector, inline_four_vector(q))
+                assert_same_bits(q.lower, inline_lower(q))
+
+    @pytest.mark.parametrize("build", [rep_generators, tensor_rep_generators])
+    @pytest.mark.parametrize("twice", [1, 2, 3, 4])
+    def test_parity_operator_and_rapidity(self, build, twice):
+        rep = build(HalfInt(twice))
+        for q in four_velocity_cases():
+            assert_same_bits(parity_operator(rep, q), inline_parity(rep, q))
+            assert_same_bits(rapidity_from_momentum(q), inline_rapidity(q))
+
+    def test_read_only_and_shared_with_views(self):
+        batch = momenta(31, 20)
+        image = batch.transform(vector_boost((0.2, 0.0, -0.4)))
+        for q in (batch, image, FourMomentum(1.0, (0.1, 0.2, 0.3))):
+            for field in (q._w, q._u2):
+                assert not field.flags.writeable
+                with pytest.raises(ValueError):
+                    field[..., 0] = 7.0
+        for k in (0, 7, slice(2, 5)):
+            view = batch[k]
+            assert np.shares_memory(view._w, batch._w) and np.shares_memory(view._u2, batch._u2)
+            assert not view._w.flags.writeable and not view._u2.flags.writeable
 
 
 class TestRapidity:

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import warnings
 from math import comb, sqrt
 
 import numpy as np
@@ -12,6 +13,7 @@ from spinkin.checks import run_all
 from spinkin.kinematics import (
     FourMomentum,
     _boost_at,
+    _set_four_velocity,
     boost_matrix,
     parity_operator,
     rapidity_from_momentum,
@@ -552,10 +554,12 @@ def test_stacked_equals_single_at_2j_8(build, rng):
 
 class DuckMomentum:
     """A momentum that skips FourMomentum's checks, to feed parity_operator
-    values no validated momentum can hold."""
+    values no validated momentum can hold; its four-velocity is formed by
+    the code FourMomentum uses."""
 
     def __init__(self, m, p):
         self.m, self.p = np.asarray(m, dtype=float), np.asarray(p, dtype=float)
+        _set_four_velocity(self)
 
 
 @pytest.mark.parametrize(
@@ -577,3 +581,19 @@ def test_parity_operator_refusals(p, match):
         parity_operator(rep, batch)
     # just below the cap is accepted
     parity_operator(rep, DuckMomentum(1.0, (0.0, 0.0, np.sinh(15.0 - 1e-9))))
+
+
+def test_overflowing_four_velocity_is_refused():
+    """p/m = 1e310 overflows to inf when the FourMomentum forms its
+    four-velocity; both operators that read it refuse it by their caps, alone
+    and in a stack, with no warning on the way."""
+    rep = rep_generators(HalfInt(2))
+    single = FourMomentum(1e-300, (0.0, 1e10, 0.0))
+    batch = FourMomentum(np.array([1.0, 1e-300]), np.array([[0.1, 0.2, 0.3], [0.0, 1e10, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (single, batch):
+            with pytest.raises(ValueError, match="^rapidity must be finite and within the parity overflow cap 15.0"):
+                parity_operator(rep, q)
+            with pytest.raises(ValueError, match="^rapidity inf exceeds the overflow cap 30.0$"):
+                rapidity_from_momentum(q)
