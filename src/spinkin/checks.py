@@ -203,10 +203,13 @@ def elko_nogo_suite(seed: int) -> dict:
     conditions in both directions.
 
     The random bases are elko.nogo_monte_carlo's sweep, gated by its own
-    allowance constant in `elko` and printed under monte_carlo; the
-    equivalence pairs are unit pairs drawn as that sweep draws them. The
-    commutant is taken against the three rotation generators and draws
-    nothing; on the r1-only and r2-only pairs it is exactly 1."""
+    allowance constant in `elko` and printed under monte_carlo; it reads
+    det, r1 and r2 from elko's pair kernel on the real parts it draws. The
+    200 equivalence pairs come from the helper that sweep draws with
+    (elko._unit_pairs), so they are drawn as it draws them by construction,
+    and schur_conditions reads the same kernel. The commutant is taken
+    against the three rotation generators and draws nothing; on the r1-only
+    and r2-only pairs it is exactly 1."""
     rng = np.random.default_rng(seed)
     mc = elko.nogo_monte_carlo(samples=_NOGO_MC_SAMPLES, seed=seed)
 

@@ -138,8 +138,9 @@ def boost_basis(basis: SpinorBasis, q: FourMomentum) -> SpinorBasis:
     """Boost every spinor of a rest basis to momentum q: w(q) = B(phi) w(0).
     A stack of momenta takes the stack of rest bases with the same masses.
     B(phi) is the one memoised on q. The basis mass must match q.m, which
-    FourMomentum judged: a nan (or a None, read as nan) fails `<=`."""
-    if not (np.abs(np.asarray(basis.mass, dtype=float) - q.m) <= 1e-12 * np.maximum(1.0, q.m)).all():
+    FourMomentum judged, within 1e-12 q.m, a relative bound that gives one
+    verdict at every mass scale: a nan (or a None, read as nan) fails `<=`."""
+    if not (np.abs(np.asarray(basis.mass, dtype=float) - q.m) <= 1e-12 * q.m).all():
         raise ValueError(f"basis mass {basis.mass} does not match momentum mass {q.m}")
     return _boosted(basis.j, np.array(basis.spinors), len(basis.u), basis.mass, q)
 

@@ -67,7 +67,11 @@ class Cx2Basis:
 
     The functions below take a stack and evaluate every pair in one call;
     one pair is the stack with no leading axis, and each entry of a stacked
-    result equals its single call bit for bit.
+    result equals its single call bit for bit. The eight real parts of
+    u = (a, b), v = (c, d) are laid out once, here, as the private read-only
+    array _parts of shape (8, ...): re a, re b, re c, re d, im a, im b,
+    im c, im d. det, abs_det, the nondegeneracy check, g_operator's
+    denominator and schur_conditions all read them through _pair_kernel.
     """
 
     u: np.ndarray
@@ -78,16 +82,20 @@ class Cx2Basis:
         v = np.asarray(self.v, dtype=complex)
         if u.shape != v.shape or u.shape[-1:] != (2,):
             raise ValueError(f"u and v must be pairs of shape (..., 2), got {u.shape} and {v.shape}")
-        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        abcd = np.concatenate((u, v), axis=-1).reshape(-1, 4)
+        parts = np.concatenate((abcd.real.T, abcd.imag.T)).reshape((8,) + u.shape[:-1])
+        if not np.isfinite(parts).all():
             raise ValueError("u and v must have finite entries")
+        parts.flags.writeable = False
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "_parts", parts)
 
     def _det(self) -> np.ndarray:
-        a, b = self.u[..., 0], self.u[..., 1]
-        c, d = self.v[..., 0], self.v[..., 1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _mul(a, d) - _mul(b, c)
+        re, im = _pair_kernel(self._parts)[:2]
+        det = np.empty(np.shape(re), dtype=complex)
+        det.real, det.imag = re, im
+        return det
 
     @property
     def det(self) -> complex | np.ndarray:
@@ -105,6 +113,28 @@ class Cx2Basis:
     def require_nondegenerate(self):
         """Raise unless |det [u v]| is finite and > 1e-10 (for every pair)."""
         _require_nondegenerate(self._det())
+
+
+def _pair_kernel(parts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(re det, im det, r1, r2) of every pair u = (a, b), v = (c, d) whose
+    eight real parts are the rows of parts (8, ...): re a, re b, re c, re d,
+    im a, im b, im c, im d.
+
+    det [u v] = a d - b c, r1 = |a conj(d) - c conj(b)| and
+    r2 = |Im(a conj(c)) - Im(b conj(d))|. Each complex product is written
+    out as _mul rounds it, with conj(y) entering as y with its imaginary
+    part negated, so one pair rounds as Python complex arithmetic does and a
+    stack as its pairs; the modulus is np.hypot. An overflow gives inf or
+    nan with no numpy warning; callers judge finiteness.
+    """
+    ar, br, cr, dr, ai, bi, ci, di = parts
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_re = (ar * dr - ai * di) - (br * cr - bi * ci)
+        det_im = (ar * di + ai * dr) - (br * ci + bi * cr)
+        # a conj(d) - c conj(b), and the imaginary parts of a conj(c) and b conj(d)
+        r1 = np.hypot((ar * dr + ai * di) - (cr * br + ci * bi), (ai * dr - ar * di) - (ci * br - cr * bi))
+        r2 = np.abs((ai * cr - ar * ci) - (bi * dr - br * di))
+    return det_re, det_im, r1, r2
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -188,16 +218,12 @@ def schur_conditions(basis: Cx2Basis) -> tuple[float, float] | tuple[np.ndarray,
     """(r1, r2) = (|a conj(d) - c conj(b)|, |Im(a conj(c)) - Im(b conj(d))|),
     two arrays for a stack of pairs.
 
-    Both vanish exactly when G(u, v) commutes with every rotation. Computed in
-    explicit real arithmetic that rounds as Python complex arithmetic does,
-    moduli by np.hypot, so an overflow gives inf or nan rather than a numpy
-    warning; raises ValueError unless all are finite.
+    Both vanish exactly when G(u, v) commutes with every rotation. Read from
+    _pair_kernel on the basis's real parts, which rounds as Python complex
+    arithmetic does, moduli by np.hypot, so an overflow gives inf or nan
+    rather than a numpy warning; raises ValueError unless all are finite.
     """
-    a, b = basis.u[..., 0], basis.u[..., 1]
-    c, d = basis.v[..., 0], basis.v[..., 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        r1 = _modulus(_mul(a, np.conj(d)) - _mul(c, np.conj(b)))
-        r2 = np.abs(_mul(a, np.conj(c)).imag - _mul(b, np.conj(d)).imag)
+    r1, r2 = _pair_kernel(basis._parts)[2:]
     bad = ~(np.isfinite(r1) & np.isfinite(r2))
     if bad.any():
         k = np.flatnonzero(bad)[0]
@@ -280,12 +306,32 @@ _NOGO_CHUNK = 1024
 _NOGO_TOL = 1e-12
 
 
+def _unit_parts(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The real parts (8, n), laid out as Cx2Basis lays them out, of n unit
+    pairs. Pair k is one normal(8) draw, the words of row k of
+    _complex_normals: re a, re b, re c, re d, im a, im b, im c, im d.
+
+    u and v are each scaled by the reciprocal of the norm that stack_norm
+    forms (the dot of the real parts plus the dot of the imaginary ones), so
+    each part rounds as the complex division by that norm does. The sums of
+    four squared normal draws stay in the normal float range; outside it
+    stack_norm would form the norm again.
+    """
+    x = rng.normal(size=(n, 8)).reshape(n, 2, 2, 2)  # pair, real or imaginary part, u or v, entry
+    sq = np.vecdot(x, x)
+    scale = 1.0 / np.sqrt(sq[:, 0] + sq[:, 1])
+    parts = np.empty((2, 2, 2, n))
+    np.multiply(x.transpose(1, 2, 3, 0), scale.T[:, None, :], out=parts)
+    return parts.reshape(8, n)
+
+
 def _unit_pairs(rng: np.random.Generator, n: int) -> Cx2Basis:
-    """n pairs drawn as u = z[:2] and v = z[2:] of one row of
-    _complex_normals, each of u and v normalised by its norm."""
-    w = _complex_normals(rng, n).reshape(n, 2, 2)
-    w = w / stack_norm(w, 1)[..., None]
-    return Cx2Basis(u=w[:, 0], v=w[:, 1])
+    """The n unit pairs of _unit_parts as a Cx2Basis stack: the pairs the
+    no-go sweep draws from the same stream."""
+    parts = _unit_parts(rng, n)
+    z = np.empty((n, 4), dtype=complex)
+    z.real, z.imag = parts[:4].T, parts[4:].T
+    return Cx2Basis(u=z[:, :2], v=z[:, 2:])
 
 
 def nogo_monte_carlo(*, samples: int, seed: int) -> dict:
@@ -298,18 +344,20 @@ def nogo_monte_carlo(*, samples: int, seed: int) -> dict:
     absolute allowance, _NOGO_TOL, bounds the roundoff of both sides.
 
     The pairs are the stream of one normal(4) + 1j*normal(4) per pair, with
-    u = z[:2] and v = z[2:] normalised, drawn at most 1024 at a time; |det|
-    and (r1, r2) come from Cx2Basis.abs_det and schur_conditions, so the
-    report is that of the one-pair loop bit for bit.
+    u = z[:2] and v = z[2:] normalised, drawn at most 1024 at a time as their
+    real parts (_unit_parts). det, r1 and r2 come from _pair_kernel on those
+    parts, the kernel that Cx2Basis.abs_det and schur_conditions read, with
+    no complex array and no Cx2Basis in between, so the report is that of the
+    one-pair loop bit for bit.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     ratio = excess = np.inf
     for start in range(0, samples, _NOGO_CHUNK):
-        basis = _unit_pairs(rng, min(samples - start, _NOGO_CHUNK))
-        bound = np.sqrt(2.0) * np.maximum(*schur_conditions(basis))
-        det = basis.abs_det
+        det_re, det_im, r1, r2 = _pair_kernel(_unit_parts(rng, min(samples - start, _NOGO_CHUNK)))
+        bound = np.sqrt(2.0) * np.maximum(r1, r2)
+        det = np.hypot(det_re, det_im)
         # np.minimum keeps a nan that Python's min would drop
         ratio = float(np.minimum(ratio, (bound / det).min()))
         excess = float(np.minimum(excess, (bound - det).min()))

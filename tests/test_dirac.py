@@ -148,6 +148,18 @@ class TestRestSpinors:
             boost_basis(rest, q)
 
 
+    @pytest.mark.parametrize("m", [1e-6, 1.0, 1e6])
+    def test_basis_mass_judged_relative_to_the_momentum_mass(self, m):
+        """boost_basis matches the basis mass within 1e-12 q.m, so a rest
+        basis off by 1e-7 relative is refused and one off by 1e-14 accepted
+        below unit mass as above it."""
+        q = FourMomentum(m, (0.3 * m, 0.0, 0.5 * m))
+        with pytest.raises(ValueError, match="^basis mass .* does not match momentum mass"):
+            boost_basis(rest_spinors(HalfInt(1), mass=m * (1.0 + 1e-7)), q)
+        near = boost_basis(rest_spinors(HalfInt(1), mass=m * (1.0 + 1e-14)), q)
+        assert len(near.u) == len(near.v) == 2
+
+
 class TestBoostedSpinors:
     @pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
     @pytest.mark.parametrize("twice", [1, 2, 3, 4])

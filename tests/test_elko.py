@@ -521,6 +521,42 @@ class TestStackedPairs:
             for name in ("u_plus", "u_minus", "v_plus", "v_minus"):
                 assert_same_bits(getattr(eb, name)[k], getattr(single_eb, name))
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_kernel_readers_equal_the_scalar_references_bit_for_bit(self, rng, stacked):
+        """det and abs_det are det_scalar and Python's abs of it, and
+        schur_conditions is schur_conditions_numpy, bit for bit (signs of zero
+        included), on one pair and on a stack: wide pairs, and pairs whose
+        parts are drawn from -1, -0, 0 and 1."""
+        signed = np.empty((60, 2, 2), dtype=complex)
+        signed.real, signed.imag = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(2, 60, 2, 2))
+        z = np.concatenate([wide_pairs(rng, (60,)), signed])
+        stack = Cx2Basis(u=z[:, 0], v=z[:, 1])
+        det, abs_det, (r1, r2) = stack.det, stack.abs_det, schur_conditions(stack)
+        for k in range(len(z)):
+            single = Cx2Basis(u=z[k, 0], v=z[k, 1])
+            if stacked:
+                got = det[k], abs_det[k], r1[k], r2[k]
+            else:
+                got = single.det, single.abs_det, *schur_conditions(single)
+            want = det_scalar(single)
+            assert_same_bits(np.complex128(got[0]), np.complex128(want))
+            assert_same_bits(np.float64(got[1]), np.float64(abs(want)))
+            for value, ref in zip(got[2:], schur_conditions_numpy(single), strict=True):
+                assert_same_bits(np.float64(value), np.float64(ref))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_unit_pairs_are_the_sweeps_pairs(self, seed, monkeypatch):
+        """_unit_pairs(default_rng(s), n) holds, bit for bit, the first n
+        pairs the sweep at seed s hands to the pair kernel, here across the
+        edge of its first chunk."""
+        n = elko._NOGO_CHUNK + 300
+        seen = []
+        kernel = elko._pair_kernel
+        monkeypatch.setattr(elko, "_pair_kernel", lambda parts: seen.append(parts) or kernel(parts))
+        nogo_monte_carlo(samples=n, seed=seed)
+        assert [parts.shape for parts in seen] == [(8, elko._NOGO_CHUNK), (8, 300)]
+        assert_same_bits(elko._unit_pairs(np.random.default_rng(seed), n)._parts, np.concatenate(seen, axis=1))
+
     def test_elko_pair_formula(self, rng):
         z = rng.normal(size=(30, 2)) + 1j * rng.normal(size=(30, 2))
         up, um = elko_pair(z)
