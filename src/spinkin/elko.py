@@ -2,7 +2,8 @@
 the Schur rotation-invariance conditions, and numerical certification of the
 spin-1/2 no-go results (no anti-linear fully kinematic operator; no rotation-
 invariant G from a genuine basis; direction dependence at the origin).
-Every chiral block here, C's included, is a RepGenerators.lift of Theta.
+Every chiral block here, C's included, is a RepGenerators.lift of Theta, and
+every function of a C^2 pair reads one real-arithmetic kernel, _pair_kernel.
 """
 
 from __future__ import annotations
@@ -44,20 +45,11 @@ def charge_conjugation() -> AntiLinearMap:
     return AntiLinearMap(rep_generators(HalfInt(1)).lift(1j * THETA, -1j * THETA, swap=True))
 
 
-def _mul(x, y) -> np.ndarray:
-    """x * y for complex arrays, entry by entry, in explicit real arithmetic.
-
-    This rounds as one Python or numpy complex scalar product does; numpy's
-    vectorised complex multiply can differ in the last bit. An overflow gives
-    inf or nan; callers silence the numpy warnings and check finiteness.
-    """
-    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-    re = xr * yr - xi * yi
-    # filled part by part: 1j * im would turn an infinite im into a nan real part
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real = re
-    out.imag = xr * yi + xi * yr
-    return out
+def _complex(re, im) -> np.ndarray:
+    """re + i im, filled part by part: 1j * im would turn an infinite im into a nan real part."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
 
 
 @dataclass(frozen=True)
@@ -70,8 +62,8 @@ class Cx2Basis:
     result equals its single call bit for bit. The eight real parts of
     u = (a, b), v = (c, d) are laid out once, here, as the private read-only
     array _parts of shape (8, ...): re a, re b, re c, re d, im a, im b,
-    im c, im d. det, abs_det, the nondegeneracy check, g_operator's
-    denominator and schur_conditions all read them through _pair_kernel.
+    im c, im d. det, abs_det, the nondegeneracy check, g_operator and
+    schur_conditions all read them through _pair_kernel.
     """
 
     u: np.ndarray
@@ -92,10 +84,7 @@ class Cx2Basis:
         object.__setattr__(self, "_parts", parts)
 
     def _det(self) -> np.ndarray:
-        re, im = _pair_kernel(self._parts)[:2]
-        det = np.empty(np.shape(re), dtype=complex)
-        det.real, det.imag = re, im
-        return det
+        return _complex(*_pair_kernel(self._parts)[:2])
 
     @property
     def det(self) -> complex | np.ndarray:
@@ -115,26 +104,29 @@ class Cx2Basis:
         _require_nondegenerate(self._det())
 
 
-def _pair_kernel(parts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(re det, im det, r1, r2) of every pair u = (a, b), v = (c, d) whose
-    eight real parts are the rows of parts (8, ...): re a, re b, re c, re d,
-    im a, im b, im c, im d.
+def _pair_kernel(parts) -> tuple:
+    """(re det, im det, re w, im w, s_ac, s_bd) of every pair u = (a, b),
+    v = (c, d) whose real parts are the rows of parts, laid out as in
+    Cx2Basis: det = a d - b c, w = a conj(d) - c conj(b), s_ac = Im(a conj(c))
+    and s_bd = Im(b conj(d)). The Schur conditions are r1 = |w| and
+    r2 = |s_ac - s_bd| (_schur_moduli), and G(u, v) is read off all four
+    (_g_numerators).
 
-    det [u v] = a d - b c, r1 = |a conj(d) - c conj(b)| and
-    r2 = |Im(a conj(c)) - Im(b conj(d))|. Each complex product is written
-    out as _mul rounds it, with conj(y) entering as y with its imaginary
-    part negated, so one pair rounds as Python complex arithmetic does and a
-    stack as its pairs; the modulus is np.hypot. An overflow gives inf or
-    nan with no numpy warning; callers judge finiteness.
+    Each product is written out as Python complex arithmetic rounds it, so
+    one pair rounds as Python does and a stack as its pairs. An overflow
+    gives inf or nan with no numpy warning; callers judge finiteness.
     """
     ar, br, cr, dr, ai, bi, ci, di = parts
     with np.errstate(over="ignore", invalid="ignore"):
-        det_re = (ar * dr - ai * di) - (br * cr - bi * ci)
-        det_im = (ar * di + ai * dr) - (br * ci + bi * cr)
-        # a conj(d) - c conj(b), and the imaginary parts of a conj(c) and b conj(d)
-        r1 = np.hypot((ar * dr + ai * di) - (cr * br + ci * bi), (ai * dr - ar * di) - (ci * br - cr * bi))
-        r2 = np.abs((ai * cr - ar * ci) - (bi * dr - br * di))
-    return det_re, det_im, r1, r2
+        det = (ar * dr - ai * di) - (br * cr - bi * ci), (ar * di + ai * dr) - (br * ci + bi * cr)
+        w = (ar * dr + ai * di) - (cr * br + ci * bi), (ai * dr - ar * di) - (ci * br - cr * bi)
+        return (*det, *w, ai * cr - ar * ci, bi * dr - br * di)
+
+
+def _schur_moduli(w_re, w_im, s_ac, s_bd) -> tuple:
+    """(r1, r2) = (|w|, |s_ac - s_bd|) of _pair_kernel's quantities; an overflow gives inf or nan, no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.hypot(w_re, w_im), np.abs(s_ac - s_bd)
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -179,16 +171,15 @@ def elko_basis(basis: Cx2Basis) -> ElkoBasis:
     return ElkoBasis(u_plus=up, u_minus=um, v_plus=vp, v_minus=vm)
 
 
-# the non-zero entries of G(u, v), one column each: G[row, col] is
-# i (x conj(y) - x' conj(y')) over det [u v] in the upper block and over
-# conj(det) in the lower one, with (a, b, c, d) = (u, v) numbered 0..3
-_G_ROWS = (0, 0, 1, 1, 2, 2, 3, 3)
-_G_COLS = (2, 3, 2, 3, 0, 1, 0, 1)
-_G_UPPER = (True,) * 4 + (False,) * 4
-_G_X = (1, 2, 3, 0, 2, 2, 3, 3)  # b c d a c c d d
-_G_Y = (3, 1, 0, 2, 0, 1, 0, 1)  # d b a c a b a b
-_G_X2 = (3, 0, 1, 2, 0, 0, 1, 1)  # d a b c a a b b
-_G_Y2 = (1, 3, 2, 0, 2, 3, 2, 3)  # b d c a c d c d
+def _g_numerators(w_re, w_im, s_ac, s_bd) -> tuple:
+    """det G[:2, 2:] = [[-2 s_bd, -i w], [i conj(w), -2 s_ac]] and
+    conj(det) G[2:, :2] = [[2 s_ac, -i w], [i conj(w), 2 s_bd]] from
+    _pair_kernel's quantities, as the real and the imaginary part of each
+    entry in turn, row by row. A block commutes with the Pauli matrices
+    exactly when it is a multiple of the identity: when r1 = |w| and
+    r2 = |s_ac - s_bd| vanish, the Schur conditions."""
+    upper = (-2 * s_bd, 0, w_im, -w_re, w_im, w_re, -2 * s_ac, 0)
+    return upper + (2 * s_ac, 0, w_im, -w_re, w_im, w_re, 2 * s_bd, 0)
 
 
 def g_operator(basis: Cx2Basis) -> np.ndarray:
@@ -196,19 +187,22 @@ def g_operator(basis: Cx2Basis) -> np.ndarray:
     u_minus/v_minus, i.e. diag(1, 1, -1, -1) in the Elko basis; (..., 4, 4)
     for a stack of pairs.
 
-    Closed form in u = (a, b), v = (c, d); every entry is i times a difference
-    x - conj(x) over det [u v] (or its conjugate in the lower block), rounded
-    as the numpy complex scalar formula rounds it.
+    Its off-diagonal blocks are _g_numerators over det [u v] and conj(det)
+    in numpy complex division, its diagonal blocks zero: each entry equals the
+    numpy complex scalar closed form in value, up to the sign of a zero.
     """
-    det = basis._det()
+    det_re, det_im, *schur = _pair_kernel(basis._parts)
+    det = _complex(det_re, det_im)
     _require_nondegenerate(det)
-    abcd = np.concatenate([basis.u, basis.v], axis=-1)
-    x, y, x2, y2 = (abcd[..., k] for k in (_G_X, _G_Y, _G_X2, _G_Y2))
-    den = np.where(_G_UPPER, det[..., None], np.conj(det)[..., None])
-    G = np.zeros(abcd.shape[:-1] + (4, 4), dtype=complex)
+    parts = np.zeros(det.shape + (16,))  # re and im interleaved: the last axis views as complex
     # with a finite det the entries can still overflow (entries near 1e154)
     with np.errstate(over="ignore", invalid="ignore"):
-        G[..., _G_ROWS, _G_COLS] = _mul(np.complex128(1j), _mul(x, np.conj(y)) - _mul(x2, np.conj(y2))) / den
+        for k, x in enumerate(_g_numerators(*schur)):
+            parts[..., k] = x
+        den = np.stack([det, np.conj(det)], axis=-1)[..., None, None]
+        blocks = parts.view(complex).reshape(det.shape + (2, 2, 2)) / den
+    G = np.zeros(det.shape + (4, 4), dtype=complex)
+    G[..., :2, 2:], G[..., 2:, :2] = blocks[..., 0, :, :], blocks[..., 1, :, :]
     if not np.isfinite(G).all():
         raise ValueError("G(u, v) is not finite in double precision; rescale u and v")
     return G
@@ -218,12 +212,13 @@ def schur_conditions(basis: Cx2Basis) -> tuple[float, float] | tuple[np.ndarray,
     """(r1, r2) = (|a conj(d) - c conj(b)|, |Im(a conj(c)) - Im(b conj(d))|),
     two arrays for a stack of pairs.
 
-    Both vanish exactly when G(u, v) commutes with every rotation. Read from
-    _pair_kernel on the basis's real parts, which rounds as Python complex
-    arithmetic does, moduli by np.hypot, so an overflow gives inf or nan
-    rather than a numpy warning; raises ValueError unless all are finite.
+    Both vanish exactly when G(u, v) commutes with every rotation:
+    r1 = |det G[0, 3]| and r2 = |det (G[0, 2] - G[1, 3])| / 2. Formed by
+    _schur_moduli from _pair_kernel, which rounds as Python complex
+    arithmetic does, so an overflow gives inf or nan rather than a numpy
+    warning; raises ValueError unless all are finite.
     """
-    r1, r2 = _pair_kernel(basis._parts)[2:]
+    r1, r2 = _schur_moduli(*_pair_kernel(basis._parts)[2:])
     bad = ~(np.isfinite(r1) & np.isfinite(r2))
     if bad.any():
         k = np.flatnonzero(bad)[0]
@@ -241,10 +236,11 @@ def schur_condition_family(lam, b, d) -> Cx2Basis:
     det [u v] = 0: the pair degenerates, which is the no-go.
     """
     lam, b, d = (np.asarray(x, dtype=complex) for x in (lam, b, d))
+    lr, li = lam.real, lam.imag
+    # lam conj(y) on real parts, rounded as _pair_kernel rounds its products
     with np.errstate(over="ignore", invalid="ignore"):
-        u = np.stack(np.broadcast_arrays(_mul(lam, np.conj(b)), b), axis=-1)
-        v = np.stack(np.broadcast_arrays(_mul(lam, np.conj(d)), d), axis=-1)
-    return Cx2Basis(u=u, v=v)
+        a, c = (_complex(lr * y.real + li * y.imag, li * y.real - lr * y.imag) for y in (b, d))
+    return Cx2Basis(u=np.stack(np.broadcast_arrays(a, b), axis=-1), v=np.stack(np.broadcast_arrays(c, d), axis=-1))
 
 
 def _signed_permutations(generators) -> tuple[np.ndarray, ...]:
@@ -283,6 +279,8 @@ def rotation_commutant_residual(G: np.ndarray) -> float | np.ndarray:
     overflows its norm.
     """
     G = np.asarray(G)
+    if G.shape[-2:] != (4, 4):
+        raise ValueError(f"G must have shape (..., 4, 4), got {G.shape}")
     scale = np.abs(G).max(axis=(-2, -1), keepdims=True)
     if not ((scale > 0.0) & (scale < np.inf)).all():  # a nan fails both
         raise ValueError("G must be finite and non-zero")
@@ -329,8 +327,7 @@ def _unit_pairs(rng: np.random.Generator, n: int) -> Cx2Basis:
     """The n unit pairs of _unit_parts as a Cx2Basis stack: the pairs the
     no-go sweep draws from the same stream."""
     parts = _unit_parts(rng, n)
-    z = np.empty((n, 4), dtype=complex)
-    z.real, z.imag = parts[:4].T, parts[4:].T
+    z = _complex(parts[:4].T, parts[4:].T)
     return Cx2Basis(u=z[:, :2], v=z[:, 2:])
 
 
@@ -346,16 +343,17 @@ def nogo_monte_carlo(*, samples: int, seed: int) -> dict:
     The pairs are the stream of one normal(4) + 1j*normal(4) per pair, with
     u = z[:2] and v = z[2:] normalised, drawn at most 1024 at a time as their
     real parts (_unit_parts). det, r1 and r2 come from _pair_kernel on those
-    parts, the kernel that Cx2Basis.abs_det and schur_conditions read, with
-    no complex array and no Cx2Basis in between, so the report is that of the
-    one-pair loop bit for bit.
+    parts, which every function of a pair reads, with no complex array and no
+    Cx2Basis in between, so the report is that of the one-pair loop bit for
+    bit.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     ratio = excess = np.inf
     for start in range(0, samples, _NOGO_CHUNK):
-        det_re, det_im, r1, r2 = _pair_kernel(_unit_parts(rng, min(samples - start, _NOGO_CHUNK)))
+        det_re, det_im, *schur = _pair_kernel(_unit_parts(rng, min(samples - start, _NOGO_CHUNK)))
+        r1, r2 = _schur_moduli(*schur)
         bound = np.sqrt(2.0) * np.maximum(r1, r2)
         det = np.hypot(det_re, det_im)
         # np.minimum keeps a nan that Python's min would drop

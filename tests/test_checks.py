@@ -144,21 +144,17 @@ def test_nogo_threshold_constant_gates_pass_and_is_printed(monkeypatch, capsys):
     assert [name for name, suite in report["suites"].items() if not suite["pass"]] == ["elko_nogo"]
 
 
-def _flipped_r2(kernel):
-    """elko's pair kernel with the sign inside r2 flipped: a wrong formula."""
-
-    def flipped(parts):
-        det_re, det_im, r1, _ = kernel(parts)
-        ar, br, cr, dr, ai, bi, ci, di = parts
-        return det_re, det_im, r1, np.abs((ai * cr - ar * ci) + (bi * dr - br * di))
-
-    return flipped
+def _flipped_r2(moduli):
+    """elko's Schur moduli with the sign inside r2 flipped, |s_ac + s_bd|: a
+    wrong formula."""
+    return lambda w_re, w_im, s_ac, s_bd: moduli(w_re, w_im, s_ac, -s_bd)
 
 
 def test_nogo_gate_fails_a_wrong_schur_formula(monkeypatch, capsys):
-    """The sweep and schur_conditions read r2 from elko's pair kernel, so a
-    wrong formula there fails `elko nogo` and only the no-go suite."""
-    monkeypatch.setattr(elko, "_pair_kernel", _flipped_r2(elko._pair_kernel))
+    """The sweep and schur_conditions form r2 from elko's pair kernel in
+    _schur_moduli, so a wrong formula there fails `elko nogo` and only the
+    no-go suite; G(u, v), read off the same kernel, is left as it is."""
+    monkeypatch.setattr(elko, "_schur_moduli", _flipped_r2(elko._schur_moduli))
     code, nogo = run_json(capsys, "elko", "nogo", "--samples", "10000", "--seed", "20240811")
     assert code == 1 and nogo["pass"] is False and nogo["min_ratio"] < 0.5
     code, report = run_json(capsys, "check", "all", "--seed", "42")
@@ -167,13 +163,14 @@ def test_nogo_gate_fails_a_wrong_schur_formula(monkeypatch, capsys):
     assert report["suites"]["elko_nogo"]["monte_carlo"]["pass"] is False
 
 
-def _nan_in_kernel_r1(out):
-    """The (re det, im det, r1, r2) of elko's pair kernel with a nan written
-    at pair 0 of r1 (or at the one value of a single pair)."""
-    det_re, det_im, r1, r2 = out
-    r1 = np.array(r1)
-    r1.flat[0] = np.nan
-    return det_re, det_im, r1, r2
+def _nan_in_kernel_w(out):
+    """The (re det, im det, re w, im w, s_ac, s_bd) of elko's pair kernel with
+    a nan written at pair 0 of re w (or at the one value of a single pair),
+    so that r1 = |w| is nan there."""
+    det_re, det_im, w_re, *rest = out
+    w_re = np.array(w_re)
+    w_re.flat[0] = np.nan
+    return det_re, det_im, w_re, *rest
 
 
 def _nan_in_r1(conditions):
@@ -184,14 +181,15 @@ def _nan_in_r1(conditions):
 
 def test_nogo_gate_fails_a_nan_in_every_chunk(monkeypatch, capsys):
     """A nan at pair 0 of every chunk of the sweep is kept by its fold and
-    fails `elko nogo` and the no-go suite. The sweep reads r1 from elko's
-    pair kernel, poisoned here on every call the sweep makes: schur_conditions
-    refuses a nan r1, so its calls of the kernel are left as they are."""
+    fails `elko nogo` and the no-go suite. The sweep forms r1 = |w| from
+    elko's pair kernel, poisoned here on every call the sweep makes:
+    schur_conditions and g_operator refuse a nan, so their calls of the
+    kernel are left as they are."""
     kernel, sweep = elko._pair_kernel, elko.nogo_monte_carlo
 
     def poisoned_sweep(**kwargs):
         with monkeypatch.context() as patch:
-            patch.setattr(elko, "_pair_kernel", lambda parts: _nan_in_kernel_r1(kernel(parts)))
+            patch.setattr(elko, "_pair_kernel", lambda parts: _nan_in_kernel_w(kernel(parts)))
             return sweep(**kwargs)
 
     monkeypatch.setattr(elko, "nogo_monte_carlo", poisoned_sweep)
@@ -334,9 +332,10 @@ def _distance_nan(pair):
 # gated value): one row per value a gate judges that is not a residual fold.
 # The suite's calls of rotation_commutant_residual are, in order, the
 # equivalence pairs, the block scalars, the r1-only and the r2-only family;
-# its first calls of elko's pair kernel are the sweep's chunks, and its first
-# schur_conditions call is on the exact-condition pairs (a nan r1 from the
-# kernel would be refused there, so that row poisons what schur_conditions returns)
+# its first calls of elko's pair kernel are the sweep's chunks (a nan in re w
+# makes r1 nan), and its first schur_conditions call is on the exact-condition
+# pairs (a nan from the kernel would be refused there, so that row poisons what
+# schur_conditions returns)
 NAN_GATE_PATCHES = [
     ("kinematic_checker", checks, "square_residual", None, _nan_at(0), ("max_residuals", "antilinear_square_gap_min")),
     *(
@@ -346,7 +345,7 @@ NAN_GATE_PATCHES = [
     ("elko_nogo", elko, "rotation_commutant_residual", 0, _nan_at(0), ("schur_equivalence_ok",)),
     ("elko_nogo", elko, "rotation_commutant_residual", 2, lambda r: np.nan, ("commutant_detects_r2",)),
     ("elko_nogo", elko, "rotation_commutant_residual", 3, lambda r: np.nan, ("commutant_detects_r1",)),
-    ("elko_nogo", elko, "_pair_kernel", 0, _nan_in_kernel_r1, ("monte_carlo", "min_ratio")),
+    ("elko_nogo", elko, "_pair_kernel", 0, _nan_in_kernel_w, ("monte_carlo", "min_ratio")),
     ("elko_nogo", elko, "schur_conditions", 0, _nan_in_r1, ("max_residuals", "constructed_family_det")),
 ]
 

@@ -127,6 +127,14 @@ def wide_pairs(rng, shape) -> np.ndarray:
     return (rng.normal(size=size) + 1j * rng.normal(size=size)) * np.exp(rng.uniform(-30, 30, size=size))
 
 
+def kernel_pairs(rng) -> np.ndarray:
+    """(120, 2, 2) pairs (u, v): 60 wide pairs, then 60 whose parts are
+    drawn from -1, -0, 0 and 1."""
+    signed = np.empty((60, 2, 2), dtype=complex)
+    signed.real, signed.imag = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(2, 60, 2, 2))
+    return np.concatenate([wide_pairs(rng, (60,)), signed])
+
+
 class TestWignerTheta:
     def test_square_minus_identity(self):
         assert np.array_equal(THETA @ THETA, -np.eye(2, dtype=complex))
@@ -355,12 +363,16 @@ class _Poly:
         return self + -other
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            other = _Poly.const(other)
         out = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 k = tuple(x + y for x, y in zip(k1, k2))
                 out[k] = out.get(k, 0) + v1 * v2
         return _Poly(out)
+
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         return self.terms == other.terms
@@ -386,6 +398,15 @@ class _Cx:
 
     def abs2(self):
         return self.re * self.re + self.im * self.im
+
+
+def _kernel_polys():
+    """(a, b, c, d) as _Cx of the eight real coordinates (re a, im a, re b,
+    ... numbered 0..7), and elko._pair_kernel's (re det, im det, re w, im w,
+    s_ac, s_bd) of them as integer polynomials."""
+    abcd = [_Cx(_Poly.var(2 * k), _Poly.var(2 * k + 1)) for k in range(4)]
+    parts = [z.re for z in abcd] + [z.im for z in abcd]
+    return abcd, elko._pair_kernel(parts)
 
 
 def _cx_matmul(X, Y):
@@ -435,13 +456,17 @@ class TestNogo:
     @pytest.mark.parametrize("flip", [False, True])
     def test_identity_by_integer_expansion(self, flip):
         """r1^2 + r2^2 = |ad - bc|^2 + (Im a conj(c) + Im b conj(d))^2 as
-        integer polynomials in the eight real coordinates; with the sign
-        inside r2 flipped the two sides differ."""
-        a, b, c, d = (_Cx(_Poly.var(2 * k), _Poly.var(2 * k + 1)) for k in range(4))
-        ac, bd = (a * c.conj()).im, (b * d.conj()).im
-        r2 = ac + bd if flip else ac - bd
-        lhs = (a * d.conj() - c * b.conj()).abs2() + r2 * r2
-        rhs = (a * d - b * c).abs2() + (ac + bd) * (ac + bd)
+        integer polynomials in the eight real coordinates, with det, w = a
+        conj(d) - c conj(b), s_ac = Im a conj(c) and s_bd = Im b conj(d) read
+        off elko's pair kernel; with the sign inside r2 flipped the two sides
+        differ."""
+        (a, b, c, d), (det_re, det_im, w_re, w_im, s_ac, s_bd) = _kernel_polys()
+        det, w = a * d - b * c, a * d.conj() - c * b.conj()
+        assert (det_re, det_im, w_re, w_im) == (det.re, det.im, w.re, w.im)
+        assert (s_ac, s_bd) == ((a * c.conj()).im, (b * d.conj()).im)
+        r2 = s_ac + s_bd if flip else s_ac - s_bd
+        lhs = w_re * w_re + w_im * w_im + r2 * r2
+        rhs = det_re * det_re + det_im * det_im + (s_ac + s_bd) * (s_ac + s_bd)
         assert (lhs == rhs) is not flip
 
     @pytest.mark.parametrize("flip", [False, True])
@@ -450,19 +475,20 @@ class TestNogo:
         polynomials in the eight real coordinates; with the sign inside r2
         flipped the two sides differ.
 
-        G is read off g_operator's closed-form tables: its upper block times
-        det and its lower block times conj(det) have the entries
-        i (x conj(y) - x' conj(y')), and [G, J_a] keeps that block form, so
+        G is g_operator's: the numerators that elko._g_numerators lays out
+        from the pair kernel's polynomials, det times the upper block and
+        conj(det) times the lower one. [G, J_a] keeps that block form, so
         |det|^2 ||[G, J_a]||^2 = ||[det-scaled G, J_a]||^2. The generators
         enter as 2 J_a, with entries 0, +-1 and +-i, which multiplies the
         left side by 4."""
-        abcd = [_Cx(_Poly.var(2 * k), _Poly.var(2 * k + 1)) for k in range(4)]
+        abcd, (_, _, *schur) = _kernel_polys()
+        parts = [_Poly.const(x) if isinstance(x, int) else x for x in elko._g_numerators(*schur)]
         zero = _Cx(_Poly({}), _Poly({}))
         G = [[zero] * 4 for _ in range(4)]
-        tables = (elko._G_ROWS, elko._G_COLS, elko._G_X, elko._G_Y, elko._G_X2, elko._G_Y2)
-        for row, col, x, y, x2, y2 in zip(*tables):
-            w = abcd[x] * abcd[y].conj() - abcd[x2] * abcd[y2].conj()
-            G[row][col] = _Cx(-w.im, w.re)  # i w
+        # entry k: block k // 4 (upper right, then lower left), row k // 2 % 2, column k % 2
+        for k, (re, im) in enumerate(zip(parts[0::2], parts[1::2])):
+            block = k // 4
+            G[2 * block + k // 2 % 2][2 - 2 * block + k % 2] = _Cx(re, im)
         lhs = _Poly({})
         for Ja in rep_generators(HalfInt(1)).J:
             J = [[_Cx(_Poly.const(int(2 * z.real)), _Poly.const(int(2 * z.imag))) for z in row] for row in Ja]
@@ -527,9 +553,7 @@ class TestStackedPairs:
         schur_conditions is schur_conditions_numpy, bit for bit (signs of zero
         included), on one pair and on a stack: wide pairs, and pairs whose
         parts are drawn from -1, -0, 0 and 1."""
-        signed = np.empty((60, 2, 2), dtype=complex)
-        signed.real, signed.imag = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(2, 60, 2, 2))
-        z = np.concatenate([wide_pairs(rng, (60,)), signed])
+        z = kernel_pairs(rng)
         stack = Cx2Basis(u=z[:, 0], v=z[:, 1])
         det, abs_det, (r1, r2) = stack.det, stack.abs_det, schur_conditions(stack)
         for k in range(len(z)):
@@ -543,6 +567,27 @@ class TestStackedPairs:
             assert_same_bits(np.float64(got[1]), np.float64(abs(want)))
             for value, ref in zip(got[2:], schur_conditions_numpy(single), strict=True):
                 assert_same_bits(np.float64(value), np.float64(ref))
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_g_operator_equals_the_scalar_reference_in_value(self, rng, stacked):
+        """On the pairs of the kernel readers' test, g_operator equals
+        g_operator_scalar in value (signs of zero may differ at zero entries),
+        on one pair and on a stack of the genuine ones, and each stacked entry
+        equals its single call bit for bit. A degenerate pair is refused,
+        alone and in a stack."""
+        z = kernel_pairs(rng)
+        genuine = Cx2Basis(u=z[:, 0], v=z[:, 1]).abs_det > 1e-10
+        assert 0 < genuine.sum() < len(z)
+        G = g_operator(Cx2Basis(u=z[genuine, 0], v=z[genuine, 1]))
+        for i, k in enumerate(np.flatnonzero(genuine)):
+            single = Cx2Basis(u=z[k, 0], v=z[k, 1])
+            assert_same_bits(G[i], g_operator(single))
+            got = G[i] if stacked else g_operator(single)
+            assert (got == g_operator_scalar(single)).all()
+        refused = [Cx2Basis(u=z[k, 0], v=z[k, 1]) for k in np.flatnonzero(~genuine)]
+        for basis in refused + [Cx2Basis(u=z[:, 0], v=z[:, 1])]:
+            with pytest.raises(ValueError, match="^u, v are degenerate"):
+                g_operator(basis)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_unit_pairs_are_the_sweeps_pairs(self, seed, monkeypatch):
@@ -596,6 +641,12 @@ class TestStackedPairs:
             Ja = J.reshape((3,) + (1,) * (M.ndim - 2) + (4, 4))
             want = stack_norm(M @ Ja - Ja @ M, 2).max(axis=0) / stack_norm(M, 2)
             assert np.array_equal(rotation_commutant_residual(X), want)
+
+    @pytest.mark.parametrize("shape", [(2, 8), (1, 2, 8)])
+    def test_rotation_commutant_residual_refuses_a_matrix_not_4_by_4(self, shape):
+        """Sixteen entries in another shape are not a G: refused, not read as one."""
+        with pytest.raises(ValueError, match=r"^G must have shape \(\.\.\., 4, 4\), got \("):
+            rotation_commutant_residual(np.arange(16.0).reshape(shape) + 1)
 
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
     def test_rotation_commutant_residual_refuses_a_zero_or_non_finite_g(self, rng, bad):
