@@ -62,6 +62,7 @@ from .reps import (
     RAPIDITY_MAX,
     LorentzTransform,
     RepGenerators,
+    _lorentz_parameters,
     adjugate_power,
     pauli_matrices,
     symmetric_power,
@@ -99,6 +100,9 @@ def check_mass(m) -> np.ndarray:
     if not ok.all():
         raise ValueError(f"mass must be positive and finite, got {m[~ok][0]}")
     return m
+
+
+_ENERGY_OVERFLOWS = "the energy overflows: |p|/m is past the float range"
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,11 +181,16 @@ class FourMomentum:
         to its energy, or if an energy overflows (|p|/m past about 1e154)."""
         v = self.four_vector
         if not np.isfinite(v[..., 0]).all():
-            raise ValueError("the energy overflows: |p|/m is past the float range")
-        v = L.apply(v)
+            raise ValueError(_ENERGY_OVERFLOWS)
+        # an image past the float range is refused, not warned of: its E,
+        # formed from its p/m, overflows before its p
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = L.apply(v)
         out = FourMomentum(np.broadcast_to(self.m, v.shape[:-1]), v[..., 1:])
-        # relative at every mass scale: E >= m > 0
         E = out.E
+        if not np.isfinite(E).all():
+            raise ValueError(_ENERGY_OVERFLOWS)
+        # relative at every mass scale: E >= m > 0
         if (np.abs(E - v[..., 0]) > 1e-9 * E).any():
             raise ValueError("transformed momentum is off-shell; inconsistent inputs")
         return out
@@ -243,21 +252,7 @@ _HALF_SIGMA.flags.writeable = False
 def _pauli_dot(v: np.ndarray, table: np.ndarray) -> np.ndarray:
     """sum_a v[..., a] table[a] as (..., 2, 2) complex matrices. Every entry
     is a sum of at most two non-zero terms, so a stack rounds as its rows."""
-    if v.shape[-1:] != (len(table),):
-        raise ValueError(f"expected {len(table)}-vectors, got shape {v.shape}")
     return (v @ table).reshape(v.shape[:-1] + (2, 2))
-
-
-def _checked_rapidity(phi) -> np.ndarray:
-    """phi as a float array, refused unless every rapidity is finite and
-    within the overflow cap."""
-    phi = np.asarray(phi, dtype=float)
-    # one reduction tests finiteness and the cap: a nan or inf fails `<=`
-    if not np.sqrt(np.vecdot(phi, phi).max(initial=0.0)) <= RAPIDITY_MAX:
-        if not np.isfinite(phi).all():
-            raise ValueError("rapidity must be finite")
-        raise ValueError(f"rapidity norm exceeds the overflow cap {RAPIDITY_MAX}")
-    return phi
 
 
 def boost_matrix(rep: RepGenerators, phi) -> np.ndarray:
@@ -265,7 +260,8 @@ def boost_matrix(rep: RepGenerators, phi) -> np.ndarray:
     of A = exp(sigma.phi/2) and of A^-1 = adj A, as Sym^{2j}(A) on (j,0)
     and Sym^{2j}(A^-1) on (0,j). It is Hermitian positive definite, and its
     inverse is eta B eta = exp(-i K.phi)."""
-    S = symmetric_power(expm_hermitian(_pauli_dot(_checked_rapidity(phi), _HALF_SIGMA)), rep.j)
+    phi, _ = _lorentz_parameters(phi, "rapidity")
+    S = symmetric_power(expm_hermitian(_pauli_dot(phi, _HALF_SIGMA)), rep.j)
     return rep.lift(S, adjugate_power(S))
 
 
@@ -282,7 +278,8 @@ def rotation_matrix(rep: RepGenerators, theta) -> np.ndarray:
     """exp(i J.theta), unitary: the lift of R = exp(i sigma.theta/2) as
     Sym^{2j}(R) on both factors; a stack (..., 3) of rotation vectors gives
     a stack of matrices."""
-    S = symmetric_power(expm_i_hermitian(_pauli_dot(np.asarray(theta, dtype=float), _HALF_SIGMA)), rep.j)
+    theta, _ = _lorentz_parameters(theta, "rotation vector")
+    S = symmetric_power(expm_i_hermitian(_pauli_dot(theta, _HALF_SIGMA)), rep.j)
     return rep.lift(S, S)
 
 
@@ -461,12 +458,6 @@ def covariance_residual(
     # a family scaled near the float range can overflow once boosted
     with np.errstate(over="ignore", invalid="ignore"):
         A1 = fam.matrix_at(q)
-    return _covariance_residual(fam, A1, q, L, D)
-
-
-def _covariance_residual(fam, A1, q, L, D) -> float | np.ndarray:
-    """covariance_residual with A1 = fam.matrix_at(q) already evaluated."""
-    with np.errstate(over="ignore", invalid="ignore"):
         A2 = fam.matrix_at(q.transform(L))
         A1 = fam._spread(A1, A2.ndim - A1.ndim)
         scale = stack_norm(A1, 2)
@@ -560,20 +551,14 @@ def is_fully_kinematic(fam: KinematicOperatorFamily, *, samples: int, tol: float
     rng = np.random.default_rng(seed)
     momenta = sample_momenta(rng, samples)
     pairs = stack_pairs(random_transform_pairs(fam.rep, rng, samples))
-    # A(q) once, for the square and for the covariance. A family scaled near
-    # the float range can overflow once boosted: a residual that is not
-    # finite is refused, not reported
+    # covariance_residual evaluates A(q) again: the memoised P(q) of the
+    # parity family, or one conjugation by the memoised boost. A family that
+    # overflows once boosted is refused: no residual reads inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
-        A = fam.matrix_at(momenta)
-        sq_worst = float(np.max(square_residual(A, fam.antilinear)))
+        sq_worst = float(np.max(square_residual(fam.matrix_at(momenta), fam.antilinear)))
         anti_worst = fam.anticommutator_residual()
-    cov_worst = float(np.max(_covariance_residual(fam, A, momenta, *pairs)))
-
-    residuals = {
-        "square": sq_worst,
-        "anticommutator": anti_worst,
-        "covariance": cov_worst,
-    }
+    cov_worst = float(np.max(covariance_residual(fam, momenta, *pairs)))
+    residuals = {"square": sq_worst, "anticommutator": anti_worst, "covariance": cov_worst}
     if not all(map(math.isfinite, residuals.values())):
         raise ValueError(f"a residual of the family overflows ({residuals}); rescale it")
     return {

@@ -45,7 +45,7 @@ class HalfInt:
     twice: int
 
     def __post_init__(self):
-        if not isinstance(self.twice, int) or self.twice < 1:
+        if not isinstance(self.twice, int) or isinstance(self.twice, bool) or self.twice < 1:
             raise ValueError(f"twice must be a positive integer, got {self.twice!r}")
         if self.twice > _TWICE_MAX:
             raise ValueError(f"2j = {self.twice} is past the largest supported spin, 2j = {_TWICE_MAX}")
@@ -66,9 +66,12 @@ class HalfInt:
 
     @classmethod
     def coerce(cls, value) -> "HalfInt":
-        """Accept a HalfInt, an int/float spin value, or a string like '3/2'."""
+        """Accept a HalfInt, an int/float spin value (not a bool), or a string
+        like '3/2'."""
         if isinstance(value, cls):
             return value
+        if isinstance(value, bool):
+            raise ValueError(f"{value!r} is not a spin")
         from fractions import Fraction  # here, not at the top: fractions loads decimal
 
         twice = Fraction(value) * 2
@@ -300,17 +303,28 @@ class LorentzTransform:
 
 
 RAPIDITY_MAX = 30.0
+# the longest vector of each kind: a rotation vector's |theta|^2 is finite
+_PARAMETER_CAPS = {"rapidity": RAPIDITY_MAX, "rotation vector": math.sqrt(np.finfo(float).max)}
 
 
-def _unit_and_length(vec, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """(vec / |vec|, |vec|) for a finite 3-vector or a stack of them; the
-    unit vector is 0 where |vec| = 0."""
+def _lorentz_parameters(vec, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(vec, |vec|) for vec a `what` ("rapidity" or "rotation vector") or a
+    stack (..., 3) of them, refused with no numpy warning unless every entry
+    is finite and every length within the cap of its kind: the one rule of
+    both halves of a Lorentz pair, vector_boost and boost_matrix, and
+    vector_rotation and rotation_matrix."""
+    cap = _PARAMETER_CAPS[what]
     vec = np.asarray(vec, dtype=float)
-    if vec.shape[-1:] != (3,) or not np.isfinite(vec).all():
-        raise ValueError(f"{what} must be a finite 3-vector")
-    r = np.sqrt(np.vecdot(vec, vec))
-    n = np.divide(vec, r[..., None], out=np.zeros_like(vec), where=r[..., None] > 0.0)
-    return n, r
+    if vec.shape[-1:] != (3,):
+        raise ValueError(f"{what} must be a finite 3-vector, got shape {vec.shape}")
+    with np.errstate(over="ignore"):
+        r = np.sqrt(np.vecdot(vec, vec))
+    # one reduction tests finiteness and the cap: a nan or inf fails `<=`
+    if not r.max(initial=0.0) <= cap:
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{what} must be a finite 3-vector")
+        raise ValueError(f"{what} {float(r.max())} exceeds the overflow cap {cap}")
+    return vec, r
 
 
 def vector_boost(phi) -> LorentzTransform:
@@ -319,9 +333,8 @@ def vector_boost(phi) -> LorentzTransform:
     Maps the rest momentum (m, 0) to (m cosh phi, m sinh phi phi-hat). A stack
     of rapidities (..., 3) gives a stack of boosts.
     """
-    n, r = _unit_and_length(phi, "rapidity")
-    if (r > RAPIDITY_MAX).any():
-        raise ValueError(f"rapidity {r.max():.3f} exceeds the overflow cap {RAPIDITY_MAX}")
+    phi, r = _lorentz_parameters(phi, "rapidity")
+    n = np.divide(phi, r[..., None], out=np.zeros_like(phi), where=r[..., None] > 0.0)
     ch = np.cosh(r)
     L = np.empty(r.shape + (4, 4))
     L[..., 0, 0] = ch
@@ -333,7 +346,8 @@ def vector_boost(phi) -> LorentzTransform:
 def vector_rotation(theta) -> LorentzTransform:
     """Spatial rotation by angle |theta| about theta-hat (right-hand rule); a
     stack of rotation vectors (..., 3) gives a stack of rotations."""
-    n, ang = _unit_and_length(theta, "rotation vector")
+    theta, ang = _lorentz_parameters(theta, "rotation vector")
+    n = np.divide(theta, ang[..., None], out=np.zeros_like(theta), where=ang[..., None] > 0.0)
     X = np.zeros(ang.shape + (3, 3))
     X[..., 0, 1], X[..., 0, 2], X[..., 1, 2] = -n[..., 2], n[..., 1], -n[..., 0]
     X[..., 1, 0], X[..., 2, 0], X[..., 2, 1] = n[..., 2], -n[..., 1], n[..., 0]

@@ -1,3 +1,4 @@
+import re
 import warnings
 import weakref
 from functools import partial
@@ -24,6 +25,7 @@ from spinkin.kinematics import (
     parity_operator,
     random_transform_pairs,
     rapidity_from_momentum,
+    rotation_matrix,
     sample_momenta,
     scaled_swap_family,
     stack_pairs,
@@ -38,6 +40,7 @@ from spinkin.reps import (
     symmetric_power,
     tensor_rep_generators,
     vector_boost,
+    vector_rotation,
 )
 
 ABS_TOL = 1e-10
@@ -108,6 +111,20 @@ class TestFourMomentum:
         product with the Lorentz matrix, which would warn of inf * 0."""
         q = FourMomentum(1e-300, (1.0, 0.0, 0.0))
         raises_without_warning(lambda: q.transform(vector_boost((0.0, 0.0, 0.5))), "energy overflows")
+
+    @pytest.mark.parametrize(
+        "m, p, match",
+        [
+            # the image has p_z = 1.07e163: finite, but its |p/m|^2 and so
+            # its E, formed from p/m, overflow
+            (1.0, (0.0, 0.0, 1e150), "energy overflows"),
+            # the image's p_z overflows in the product with the boost
+            (1e300, (0.0, 0.0, 1e300), "finite"),
+        ],
+    )
+    def test_transform_refuses_an_image_past_the_float_range_without_warning(self, m, p, match):
+        q = FourMomentum(m, p)
+        raises_without_warning(lambda: q.transform(vector_boost((0.0, 0.0, RAPIDITY_MAX))), match)
 
     @pytest.mark.parametrize("stretch, refused", [(1e-4, True), (1e-12, False)])
     def test_off_shell_verdict_does_not_depend_on_the_mass_scale(self, stretch, refused):
@@ -510,11 +527,54 @@ class TestFullyKinematicChecker:
 
 
 def raises_without_warning(call, match):
-    """call() raises ValueError, and no warning is raised on the way."""
+    """call() raises ValueError, and no warning is raised on the way; returns
+    the refusal's ExceptionInfo."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=match) as refusal:
             call()
+    return refusal
+
+
+# each edge input and the kinds of Lorentz parameter that refuse it
+LORENTZ_EDGE = {
+    "nan": ((np.nan, 0.0, 0.0), {"boost", "rotation"}),
+    "inf": ((np.inf, 0.0, 0.0), {"boost", "rotation"}),
+    "-inf": ((0.0, -np.inf, 0.0), {"boost", "rotation"}),
+    "1e200": ((1e200, 0.0, 0.0), {"boost", "rotation"}),
+    "one ulp past the rapidity cap": ((0.0, 0.0, np.nextafter(RAPIDITY_MAX, np.inf)), {"boost"}),
+    # |theta|^2 is finite below sqrt(float max) = 1.34e154 and overflows above
+    "1.3e154": ((1.3e154, 0.0, 0.0), {"boost"}),
+    "1.5e154": ((0.0, 1.5e154, 0.0), {"boost", "rotation"}),
+    "zero": ((0.0, 0.0, 0.0), set()),
+    "shape (1, 2)": (np.zeros((1, 2)), {"boost", "rotation"}),
+    "stack with one bad row": ([[0.1, 0.2, 0.3], [0.0, np.nan, 0.0], [0.3, 0.0, 0.0]], {"boost", "rotation"}),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, what, vector_half, spinor_half",
+    [
+        pytest.param("boost", "rapidity", vector_boost, boost_matrix, id="boost"),
+        pytest.param("rotation", "rotation vector", vector_rotation, rotation_matrix, id="rotation"),
+    ],
+)
+@pytest.mark.parametrize("edge", LORENTZ_EDGE)
+def test_a_lorentz_pair_refuses_what_its_partner_refuses(kind, what, vector_half, spinor_half, edge):
+    """Both halves of a Lorentz pair, the 4-vector transform and its spinor
+    image, read one domain rule: each edge input is accepted by both, or
+    refused by both with the same message, which names the parameter, and
+    with no numpy warning."""
+    vec, refused_by = LORENTZ_EDGE[edge]
+    rep = rep_generators(HalfInt(2))
+    if kind not in refused_by:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            L, D = vector_half(vec), spinor_half(rep, vec)
+        assert np.isfinite(L.matrix).all() and np.isfinite(D).all()
+        return
+    message = str(raises_without_warning(lambda: vector_half(vec), f"^{what} ").value)
+    raises_without_warning(lambda: spinor_half(rep, vec), f"^{re.escape(message)}$")
 
 
 class TestScaledSwapDomain:

@@ -67,6 +67,15 @@ class TestHalfInt:
         with pytest.raises(ValueError):
             HalfInt(0)
 
+    @pytest.mark.parametrize("spin", [True, False])
+    def test_a_bool_is_not_a_spin(self, spin):
+        """Python counts a bool as an int, so True would read 2j = 1 as a
+        label and spin 1 through coerce; every function that takes a spin
+        refuses it instead."""
+        for call in (HalfInt, HalfInt.coerce, spin_matrices, rep_generators, tensor_rep_generators):
+            with pytest.raises(ValueError, match=repr(spin)):
+                call(spin)
+
     def test_largest_spin(self):
         """2j = 16 is the largest label; 2j = 17 is refused before any
         table of that spin is built."""
