@@ -109,7 +109,10 @@ def _basis_at_mass(j: HalfInt, W: np.ndarray, n_u: int, mass) -> SpinorBasis:
 
 def _scaled_rows(W: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """The rows of W times sqrt(mass), each a stack of the mass's shape."""
-    return np.sqrt(mass)[..., None] * W.reshape(W.shape[:1] + (1,) * mass.ndim + W.shape[1:])
+    s = np.sqrt(mass)
+    if mass.ndim:  # one factor per stack entry, on axes of their own
+        s, W = s[..., None], W.reshape(W.shape[:1] + (1,) * mass.ndim + W.shape[1:])
+    return s * W
 
 
 def rest_spinors(j, mass: float | np.ndarray) -> SpinorBasis:
@@ -156,5 +159,5 @@ def boosted_spinors(j, q: FourMomentum) -> SpinorBasis:
 def _boosted(j: HalfInt, W: np.ndarray, n_u: int, mass, q: FourMomentum) -> SpinorBasis:
     """The basis B(phi(q)) w_k of the rows w_k of W, the first n_u of them u
     spinors: every spinor in one product, for all momenta of a stack."""
-    W = (_boost_at(rep_generators(j), q) @ W[..., None])[..., 0]
-    return SpinorBasis(j=j, mass=mass, u=tuple(W[:n_u]), v=tuple(W[n_u:]))
+    rows = tuple((_boost_at(rep_generators(j), q) @ W[..., None])[..., 0])
+    return SpinorBasis(j=j, mass=mass, u=rows[:n_u], v=rows[n_u:])

@@ -21,7 +21,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .kinematics import FourMomentum, _recall, boost_matrix, parity_operator, rapidity_from_momentum
-from .linalg import _scalar_or_stack, square_residual, stack_norm
+from .linalg import _all_hold, _scalar_or_stack, square_residual, stack_norm
 from .reps import HalfInt, _symmetric_power_table, adjugate_power, rep_generators, tensor_rep_generators
 
 __all__ = [
@@ -50,13 +50,20 @@ def field_equation_residual(j, psi: np.ndarray, q: FourMomentum, sign: int) -> f
     j = HalfInt.coerce(j)
     psi = np.asarray(psi, dtype=complex)
     norm = stack_norm(psi, 1)
-    if (norm == 0.0).any():
+    if not _all_hold(_nonzero, norm):
         raise ValueError("spinor must be non-zero")
     P = _recall(q, "parity", j, False)
     if P is None:
         P = parity_operator(rep_generators(j), q)
-    r = stack_norm((P @ psi[..., None])[..., 0] - sign * psi, 1) / norm
-    return _scalar_or_stack(r)
+    # P psi - sign psi, formed in place in the fresh product P psi (adding
+    # psi rounds as subtracting -psi)
+    r = (P @ psi[..., None])[..., 0]
+    (np.subtract if sign == 1 else np.add)(r, psi, out=r)
+    return _scalar_or_stack(stack_norm(r, 1) / norm)
+
+
+def _nonzero(norm):
+    return norm != 0.0
 
 
 def involution_certificate(P: np.ndarray) -> dict:

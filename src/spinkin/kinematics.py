@@ -56,8 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _FLOAT_TINY, _ONE_SIGMA, _scalar_or_stack, anticommutator, expm_hermitian, expm_i_hermitian
-from .linalg import square_residual, stack_norm
+from .linalg import _FLOAT_TINY, _ONE_SIGMA, _largest, _scalar_or_stack, anticommutator, expm_hermitian
+from .linalg import expm_i_hermitian, square_residual, stack_norm
 from .reps import (
     RAPIDITY_MAX,
     LorentzTransform,
@@ -215,9 +215,10 @@ def _set_four_velocity(q) -> None:
 def _recall(q, kind: str, j, tensor: bool) -> np.ndarray | None:
     """The operator of this kind memoised on q for the spin-j representation
     (the tensor one if tensor), or None: not evaluated yet, or q carries no
-    memo."""
+    memo. j is a HalfInt; the memo is keyed by its 2j, an int, which hashes
+    with no Python call."""
     memo = getattr(q, "_derived", None)
-    return None if memo is None else memo.get((kind, j, tensor))
+    return None if memo is None else memo.get((kind, j.twice, tensor))
 
 
 def _remember(q, kind: str, rep: RepGenerators, X: np.ndarray) -> np.ndarray:
@@ -225,7 +226,7 @@ def _remember(q, kind: str, rep: RepGenerators, X: np.ndarray) -> np.ndarray:
     X.flags.writeable = False
     memo = getattr(q, "_derived", None)
     if memo is not None:
-        memo[(kind, rep.j, rep.tensor)] = X
+        memo[(kind, rep.j.twice, rep.tensor)] = X
     return X
 
 
@@ -237,8 +238,9 @@ def rapidity_from_momentum(q: FourMomentum) -> np.ndarray:
     made; a |p/m| that overflowed there reads inf and is refused by the cap."""
     un = np.sqrt(q._u2)
     phi = np.arcsinh(un)
-    if phi.max(initial=0.0) > RAPIDITY_MAX:
-        raise ValueError(f"rapidity {phi.max():.3f} exceeds the overflow cap {RAPIDITY_MAX}")
+    largest = _largest(phi, 0.0)
+    if largest > RAPIDITY_MAX:
+        raise ValueError(f"rapidity {largest:.3f} exceeds the overflow cap {RAPIDITY_MAX}")
     # p-hat, and 0 at rest
     return phi * (q._w[..., 1:] / np.maximum(un, _FLOAT_TINY))
 
@@ -305,11 +307,12 @@ def parity_operator(rep: RepGenerators, q: FourMomentum) -> np.ndarray:
     if P is not None:
         return P
     # the four-velocity (E/m, p/m) of q; an E/m that overflowed reads inf.
-    # One reduction tests finiteness and the cap: a nan fails `<=`
+    # One test of the largest E/m checks finiteness and the cap: a nan fails
+    # `<=`
     w = q._w
-    e = w[..., 0]
-    if not e.max(initial=1.0) <= _PARITY_COSH_CAP:
-        cap, phi = RAPIDITY_MAX / 2.0, np.arccosh(e.max())
+    largest = _largest(w[..., 0], 1.0)
+    if not largest <= _PARITY_COSH_CAP:
+        cap, phi = RAPIDITY_MAX / 2.0, np.arccosh(largest)
         raise ValueError(f"rapidity must be finite and within the parity overflow cap {cap}, got {phi:.3f}")
     S = symmetric_power(_pauli_dot(w, _ONE_SIGMA), rep.j)
     return _remember(q, "parity", rep, rep.lift(S, adjugate_power(S), swap=True))

@@ -42,6 +42,35 @@ def _as_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 _FLOAT_TINY = sys.float_info.min
 
+
+# The checks of the kernel (caps, finiteness, a zero spinor) go through the
+# two helpers below. One entry, which is what one momentum, one rapidity or
+# one spinor gives, is read as a Python float and judged with no numpy call:
+# a reduction, a 0-d ufunc or an error-state switch costs 1-2.5 us, far more
+# than the comparison. A stack keeps one reduction. Both give one entry the
+# verdict of any stack that holds it.
+
+
+def _largest(x: np.ndarray, initial: float) -> float:
+    """The largest entry of x, or `initial` if no entry is larger, as a Python
+    float; a nan entry makes it nan, as in x.max(initial=initial)."""
+    if x.size == 1:
+        v = x.item()
+        # a nan fails `<` and is kept (Python's max(initial, v) would drop it)
+        return initial if v < initial else v
+    return float(x.max(initial=initial))
+
+
+def _all_hold(test, *xs: np.ndarray) -> bool:
+    """Whether test(*xs) holds at every entry of the equally shaped arrays
+    xs; True for empty ones. test is written with comparisons, & and |, so
+    it gives one verdict on Python floats and on arrays: one entry is judged
+    on floats, a stack in one elementwise pass and one reduction."""
+    if xs[0].size == 1:
+        return bool(test(*[x.item() for x in xs]))
+    return bool(test(*xs).all())
+
+
 # (I, sigma) and (I, i sigma), each 2x2 matrix flattened to a row
 _ONE_SIGMA = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]], dtype=complex)
 _ONE_I_SIGMA = _ONE_SIGMA * np.array([[1], [1j], [1j], [1j]])
@@ -51,6 +80,13 @@ _ONE_I_SIGMA = _ONE_SIGMA * np.array([[1], [1j], [1j], [1j]])
 _PAULI_COEFFS = _ONE_SIGMA.conj().T / 2.0
 for _table in (_ONE_SIGMA, _ONE_I_SIGMA, _PAULI_COEFFS):
     _table.flags.writeable = False
+
+
+def _finite_and_hermitian(norm2, skew2):
+    """The verdict of _pauli_parts on ||H||_F^2 and ||H - H^dagger||_F^2:
+    a finite norm, and a skew part within 1e-10 max(1, ||H||_F). A nan norm
+    fails the first test, so max(1, norm2) is written as two tests."""
+    return (norm2 < math.inf) & ((skew2 <= 1e-20) | (skew2 <= 1e-20 * norm2))
 
 
 def _pauli_parts(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -65,15 +101,15 @@ def _pauli_parts(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     H = np.asarray(H, dtype=complex)
     if H.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix or a stack of them, got shape {H.shape}")
-    # not -1: a stack may be empty
-    c = H.reshape(H.shape[:-2] + (4,)) @ _PAULI_COEFFS
     # (I, sigma) is orthogonal with squared norms 2: ||H||_F^2 = 2 |c|^2, and
-    # H - H^dagger = 2i (im c0 I + im c.sigma). A norm that overflows is
-    # refused below
-    with np.errstate(over="ignore"):
+    # H - H^dagger = 2i (im c0 I + im c.sigma). An inf entry (inf times 0
+    # in the product) and a norm that overflows are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # not -1: a stack may be empty
+        c = H.reshape(H.shape[:-2] + (4,)) @ _PAULI_COEFFS
         norm2 = 2.0 * np.vecdot(c, c).real
         skew2 = 8.0 * np.vecdot(c.imag, c.imag)
-    if not ((norm2 < np.inf) & (skew2 <= 1e-20 * np.maximum(1.0, norm2))).all():
+    if not _all_hold(_finite_and_hermitian, norm2, skew2):
         if not np.isfinite(H).all():
             raise ValueError("matrix has non-finite entries")
         if not (norm2 < np.inf).all():
@@ -86,6 +122,12 @@ def _pauli_parts(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c[..., 0], r, c
 
 
+def _exp_in_range(a, r):
+    """The cap of expm_hermitian on H = a I + b.sigma, r = |b|: e^{a+r} and
+    cosh r, formed apart, stay below e^700."""
+    return (a + r <= 700.0) & (r <= 700.0)
+
+
 def expm_hermitian(H: np.ndarray) -> np.ndarray:
     """exp(H) = e^a (cosh|b| I + (sinh|b|/|b|) b.sigma) for a Hermitian
     H = a I + b.sigma, or for each matrix of a stack (..., 2, 2).
@@ -93,7 +135,7 @@ def expm_hermitian(H: np.ndarray) -> np.ndarray:
     e^a and cosh|b| are formed apart, so besides the largest eigenvalue
     a + |b| the norm |b| alone must be at most 700."""
     a, r, c = _pauli_parts(H)
-    if (np.maximum(a, 0.0) + r).max(initial=0.0) > 700.0:
+    if not _all_hold(_exp_in_range, a, r):
         raise ValueError("matrix exponential overflows double precision")
     ea = np.exp(a)
     w = c * (ea * np.sinh(r) / r)[..., None]
@@ -154,8 +196,13 @@ def stack_norm(x: np.ndarray, ndim: int) -> np.ndarray:
     scale = np.maximum(np.abs(y.real), np.abs(y.imag)).max(axis=-1, initial=0.0)
     # the parts of y over scale lie in [-1, 1], one of them at +-1, so their
     # squares neither underflow nor overflow to a wrong sum; a zero entry
-    # divides by 1. The product overflows only past the float range
-    norm[redo] = scale * np.sqrt(_sum_of_squares(y / np.where(scale > 0.0, scale, 1.0)[..., None]))
+    # divides by 1. numpy divides a complex y as y times 1/scale, which
+    # overflows for a subnormal scale: there y and scale are first raised
+    # by 2^600, exactly, which leaves every quotient as it was. The product
+    # overflows only past the float range
+    s = np.where(scale > 0.0, scale, 1.0)[..., None]
+    lift = np.where(s < _FLOAT_TINY, 2.0**600, 1.0)
+    norm[redo] = scale * np.sqrt(_sum_of_squares((y * lift) / (s * lift)))
     return norm[()]
 
 

@@ -16,6 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .linalg import _largest
+
 __all__ = [
     "HalfInt",
     "pauli_matrices",
@@ -66,11 +68,11 @@ class HalfInt:
 
     @classmethod
     def coerce(cls, value) -> "HalfInt":
-        """Accept a HalfInt, an int/float spin value (not a bool), or a string
-        like '3/2'."""
+        """Accept a HalfInt, an int/float spin value (not a bool, Python's or
+        numpy's), or a string like '3/2'."""
         if isinstance(value, cls):
             return value
-        if isinstance(value, bool):
+        if isinstance(value, (bool, np.bool_)):
             raise ValueError(f"{value!r} is not a spin")
         from fractions import Fraction  # here, not at the top: fractions loads decimal
 
@@ -288,7 +290,8 @@ def rep_generators(j) -> RepGenerators:
 @dataclass(frozen=True)
 class LorentzTransform:
     """4x4 real matrix acting on (p0, p1, p2, p3) with metric (+,-,-,-), or a
-    stack (..., 4, 4) of them acting on a stack of 4-vectors."""
+    stack (..., 4, 4) of them acting on a stack of 4-vectors; refused unless
+    every entry is finite."""
 
     matrix: np.ndarray
 
@@ -296,6 +299,8 @@ class LorentzTransform:
         M = np.asarray(self.matrix, dtype=float)
         if M.shape[-2:] != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {M.shape}")
+        if not np.isfinite(M).all():
+            raise ValueError("Lorentz transform has non-finite entries")
         object.__setattr__(self, "matrix", M)
 
     def apply(self, fourvec: np.ndarray) -> np.ndarray:
@@ -317,14 +322,28 @@ def _lorentz_parameters(vec, what: str) -> tuple[np.ndarray, np.ndarray]:
     vec = np.asarray(vec, dtype=float)
     if vec.shape[-1:] != (3,):
         raise ValueError(f"{what} must be a finite 3-vector, got shape {vec.shape}")
-    with np.errstate(over="ignore"):
+    if vec.size == 3 and _squares_in_range(*vec.ravel().tolist()):
+        # one vector whose |vec|^2 is far inside the float range, judged on
+        # Python floats: no error-state switch
         r = np.sqrt(np.vecdot(vec, vec))
-    # one reduction tests finiteness and the cap: a nan or inf fails `<=`
-    if not r.max(initial=0.0) <= cap:
+    else:
+        with np.errstate(over="ignore"):
+            r = np.sqrt(np.vecdot(vec, vec))
+    # one test of the longest tests finiteness and the cap: a nan or inf
+    # fails `<=`
+    longest = _largest(r, 0.0)
+    if not longest <= cap:
         if not np.isfinite(vec).all():
             raise ValueError(f"{what} must be a finite 3-vector")
-        raise ValueError(f"{what} {float(r.max())} exceeds the overflow cap {cap}")
+        raise ValueError(f"{what} {longest} exceeds the overflow cap {cap}")
     return vec, r
+
+
+def _squares_in_range(x: float, y: float, z: float) -> bool:
+    """Whether x^2 + y^2 + z^2 is far inside the float range, so that no
+    order of rounding overflows it: the Python sum is below 1e300, and a
+    nan fails `<`."""
+    return x * x + y * y + z * z < 1e300
 
 
 def vector_boost(phi) -> LorentzTransform:

@@ -418,7 +418,7 @@ class TestOperatorMemo:
         fam = scaled_swap_family(rep, 2.0 - 1.0j)
         q = momenta(11, 4)
         A = fam.matrix_at(q)
-        B = q._derived[("boost", rep.j, False)]
+        B = q._derived[("boost", rep.j.twice, False)]
         assert B is _boost_at(rep, q)
         monkeypatch.setattr(kinematics, "boost_matrix", None)
         assert parity_family(rep).matrix_at(q) is parity_operator(rep, q)

@@ -67,11 +67,12 @@ class TestHalfInt:
         with pytest.raises(ValueError):
             HalfInt(0)
 
-    @pytest.mark.parametrize("spin", [True, False])
+    @pytest.mark.parametrize("spin", [True, False, np.True_, np.False_])
     def test_a_bool_is_not_a_spin(self, spin):
         """Python counts a bool as an int, so True would read 2j = 1 as a
         label and spin 1 through coerce; every function that takes a spin
-        refuses it instead."""
+        refuses it instead. numpy's bools get the same ValueError, not a
+        TypeError from fractions."""
         for call in (HalfInt, HalfInt.coerce, spin_matrices, rep_generators, tensor_rep_generators):
             with pytest.raises(ValueError, match=repr(spin)):
                 call(spin)
